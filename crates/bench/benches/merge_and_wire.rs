@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use setstream_core::{SketchConfig, SketchFamily, TwoLevelSketch};
-use setstream_distributed::wire::{decode_frame, encode_frame, FrameKind};
-use setstream_distributed::{codec, site::SynopsisMessage};
+use setstream_distributed::codec;
+use setstream_distributed::site::{DeltaMessage, SynopsisMessage};
+use setstream_distributed::wire::{decode_frame, decode_message, encode_frame, FrameKind};
 use setstream_stream::StreamId;
 
 fn merge(c: &mut Criterion) {
@@ -67,6 +68,31 @@ fn wire(c: &mut Criterion) {
             let back: SynopsisMessage = codec::from_bytes(&payload).unwrap();
             back.site
         })
+    });
+
+    // One epoch delta at the `setstream site` shape (r = 64, s = 8):
+    // 1000 updates, so only the ~log₂ 1000 occupied levels of each copy
+    // travel in the sparse counter blocks.
+    let fam = SketchFamily::builder().copies(64).second_level(8).seed(4).build();
+    let mut delta = fam.new_vector();
+    for e in 0..1000u64 {
+        delta.update(e.wrapping_mul(0x9e37_79b9_7f4a_7c15), if e % 10 == 0 { -1 } else { 1 });
+    }
+    let msg = DeltaMessage {
+        site: 1,
+        stream: StreamId(0),
+        epoch: 2,
+        prev_epoch: 1,
+        seq: 0,
+        vector: delta,
+    };
+    let frame = encode_frame(FrameKind::Delta, &msg).unwrap();
+    group.throughput(Throughput::Bytes(frame.len() as u64));
+    group.bench_function("encode_delta_frame_r64_s8_1000", |b| {
+        b.iter(|| encode_frame(FrameKind::Delta, &msg).unwrap().len())
+    });
+    group.bench_function("decode_delta_frame_r64_s8_1000", |b| {
+        b.iter(|| decode_message(frame.clone()).unwrap().message.kind())
     });
     group.finish();
 }

@@ -23,6 +23,12 @@ pub struct SketchConfig {
     pub first_family: HashFamily,
 }
 
+/// Upper bound on a sketch's counter count (512 KiB of cells: `s ≤ 512`
+/// at 64 levels, sixteen times the paper's `s = 32`). A sparse counter
+/// block can declare a shape in a few bytes, so this cap is what keeps a
+/// hostile payload from sizing an arbitrary allocation.
+pub const MAX_COUNTERS: usize = 1 << 16;
+
 impl Default for SketchConfig {
     fn default() -> Self {
         SketchConfig {
@@ -42,6 +48,12 @@ impl SketchConfig {
         }
         if self.second_level < 1 {
             return Err("need at least one second-level hash".to_string());
+        }
+        if u64::from(self.levels) * u64::from(self.second_level) * 2 > MAX_COUNTERS as u64 {
+            return Err(format!(
+                "{} levels x {} second-level hashes exceed {MAX_COUNTERS} counters",
+                self.levels, self.second_level
+            ));
         }
         if let HashFamily::KWise(t) = self.first_family {
             if t < 1 {
@@ -97,6 +109,20 @@ mod tests {
             ..Default::default()
         }
         .validate();
+    }
+
+    #[test]
+    fn oversized_shapes_are_refused() {
+        let huge = SketchConfig {
+            second_level: u32::MAX,
+            ..Default::default()
+        };
+        assert!(huge.check().unwrap_err().contains("exceed"));
+        let largest = SketchConfig {
+            second_level: 512,
+            ..Default::default()
+        };
+        assert!(largest.check().is_ok());
     }
 
     #[test]

@@ -10,11 +10,13 @@
 
 use crate::config::SketchConfig;
 use crate::error::EstimateError;
-use crate::sketch::two_level::BATCH_CHUNK;
+use crate::sketch::two_level::{SketchSeed, BATCH_CHUNK};
 use crate::sketch::TwoLevelSketch;
-use serde::{Deserialize, Serialize};
+use serde::de::{self, DeserializeSeed, SeqAccess, Visitor};
+use serde::{Deserialize, Deserializer, Serialize};
 use setstream_hash::{field, SeedSequence};
 use setstream_stream::{Element, Update};
+use std::fmt;
 
 /// Instrumentation record returned by [`SketchVector::update_batch`].
 ///
@@ -163,6 +165,13 @@ impl SketchVectorSlice<'_> {
     }
 }
 
+/// Most counter cells (`r · levels · s · 2`) a decoded [`SketchVector`]
+/// may hold: 2²⁴, or 128 MiB of cells, eight times a paper-scale
+/// synopsis (r = 512, s = 32). A counter block encodes an empty copy in
+/// a few bytes, so without this bound a short payload could declare a
+/// family whose vector makes the decoder allocate gigabytes.
+pub const MAX_VECTOR_CELLS: usize = 1 << 24;
+
 /// The shared-coins recipe for a collection of comparable stream synopses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SketchFamily {
@@ -222,6 +231,24 @@ impl SketchFamily {
     /// Total counter storage of one vector, in bytes.
     pub fn vector_bytes(&self) -> usize {
         self.copies * self.config.counter_bytes()
+    }
+
+    /// Check a family header read from untrusted input, without
+    /// panicking: a valid shape, at least one copy, and at most
+    /// [`MAX_VECTOR_CELLS`] counter cells per vector.
+    pub fn check(&self) -> Result<(), String> {
+        self.config.check()?;
+        if self.copies == 0 {
+            return Err("need at least one sketch copy".to_string());
+        }
+        match self.copies.checked_mul(self.config.n_counters()) {
+            Some(cells) if cells <= MAX_VECTOR_CELLS => Ok(()),
+            _ => Err(format!(
+                "{} copies of {} counters exceed {MAX_VECTOR_CELLS} cells per vector",
+                self.copies,
+                self.config.n_counters()
+            )),
+        }
     }
 }
 
@@ -290,7 +317,7 @@ impl SketchFamilyBuilder {
 ///
 /// This is "the synopsis" in Figure 1: one per stream, maintained online,
 /// combined at query time by the estimators in [`crate::estimate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SketchVector {
     family: SketchFamily,
     sketches: Vec<TwoLevelSketch>,
@@ -488,6 +515,82 @@ impl SketchVector {
             // analyze: allow(indexing) — `r <= self.sketches.len()` asserted above
             sketches: self.sketches[..r].to_vec(),
         }
+    }
+}
+
+/// Decodes the `{family, sketches}` layout the derived `Serialize`
+/// writes. The family header must pass [`SketchFamily::check`], and every
+/// copy must have its shape, checked before that copy's counters are
+/// allocated, so a payload can make a decoder allocate at most
+/// [`MAX_VECTOR_CELLS`] cells, however few bytes it carries.
+impl<'de> Deserialize<'de> for SketchVector {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_struct("SketchVector", &["family", "sketches"], VectorVisitor)
+    }
+}
+
+struct VectorVisitor;
+
+impl<'de> Visitor<'de> for VectorVisitor {
+    type Value = SketchVector;
+
+    fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+        f.write_str("a sketch vector")
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<SketchVector, A::Error> {
+        let missing = |at| <A::Error as de::Error>::invalid_length(at, "a sketch vector");
+        let family: SketchFamily = seq.next_element()?.ok_or_else(|| missing(0))?;
+        family
+            .check()
+            .map_err(|why| de::Error::custom(EstimateError::Corrupt(why)))?;
+        let sketches = seq
+            .next_element_seed(Copies(family))?
+            .ok_or_else(|| missing(1))?;
+        Ok(SketchVector { family, sketches })
+    }
+}
+
+/// The `sketches` of a vector whose family header passed
+/// [`SketchFamily::check`]: exactly `copies` sketches of its shape.
+struct Copies(SketchFamily);
+
+impl<'de> DeserializeSeed<'de> for Copies {
+    type Value = Vec<TwoLevelSketch>;
+
+    fn deserialize<D: Deserializer<'de>>(self, deserializer: D) -> Result<Self::Value, D::Error> {
+        deserializer.deserialize_seq(self)
+    }
+}
+
+impl<'de> Visitor<'de> for Copies {
+    type Value = Vec<TwoLevelSketch>;
+
+    fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+        f.write_str("the family's sketch copies")
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Self::Value, A::Error> {
+        let family = self.0;
+        let miscount = |n: usize| {
+            <A::Error as de::Error>::custom(EstimateError::Corrupt(format!(
+                "vector carries {n} sketches, its family has {} copies",
+                family.copies
+            )))
+        };
+        if let Some(n) = seq.size_hint().filter(|&n| n != family.copies) {
+            return Err(miscount(n));
+        }
+        // Capacity follows what actually arrives, not what the header claims.
+        let mut sketches = Vec::with_capacity(family.copies.min(1024));
+        while sketches.len() < family.copies {
+            let shape = Some(family.config);
+            match seq.next_element_seed(SketchSeed { shape })? {
+                Some(sketch) => sketches.push(sketch),
+                None => return Err(miscount(sketches.len())),
+            }
+        }
+        Ok(sketches)
     }
 }
 

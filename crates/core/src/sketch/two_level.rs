@@ -4,7 +4,10 @@
 
 use crate::config::SketchConfig;
 use crate::error::EstimateError;
-use serde::{Deserialize, Serialize};
+use serde::de::{self, DeserializeSeed, SeqAccess, Visitor};
+use serde::ser::SerializeStruct;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::fmt;
 use super::coins;
 use setstream_hash::{bucket_of, field, hash_many, AnyHash, Hash64, PairwiseHashBank};
 use setstream_stream::{Element, Update};
@@ -28,8 +31,12 @@ pub(crate) const BATCH_CHUNK: usize = 512;
 /// and all `s` second-level hashes are derived from `seed` ("stored
 /// coins"), so two sketches with equal `(config, seed)` are comparable and
 /// mergeable even when built on different machines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(try_from = "SketchRepr", into = "SketchRepr")]
+///
+/// The serde form is `config | seed | counter block | total`: the hash
+/// functions are rebuilt from the coins on decode, and the counters travel
+/// as a sparse *counter block* ([`Self::counter_block`]) holding only the
+/// levels that have a nonzero cell.
+#[derive(Debug, Clone)]
 pub struct TwoLevelSketch {
     config: SketchConfig,
     seed: u64,
@@ -374,67 +381,270 @@ impl TwoLevelSketch {
     }
 
     /// Raw counter slice (row-major `[level][j][bit]`); used by the
-    /// property checks and the wire format.
+    /// property checks.
     pub fn counters(&self) -> &[i64] {
         &self.counters
     }
-}
 
-/// Serialized form: coins + counters; hash functions are reconstructed on
-/// deserialization, so the wire never carries them.
-#[derive(Serialize, Deserialize)]
-struct SketchRepr {
-    config: SketchConfig,
-    seed: u64,
-    counters: Vec<i64>,
-    total: i64,
-}
+    /// The counters as a sparse **counter block** — the form every
+    /// serialized sketch (delta frames, snapshots, checkpoints) carries.
+    ///
+    /// ```text
+    /// row_mask:u64 (LE) | row … row
+    /// ```
+    ///
+    /// Bit `ℓ` of `row_mask` is set iff level `ℓ` holds a nonzero cell;
+    /// each set level, in ascending order, follows as its `2·s` cells
+    /// (`[j][bit]` order) encoded as zigzag LEB128 varints. The
+    /// first-level hash is geometric, so only about `log₂ n` of the
+    /// levels are ever occupied: an epoch delta is a few hundred bytes
+    /// per sketch instead of `levels · s · 16`.
+    pub fn counter_block(&self) -> Vec<u8> {
+        let width = 2 * self.config.second_level as usize;
+        let rows = self.counters.chunks_exact(width);
+        let mask = rows
+            .clone()
+            .enumerate()
+            .filter(|(_, row)| row.iter().any(|&c| c != 0))
+            .fold(0u64, |m, (level, _)| m | 1 << level);
+        let mut out = Vec::with_capacity(8 + mask.count_ones() as usize * width * 2);
+        out.extend_from_slice(&mask.to_le_bytes());
+        for (level, row) in rows.enumerate() {
+            if mask >> level & 1 == 1 {
+                for &cell in row {
+                    write_varint(&mut out, zigzag(cell));
+                }
+            }
+        }
+        out
+    }
 
-impl TryFrom<SketchRepr> for TwoLevelSketch {
-    type Error = EstimateError;
-
-    /// Rebuild a sketch from its wire form, rejecting inconsistent
-    /// payloads instead of panicking — a corrupt network frame must
-    /// surface as a decode error, not kill the coordinator.
-    fn try_from(r: SketchRepr) -> Result<Self, EstimateError> {
-        r.config.check().map_err(EstimateError::Corrupt)?;
-        if r.counters.len() != r.config.n_counters() {
+    /// Rebuild a sketch from its coins, a [`Self::counter_block`] and the
+    /// stored total, rejecting inconsistent input instead of panicking —
+    /// a corrupt network frame must surface as a decode error, not kill
+    /// the coordinator. Every rejection is [`EstimateError::Corrupt`]:
+    ///
+    /// * an impossible shape ([`SketchConfig::check`]) — refused before
+    ///   anything is allocated;
+    /// * a block shorter than its 8-byte row mask, or a mask bit at or
+    ///   beyond `levels`;
+    /// * a truncated varint, one longer than 10 bytes, one overflowing 64
+    ///   bits, or an overlong one (a zero final group);
+    /// * a level flagged in the mask whose cells are all zero, or bytes
+    ///   left after the last row;
+    /// * a `total` that differs from the sum of the `j = 0` cells.
+    ///
+    /// The checks make the encoding canonical: a block this accepts is
+    /// exactly the [`Self::counter_block`] of the sketch it returns.
+    pub fn from_counter_block(
+        config: SketchConfig,
+        seed: u64,
+        block: &[u8],
+        total: i64,
+    ) -> Result<Self, EstimateError> {
+        config.check().map_err(EstimateError::Corrupt)?;
+        let (mask, mut input) = match block.get(..8).map(<[u8; 8]>::try_from) {
+            Some(Ok(head)) => (u64::from_le_bytes(head), block.get(8..).unwrap_or_default()),
+            _ => {
+                return Err(EstimateError::Corrupt(format!(
+                    "counter block of {} bytes has no row mask",
+                    block.len()
+                )))
+            }
+        };
+        if config.levels < 64 && mask >> config.levels != 0 {
             return Err(EstimateError::Corrupt(format!(
-                "counter count mismatch: payload carries {}, shape {:?} needs {}",
-                r.counters.len(),
-                r.config,
-                r.config.n_counters()
+                "row mask {mask:#x} flags a level beyond the {} levels",
+                config.levels
+            )));
+        }
+        let mut sketch = TwoLevelSketch::new(config, seed);
+        let width = 2 * config.second_level as usize;
+        for (level, row) in sketch.counters.chunks_exact_mut(width).enumerate() {
+            if mask >> level & 1 == 0 {
+                continue;
+            }
+            let mut occupied = false;
+            for cell in row {
+                let raw = read_varint(&mut input)?;
+                occupied |= raw != 0;
+                *cell = unzigzag(raw);
+            }
+            if !occupied {
+                return Err(EstimateError::Corrupt(format!(
+                    "row mask flags level {level} but its cells are all zero"
+                )));
+            }
+        }
+        if !input.is_empty() {
+            return Err(EstimateError::Corrupt(format!(
+                "{} trailing bytes after the counter block's last row",
+                input.len()
             )));
         }
         // Every update adds its delta to exactly one `j = 0` cell, so the
         // j = 0 cells must sum to the stored total (wrapping arithmetic:
         // adversarial payloads must not be able to trigger overflow
         // panics either).
-        let row = r.config.second_level as usize * 2;
-        let j0_sum = (0..r.config.levels as usize)
-            .map(|l| r.counters[l * row].wrapping_add(r.counters[l * row + 1]))
+        let j0_sum = sketch
+            .counters
+            .chunks_exact(width)
+            .map(|row| row[0].wrapping_add(row[1]))
             .fold(0i64, i64::wrapping_add);
-        if j0_sum != r.total {
+        if j0_sum != total {
             return Err(EstimateError::Corrupt(format!(
-                "total {} does not match counters (j=0 cells sum to {j0_sum})",
-                r.total
+                "total {total} does not match counters (j=0 cells sum to {j0_sum})"
             )));
         }
-        let mut s = TwoLevelSketch::new(r.config, r.seed);
-        s.counters = r.counters.into_boxed_slice();
-        s.total = r.total;
-        Ok(s)
+        sketch.total = total;
+        Ok(sketch)
     }
 }
 
-impl From<TwoLevelSketch> for SketchRepr {
-    fn from(s: TwoLevelSketch) -> Self {
-        SketchRepr {
-            config: s.config,
-            seed: s.seed,
-            counters: s.counters.into_vec(),
-            total: s.total,
+/// Zigzag-map a signed cell so small magnitudes of either sign encode in
+/// few varint bytes.
+#[inline]
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+#[inline]
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+/// Append `v` as an LEB128 varint (7 bits per byte, low groups first).
+#[inline]
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read one LEB128 varint off the front of `input`: at most 10 bytes,
+/// the tenth carrying only the top bit of a `u64`.
+#[inline]
+fn read_varint(input: &mut &[u8]) -> Result<u64, EstimateError> {
+    let mut value = 0u64;
+    for group in 0..10 {
+        let Some((&byte, rest)) = input.split_first() else {
+            return Err(EstimateError::Corrupt(
+                "truncated varint in counter block".into(),
+            ));
+        };
+        *input = rest;
+        if group == 9 && byte > 1 {
+            return Err(EstimateError::Corrupt(if byte & 0x80 != 0 {
+                "varint longer than 10 bytes in counter block".into()
+            } else {
+                "varint overflows 64 bits in counter block".into()
+            }));
         }
+        if byte == 0 && group > 0 {
+            return Err(EstimateError::Corrupt(
+                "overlong varint in counter block".into(),
+            ));
+        }
+        value |= u64::from(byte & 0x7f) << (7 * group);
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+    }
+    // The tenth byte either ended the varint or was rejected above.
+    Err(EstimateError::Corrupt(
+        "varint longer than 10 bytes in counter block".into(),
+    ))
+}
+
+const FIELDS: &[&str] = &["config", "seed", "counters", "total"];
+
+/// Serializes by borrowing: coins, the sparse counter block, and the
+/// total. The hash functions never travel — they are rebuilt from the
+/// coins on decode.
+impl Serialize for TwoLevelSketch {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut out = serializer.serialize_struct("TwoLevelSketch", FIELDS.len())?;
+        out.serialize_field("config", &self.config)?;
+        out.serialize_field("seed", &self.seed)?;
+        let block = self.counter_block();
+        out.serialize_field("counters", &Block(&block))?;
+        out.serialize_field("total", &self.total)?;
+        out.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for TwoLevelSketch {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        SketchSeed { shape: None }.deserialize(deserializer)
+    }
+}
+
+/// A counter block as serde bytes, borrowed from the input on decode so
+/// nothing is copied before the cells land.
+struct Block<'a>(&'a [u8]);
+
+impl Serialize for Block<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(self.0)
+    }
+}
+
+impl<'de> Deserialize<'de> for Block<'de> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct BytesVisitor;
+        impl<'de> Visitor<'de> for BytesVisitor {
+            type Value = Block<'de>;
+            fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+                f.write_str("a counter block")
+            }
+            fn visit_borrowed_bytes<E: de::Error>(self, v: &'de [u8]) -> Result<Block<'de>, E> {
+                Ok(Block(v))
+            }
+        }
+        deserializer.deserialize_bytes(BytesVisitor)
+    }
+}
+
+/// Decodes one sketch. With `shape` set, the sketch must have exactly
+/// that config, checked before its counters are allocated: a
+/// [`crate::SketchVector`] passes its family's shape, so what decoding a
+/// vector may allocate stays bounded by its checked family header.
+pub(crate) struct SketchSeed {
+    pub(crate) shape: Option<SketchConfig>,
+}
+
+impl<'de> DeserializeSeed<'de> for SketchSeed {
+    type Value = TwoLevelSketch;
+
+    fn deserialize<D: Deserializer<'de>>(
+        self,
+        deserializer: D,
+    ) -> Result<TwoLevelSketch, D::Error> {
+        deserializer.deserialize_struct("TwoLevelSketch", FIELDS, self)
+    }
+}
+
+impl<'de> Visitor<'de> for SketchSeed {
+    type Value = TwoLevelSketch;
+
+    fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+        f.write_str("a 2-level hash sketch")
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<TwoLevelSketch, A::Error> {
+        let missing = |at| <A::Error as de::Error>::invalid_length(at, "a 2-level hash sketch");
+        let config: SketchConfig = seq.next_element()?.ok_or_else(|| missing(0))?;
+        if self.shape.is_some_and(|shape| shape != config) {
+            return Err(de::Error::custom(EstimateError::Corrupt(format!(
+                "sketch shape {config:?} differs from its vector's family"
+            ))));
+        }
+        let seed: u64 = seq.next_element()?.ok_or_else(|| missing(1))?;
+        let block: Block<'de> = seq.next_element()?.ok_or_else(|| missing(2))?;
+        let total: i64 = seq.next_element()?.ok_or_else(|| missing(3))?;
+        TwoLevelSketch::from_counter_block(config, seed, block.0, total).map_err(de::Error::custom)
     }
 }
 
@@ -643,34 +853,52 @@ mod tests {
         for e in 0..100u64 {
             s.insert(e);
         }
-        // A faithful repr round-trips.
-        let good = SketchRepr::from(s.clone());
-        let back = TwoLevelSketch::try_from(good).unwrap();
+        let (config, seed, total) = (*s.config(), s.seed(), s.total_count());
+        let block = s.counter_block();
+        // A faithful block round-trips.
+        let back = TwoLevelSketch::from_counter_block(config, seed, &block, total).unwrap();
         assert_eq!(back.counters(), s.counters());
+        let corrupt =
+            |block: &[u8], total| TwoLevelSketch::from_counter_block(config, seed, block, total);
 
-        // Wrong counter count.
-        let mut short = SketchRepr::from(s.clone());
-        short.counters.pop();
+        // A short block: the last varint is cut.
         assert!(matches!(
-            TwoLevelSketch::try_from(short),
+            corrupt(&block[..block.len() - 1], total),
             Err(EstimateError::Corrupt(_))
         ));
-
         // Total inconsistent with the j = 0 cells.
-        let mut lied = SketchRepr::from(s.clone());
-        lied.total += 1;
         assert!(matches!(
-            TwoLevelSketch::try_from(lied),
+            corrupt(&block, total + 1),
             Err(EstimateError::Corrupt(_))
         ));
-
         // Impossible shape must not panic either.
-        let mut bad_shape = SketchRepr::from(s);
-        bad_shape.config.levels = 200;
+        let bad_shape = SketchConfig {
+            levels: 200,
+            ..config
+        };
         assert!(matches!(
-            TwoLevelSketch::try_from(bad_shape),
+            TwoLevelSketch::from_counter_block(bad_shape, seed, &block, total),
             Err(EstimateError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn counter_block_holds_only_occupied_levels() {
+        let empty = small();
+        assert_eq!(empty.counter_block(), 0u64.to_le_bytes());
+        let mut s = small();
+        s.insert(123);
+        let level = s.bucket_of(123);
+        let block = s.counter_block();
+        assert_eq!(block[..8], (1u64 << level).to_le_bytes());
+        // One row of 2·s cells: s ones and s zeros, one byte each.
+        assert_eq!(block.len(), 8 + 16);
+        // Negative cells survive the zigzag mapping.
+        s.update(99, -5);
+        let back =
+            TwoLevelSketch::from_counter_block(*s.config(), s.seed(), &s.counter_block(), -4)
+                .unwrap();
+        assert_eq!(back.counters(), s.counters());
     }
 
     #[test]

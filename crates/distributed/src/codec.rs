@@ -14,8 +14,13 @@ use std::fmt;
 /// Encode `value` into a byte vector.
 pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(128);
-    value.serialize(&mut Encoder { out: &mut out })?;
+    encode_into(value, &mut out)?;
     Ok(out)
+}
+
+/// Encode `value`, appending to `out`.
+pub fn encode_into<T: Serialize>(value: &T, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    value.serialize(&mut Encoder { out })
 }
 
 /// Decode a value of type `T` from `bytes`, requiring all input consumed.

@@ -36,10 +36,9 @@
 //! merged synopsis equals a single-site synopsis of the combined traffic,
 //! regardless of delivery order.
 
-use crate::codec;
 use crate::metrics::CoordinatorMetrics;
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
-use crate::wire::{FrameContext, FrameKind, WireError};
+use crate::site::{Epoch, SiteId};
+use crate::wire::{self, DecodedFrame, FrameContext, Message, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use setstream_core::{
@@ -460,17 +459,11 @@ impl Coordinator {
     /// link identifies its site.
     pub fn ingest_frame(&self, frame: &Bytes) -> Result<(), CoordinatorError> {
         // Decode outside the lock; merge inside.
-        let (kind, payload, ctx) = match crate::wire::decode_frame_parts(frame.clone()) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                self.metrics.record_rejection("wire");
-                return Err(e.into());
-            }
-        };
-        let result = self.apply(kind, &payload, ctx);
-        match &result {
-            Ok(()) => self.metrics.record_frame(kind),
-            Err(e) => self.metrics.record_rejection(e.reason()),
+        let result = wire::decode_message(frame.clone())
+            .map_err(CoordinatorError::from)
+            .and_then(|decoded| self.apply(decoded));
+        if let Err(e) = &result {
+            self.metrics.record_rejection(e.reason());
         }
         result
     }
@@ -479,21 +472,26 @@ impl Coordinator {
     /// accounting: repeated CRC/decode failures quarantine the site, and
     /// frames from a quarantined site are refused outright.
     pub fn ingest_frame_from(&self, site: SiteId, frame: &Bytes) -> Result<(), CoordinatorError> {
+        self.ingest_from(site, wire::decode_message(frame.clone()))
+    }
+
+    /// [`Self::ingest_frame_from`] for a frame the caller has already
+    /// verified and decoded with [`wire::decode_message`] — the transport
+    /// server decodes each frame once, routes on the typed message, and
+    /// hands the same value (or the decode failure, for attribution)
+    /// here.
+    pub fn ingest_from(
+        &self,
+        site: SiteId,
+        decoded: Result<DecodedFrame, WireError>,
+    ) -> Result<(), CoordinatorError> {
         if self.state.lock().sites.get(&site).is_some_and(|s| s.quarantined) {
             self.metrics.record_rejection("quarantined");
             return Err(CoordinatorError::Quarantined { site });
         }
-        let decoded = crate::wire::decode_frame_parts(frame.clone());
-        let result = match decoded {
-            Ok((kind, payload, ctx)) => {
-                let applied = self.apply(kind, &payload, ctx);
-                if applied.is_ok() {
-                    self.metrics.record_frame(kind);
-                }
-                applied
-            }
-            Err(e) => Err(CoordinatorError::Wire(e)),
-        };
+        let result = decoded
+            .map_err(CoordinatorError::from)
+            .and_then(|decoded| self.apply(decoded));
         if let Err(e) = &result {
             self.metrics.record_rejection(e.reason());
         }
@@ -524,15 +522,21 @@ impl Coordinator {
         span
     }
 
-    fn apply(
+    /// Apply one decoded frame; counts it as accepted on success.
+    fn apply(&self, decoded: DecodedFrame) -> Result<(), CoordinatorError> {
+        let kind = decoded.message.kind();
+        self.apply_message(decoded.message, decoded.ctx)?;
+        self.metrics.record_frame(kind);
+        Ok(())
+    }
+
+    fn apply_message(
         &self,
-        kind: FrameKind,
-        payload: &Bytes,
+        message: Message,
         ctx: Option<FrameContext>,
     ) -> Result<(), CoordinatorError> {
-        match kind {
-            FrameKind::Hello => {
-                let hello: Hello = codec::from_bytes(payload).map_err(WireError::from)?;
+        match message {
+            Message::Hello(hello) => {
                 if hello.family != self.family {
                     return Err(CoordinatorError::CoinMismatch { site: hello.site });
                 }
@@ -552,8 +556,7 @@ impl Coordinator {
                     entry.needs_resync = true;
                 }
             }
-            FrameKind::Synopsis => {
-                let msg: SynopsisMessage = codec::from_bytes(payload).map_err(WireError::from)?;
+            Message::Synopsis(msg) => {
                 if msg.vector.family() != &self.family {
                     return Err(CoordinatorError::CoinMismatch { site: msg.site });
                 }
@@ -600,8 +603,7 @@ impl Coordinator {
                     .record_frame(msg.stream.0, msg.epoch, msg.site, trace_id, cut_ns);
                 self.lineage.record_resync(msg.stream.0, msg.epoch);
             }
-            FrameKind::Delta => {
-                let msg: DeltaMessage = codec::from_bytes(payload).map_err(WireError::from)?;
+            Message::Delta(msg) => {
                 if msg.vector.family() != &self.family {
                     return Err(CoordinatorError::CoinMismatch { site: msg.site });
                 }
@@ -659,8 +661,7 @@ impl Coordinator {
                 self.lineage
                     .record_frame(msg.stream.0, msg.epoch, msg.site, trace_id, cut_ns);
             }
-            FrameKind::Commit => {
-                let msg: EpochCommit = codec::from_bytes(payload).map_err(WireError::from)?;
+            Message::Commit(msg) => {
                 let mut span = self.frame_span("collect.commit", ctx);
                 if span.is_recording() {
                     span.detail(format!("site={} epoch={}", msg.site, msg.epoch));
@@ -677,10 +678,10 @@ impl Coordinator {
                 self.lineage
                     .record_commit(msg.epoch, msg.site, clock::now_ns(), cut_ns);
             }
-            FrameKind::Flush => {
+            Message::Flush => {
                 self.state.lock().frames += 1;
             }
-            FrameKind::Ack => {
+            Message::Ack(_) => {
                 // Acks are transport control traffic flowing *toward*
                 // sites; one arriving at the merge path means a confused
                 // or hostile peer. Refuse it as a wire-level violation so
@@ -892,6 +893,7 @@ impl MetricSource for Coordinator {
 mod tests {
     use super::*;
     use crate::site::Site;
+    use crate::wire::FrameKind;
     use setstream_stream::Update;
 
     fn family() -> SketchFamily {

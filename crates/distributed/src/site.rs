@@ -40,7 +40,8 @@
 use crate::codec::{self, CodecError};
 use crate::wire::{encode_frame, encode_frame_traced, FrameContext, FrameKind, WireError};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::ser::{SerializeSeq, SerializeStruct};
+use serde::{Deserialize, Serialize, Serializer};
 use setstream_core::{SketchFamily, SketchVector};
 use setstream_engine::durable::{self, DurableError, DurableKind};
 use setstream_hash::clock;
@@ -149,6 +150,36 @@ pub struct SiteCheckpoint {
     pub streams: Vec<(StreamId, SketchVector)>,
     /// Per-stream epoch each stream last shipped a delta in.
     pub shipped: Vec<(StreamId, Epoch)>,
+}
+
+/// Serializes a site's state exactly as the [`SiteCheckpoint`] it
+/// would build, field for field, but borrowing the baselines.
+struct CheckpointRef<'a>(&'a Site);
+
+impl Serialize for CheckpointRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let site = self.0;
+        let mut out = serializer.serialize_struct("SiteCheckpoint", 5)?;
+        out.serialize_field("site", &site.id)?;
+        out.serialize_field("family", &site.family)?;
+        out.serialize_field("epoch", &site.epoch)?;
+        out.serialize_field("streams", &Pairs(&site.baselines))?;
+        out.serialize_field("shipped", &Pairs(&site.shipped))?;
+        out.end()
+    }
+}
+
+/// A map serialized as the `Vec<(K, V)>` it would collect into.
+struct Pairs<'a, K, V>(&'a BTreeMap<K, V>);
+
+impl<K: Serialize, V: Serialize> Serialize for Pairs<'_, K, V> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        for pair in self.0 {
+            seq.serialize_element(&pair)?;
+        }
+        seq.end()
+    }
 }
 
 /// Why a checkpoint could not be restored.
@@ -505,27 +536,14 @@ impl Site {
         Ok(frames)
     }
 
-    /// The site's durable state at the last epoch boundary. Captures the
+    /// The site's durable state at the last epoch boundary — a
+    /// [`SiteCheckpoint`] serialized with the workspace codec and sealed
+    /// in the versioned, checksummed durable container. Captures the
     /// baselines, not the live synopses: a restore lands exactly on the
-    /// last cut, never in the middle of an epoch.
-    pub fn checkpoint(&self) -> SiteCheckpoint {
-        SiteCheckpoint {
-            site: self.id,
-            family: self.family,
-            epoch: self.epoch,
-            streams: self
-                .baselines
-                .iter()
-                .map(|(&s, v)| (s, v.clone()))
-                .collect(),
-            shipped: self.shipped.iter().map(|(&s, &e)| (s, e)).collect(),
-        }
-    }
-
-    /// [`Self::checkpoint`] serialized with the workspace codec and
-    /// sealed in the versioned, checksummed durable container.
+    /// last cut, never in the middle of an epoch. Encoded straight from
+    /// the borrowed baselines; nothing is cloned.
     pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, WireError> {
-        let payload = codec::to_bytes(&self.checkpoint())?;
+        let payload = codec::to_bytes(&CheckpointRef(self))?;
         Ok(durable::seal(DurableKind::SiteCheckpoint, &payload))
     }
 
@@ -774,6 +792,51 @@ mod tests {
         let (_, hello): (_, Hello) =
             decode_payload(restored.hello_frame().unwrap()).unwrap();
         assert_eq!(hello.resume_epoch, 1);
+    }
+
+    #[test]
+    fn borrowed_checkpoint_encoding_matches_the_owned_checkpoint() {
+        let mut site = Site::new(9, family());
+        for e in 0..300u64 {
+            site.observe(&Update::insert(StreamId((e % 3) as u32), e, 1));
+        }
+        let cut = site.cut_epoch().unwrap();
+        let owned = SiteCheckpoint {
+            site: site.id,
+            family: site.family,
+            epoch: site.epoch,
+            streams: site.baselines.iter().map(|(&s, v)| (s, v.clone())).collect(),
+            shipped: site.shipped.iter().map(|(&s, &e)| (s, e)).collect(),
+        };
+        let payload = durable::unseal(&cut.checkpoint, DurableKind::SiteCheckpoint).unwrap();
+        assert_eq!(payload, codec::to_bytes(&owned).unwrap());
+    }
+
+    /// Only the occupied levels travel: at the `setstream site` shape
+    /// (r = 64, s = 8, 64 levels) a 500-update epoch touches about
+    /// log₂ 500 ≈ 9 of the 64 rows of each sketch.
+    #[test]
+    fn delta_frames_and_checkpoints_are_sparse() {
+        let fam = SketchFamily::builder().copies(64).second_level(8).seed(7).build();
+        let dense = fam.vector_bytes();
+        let mut site = Site::new(1, fam);
+        for epoch in 0..2u64 {
+            for e in 0..500u64 {
+                site.observe(&Update::insert(StreamId(0), epoch * 10_000 + e, 1));
+            }
+            let cut = site.cut_epoch().unwrap();
+            let delta = &cut.frames[1];
+            assert!(
+                delta.len() < dense / 10,
+                "epoch {epoch}: delta frame {} bytes vs dense {dense}",
+                delta.len()
+            );
+            assert!(
+                cut.checkpoint.len() < dense / 4,
+                "epoch {epoch}: checkpoint {} bytes vs dense {dense}",
+                cut.checkpoint.len()
+            );
+        }
     }
 
     #[test]

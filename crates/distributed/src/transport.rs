@@ -41,9 +41,11 @@
 use crate::coordinator::{Coordinator, CoordinatorError};
 use crate::metrics::TransportMetrics;
 use crate::network::{FaultSpec, FaultSpecError, LossyLink};
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, Site, SiteId, SynopsisMessage};
+use crate::codec;
+use crate::site::{Epoch, Site, SiteId};
 use crate::wire::{
-    self, decode_frame, decode_payload, encode_frame, FrameKind, WireError, FRAME_OVERHEAD,
+    self, decode_frame, decode_message, encode_frame, FrameKind, Message, WireError,
+    FRAME_OVERHEAD,
 };
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -560,15 +562,15 @@ impl TcpCollector {
             match self.reader.next_frame() {
                 Ok(Some(frame)) => {
                     self.metrics.frames_in.inc();
-                    let Ok((kind, _)) = decode_frame(frame.clone()) else {
+                    let Ok((kind, payload)) = decode_frame(frame) else {
                         self.metrics.desyncs.inc();
                         return AckRead::Broken;
                     };
                     if kind != FrameKind::Ack {
                         continue; // stray frame kinds are ignored
                     }
-                    match decode_payload::<AckMessage>(frame) {
-                        Ok((_, ack)) => return AckRead::Ack(ack),
+                    match codec::from_bytes::<AckMessage>(&payload) {
+                        Ok(ack) => return AckRead::Ack(ack),
                         Err(_) => {
                             self.metrics.desyncs.inc();
                             return AckRead::Broken;
@@ -1117,35 +1119,30 @@ impl CoordinatorHandler {
 
 impl FrameHandler for CoordinatorHandler {
     fn on_frame(&mut self, conn: u64, frame: Bytes) -> Vec<Bytes> {
-        // Route first: the handler needs kind + site before the verdict.
-        let Ok((kind, _)) = decode_frame(frame.clone()) else {
-            // CRC-corrupt frame from a known site: attribute it so the
-            // coordinator's wire-failure counter (and quarantine) see it.
-            if let Some(&site) = self.sites.get(&conn) {
-                let _ = self.coordinator.ingest_frame_from(site, &frame);
+        // One CRC check and one payload decode per frame: routing and the
+        // ledger read the typed message, then the coordinator applies
+        // that same value.
+        let decoded = match decode_message(frame) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                // A corrupt frame from a known site: attribute it so the
+                // coordinator's wire-failure counter (and quarantine) see
+                // it.
+                if let Some(&site) = self.sites.get(&conn) {
+                    let _ = self.coordinator.ingest_from(site, Err(e));
+                }
+                return Vec::new();
             }
-            return Vec::new();
         };
-        let (site, routing) = match kind {
-            FrameKind::Hello => match decode_payload::<Hello>(frame.clone()) {
-                Ok((_, h)) => (h.site, None),
-                Err(_) => return Vec::new(),
-            },
-            FrameKind::Delta => match decode_payload::<DeltaMessage>(frame.clone()) {
-                Ok((_, d)) => (d.site, Some((d.epoch, (d.stream.0, d.seq), None))),
-                Err(_) => return Vec::new(),
-            },
-            FrameKind::Synopsis => match decode_payload::<SynopsisMessage>(frame.clone()) {
-                Ok((_, s)) => (s.site, Some((s.epoch, (s.stream.0, u32::MAX), None))),
-                Err(_) => return Vec::new(),
-            },
-            FrameKind::Commit => match decode_payload::<EpochCommit>(frame.clone()) {
-                Ok((_, c)) => (c.site, Some((c.epoch, (u32::MAX, u32::MAX), Some(c.deltas)))),
-                Err(_) => return Vec::new(),
-            },
+        let kind = decoded.message.kind();
+        let (site, routing) = match &decoded.message {
+            Message::Hello(h) => (h.site, None),
+            Message::Delta(d) => (d.site, Some((d.epoch, (d.stream.0, d.seq), None))),
+            Message::Synopsis(s) => (s.site, Some((s.epoch, (s.stream.0, u32::MAX), None))),
+            Message::Commit(c) => (c.site, Some((c.epoch, (u32::MAX, u32::MAX), Some(c.deltas)))),
             // Legacy flush markers and stray acks carry no mergeable
             // payload; acks flowing upstream are a peer bug we ignore.
-            FrameKind::Flush | FrameKind::Ack => return Vec::new(),
+            Message::Flush | Message::Ack(_) => return Vec::new(),
         };
         self.sites.insert(conn, site);
 
@@ -1170,7 +1167,7 @@ impl FrameHandler for CoordinatorHandler {
             }
         }
 
-        let verdict = self.coordinator.ingest_frame_from(site, &frame);
+        let verdict = self.coordinator.ingest_from(site, Ok(decoded));
         let applied = match &verdict {
             Ok(()) => true,
             // A stale epoch is a retransmitted frame the coordinator
@@ -1497,6 +1494,7 @@ fn pump_connection(
 mod tests {
     use super::*;
     use crate::network::{fault_seed, SeedEcho};
+    use crate::site::{EpochCommit, Hello, SynopsisMessage};
     use setstream_core::SketchFamily;
     use setstream_stream::{StreamId, Update};
 
@@ -1608,8 +1606,9 @@ mod tests {
         .unwrap();
         assert!(handler.on_frame(1, hello).is_empty());
 
-        // Flush and a stray upstream Ack carry no mergeable payload and
-        // return before decoding it; any payload byte exercises the arm.
+        // Flush and a stray upstream Ack carry no mergeable payload; a
+        // Flush payload is never decoded, and an Ack whose payload does
+        // not decode is a wire failure. Neither gets a reply.
         let flush = encode_frame(FrameKind::Flush, &0u8).unwrap();
         assert!(handler.on_frame(1, flush).is_empty());
         let stray_ack = encode_frame(FrameKind::Ack, &0u8).unwrap();
@@ -1629,6 +1628,45 @@ mod tests {
         let (kind, _) = decode_frame(replies[0].clone()).unwrap();
         assert_eq!(kind, FrameKind::Ack);
         assert_eq!(metrics.acks_sent.get(), 1);
+    }
+
+    /// The handler decodes each frame once, so a CRC failure never
+    /// reaches the coordinator as a frame — it must still be charged to
+    /// the site the connection announced, or corrupt links would never
+    /// quarantine.
+    #[test]
+    fn crc_corrupt_frames_from_a_known_connection_are_attributed() {
+        let fam = family();
+        let coord = Arc::new(Coordinator::new(fam).with_quarantine_after(2));
+        let metrics = Arc::new(TransportMetrics::new());
+        let mut handler = CoordinatorHandler::new(
+            Arc::clone(&coord),
+            metrics,
+            ServerRole::Coordinator,
+            &quick_opts(),
+        );
+        let mut site = Site::new(7, fam);
+        site.observe(&Update::insert(StreamId(0), 1, 1));
+        let cut = site.cut_epoch().unwrap();
+        assert!(handler.on_frame(1, cut.frames[0].clone()).is_empty());
+        let mut corrupt = cut.frames[1].to_vec();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x40;
+        assert!(matches!(
+            decode_frame(Bytes::from(corrupt.clone())),
+            Err(WireError::Corrupt { .. })
+        ));
+
+        assert!(handler.on_frame(1, Bytes::from(corrupt.clone())).is_empty());
+        assert_eq!(coord.site_status(7).unwrap().wire_failures, 1);
+        assert_eq!(coord.metrics().rejections_for("wire"), 1);
+        // The same bytes from a connection that never said hello cannot
+        // be charged to anyone.
+        assert!(handler.on_frame(2, Bytes::from(corrupt.clone())).is_empty());
+        assert_eq!(coord.site_status(7).unwrap().wire_failures, 1);
+        // A second attributed failure trips the quarantine threshold.
+        assert!(handler.on_frame(1, Bytes::from(corrupt)).is_empty());
+        assert!(coord.site_status(7).unwrap().quarantined);
     }
 
     #[test]
@@ -1798,18 +1836,20 @@ mod tests {
                 break;
             }
         }
+        // The server counts the stall just before it quarantines the
+        // site, so wait for both.
+        let quarantined = || coord.site_status(66).map(|s| s.quarantined).unwrap_or(false);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline && metrics.backpressure_stalls.get() == 0 {
+        while Instant::now() < deadline
+            && (metrics.backpressure_stalls.get() == 0 || !quarantined())
+        {
             thread::sleep(Duration::from_millis(10));
         }
         assert!(
             metrics.backpressure_stalls.get() >= 1,
             "wedged peer must trip the write-queue cap"
         );
-        assert!(
-            coord.site_status(66).map(|s| s.quarantined).unwrap_or(false),
-            "wedged peer must be quarantined"
-        );
+        assert!(quarantined(), "wedged peer must be quarantined");
 
         // A healthy sibling is unaffected.
         let mut site = Site::new(5, fam);

@@ -34,7 +34,9 @@
 //! lets the coordinator histogram true cut→commit latency.
 
 use crate::codec::{self, CodecError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::site::{DeltaMessage, EpochCommit, Hello, SynopsisMessage};
+use crate::transport::AckMessage;
+use bytes::{Buf, Bytes};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use setstream_obs::TraceContext;
@@ -45,6 +47,9 @@ const MAGIC: u32 = 0x324c_4853;
 
 /// Bytes of framing around a payload: magic + kind + len + crc.
 pub const FRAME_OVERHEAD: usize = 13;
+
+/// Bytes before the payload region: magic + kind + len.
+const HEADER_LEN: usize = 9;
 
 /// Hard cap on a frame's declared payload length.
 ///
@@ -214,41 +219,40 @@ pub fn encode_frame<T: Serialize>(kind: FrameKind, value: &T) -> Result<Bytes, W
 /// bit-identical to [`encode_frame`]'s original format, which is how the
 /// extension stays version-gated: callers only pass a context when their
 /// trace handle is enabled.
+///
+/// The payload is encoded straight into the frame buffer behind a
+/// placeholder length, which is patched once the payload size is known.
 pub fn encode_frame_traced<T: Serialize>(
     kind: FrameKind,
     value: &T,
     ctx: Option<&FrameContext>,
 ) -> Result<Bytes, WireError> {
-    let payload = codec::to_bytes(value)?;
-    let ext_bytes = if ctx.is_some() {
-        EXT_HEADER_LEN + TRACE_EXT_LEN
-    } else {
-        0
-    };
-    let total = payload.len() + ext_bytes;
+    let mut buf = Vec::with_capacity(256);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    match ctx {
+        Some(_) => buf.push(kind.as_byte() | EXT_FLAG),
+        None => buf.push(kind.as_byte()),
+    }
+    buf.extend_from_slice(&[0; 4]);
+    if let Some(ctx) = ctx {
+        buf.push(ExtensionTag::TraceContext.as_byte());
+        buf.extend_from_slice(&(TRACE_EXT_LEN as u16).to_le_bytes());
+        buf.extend_from_slice(&ctx.trace.trace_id.to_le_bytes());
+        buf.extend_from_slice(&ctx.trace.span_id.to_le_bytes());
+        buf.extend_from_slice(&ctx.cut_ns.to_le_bytes());
+    }
+    codec::encode_into(value, &mut buf)?;
+    let total = buf.len() - HEADER_LEN;
     if total > MAX_PAYLOAD_LEN {
         return Err(WireError::Oversize(total));
     }
     let len: u32 = total.try_into().map_err(|_| WireError::Oversize(total))?;
-    let mut buf = BytesMut::with_capacity(total + 13);
-    buf.put_u32_le(MAGIC);
-    match ctx {
-        Some(_) => buf.put_u8(kind.as_byte() | EXT_FLAG),
-        None => buf.put_u8(kind.as_byte()),
+    if let Some(field) = buf.get_mut(5..HEADER_LEN) {
+        field.copy_from_slice(&len.to_le_bytes());
     }
-    buf.put_u32_le(len);
-    if let Some(ctx) = ctx {
-        buf.put_u8(ExtensionTag::TraceContext.as_byte());
-        buf.put_slice(&(TRACE_EXT_LEN as u16).to_le_bytes());
-        buf.put_u64_le(ctx.trace.trace_id);
-        buf.put_u64_le(ctx.trace.span_id);
-        buf.put_u64_le(ctx.cut_ns);
-    }
-    buf.put_slice(&payload);
-    // analyze: allow(indexing) — the 4-byte magic was just written; `buf.len() >= 4`
-    let crc = crc32(&buf[4..]);
-    buf.put_u32_le(crc);
-    Ok(buf.freeze())
+    let crc = crc32(buf.get(4..).unwrap_or_default());
+    buf.extend_from_slice(&crc.to_le_bytes());
+    Ok(Bytes::from(buf))
 }
 
 /// Decode one frame, returning its kind and raw payload (zero-copy slice
@@ -370,12 +374,72 @@ pub fn decode_payload<T: DeserializeOwned>(frame: Bytes) -> Result<(FrameKind, T
     Ok((kind, codec::from_bytes(&payload)?))
 }
 
+/// A frame's message, typed by its kind.
+#[derive(Debug, Clone)]
+pub enum Message {
+    /// A site announcing itself ([`FrameKind::Hello`]).
+    Hello(Hello),
+    /// A cumulative per-stream snapshot ([`FrameKind::Synopsis`]).
+    Synopsis(SynopsisMessage),
+    /// End of a legacy snapshot batch ([`FrameKind::Flush`]); its payload
+    /// is not interpreted.
+    Flush,
+    /// A per-stream epoch delta ([`FrameKind::Delta`]).
+    Delta(DeltaMessage),
+    /// An epoch commit marker ([`FrameKind::Commit`]).
+    Commit(EpochCommit),
+    /// A transport acknowledgement ([`FrameKind::Ack`]).
+    Ack(AckMessage),
+}
+
+impl Message {
+    /// The frame kind this message travels as.
+    pub fn kind(&self) -> FrameKind {
+        match self {
+            Message::Hello(_) => FrameKind::Hello,
+            Message::Synopsis(_) => FrameKind::Synopsis,
+            Message::Flush => FrameKind::Flush,
+            Message::Delta(_) => FrameKind::Delta,
+            Message::Commit(_) => FrameKind::Commit,
+            Message::Ack(_) => FrameKind::Ack,
+        }
+    }
+}
+
+/// A verified, decoded frame: the typed message plus its trace-context
+/// extension, if one was attached and recognized.
+#[derive(Debug, Clone)]
+pub struct DecodedFrame {
+    /// The payload, decoded according to the frame kind.
+    pub message: Message,
+    /// The trace-context extension.
+    pub ctx: Option<FrameContext>,
+}
+
+/// Verify one frame and decode its payload into the message its kind
+/// names — the receive path's single pass over the bytes: one CRC check
+/// ([`decode_frame_parts`]) and one payload decode, after which routing
+/// and merging work on the typed value.
+pub fn decode_message(frame: Bytes) -> Result<DecodedFrame, WireError> {
+    let (kind, payload, ctx) = decode_frame_parts(frame)?;
+    let message = match kind {
+        FrameKind::Hello => Message::Hello(codec::from_bytes(&payload)?),
+        FrameKind::Synopsis => Message::Synopsis(codec::from_bytes(&payload)?),
+        FrameKind::Flush => Message::Flush,
+        FrameKind::Delta => Message::Delta(codec::from_bytes(&payload)?),
+        FrameKind::Commit => Message::Commit(codec::from_bytes(&payload)?),
+        FrameKind::Ack => Message::Ack(codec::from_bytes(&payload)?),
+    };
+    Ok(DecodedFrame { message, ctx })
+}
+
 /// CRC-32 (IEEE 802.3), shared with the durable-snapshot container.
 pub use setstream_hash::crc32;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn crc32_known_vectors() {

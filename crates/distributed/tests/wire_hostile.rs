@@ -13,16 +13,25 @@
 //!    check) and `decode_frame` (the full check) must agree: a frame the
 //!    hint rejects can never decode, and a frame that decodes must have
 //!    an exact hint.
+//!
+//! The sketch counter block inside a payload gets the same treatment:
+//! every malformed block is a typed `EstimateError::Corrupt` (surfacing as
+//! a codec error on the wire), and a shape that would size a huge
+//! allocation is refused from its header.
 
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use serde::{Serialize, Serializer};
+use setstream_core::{EstimateError, SketchConfig, SketchFamily, SketchVector, TwoLevelSketch};
+use setstream_distributed::codec::{self, CodecError};
 use setstream_distributed::site::EpochCommit;
 use setstream_distributed::transport::FrameReader;
 use setstream_distributed::wire::{
-    decode_frame, decode_frame_parts, decode_payload, encode_frame, encode_frame_traced,
+    crc32, decode_frame, decode_frame_parts, decode_payload, encode_frame, encode_frame_traced,
     frame_size_hint, FrameContext, FrameKind, WireError, EXT_FLAG, MAX_PAYLOAD_LEN,
 };
+use setstream_hash::HashFamily;
 use setstream_obs::TraceContext;
 
 fn commit_frame(epoch: u64) -> Bytes {
@@ -89,23 +98,9 @@ fn frame_reader_is_bounded_by_its_cap() {
     assert!(matches!(reader.next_frame(), Err(WireError::Oversize(_))));
 }
 
-/// IEEE CRC32, bit-by-bit — mirrors the wire implementation so tests can
-/// re-seal frames after mutating extension bytes. The CRC check runs
-/// *before* extension parsing, so a hostile block has to arrive
-/// CRC-valid to exercise the extension path at all.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Recompute the trailing CRC over everything after the magic.
+/// Recompute the trailing CRC over everything after the magic. The CRC
+/// check runs *before* extension parsing, so a hostile block has to
+/// arrive CRC-valid to exercise the extension path at all.
 fn reseal(bytes: &mut [u8]) {
     let end = bytes.len() - 4;
     let crc = crc32(&bytes[4..end]);
@@ -144,8 +139,233 @@ fn declared_extension_overrun_is_a_typed_error() {
     assert_eq!(frame_size_hint(&bytes).unwrap(), Some(bytes.len()));
 }
 
+// ------------------------------------------------------- counter blocks
+
+/// Shape used by the block tests: 4 levels × s = 1, so each occupied
+/// row is two cells.
+fn tiny() -> SketchConfig {
+    SketchConfig {
+        levels: 4,
+        second_level: 1,
+        first_family: HashFamily::KWise(2),
+    }
+}
+
+fn block(mask: u64, rows: &[u8]) -> Vec<u8> {
+    let mut b = mask.to_le_bytes().to_vec();
+    b.extend_from_slice(rows);
+    b
+}
+
+fn corrupt_reason(config: SketchConfig, block: &[u8], total: i64) -> String {
+    match TwoLevelSketch::from_counter_block(config, 1, block, total) {
+        Err(EstimateError::Corrupt(why)) => why,
+        other => panic!("expected a Corrupt rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_counter_blocks_are_typed_corrupt_rejections() {
+    // Level 1 holds cells (3, -1): zigzag 6 and 1. j = 0 sums to 2.
+    let good = block(0b10, &[6, 1]);
+    let sketch = TwoLevelSketch::from_counter_block(tiny(), 1, &good, 2).unwrap();
+    assert_eq!(sketch.counters(), &[0, 0, 3, -1, 0, 0, 0, 0]);
+    assert_eq!(sketch.counter_block(), good);
+
+    let cases: [(&str, Vec<u8>, i64, &str); 9] = [
+        ("no mask", vec![0, 0, 0], 0, "no row mask"),
+        ("mask bit at levels", block(1 << 4, &[2, 0]), 1, "beyond"),
+        ("mask bit 63", block(1 << 63, &[2, 0]), 1, "beyond"),
+        ("truncated varint", block(0b1, &[2, 0x80]), 1, "truncated"),
+        ("row cut short", block(0b1, &[2]), 1, "truncated"),
+        (
+            "11-byte varint",
+            block(0b1, &[[0xff; 10].as_slice(), &[0x01, 0]].concat()),
+            0,
+            "longer than 10",
+        ),
+        (
+            "overflowing varint",
+            block(0b1, &[[0xff; 9].as_slice(), &[0x02, 0]].concat()),
+            0,
+            "overflows",
+        ),
+        ("trailing bytes", block(0b10, &[6, 1, 0]), 2, "trailing"),
+        (
+            "j = 0 sum differs from total",
+            good.clone(),
+            3,
+            "does not match",
+        ),
+    ];
+    for (what, bytes, total, reason) in cases {
+        let why = corrupt_reason(tiny(), &bytes, total);
+        assert!(why.contains(reason), "{what}: {why}");
+    }
+    // Non-canonical encodings are refused too, so accepted blocks are
+    // unique: a flagged all-zero row, and an overlong zero.
+    assert!(corrupt_reason(tiny(), &block(0b1, &[0, 0]), 0).contains("all zero"));
+    assert!(corrupt_reason(tiny(), &block(0b1, &[0x82, 0x00, 0]), 1).contains("overlong"));
+}
+
+/// The serde layout of a sketch — `config | seed | bytes | total` — with
+/// an arbitrary block, for driving hostile blocks through the codec.
+struct RawSketch {
+    config: SketchConfig,
+    seed: u64,
+    block: Vec<u8>,
+    total: i64,
+}
+
+impl Serialize for RawSketch {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        struct Blob<'a>(&'a [u8]);
+        impl Serialize for Blob<'_> {
+            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                serializer.serialize_bytes(self.0)
+            }
+        }
+        let mut out = serializer.serialize_struct("TwoLevelSketch", 4)?;
+        out.serialize_field("config", &self.config)?;
+        out.serialize_field("seed", &self.seed)?;
+        out.serialize_field("counters", &Blob(&self.block))?;
+        out.serialize_field("total", &self.total)?;
+        out.end()
+    }
+}
+
+#[test]
+fn huge_declared_shape_with_an_empty_mask_is_refused_before_allocation() {
+    // Sixteen bytes of block would otherwise size a 64 × 2³² × 2-cell
+    // (4 TiB) counter array.
+    let hostile = RawSketch {
+        config: SketchConfig {
+            levels: 64,
+            second_level: u32::MAX,
+            first_family: HashFamily::KWise(2),
+        },
+        seed: 1,
+        block: 0u64.to_le_bytes().to_vec(),
+        total: 0,
+    };
+    let why = corrupt_reason(hostile.config, &hostile.block, 0);
+    assert!(why.contains("exceed"), "{why}");
+    let bytes = codec::to_bytes(&hostile).unwrap();
+    match codec::from_bytes::<TwoLevelSketch>(&bytes) {
+        Err(CodecError::Message(m)) => assert!(m.contains("corrupt synopsis payload"), "{m}"),
+        other => panic!("expected a codec rejection, got {other:?}"),
+    }
+}
+
+/// The serde layout of a vector, with an arbitrary family and sketches.
+#[derive(Serialize)]
+struct RawVector {
+    family: SketchFamily,
+    sketches: Vec<RawSketch>,
+}
+
+fn empty_copy(config: SketchConfig, seed: u64) -> RawSketch {
+    RawSketch {
+        config,
+        seed,
+        block: 0u64.to_le_bytes().to_vec(),
+        total: 0,
+    }
+}
+
+fn vector_rejection(raw: &RawVector) -> String {
+    match codec::from_bytes::<SketchVector>(&codec::to_bytes(raw).unwrap()) {
+        Err(CodecError::Message(m)) => m,
+        other => panic!("expected a codec rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn vector_headers_cannot_size_allocations_beyond_the_cap() {
+    // 2²⁰ paper-shape copies (32 GiB of cells), declared in a few bytes.
+    let paper = SketchConfig::default();
+    let huge = RawVector {
+        family: SketchFamily::new(paper, 1 << 20, 1),
+        sketches: Vec::new(),
+    };
+    assert!(vector_rejection(&huge).contains("exceed"));
+    // Copies must match the family's shape and count; each is checked
+    // before its counters are allocated.
+    let family = SketchFamily::new(tiny(), 2, 1);
+    let big = SketchConfig {
+        second_level: 512,
+        ..paper
+    };
+    let wrong_shape = RawVector {
+        family,
+        sketches: vec![empty_copy(big, 1), empty_copy(tiny(), 2)],
+    };
+    assert!(vector_rejection(&wrong_shape).contains("differs"));
+    let short = RawVector {
+        family,
+        sketches: vec![empty_copy(tiny(), family.copy_seed(0))],
+    };
+    assert!(vector_rejection(&short).contains("carries 1 sketches"));
+    let honest = RawVector {
+        family,
+        sketches: (0..2)
+            .map(|i| empty_copy(tiny(), family.copy_seed(i)))
+            .collect(),
+    };
+    let back: SketchVector = codec::from_bytes(&codec::to_bytes(&honest).unwrap()).unwrap();
+    assert!(back.is_null());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn garbage_counter_blocks_never_panic(
+        levels in 1u32..=64,
+        second_level in 1u32..=4,
+        mask in any::<u64>(),
+        rows in vec(any::<u8>(), 0..96),
+        total in -4i64..4,
+    ) {
+        let config = SketchConfig {
+            levels,
+            second_level,
+            first_family: HashFamily::KWise(2),
+        };
+        let bytes = block(mask, &rows);
+        // Typed outcome only; an accepted block is canonical.
+        match TwoLevelSketch::from_counter_block(config, 5, &bytes, total) {
+            Ok(sketch) => prop_assert_eq!(sketch.counter_block(), bytes.clone()),
+            Err(EstimateError::Corrupt(_)) => {}
+            Err(other) => prop_assert!(false, "unexpected error class: {other:?}"),
+        }
+        // The same block through the codec, and raw garbage in place of
+        // a whole sketch payload.
+        let raw = RawSketch { config, seed: 5, block: bytes, total };
+        let _ = codec::from_bytes::<TwoLevelSketch>(&codec::to_bytes(&raw).unwrap());
+        let _ = codec::from_bytes::<TwoLevelSketch>(&rows);
+    }
+
+    #[test]
+    fn single_byte_mutations_of_real_blocks_stay_typed(
+        seed in any::<u64>(),
+        pos in any::<proptest::sample::Index>(),
+        value in any::<u8>(),
+    ) {
+        let mut sketch = TwoLevelSketch::new(tiny(), seed);
+        for e in 0..40u64 {
+            sketch.update(e, if e % 3 == 0 { -7 } else { 300 });
+        }
+        let mut bytes = sketch.counter_block();
+        let i = pos.index(bytes.len());
+        bytes[i] = value;
+        match TwoLevelSketch::from_counter_block(tiny(), seed, &bytes, sketch.total_count()) {
+            Ok(back) => prop_assert_eq!(back.counter_block(), bytes),
+            Err(EstimateError::Corrupt(_)) => {}
+            Err(other) => prop_assert!(false, "unexpected error class: {other:?}"),
+        }
+    }
 
     #[test]
     fn traced_frames_round_trip_and_plain_consumers_ignore_the_extension(

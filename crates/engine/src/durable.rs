@@ -29,13 +29,15 @@ const MAGIC: u32 = 0x5353_574c;
 /// Envelope bytes around the payload: magic + version + kind + len + crc.
 const OVERHEAD: usize = 4 + 2 + 1 + 4 + 4;
 
-/// The on-disk format version this build writes and the newest it reads.
+/// The on-disk format version this build writes — and the only one it
+/// reads.
 ///
 /// Bump when the envelope layout or any sealed payload's encoding changes
 /// incompatibly. Readers reject blobs with a higher version (a downgrade
-/// cannot guess a future layout) but must keep accepting every older one
-/// they claim to support.
-pub const FORMAT_VERSION: u16 = 1;
+/// cannot guess a future layout) and, since no legacy decoder is kept,
+/// blobs with a lower one. Version 2 is the first whose sketches carry
+/// sparse counter blocks; version 1 blobs held dense counter arrays.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// What kind of state a durable blob carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +78,14 @@ pub enum DurableError {
         /// Newest version this build understands.
         supported: u16,
     },
+    /// Written by an older release whose payload encoding this build no
+    /// longer decodes (version 1 carried dense counter arrays).
+    RetiredVersion {
+        /// Version stamped on the blob.
+        found: u16,
+        /// The only version this build understands.
+        supported: u16,
+    },
     /// Unknown kind byte.
     BadKind(u8),
     /// The caller expected one kind of state but the blob holds another
@@ -107,6 +117,10 @@ impl fmt::Display for DurableError {
                 f,
                 "blob format version {found} is newer than supported {supported}"
             ),
+            DurableError::RetiredVersion { found, supported } => write!(
+                f,
+                "blob format version {found} is retired; this build reads only version {supported}"
+            ),
             DurableError::BadKind(k) => write!(f, "unknown durable kind byte {k}"),
             DurableError::KindMismatch { expected, found } => {
                 write!(f, "expected {expected:?} blob, found {found:?}")
@@ -131,8 +145,7 @@ pub fn seal(kind: DurableKind, payload: &[u8]) -> Vec<u8> {
     out.push(kind.as_byte());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    // analyze: allow(indexing) — the 4-byte magic was just written; `out.len() >= 4`
-    let crc = crc32(&out[4..]);
+    let crc = crc32(out.get(4..).unwrap_or_default());
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -210,6 +223,12 @@ pub fn unseal(bytes: &[u8], expected: DurableKind) -> Result<&[u8], DurableError
     let version = cur.read_u16()?;
     if version > FORMAT_VERSION {
         return Err(DurableError::FutureVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    if version < FORMAT_VERSION {
+        return Err(DurableError::RetiredVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
@@ -297,6 +316,28 @@ mod tests {
             }
             other => panic!("expected FutureVersion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_one_blobs_are_a_typed_refusal() {
+        // A blob sealed by a release that wrote dense counter arrays.
+        let mut blob = seal(DurableKind::SiteCheckpoint, b"dense v1 payload");
+        blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let total = blob.len();
+        let crc = crc32(&blob[4..total - 4]).to_le_bytes();
+        blob[total - 4..].copy_from_slice(&crc);
+        assert_eq!(
+            unseal(&blob, DurableKind::SiteCheckpoint),
+            Err(DurableError::RetiredVersion {
+                found: 1,
+                supported: FORMAT_VERSION
+            })
+        );
+        let retired = DurableError::RetiredVersion {
+            found: 1,
+            supported: 2,
+        };
+        assert!(retired.to_string().contains("retired"));
     }
 
     #[test]

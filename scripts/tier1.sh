@@ -39,7 +39,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=55
+WAIVER_BUDGET=54
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
