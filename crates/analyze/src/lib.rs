@@ -39,6 +39,7 @@ pub mod scrub;
 pub mod symbols;
 
 use scrub::ScrubbedFile;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -152,14 +153,10 @@ impl Config {
         }
     }
 
-    /// The crate name a workspace-relative path belongs to, and whether it
-    /// counts as library (non-test) source for rule A03.
+    /// Whether a workspace-relative path counts as library (non-test)
+    /// source for rule A03, or as wholly test code.
     fn classify(&self, rel_path: &str) -> Classified {
-        let crate_name = rel_path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("fixture")
-            .to_string();
+        let crate_name = crate_of(rel_path).to_string();
         let in_src = if rel_path.starts_with("crates/") {
             rel_path.split('/').nth(2) == Some("src")
         } else {
@@ -213,6 +210,42 @@ pub fn analyze(config: &Config) -> Result<Vec<Diagnostic>, String> {
 /// Returns an error string if the root cannot be read.
 pub fn waiver_count(config: &Config) -> Result<usize, String> {
     Ok(load(config)?.iter().map(|f| f.scrubbed.allows.len()).sum())
+}
+
+/// Non-test code lines per crate — the input of the tier-1 line ratchet.
+///
+/// A line counts when, outside `#[cfg(test)]` regions and test trees
+/// (`tests/`, `benches/`, `examples/`), it still carries code after the
+/// scrubber blanks comments and literals: blank lines, comment-only lines
+/// and the continuation lines of a multi-line literal do not count. Files
+/// under `crates/<name>/` count toward `<name>`; a fixture root's files
+/// count toward `fixture`.
+///
+/// # Errors
+/// Returns an error string if the root cannot be read.
+pub fn loc_by_crate(config: &Config) -> Result<BTreeMap<String, usize>, String> {
+    let mut out = BTreeMap::new();
+    for file in load(config)? {
+        let scrubbed = &file.scrubbed;
+        let code = scrubbed
+            .lines
+            .iter()
+            .zip(&scrubbed.is_test)
+            .filter(|(line, &test)| !test && !line.trim().is_empty())
+            .count();
+        *out.entry(crate_of(&scrubbed.rel_path).to_string())
+            .or_insert(0) += code;
+    }
+    Ok(out)
+}
+
+/// The crate a workspace-relative path belongs to (`crates/<name>/…`),
+/// or `fixture` outside `crates/`.
+fn crate_of(rel_path: &str) -> &str {
+    rel_path
+        .strip_prefix("crates/")
+        .and_then(|r| r.split('/').next())
+        .unwrap_or("fixture")
 }
 
 /// Scrub and classify every `.rs` file under the configured scan dirs.

@@ -2,7 +2,7 @@
 //!
 //! Exit codes: `0` clean, `1` diagnostics reported, `2` usage/IO error.
 
-use setstream_analyze::{analyze, render, render_json, waiver_count, Config};
+use setstream_analyze::{analyze, loc_by_crate, render, render_json, waiver_count, Config};
 use std::path::PathBuf;
 
 fn main() {
@@ -15,6 +15,7 @@ fn run() -> i32 {
     let mut fixture = false;
     let mut json = false;
     let mut waivers = false;
+    let mut loc = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -36,12 +37,13 @@ fn run() -> i32 {
                 }
             },
             "--waivers" => waivers = true,
+            "--loc" => loc = true,
             "--help" | "-h" => {
                 println!(
                     "setstream-analyze: workspace invariant analyzer\n\
                      \n\
                      USAGE: setstream-analyze [--root <workspace>] [--quiet] [--fixture]\n\
-                     \x20                        [--format text|json] [--waivers]\n\
+                     \x20                        [--format text|json] [--waivers] [--loc]\n\
                      \n\
                      --fixture treats --root as a single fixture mini-crate and prints\n\
                      bare diagnostics (used to regenerate the golden files under\n\
@@ -50,6 +52,9 @@ fn run() -> i32 {
                      {{code, path, line, message}} objects.\n\
                      --waivers prints the count of well-formed `analyze: allow(...)`\n\
                      comments and exits 0 (the tier-1 ratchet input).\n\
+                     --loc prints `<crate> <lines>` per crate: non-test code lines\n\
+                     (blank, comment-only and literal-only lines do not count)\n\
+                     and exits 0 (the tier-1 line ratchet input).\n\
                      \n\
                      Runs rules A01-A12 over the workspace crates (see DESIGN.md §8).\n\
                      Exit 0 = clean, 1 = findings, 2 = usage/IO error."
@@ -73,6 +78,20 @@ fn run() -> i32 {
         },
     };
     let config = if fixture { Config::fixture(&root) } else { Config::workspace(&root) };
+    if loc {
+        return match loc_by_crate(&config) {
+            Ok(counts) => {
+                for (name, lines) in counts {
+                    println!("{name} {lines}");
+                }
+                0
+            }
+            Err(e) => {
+                eprintln!("setstream-analyze: {e}");
+                2
+            }
+        };
+    }
     if waivers {
         return match waiver_count(&config) {
             Ok(n) => {

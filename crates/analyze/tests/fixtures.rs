@@ -5,7 +5,7 @@
 //! Regenerate a golden after an intentional message change with:
 //! `cargo run -p setstream-analyze -- --root crates/analyze/tests/fixtures/<case> --fixture`
 
-use setstream_analyze::{analyze, render, Config};
+use setstream_analyze::{analyze, loc_by_crate, render, Config};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(case: &str) -> PathBuf {
@@ -103,6 +103,19 @@ fn allowed_fixture_is_clean() {
     assert!(text.is_empty(), "the `allowed` fixture must produce no diagnostics");
 }
 
+/// Pins the line-ratchet counting rule (`--loc`): code lines count,
+/// trailing comments included; blank lines, `//`, `///` and `/* */`
+/// comments, literal-only continuation lines and `#[cfg(test)]` regions
+/// do not — code after a test module counts again.
+#[test]
+fn loc_counts_only_non_test_code_lines() {
+    let root = fixture_root("loc");
+    let counts = loc_by_crate(&Config::fixture(&root)).expect("fixture tree is readable");
+    let actual: String = counts.iter().map(|(c, n)| format!("{c} {n}\n")).collect();
+    let expected = std::fs::read_to_string(root.join("expected.txt")).expect("golden file exists");
+    assert_eq!(actual, expected);
+}
+
 #[test]
 fn every_fixture_directory_has_a_test() {
     // Guard against adding a fixture and forgetting to wire a golden test.
@@ -121,6 +134,7 @@ fn every_fixture_directory_has_a_test() {
         "a11_hotpath",
         "a12_wire",
         "allowed",
+        "loc",
     ];
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let mut missing = Vec::new();

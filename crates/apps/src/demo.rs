@@ -10,10 +10,8 @@
 //! be cross-checked between them.
 
 use setstream_core::SketchFamily;
-use setstream_distributed::network::{
-    collect_epoch, CollectionOptions, FaultSpec, LossyLink,
-};
-use setstream_distributed::{CollectionMetrics, Coordinator, Site, TransportMetrics};
+use setstream_distributed::network::{FaultSpec, MemoryPipe};
+use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::{
     ChangeEvent, ExprReport, QualityConfig, QualityMonitor, QueryId, StreamEngine,
     SubscriptionOptions, Tolerance,
@@ -37,7 +35,8 @@ pub struct DemoConfig {
     pub copies: usize,
     /// Second-level domain size `s`.
     pub second_level: u32,
-    /// Inject drops/corruption/duplication on the site links.
+    /// Run the site links under [`FaultSpec::nasty`] (drops, corruption,
+    /// duplication, reordering, truncation, delays).
     pub faulty_links: bool,
     /// Span ring-buffer capacity for the Chrome trace export.
     pub trace_capacity: usize,
@@ -84,11 +83,9 @@ pub struct DemoStack {
     engine: StreamEngine,
     monitor: Arc<QualityMonitor>,
     coordinator: Arc<Coordinator>,
-    collection: Arc<CollectionMetrics>,
     transport: Arc<TransportMetrics>,
     sites: Vec<Site>,
-    links: Vec<LossyLink>,
-    opts: CollectionOptions,
+    pipes: Vec<MemoryPipe>,
     recorder: Arc<RingRecorder>,
     registry: Registry,
     union_q: QueryId,
@@ -99,7 +96,8 @@ pub struct DemoStack {
 impl DemoStack {
     /// Build the stack: engine with trace + quality monitor watching
     /// `A | B` and `A & B`, `config.sites` sites behind (optionally
-    /// lossy) links, and a registry holding every metric source.
+    /// lossy) in-memory pipes, and a registry holding every metric
+    /// source.
     pub fn new(config: DemoConfig) -> Result<Self, String> {
         let family = SketchFamily::builder()
             .copies(config.copies)
@@ -145,7 +143,6 @@ impl DemoStack {
         let coordinator = Arc::new(
             Coordinator::new(family).with_trace(trace.clone(), "coordinator"),
         );
-        let collection = Arc::new(CollectionMetrics::new());
         let transport = Arc::new(TransportMetrics::new());
         let sites: Vec<Site> = (0..config.sites)
             .map(|i| {
@@ -159,8 +156,20 @@ impl DemoStack {
         } else {
             FaultSpec::reliable()
         };
-        let links: Vec<LossyLink> = (0..config.sites)
-            .map(|i| LossyLink::new(fault, config.seed ^ ((i as u64) << 32)))
+        // The in-process sites speak the TCP protocol through in-memory
+        // pipes into the coordinator's own frame handler, recording into
+        // the same transport counters as remote sites. Attempts cost no
+        // wall time, so the budget is sized for a nasty link (about one
+        // attempt in eight completes an epoch; 256 never runs out).
+        let opts = TransportOptions::builder()
+            .max_attempts(256)
+            .build()
+            .map_err(|e| e.to_string())?;
+        let pipes: Vec<MemoryPipe> = (0..config.sites)
+            .map(|i| {
+                let seed = config.seed ^ ((i as u64) << 32);
+                MemoryPipe::new(Arc::clone(&coordinator), fault, seed, opts, Arc::clone(&transport))
+            })
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?;
 
@@ -169,7 +178,6 @@ impl DemoStack {
         registry.register(engine.subscription_metrics().clone());
         registry.register(monitor.clone());
         registry.register(coordinator.clone());
-        registry.register(collection.clone());
         registry.register(transport.clone());
         registry.register(recorder.clone());
 
@@ -179,11 +187,9 @@ impl DemoStack {
             engine,
             monitor,
             coordinator,
-            collection,
             transport,
             sites,
-            links,
-            opts: CollectionOptions::default(),
+            pipes,
             recorder,
             registry,
             union_q,
@@ -217,15 +223,9 @@ impl DemoStack {
         for (i, u) in batch.iter().enumerate() {
             self.sites[i % n_sites].observe(u);
         }
-        for i in 0..self.sites.len() {
-            let report = collect_epoch(
-                &mut self.sites[i],
-                &mut self.links[i],
-                &self.coordinator,
-                &self.opts,
-            )
-            .map_err(|e| format!("collection from site {i}: {e}"))?;
-            self.collection.record_report(&report);
+        for (i, (site, pipe)) in self.sites.iter_mut().zip(&mut self.pipes).enumerate() {
+            pipe.collect(site)
+                .map_err(|e| format!("collection from site {i}: {e}"))?;
         }
         // The coordinator's delta frames say which streams the sites
         // touched this round; feed that into the engine's dirty set so
@@ -274,9 +274,10 @@ impl DemoStack {
         &self.coordinator
     }
 
-    /// The TCP transport counters (shared with any
-    /// [`setstream_distributed::transport`] servers the caller spawns on
-    /// this stack, so remote-site traffic lands in the same `/metrics`).
+    /// The transport counters of the in-process sites' pipes, shared with
+    /// any [`setstream_distributed::transport`] servers the caller spawns
+    /// on this stack, so remote-site traffic lands in the same
+    /// `/metrics`.
     pub fn transport_metrics(&self) -> &Arc<TransportMetrics> {
         &self.transport
     }

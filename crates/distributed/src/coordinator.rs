@@ -103,16 +103,6 @@ pub enum CoordinatorError {
 }
 
 impl CoordinatorError {
-    /// `true` for the epoch-accounting rejections that a cumulative
-    /// resync from the site will heal (retransmitting the same frame
-    /// cannot).
-    pub fn wants_resync(&self) -> bool {
-        matches!(
-            self,
-            CoordinatorError::StaleEpoch { .. } | CoordinatorError::EpochGap { .. }
-        )
-    }
-
     /// Snake-case reason label this rejection is counted under in
     /// `setstream_distributed_frames_rejected_total{reason=...}`.
     pub fn reason(&self) -> &'static str {
@@ -763,7 +753,8 @@ impl Coordinator {
     }
 
     /// Lift a site's quarantine and reset its failure counter (after the
-    /// operator or the collection driver has dealt with the cause). The
+    /// operator has dealt with the cause, or when the transport handler
+    /// sees the quarantined site's retried `Hello`). The
     /// site's next frames are accepted again; its watermark state is
     /// untouched.
     pub fn release_quarantine(&self, site: SiteId) {

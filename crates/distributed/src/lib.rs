@@ -26,15 +26,19 @@
 //!   sealed crash-recovery checkpoints;
 //! * [`coordinator`] — watermark-guarded ingestion, merging, quarantine,
 //!   and (staleness-annotated) query answering;
-//! * [`network`] — a fault-injecting link plus the collection drivers
-//!   ([`network::deliver_reliably`], [`network::collect_epoch`]);
-//! * [`metrics`] — always-on frame/rejection/collection counters
-//!   ([`metrics::CoordinatorMetrics`], [`metrics::CollectionMetrics`],
-//!   [`metrics::TransportMetrics`]), exported through [`setstream_obs`];
+//! * [`session`] — the collection protocol's client half with no I/O
+//!   ([`session::CollectionSession`]: credit window, acks, attempt
+//!   budgets, resync and back-off decisions) and the one epoch loop
+//!   ([`session::Collector`]) that both transports drive;
+//! * [`network`] — the seeded fault layer ([`network::LossyLink`]) and
+//!   the in-memory driver ([`network::MemoryPipe`]);
 //! * [`transport`] — real networked collection: a dependency-light
 //!   nonblocking TCP layer speaking SSWL frames, with credit-based flow
 //!   control, honest per-epoch acks, bounded buffers everywhere, and a
 //!   fault-injecting [`transport::FaultyListener`] proxy;
+//! * [`metrics`] — always-on frame/rejection/transport counters
+//!   ([`metrics::CoordinatorMetrics`], [`metrics::TransportMetrics`]),
+//!   exported through [`setstream_obs`];
 //! * [`relay`] — intermediate aggregation: a relay merges its children's
 //!   delta frames (sketch linearity) and ships one compact delta per
 //!   (stream, epoch) upstream.
@@ -55,25 +59,32 @@
 //!
 //! # Example: continuous collection
 //!
+//! The in-memory pipe runs the same protocol as TCP, through the same
+//! coordinator-side handler, with no sockets and no sleeping.
+//!
 //! ```
 //! use setstream_core::SketchFamily;
-//! use setstream_distributed::coordinator::Coordinator;
-//! use setstream_distributed::network::{collect_epoch, CollectionOptions, FaultSpec, LossyLink};
-//! use setstream_distributed::site::Site;
+//! use setstream_distributed::network::{FaultSpec, MemoryPipe};
+//! use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 //! use setstream_stream::{StreamId, Update};
+//! use std::sync::Arc;
 //!
 //! let family = SketchFamily::builder().copies(64).seed(7).build();
 //! let mut site = Site::new(1, family);
-//! let coord = Coordinator::new(family);
-//! let mut link = LossyLink::new(FaultSpec::nasty(), 42).unwrap();
-//! let opts = CollectionOptions::default();
+//! let coord = Arc::new(Coordinator::new(family));
+//! // In-memory attempts cost no wall time, so size the budget for the
+//! // faults: about one nasty-link attempt in eight completes an epoch.
+//! let opts = TransportOptions::builder().max_attempts(256).build().unwrap();
+//! let metrics = Arc::new(TransportMetrics::new());
+//! let mut pipe =
+//!     MemoryPipe::new(Arc::clone(&coord), FaultSpec::nasty(), 42, opts, metrics).unwrap();
 //!
 //! // Periodic collection: observe, cut an epoch, ship the delta.
 //! for epoch in 0..3u64 {
 //!     for e in 0..300 {
 //!         site.observe(&Update::insert(StreamId(0), epoch * 1000 + e, 1));
 //!     }
-//!     let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+//!     let report = pipe.collect(&mut site).unwrap();
 //!     // `report.checkpoint` is the site's sealed WAL — persist it, and
 //!     // `Site::restore_from_bytes` it after a crash.
 //!     assert_eq!(report.epoch, epoch + 1);
@@ -93,12 +104,13 @@ pub mod metrics;
 pub mod network;
 pub mod persist;
 pub mod relay;
+pub mod session;
 pub mod site;
 pub mod transport;
 pub mod wire;
 
 pub use coordinator::Coordinator;
-pub use metrics::{CollectionMetrics, CoordinatorMetrics, TransportMetrics};
+pub use metrics::{CoordinatorMetrics, TransportMetrics};
 pub use relay::{Relay, RelayNode};
 pub use site::Site;
 pub use transport::{

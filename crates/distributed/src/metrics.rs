@@ -1,5 +1,5 @@
 //! Distributed-collection metrics: frame traffic, typed rejections,
-//! quarantine and resync transitions, and collection-driver totals.
+//! quarantine and resync transitions, and transport activity.
 //!
 //! Two instruments live here:
 //!
@@ -10,17 +10,15 @@
 //!   [`MetricSource`]) to also export collect-time gauges derived from
 //!   its state: announced sites, quarantined sites, per-site commit
 //!   epochs and epoch lag.
-//! * [`CollectionMetrics`] is owned by whoever drives
-//!   [`crate::network::collect_epoch`] and accumulates per-round
-//!   [`CollectionReport`]s: retransmissions, rounds, resyncs, checkpoint
-//!   bytes.
+//! * [`TransportMetrics`] is shared by the collection clients and
+//!   servers built from it, on either transport: frames and bytes,
+//!   retransmits, timeouts, back-offs, acks and relay merges.
 //!
 //! All counters are relaxed atomics ([`setstream_obs::Counter`]); the hot
 //! ingest path pays one increment per frame verdict.
 //!
 //! analyze: allow(indexing) — counter arrays are sized to the static `KINDS`/`REASONS` tables and indexed only via their position lookups
 
-use crate::network::CollectionReport;
 use crate::wire::FrameKind;
 use setstream_obs::{Counter, MetricSource, Sample};
 
@@ -87,7 +85,8 @@ pub struct CoordinatorMetrics {
     /// Sites newly quarantined (transitions into quarantine, not refused
     /// frames — those land in `rejected{reason="quarantined"}`).
     pub quarantines: Counter,
-    /// Quarantines lifted via [`crate::Coordinator::release_quarantine`].
+    /// Quarantines lifted via [`crate::Coordinator::release_quarantine`]:
+    /// by a quarantined site's retried `Hello`, or by an operator.
     pub quarantine_releases: Counter,
     /// Sites newly flagged for cumulative resync (epoch gap or stale
     /// restore).
@@ -167,7 +166,7 @@ impl CoordinatorMetrics {
                 "setstream_distributed_quarantine_releases_total",
                 self.quarantine_releases.get(),
             )
-            .with_help("Quarantines lifted by the operator or driver"),
+            .with_help("Quarantines lifted by a retried hello or the operator"),
         );
         out.push(
             Sample::counter(
@@ -193,121 +192,29 @@ impl CoordinatorMetrics {
     }
 }
 
-/// Driver-side accumulation of [`CollectionReport`]s from
-/// [`crate::network::collect_epoch`].
-#[derive(Debug, Default)]
-pub struct CollectionMetrics {
-    /// Successful collection cycles.
-    pub collections: Counter,
-    /// Collection cycles that failed (budget exhausted or fatal verdict).
-    pub failures: Counter,
-    /// Delivery attempts across all collections.
-    pub attempts: Counter,
-    /// Retransmission rounds across all collections.
-    pub rounds: Counter,
-    /// Envelope transmissions, including retransmits.
-    pub transmissions: Counter,
-    /// Cumulative resyncs the coordinator demanded.
-    pub resyncs: Counter,
-    /// Bytes of sealed site checkpoints produced.
-    pub checkpoint_bytes: Counter,
-}
-
-impl CollectionMetrics {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one successful collection cycle into the totals.
-    pub fn record_report(&self, report: &CollectionReport) {
-        self.collections.inc();
-        self.attempts.add(u64::from(report.attempts));
-        self.rounds.add(u64::from(report.rounds));
-        self.transmissions.add(report.transmissions);
-        self.resyncs.add(u64::from(report.resyncs));
-        self.checkpoint_bytes.add(report.checkpoint.len() as u64);
-    }
-
-    /// Record a failed collection cycle.
-    pub fn record_failure(&self) {
-        self.failures.inc();
-    }
-}
-
-impl MetricSource for CollectionMetrics {
-    fn collect(&self, out: &mut Vec<Sample>) {
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collections_total",
-                self.collections.get(),
-            )
-            .with_help("Successful collection cycles"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collection_failures_total",
-                self.failures.get(),
-            )
-            .with_help("Collection cycles that failed"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collection_attempts_total",
-                self.attempts.get(),
-            )
-            .with_help("Delivery attempts across all collections"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_collection_rounds_total",
-                self.rounds.get(),
-            )
-            .with_help("Retransmission rounds across all collections"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_retransmissions_total",
-                self.transmissions.get(),
-            )
-            .with_help("Envelope transmissions, including retransmits"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_resyncs_total",
-                self.resyncs.get(),
-            )
-            .with_help("Full resyncs the coordinator demanded"),
-        );
-        out.push(
-            Sample::counter(
-                "setstream_distributed_checkpoint_bytes_total",
-                self.checkpoint_bytes.get(),
-            )
-            .with_help("Bytes of sealed site checkpoints produced"),
-        );
-    }
-}
-
-/// Always-on counters for the real TCP transport
-/// ([`crate::transport`]): connection lifecycle, retry/backoff activity,
-/// frame and byte traffic in both directions, relay merges, and the
-/// backpressure safety valve.
+/// Always-on counters for collection traffic: connection lifecycle,
+/// retry/backoff activity, frame and byte traffic in both directions,
+/// relay merges, and the backpressure safety valve.
 ///
 /// One instance is shared by every [`crate::transport::FrameServer`],
-/// [`crate::transport::TcpCollector`] and [`crate::relay::RelayNode`]
-/// that was built from it; register it with a
-/// [`setstream_obs::Registry`] to export the `setstream_transport_*`
-/// families.
+/// [`crate::transport::TcpCollector`], [`crate::network::MemoryPipe`]
+/// and [`crate::relay::RelayNode`] that was built from it; register it
+/// with a [`setstream_obs::Registry`] to export the
+/// `setstream_transport_*` families. The in-memory pipe records its
+/// client's frames, bytes, retransmits, timeouts and back-offs and its
+/// handler's acks; connects are TCP-only.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
-    /// Successful TCP connects (client side).
+    /// TCP connections established: client connects plus server
+    /// accepts (a process running both sides counts each).
     pub connects: Counter,
     /// Connect attempts that failed and were retried.
     pub connect_retries: Counter,
-    /// Read/write/ack deadlines that expired.
+    /// Ack waits that timed out: a TCP read deadline, or an in-memory
+    /// pipe drained empty.
     pub timeouts: Counter,
-    /// Exponential-backoff sleeps taken between attempts.
+    /// Back-offs between attempts (the in-memory pipe counts them but
+    /// does not sleep).
     pub backoff_sleeps: Counter,
     /// Connections the server closed because the peer stopped draining
     /// its responses (write-queue cap hit) — the no-unbounded-queues
@@ -316,8 +223,9 @@ pub struct TransportMetrics {
     /// Connections dropped for poisoned framing (bad magic/kind or an
     /// oversize declared length mid-stream).
     pub desyncs: Counter,
-    /// Epoch batches retransmitted after a timeout, reconnect, or
-    /// incomplete ack.
+    /// Frames retransmitted after a timeout, a lost connection, or an
+    /// incomplete or quarantined ack — every frame of each resent epoch
+    /// batch.
     pub retransmits: Counter,
     /// Child delta frames folded into a relay's merged state.
     pub relay_merges: Counter,
@@ -344,7 +252,7 @@ impl MetricSource for TransportMetrics {
     fn collect(&self, out: &mut Vec<Sample>) {
         out.push(
             Sample::counter("setstream_transport_connects_total", self.connects.get())
-                .with_help("Successful TCP connects to a collection server"),
+                .with_help("TCP connections established (client connects and server accepts)"),
         );
         out.push(
             Sample::counter(
@@ -355,14 +263,14 @@ impl MetricSource for TransportMetrics {
         );
         out.push(
             Sample::counter("setstream_transport_timeouts_total", self.timeouts.get())
-                .with_help("Read/write/ack deadlines that expired"),
+                .with_help("Ack waits that timed out"),
         );
         out.push(
             Sample::counter(
                 "setstream_transport_backoff_sleeps_total",
                 self.backoff_sleeps.get(),
             )
-            .with_help("Exponential-backoff sleeps between delivery attempts"),
+            .with_help("Back-offs between delivery attempts"),
         );
         out.push(
             Sample::counter(
@@ -380,7 +288,7 @@ impl MetricSource for TransportMetrics {
                 "setstream_transport_retransmits_total",
                 self.retransmits.get(),
             )
-            .with_help("Epoch batches retransmitted after timeout or incomplete ack"),
+            .with_help("Frames retransmitted after a timeout, lost connection or incomplete ack"),
         );
         out.push(
             Sample::counter(
@@ -400,12 +308,12 @@ impl MetricSource for TransportMetrics {
             out.push(
                 Sample::counter("setstream_transport_frames_total", frames.get())
                     .with_label("direction", dir)
-                    .with_help("Wire frames exchanged over TCP, by direction"),
+                    .with_help("Wire frames exchanged with collection peers, by direction"),
             );
             out.push(
                 Sample::counter("setstream_transport_bytes_total", bytes.get())
                     .with_label("direction", dir)
-                    .with_help("Bytes exchanged over TCP, by direction"),
+                    .with_help("Wire bytes exchanged with collection peers, by direction"),
             );
         }
     }
@@ -431,31 +339,11 @@ mod tests {
     }
 
     #[test]
-    fn collection_report_folds_into_totals() {
-        let m = CollectionMetrics::new();
-        m.record_report(&CollectionReport {
-            epoch: 1,
-            attempts: 2,
-            rounds: 7,
-            transmissions: 40,
-            resyncs: 1,
-            checkpoint: vec![0u8; 128],
-        });
-        m.record_failure();
-        assert_eq!(m.collections.get(), 1);
-        assert_eq!(m.failures.get(), 1);
-        assert_eq!(m.rounds.get(), 7);
-        assert_eq!(m.transmissions.get(), 40);
-        assert_eq!(m.resyncs.get(), 1);
-        assert_eq!(m.checkpoint_bytes.get(), 128);
-    }
-
-    #[test]
     fn exported_sample_names_are_complete() {
-        let m = CollectionMetrics::new();
+        let m = CoordinatorMetrics::new();
         let mut out = Vec::new();
-        m.collect(&mut out);
-        assert_eq!(out.len(), 7);
+        m.collect_counters(&mut out);
+        assert_eq!(out.len(), KINDS.len() + REASONS.len() + 5);
         assert!(out
             .iter()
             .all(|s| s.name.starts_with("setstream_distributed_")));

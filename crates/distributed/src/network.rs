@@ -1,34 +1,38 @@
-//! An in-memory lossy network, a reliable-delivery layer, and the
-//! epoch-collection driver.
+//! The in-memory network: the fault layer both transports share, and the
+//! in-memory driver of the collection protocol.
 //!
 //! The paper's deployment ships synopses from sites to a central
 //! processor "periodically" over a real network; frames can be dropped,
-//! corrupted, duplicated or reordered in flight. Because the coordinator
-//! *merges* delta frames (cell-wise addition), raw retransmission would
-//! double-count — so collection runs over a small acknowledge-and-dedup
-//! protocol:
+//! corrupted, duplicated, reordered, delayed or cut short in flight.
+//! [`LossyLink`] injects those faults from a seeded [`FaultSpec`], one
+//! link per connection; the TCP proxy
+//! ([`crate::transport::FaultyListener`]) and the [`MemoryPipe`] both run
+//! it, so a fault script means the same thing on either transport.
 //!
-//! * every frame travels in an **envelope** with a unique id;
-//! * the receiver ignores envelope ids it has already accepted, verifies
-//!   the inner frame (CRC), and hands it to the coordinator exactly once;
-//! * the sender retransmits unacknowledged envelopes each round.
-//!
-//! [`LossyLink`] injects seeded faults; [`deliver_reliably`] runs the
-//! protocol to completion for a one-shot batch, and [`collect_epoch`] is
-//! the continuous-collection driver: it cuts an epoch at the site, ships
-//! the delta frames, reacts to the coordinator's typed rejections
-//! (cumulative resync on epoch gaps, bounded backoff-and-release on
-//! quarantine), and returns the site's crash-recovery checkpoint for the
-//! caller to persist.
+//! [`MemoryPipe`] is the second driver of
+//! [`crate::session::CollectionSession`]: frames cross a [`LossyLink`]
+//! into an in-process [`CoordinatorHandler`] — the same handler a
+//! [`crate::transport::CoordinatorServer`] runs — and its ack frames come
+//! back. A read that finds no ack once the link has drained empty is a
+//! timeout, and back-offs are counted but never slept, so in-memory
+//! collection runs exactly the protocol remote peers speak at no wall
+//! time.
 
-use crate::coordinator::{Coordinator, CoordinatorError};
-use crate::site::{Epoch, Site};
-use crate::wire::WireError;
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::coordinator::Coordinator;
+use crate::metrics::TransportMetrics;
+use crate::session::{Collector, Event, Link};
+use crate::transport::{
+    AckMessage, CoordinatorHandler, FrameHandler, FrameReader, ServerRole, TransportError,
+    TransportOptions,
+};
+use crate::wire::{decode_message, DecodedFrame, Message};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use setstream_obs::Counter;
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Fault model for a simulated link.
 #[derive(Debug, Clone, Copy)]
@@ -41,8 +45,9 @@ pub struct FaultSpec {
     pub duplicate: f64,
     /// Shuffle delivery order within a round.
     pub reorder: bool,
-    /// Probability a surviving frame loses its tail (cut at a random
-    /// point, at least one byte kept).
+    /// Probability a surviving frame is cut short. A cut frame poisons a
+    /// byte stream, so the connection dies at it: that frame, everything
+    /// offered after it, and every held-back frame are lost.
     pub truncate: f64,
     /// Probability a surviving frame is held back one delivery round.
     pub delay: f64,
@@ -52,8 +57,9 @@ pub struct FaultSpec {
     /// `reorder` set.
     pub reorder_burst: u32,
     /// When nonzero, the link blacks out the first [`partition_for`]
-    /// frames of every `partition_every`-frame window (counted over
-    /// frames offered for transmission). Models a recurring partition.
+    /// frames of every `partition_every`-frame window, counted over the
+    /// frames offered on the whole path (see [`LossyLink::with_path`]).
+    /// Models a recurring partition.
     ///
     /// [`partition_for`]: FaultSpec::partition_for
     pub partition_every: u64,
@@ -172,21 +178,26 @@ impl Drop for SeedEcho {
     }
 }
 
-/// A seeded, fault-injecting unidirectional link.
+/// A seeded, fault-injecting unidirectional link: one connection's worth
+/// of the network path.
 #[derive(Debug)]
 pub struct LossyLink {
     spec: FaultSpec,
     rng: StdRng,
     in_flight: Vec<Bytes>,
     delayed: Vec<Bytes>,
-    sessions: u64,
+    /// Frames offered on the whole path, shared by every connection over
+    /// it: the partition-window phase.
+    path: Arc<Counter>,
+    /// A truncation killed this connection.
+    cut: bool,
     /// Total frames accepted for transmission.
     pub sent: u64,
     /// Frames dropped by the link (including partition blackouts).
     pub dropped: u64,
     /// Frames corrupted by the link.
     pub corrupted: u64,
-    /// Frames cut short by the link.
+    /// Truncations (each one killed its connection).
     pub truncated: u64,
 }
 
@@ -199,7 +210,8 @@ impl LossyLink {
             rng: StdRng::seed_from_u64(seed),
             in_flight: Vec::new(),
             delayed: Vec::new(),
-            sessions: 0,
+            path: Arc::new(Counter::new()),
+            cut: false,
             sent: 0,
             dropped: 0,
             corrupted: 0,
@@ -207,15 +219,32 @@ impl LossyLink {
         })
     }
 
-    /// Start a new delivery session over this link and return its id.
-    ///
-    /// Delayed frames can surface rounds — or whole collections — after
-    /// they were sent; a session id lets the driver recognise and discard
-    /// traffic from an earlier conversation instead of mistaking an old
-    /// frame for one of the current batch.
-    pub fn next_session(&mut self) -> u32 {
-        self.sessions += 1;
-        self.sessions as u32
+    /// Count the partition phase on `path`, a counter shared by every
+    /// connection over the same network path, so that reconnecting never
+    /// resets a partition window.
+    pub fn with_path(mut self, path: Arc<Counter>) -> Self {
+        self.path = path;
+        self
+    }
+
+    /// Start the next connection over the same path, seeded with `seed`:
+    /// frames in flight or held back die with the old connection; the
+    /// partition phase and the fault tallies carry on.
+    pub fn reconnect(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+        self.in_flight.clear();
+        self.delayed.clear();
+        self.cut = false;
+    }
+
+    /// Whether a truncation killed this connection.
+    pub fn is_cut(&self) -> bool {
+        self.cut
+    }
+
+    /// Whether nothing is in flight or held back.
+    pub fn is_idle(&self) -> bool {
+        self.in_flight.is_empty() && self.delayed.is_empty()
     }
 
     /// Offer a frame for transmission.
@@ -225,26 +254,26 @@ impl LossyLink {
     /// original drop/corrupt/duplicate specs are unchanged.
     pub fn send(&mut self, frame: Bytes) {
         self.sent += 1;
-        if self.spec.partition_every > 0
-            && (self.sent - 1) % self.spec.partition_every < self.spec.partition_for
-        {
-            self.dropped += 1;
+        if self.cut {
             return;
+        }
+        if self.spec.partition_every > 0 {
+            self.path.inc();
+            if (self.path.get() - 1) % self.spec.partition_every < self.spec.partition_for {
+                self.dropped += 1;
+                return;
+            }
         }
         if self.rng.gen_bool(self.spec.drop) {
             self.dropped += 1;
             return;
         }
-        let frame = if self.spec.truncate > 0.0 && self.rng.gen_bool(self.spec.truncate) {
+        if self.spec.truncate > 0.0 && self.rng.gen_bool(self.spec.truncate) {
             self.truncated += 1;
-            let mut bytes = frame.to_vec();
-            if bytes.len() > 1 {
-                bytes.truncate(self.rng.gen_range(1..bytes.len()));
-            }
-            Bytes::from(bytes)
-        } else {
-            frame
-        };
+            self.cut = true;
+            self.delayed.clear();
+            return;
+        }
         let frame = if self.rng.gen_bool(self.spec.corrupt) {
             self.corrupted += 1;
             let mut bytes = frame.to_vec();
@@ -294,476 +323,149 @@ impl LossyLink {
     }
 }
 
-/// Outcome of a reliable collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryReport {
-    /// Rounds (send + drain cycles) used.
-    pub rounds: u32,
-    /// Total envelope transmissions, including retransmissions.
-    pub transmissions: u64,
-    /// Distinct frames delivered to the coordinator.
-    pub delivered: usize,
-}
-
-/// Reliable-delivery failure.
-#[derive(Debug)]
-pub enum DeliveryError {
-    /// The round budget ran out with frames still unacknowledged.
-    Incomplete {
-        /// Frames that never made it.
-        missing: usize,
-        /// Rounds attempted.
-        rounds: u32,
-    },
-    /// The coordinator rejected a *valid* frame (e.g. coin mismatch) —
-    /// retransmission cannot fix that.
-    Rejected(CoordinatorError),
-}
-
-impl fmt::Display for DeliveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeliveryError::Incomplete { missing, rounds } => {
-                write!(f, "{missing} frames undelivered after {rounds} rounds")
-            }
-            DeliveryError::Rejected(e) => write!(f, "coordinator rejected frame: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeliveryError {}
-
-/// Envelope: `id:u64 | frame bytes`.
-fn envelope(session: u32, id: u32, frame: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + frame.len());
-    buf.put_u64_le(u64::from(session) << 32 | u64::from(id));
-    buf.put_slice(frame);
-    buf.freeze()
-}
-
-fn open_envelope(mut bytes: Bytes) -> Option<(u32, u32, Bytes)> {
-    use bytes::Buf;
-    if bytes.len() < 8 {
-        return None;
-    }
-    let tag = bytes.get_u64_le();
-    Some(((tag >> 32) as u32, tag as u32, bytes))
-}
-
-/// Ship `frames` to `coordinator` across `link`, retransmitting until all
-/// are acknowledged or `max_rounds` is exhausted. Acks are assumed
-/// reliable (they are tiny; a lossy ack path only raises the round count,
-/// which the caller already bounds).
-pub fn deliver_reliably(
-    frames: &[Bytes],
-    link: &mut LossyLink,
-    coordinator: &Coordinator,
-    max_rounds: u32,
-) -> Result<DeliveryReport, DeliveryError> {
-    let mut acked: Vec<bool> = vec![false; frames.len()];
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut transmissions = 0u64;
-    // A fresh session id per call: a frame the link *delayed* past the
-    // end of this call would otherwise surface during the next one and
-    // be mistaken for a member of that batch (an old Commit would ingest
-    // cleanly and falsely ack a new frame that was never delivered).
-    let session = link.next_session();
-    for round in 1..=max_rounds {
-        // Send every unacked frame.
-        for (i, (frame, done)) in frames.iter().zip(acked.iter()).enumerate() {
-            if !done {
-                link.send(envelope(session, i as u32, frame));
-                transmissions += 1;
-            }
-        }
-        // Deliver.
-        for received in link.drain() {
-            let Some((got_session, id, frame)) = open_envelope(received) else {
-                continue; // truncated envelope
-            };
-            if got_session != session {
-                continue; // straggler from an earlier conversation
-            }
-            let Some(slot) = acked.get_mut(id as usize) else {
-                continue; // id corrupted out of range
-            };
-            if seen.contains(&id) {
-                continue; // duplicate of an accepted frame
-            }
-            match coordinator.ingest_frame(&frame) {
-                Ok(()) => {
-                    seen.insert(id);
-                    *slot = true;
-                }
-                Err(CoordinatorError::Wire(_)) => {
-                    // Corrupted in flight: leave unacked, retransmit.
-                }
-                Err(fatal) => return Err(DeliveryError::Rejected(fatal)),
-            }
-        }
-        if acked.iter().all(|&a| a) {
-            return Ok(DeliveryReport {
-                rounds: round,
-                transmissions,
-                delivered: frames.len(),
-            });
-        }
-    }
-    Err(DeliveryError::Incomplete {
-        missing: acked.iter().filter(|&&a| !a).count(),
-        rounds: max_rounds,
-    })
-}
-
-/// Knobs for [`collect_epoch`]. Construct via [`CollectionOptions::builder`]
-/// (or take [`CollectionOptions::default`]); the fields are private so
-/// every instance has passed validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollectionOptions {
-    /// Retransmission rounds per delivery attempt.
-    max_rounds: u32,
-    /// Delivery attempts (each separated by a quarantine release and
-    /// backoff) before giving up.
-    max_attempts: u32,
-    /// Base backoff, in drained link rounds, after a quarantine; doubles
-    /// per subsequent attempt.
-    backoff_rounds: u32,
-}
-
-impl Default for CollectionOptions {
-    fn default() -> Self {
-        CollectionOptions {
-            max_rounds: 64,
-            max_attempts: 4,
-            backoff_rounds: 1,
-        }
-    }
-}
-
-impl CollectionOptions {
-    /// Start from the defaults (64 rounds, 4 attempts, backoff 1).
-    pub fn builder() -> CollectionOptionsBuilder {
-        CollectionOptionsBuilder {
-            options: CollectionOptions::default(),
-        }
-    }
-
-    /// Retransmission rounds per delivery attempt.
-    pub fn max_rounds(&self) -> u32 {
-        self.max_rounds
-    }
-
-    /// Delivery attempts before giving up.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// Base quarantine backoff in drained link rounds.
-    pub fn backoff_rounds(&self) -> u32 {
-        self.backoff_rounds
-    }
-}
-
-/// A [`CollectionOptions`] knob set to a value that cannot work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollectionOptionsError {
-    /// Which knob is invalid.
-    pub field: &'static str,
-    /// The offending value.
-    pub value: u32,
-}
-
-impl fmt::Display for CollectionOptionsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "collection option `{}` = {} must be at least 1",
-            self.field, self.value
-        )
-    }
-}
-
-impl std::error::Error for CollectionOptionsError {}
-
-/// Validating builder for [`CollectionOptions`].
-#[derive(Debug, Clone)]
-pub struct CollectionOptionsBuilder {
-    options: CollectionOptions,
-}
-
-impl CollectionOptionsBuilder {
-    /// Retransmission rounds per delivery attempt (≥ 1).
-    pub fn max_rounds(mut self, rounds: u32) -> Self {
-        self.options.max_rounds = rounds;
-        self
-    }
-
-    /// Delivery attempts before giving up (≥ 1).
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.options.max_attempts = attempts;
-        self
-    }
-
-    /// Base quarantine backoff in drained link rounds (0 disables the
-    /// quiet period).
-    pub fn backoff_rounds(mut self, rounds: u32) -> Self {
-        self.options.backoff_rounds = rounds;
-        self
-    }
-
-    /// Validate and produce the options: round and attempt budgets must
-    /// be at least 1 or [`collect_epoch`] could never ship anything.
-    pub fn build(self) -> Result<CollectionOptions, CollectionOptionsError> {
-        for (field, value) in [
-            ("max_rounds", self.options.max_rounds),
-            ("max_attempts", self.options.max_attempts),
-        ] {
-            if value == 0 {
-                return Err(CollectionOptionsError { field, value });
-            }
-        }
-        Ok(self.options)
-    }
-}
-
-/// What one [`collect_epoch`] run did.
-#[derive(Debug, Clone)]
-pub struct CollectionReport {
-    /// The epoch that was cut and shipped.
-    pub epoch: Epoch,
-    /// Delivery attempts used (1 = no quarantine trouble).
-    pub attempts: u32,
-    /// Total retransmission rounds across all attempts.
-    pub rounds: u32,
-    /// Total envelope transmissions.
-    pub transmissions: u64,
-    /// Cumulative resyncs the coordinator demanded.
-    pub resyncs: u32,
-    /// The site's sealed post-cut checkpoint — persist this before
-    /// acknowledging the epoch upstream, and feed it to
-    /// [`Site::restore_from_bytes`] after a crash.
-    pub checkpoint: Vec<u8>,
-}
-
-/// Epoch-collection failure.
-#[derive(Debug)]
-pub enum CollectionError {
-    /// Attempt/round budget exhausted with frames unacknowledged (e.g. a
-    /// blackout link, or a site that cannot leave quarantine).
-    Undelivered {
-        /// Frames that never made it.
-        missing: usize,
-        /// Attempts used.
-        attempts: u32,
-    },
-    /// The coordinator rejected a valid frame for an unrecoverable reason
-    /// (coin mismatch, estimator incompatibility).
-    Rejected(CoordinatorError),
-    /// Framing the site's state failed.
-    Wire(WireError),
-}
-
-impl fmt::Display for CollectionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CollectionError::Undelivered { missing, attempts } => {
-                write!(f, "{missing} frames undelivered after {attempts} attempts")
-            }
-            CollectionError::Rejected(e) => write!(f, "coordinator rejected collection: {e}"),
-            CollectionError::Wire(e) => write!(f, "framing error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CollectionError {}
-
-impl From<WireError> for CollectionError {
-    fn from(e: WireError) -> Self {
-        CollectionError::Wire(e)
-    }
-}
-
-/// Deliver one batch site-attributed, reacting to the coordinator's typed
-/// verdicts. Returns `(resync_needed, rounds_used)`.
-fn deliver_epoch_batch(
-    frames: &[Bytes],
-    site_id: u32,
-    link: &mut LossyLink,
-    coordinator: &Coordinator,
-    opts: &CollectionOptions,
-    attempts: &mut u32,
-    transmissions: &mut u64,
-) -> Result<(bool, u32), CollectionError> {
-    let mut acked: Vec<bool> = vec![false; frames.len()];
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut resync_needed = false;
-    let mut rounds_used = 0u32;
-    // Fresh session id: frames the link delayed past the end of an
-    // earlier batch must not be mistaken for members of this one.
-    let session = link.next_session();
-    loop {
-        let mut blocked = false;
-        for round in 1..=opts.max_rounds {
-            rounds_used = rounds_used.max(round);
-            for (i, (frame, done)) in frames.iter().zip(acked.iter()).enumerate() {
-                if !done {
-                    link.send(envelope(session, i as u32, frame));
-                    *transmissions += 1;
-                }
-            }
-            for received in link.drain() {
-                if blocked {
-                    continue; // discard the rest of the round's traffic
-                }
-                let Some((got_session, id, frame)) = open_envelope(received) else {
-                    continue;
-                };
-                if got_session != session {
-                    continue; // straggler from an earlier conversation
-                }
-                let Some(slot) = acked.get_mut(id as usize) else {
-                    continue;
-                };
-                if seen.contains(&id) {
-                    continue;
-                }
-                match coordinator.ingest_frame_from(site_id, &frame) {
-                    Ok(()) => {
-                        seen.insert(id);
-                        *slot = true;
-                    }
-                    Err(CoordinatorError::Wire(_)) => {
-                        // Corrupted in flight: retransmit next round.
-                    }
-                    Err(e) if e.wants_resync() => {
-                        // This frame can never apply; the cumulative
-                        // resync that follows supersedes it.
-                        seen.insert(id);
-                        *slot = true;
-                        resync_needed = true;
-                    }
-                    Err(CoordinatorError::Quarantined { .. }) => {
-                        blocked = true;
-                    }
-                    Err(fatal) => return Err(CollectionError::Rejected(fatal)),
-                }
-            }
-            if blocked {
-                break;
-            }
-            if acked.iter().all(|&a| a) {
-                return Ok((resync_needed, rounds_used));
-            }
-        }
-        *attempts += 1;
-        if *attempts >= opts.max_attempts {
-            return Err(CollectionError::Undelivered {
-                missing: acked.iter().filter(|&&a| !a).count(),
-                attempts: *attempts,
-            });
-        }
-        if blocked {
-            // Back off: let the (doubling) quiet period flush whatever is
-            // still in flight, then ask for another chance.
-            let quiet = opts.backoff_rounds.saturating_mul(1 << (*attempts - 1).min(16));
-            for _ in 0..quiet {
-                link.drain();
-            }
-            coordinator.release_quarantine(site_id);
-        }
-        // Otherwise the round budget ran out (heavy loss): retry the
-        // unacked remainder in a fresh attempt.
-    }
-}
-
-/// Run one full collection cycle for `site`: cut the next epoch, ship its
-/// delta frames across `link` with retransmission and dedup, honour the
-/// coordinator's typed verdicts (epoch gaps and stale epochs trigger a
-/// cumulative resync; quarantine triggers bounded backoff-and-release),
-/// and hand back the site's sealed checkpoint for the caller to persist.
+/// The in-memory driver of a [`crate::session::CollectionSession`]: one
+/// site's connection through a [`LossyLink`] into an in-process
+/// [`CoordinatorHandler`].
 ///
-/// The coordinator keeps answering queries throughout — a failed
-/// collection leaves it serving the last consistent state.
-pub fn collect_epoch(
-    site: &mut Site,
-    link: &mut LossyLink,
-    coordinator: &Coordinator,
-    opts: &CollectionOptions,
-) -> Result<CollectionReport, CollectionError> {
-    let trace = site.trace().clone();
-    let mut span = trace.span("collect.epoch");
-    if span.is_recording() {
-        span.track(format!("site-{}", site.id()));
+/// A read drains the link — every round, including what the delay fault
+/// held back — before it returns the first ack, so no frame outlives the
+/// exchange that sent it; with no ack it is a timeout, or a lost
+/// connection if a truncation cut the link. The handler's end frames the
+/// byte stream with a [`FrameReader`], like a socket server: a desync
+/// drops the connection server-side after the acks it already produced,
+/// so later reads time out.
+/// Each reconnect opens connection `i` with link seed `seed + i`, as the
+/// TCP proxy does.
+pub struct PipeLink {
+    handler: CoordinatorHandler,
+    link: LossyLink,
+    seed: u64,
+    conn: u64,
+    reader: FrameReader,
+    max_frame: usize,
+    /// The handler's end dropped this connection after a desync.
+    desynced: bool,
+    acks: VecDeque<AckMessage>,
+    metrics: Arc<TransportMetrics>,
+}
+
+/// In-memory collection client: a [`crate::session::CollectionSession`]
+/// driven over a [`PipeLink`].
+pub type MemoryPipe = Collector<PipeLink>;
+
+impl MemoryPipe {
+    /// A pipe from one site into `coordinator`, faulted by `spec` from
+    /// `seed`. Frames, acks, retransmits, timeouts and back-offs count
+    /// into `metrics`, and the handler's acks into `acks_sent`.
+    pub fn new(
+        coordinator: Arc<Coordinator>,
+        spec: FaultSpec,
+        seed: u64,
+        opts: TransportOptions,
+        metrics: Arc<TransportMetrics>,
+    ) -> Result<Self, TransportError> {
+        let link = PipeLink {
+            handler: CoordinatorHandler::new(
+                coordinator,
+                Arc::clone(&metrics),
+                ServerRole::Coordinator,
+                &opts,
+            ),
+            link: LossyLink::new(spec, seed)?,
+            seed,
+            conn: 0,
+            reader: FrameReader::new(opts.max_frame()),
+            max_frame: opts.max_frame(),
+            desynced: false,
+            acks: VecDeque::new(),
+            metrics: Arc::clone(&metrics),
+        };
+        Ok(Collector::with_link(link, &opts, metrics))
     }
-    let cut = site.cut_epoch()?;
-    let mut attempts = 1u32;
-    let mut transmissions = 0u64;
-    let mut total_rounds;
-    let mut resyncs = 0u32;
+}
 
-    let (mut resync_needed, rounds) = deliver_epoch_batch(
-        &cut.frames,
-        site.id(),
-        link,
-        coordinator,
-        opts,
-        &mut attempts,
-        &mut transmissions,
-    )?;
-    total_rounds = rounds;
-
-    // The coordinator may have flagged the site from the hello (stale
-    // restore) even if every frame applied — and a freshly restored site
-    // must resync regardless, because it cannot know whether its last
-    // pre-crash cut was ever delivered.
-    if let Some(status) = coordinator.site_status(site.id()) {
-        resync_needed |= status.needs_resync;
+impl PipeLink {
+    /// The fault layer, with its tallies over every connection so far.
+    pub fn faults(&self) -> &LossyLink {
+        &self.link
     }
-    resync_needed |= site.recovering();
 
-    while resync_needed {
-        resyncs += 1;
-        if resyncs > opts.max_attempts {
-            return Err(CollectionError::Undelivered {
-                missing: 0,
-                attempts,
-            });
+    /// The handler's end of the connection: frame the bytes and hand
+    /// whole frames to the handler, queueing its acks for the client.
+    fn deliver(&mut self, bytes: &[u8]) {
+        if self.desynced {
+            return;
         }
-        let frames = site.resync_frames()?;
-        let (again, rounds) = deliver_epoch_batch(
-            &frames,
-            site.id(),
-            link,
-            coordinator,
-            opts,
-            &mut attempts,
-            &mut transmissions,
-        )?;
-        total_rounds += rounds;
-        resync_needed = again;
+        self.reader.extend(bytes);
+        loop {
+            match self.reader.next_frame() {
+                Ok(Some(frame)) => {
+                    for reply in self.handler.on_frame(self.conn, frame) {
+                        self.metrics.frames_in.inc();
+                        self.metrics.bytes_in.add(reply.len() as u64);
+                        if let Ok(DecodedFrame {
+                            message: Message::Ack(ack),
+                            ..
+                        }) = decode_message(reply)
+                        {
+                            self.acks.push_back(ack);
+                        }
+                    }
+                }
+                Ok(None) => return,
+                Err(e) => {
+                    self.metrics.desyncs.inc();
+                    self.handler.on_wire_error(self.conn, &e);
+                    self.handler.on_disconnect(self.conn);
+                    self.desynced = true;
+                    return;
+                }
+            }
+        }
+    }
+}
+
+impl Link for PipeLink {
+    fn send(&mut self, frames: &[Bytes]) -> Result<bool, TransportError> {
+        for frame in frames {
+            self.metrics.frames_out.inc();
+            self.metrics.bytes_out.add(frame.len() as u64);
+            self.link.send(frame.clone());
+        }
+        Ok(true)
     }
 
-    if span.is_recording() {
-        span.detail(format!(
-            "epoch={} attempts={attempts} rounds={total_rounds} resyncs={resyncs}",
-            site.epoch()
-        ));
+    fn recv(&mut self) -> Event {
+        while !self.link.is_idle() {
+            for bytes in self.link.drain() {
+                self.deliver(&bytes);
+            }
+        }
+        match self.acks.pop_front() {
+            Some(ack) => Event::Ack(ack),
+            None if self.link.is_cut() => Event::Lost,
+            None => Event::Timeout,
+        }
     }
-    Ok(CollectionReport {
-        epoch: site.epoch(),
-        attempts,
-        rounds: total_rounds,
-        transmissions,
-        resyncs,
-        checkpoint: cut.checkpoint,
-    })
+
+    fn reconnect(&mut self) {
+        if !self.desynced {
+            self.handler.on_disconnect(self.conn);
+        }
+        self.conn += 1;
+        self.link.reconnect(self.seed.wrapping_add(self.conn));
+        self.reader = FrameReader::new(self.max_frame);
+        self.desynced = false;
+        self.acks.clear();
+    }
+
+    fn backoff(&mut self, _attempt: u32) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::site::Site;
-    use setstream_expr::SetExpr;
     use setstream_core::SketchFamily;
     use setstream_stream::{StreamId, Update};
 
@@ -775,83 +477,122 @@ mod tests {
             .build()
     }
 
-    fn site_frames() -> Vec<Bytes> {
-        let mut site = Site::new(1, family());
+    /// A site with traffic on three streams: one cut is Hello, three
+    /// deltas and a Commit.
+    fn busy_site(id: u32) -> Site {
+        let mut site = Site::new(id, family());
         for e in 0..2000u64 {
             site.observe(&Update::insert(StreamId((e % 3) as u32), e, 1));
         }
-        site.snapshot_frames().unwrap()
+        site
+    }
+
+    fn opts(max_attempts: u32) -> TransportOptions {
+        TransportOptions::builder()
+            .max_attempts(max_attempts)
+            .build()
+            .unwrap()
+    }
+
+    fn pipe(coord: &Arc<Coordinator>, spec: FaultSpec, seed: u64, attempts: u32) -> MemoryPipe {
+        let metrics = Arc::new(TransportMetrics::new());
+        MemoryPipe::new(Arc::clone(coord), spec, seed, opts(attempts), metrics).unwrap()
+    }
+
+    fn assert_matches_site(coord: &Coordinator, site: &Site) {
+        for stream in site.streams() {
+            let merged = coord.merged_synopsis(stream).unwrap();
+            for (m, s) in merged
+                .sketches()
+                .iter()
+                .zip(site.synopsis(stream).unwrap().sketches())
+            {
+                assert_eq!(m.counters(), s.counters(), "stream {stream}");
+            }
+        }
     }
 
     #[test]
     fn reliable_link_delivers_in_one_round() {
-        let frames = site_frames();
-        let mut link = LossyLink::new(FaultSpec::reliable(), 1).unwrap();
-        let coord = Coordinator::new(family());
-        let report = deliver_reliably(&frames, &mut link, &coord, 3).unwrap();
-        assert_eq!(report.rounds, 1);
-        assert_eq!(report.transmissions as usize, frames.len());
-        assert_eq!(report.delivered, frames.len());
+        let coord = Arc::new(Coordinator::new(family()));
+        let metrics = Arc::new(TransportMetrics::new());
+        let mut pipe = MemoryPipe::new(
+            Arc::clone(&coord),
+            FaultSpec::reliable(),
+            1,
+            opts(3),
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut site = busy_site(1);
+        let cut = site.cut_epoch().unwrap();
+        let frames = cut.frames.len() as u64;
+        pipe.ship(cut.epoch, cut.frames).unwrap();
+        pipe.flush().unwrap();
+        assert_eq!(pipe.in_flight(), 0);
+        assert_eq!(pipe.link().faults().sent, frames);
+        assert_eq!(metrics.frames_out.get(), frames);
+        assert_eq!(metrics.retransmits.get(), 0);
+        assert_eq!(metrics.acks_sent.get(), 1);
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
     fn nasty_link_converges_to_exact_state() {
-        let frames = site_frames();
-        // Reference: same frames over a perfect link.
-        let clean = Coordinator::new(family());
-        for f in &frames {
-            clean.ingest_frame(f).unwrap();
-        }
-
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(FaultSpec::nasty(), 99).unwrap();
-        let report = deliver_reliably(&frames, &mut link, &coord, 100).unwrap();
-        assert!(report.rounds > 1, "faults should force retransmission");
-        assert!(link.dropped > 0 || link.corrupted > 0);
-
+        let coord = Arc::new(Coordinator::new(family()));
+        let mut pipe = pipe(&coord, FaultSpec::nasty(), 99, 64);
+        let mut site = busy_site(1);
+        let report = pipe.collect(&mut site).unwrap();
+        assert!(report.attempts > 1, "faults should force retransmission");
+        let faults = pipe.link().faults();
+        assert!(faults.dropped > 0 || faults.corrupted > 0);
         // The merged synopsis must be identical despite duplicates,
         // corruption and reordering.
-        for stream in clean.streams() {
-            let expr = SetExpr::stream(stream.0);
-            let a = clean.query(&expr).unwrap().estimate.value;
-            let b = coord.query(&expr).unwrap().estimate.value;
-            assert_eq!(a, b, "stream {stream}");
-        }
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
     fn total_blackout_reports_incomplete() {
-        let frames = site_frames();
-        let mut link = LossyLink::new(
-            FaultSpec {
-                drop: 1.0,
-                ..FaultSpec::reliable()
-            },
-            3,
-        )
-        .unwrap();
-        let coord = Coordinator::new(family());
-        match deliver_reliably(&frames, &mut link, &coord, 5) {
-            Err(DeliveryError::Incomplete { missing, rounds }) => {
-                assert_eq!(missing, frames.len());
-                assert_eq!(rounds, 5);
+        let coord = Arc::new(Coordinator::new(family()));
+        let drop_all = FaultSpec {
+            drop: 1.0,
+            ..FaultSpec::reliable()
+        };
+        let mut pipe = pipe(&coord, drop_all, 3, 5);
+        let mut site = busy_site(1);
+        let cut = site.cut_epoch().unwrap();
+        let frames = cut.frames.len();
+        pipe.ship(cut.epoch, cut.frames).unwrap();
+        match pipe.flush() {
+            Err(TransportError::Undelivered { missing, attempts }) => {
+                assert_eq!(missing, frames);
+                assert_eq!(attempts, 5);
             }
-            other => panic!("expected Incomplete, got {other:?}"),
+            other => panic!("expected Undelivered, got {other:?}"),
         }
+        assert_eq!(pipe.link().faults().sent, 5 * frames as u64);
     }
 
     #[test]
     fn coin_mismatch_is_fatal_not_retried() {
-        let other = SketchFamily::builder().copies(32).second_level(8).seed(6).build();
+        let other = SketchFamily::builder()
+            .copies(32)
+            .second_level(8)
+            .seed(6)
+            .build();
         let mut site = Site::new(2, other);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(FaultSpec::reliable(), 4).unwrap();
-        match deliver_reliably(&frames, &mut link, &coord, 10) {
-            Err(DeliveryError::Rejected(_)) => {}
-            other => panic!("expected Rejected, got {other:?}"),
+        let coord = Arc::new(Coordinator::new(family()));
+        let mut pipe = pipe(&coord, FaultSpec::reliable(), 4, 10);
+        match pipe.collect(&mut site) {
+            Err(TransportError::Refused { site: 2, epoch: 1 }) => {}
+            other => panic!("expected Refused, got {other:?}"),
         }
+        assert_eq!(
+            pipe.link().faults().sent,
+            3,
+            "one attempt: hello, delta, commit"
+        );
     }
 
     #[test]
@@ -875,28 +616,16 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_double_merge() {
-        let frames = site_frames();
-        let clean = Coordinator::new(family());
-        for f in &frames {
-            clean.ingest_frame(f).unwrap();
-        }
-        let coord = Coordinator::new(family());
-        let mut link = LossyLink::new(
-            FaultSpec {
-                duplicate: 1.0,
-                ..FaultSpec::reliable()
-            },
-            11,
-        )
-        .unwrap();
-        deliver_reliably(&frames, &mut link, &coord, 3).unwrap();
-        for stream in clean.streams() {
-            let expr = SetExpr::stream(stream.0);
-            assert_eq!(
-                clean.query(&expr).unwrap().estimate.value,
-                coord.query(&expr).unwrap().estimate.value
-            );
-        }
+        let coord = Arc::new(Coordinator::new(family()));
+        let dup_all = FaultSpec {
+            duplicate: 1.0,
+            ..FaultSpec::reliable()
+        };
+        let mut pipe = pipe(&coord, dup_all, 11, 3);
+        let mut site = busy_site(1);
+        let report = pipe.collect(&mut site).unwrap();
+        assert_eq!(report.attempts, 1);
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
@@ -916,27 +645,35 @@ mod tests {
         // First 4 of every 10 frames vanish: 3 windows × 4 frames.
         assert_eq!(link.dropped, 12);
         assert_eq!(link.drain().len(), 18);
+        // The phase belongs to the path: a reconnect does not reset it.
+        link.reconnect(1);
+        for _ in 0..10 {
+            link.send(Bytes::from_static(b"frame"));
+        }
+        assert_eq!(link.dropped, 16);
     }
 
     #[test]
     fn permanent_partition_recovers_after_spec_swap() {
-        // partition_for >= partition_every is a total blackout; the soak
-        // harness lifts a partition by rebuilding the link, which the
-        // collection protocol must survive via retransmission.
-        let frames = site_frames();
-        let coord = Coordinator::new(family());
-        let mut dark = LossyLink::new(
-            FaultSpec {
-                partition_every: 1,
-                partition_for: 1,
-                ..FaultSpec::reliable()
-            },
-            0,
-        )
-        .unwrap();
-        assert!(deliver_reliably(&frames, &mut dark, &coord, 3).is_err());
-        let mut healed = LossyLink::new(FaultSpec::reliable(), 0).unwrap();
-        deliver_reliably(&frames, &mut healed, &coord, 3).unwrap();
+        // partition_for >= partition_every is a total blackout; a healed
+        // path is a new pipe to the same coordinator, and the epoch the
+        // blackout swallowed heals by resync.
+        let coord = Arc::new(Coordinator::new(family()));
+        let dark = FaultSpec {
+            partition_every: 1,
+            partition_for: 1,
+            ..FaultSpec::reliable()
+        };
+        let mut site = busy_site(1);
+        assert!(pipe(&coord, dark, 0, 3).collect(&mut site).is_err());
+        for e in 2000..2100u64 {
+            site.observe(&Update::insert(StreamId(0), e, 1));
+        }
+        let report = pipe(&coord, FaultSpec::reliable(), 0, 3)
+            .collect(&mut site)
+            .unwrap();
+        assert_eq!(report.resyncs, 1, "the swallowed epoch leaves a gap");
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
@@ -956,30 +693,44 @@ mod tests {
 
     #[test]
     fn truncation_is_survivable_loss() {
-        let frames = site_frames();
-        let clean = Coordinator::new(family());
-        for f in &frames {
-            clean.ingest_frame(f).unwrap();
-        }
-        let coord = Coordinator::new(family());
+        let coord = Arc::new(Coordinator::new(family()));
+        let truncating = FaultSpec {
+            truncate: 0.5,
+            ..FaultSpec::reliable()
+        };
+        let mut pipe = pipe(&coord, truncating, 13, 64);
+        let mut site = busy_site(1);
+        let report = pipe.collect(&mut site).unwrap();
+        assert!(
+            pipe.link().faults().truncated > 0,
+            "seed must exercise truncation"
+        );
+        assert!(report.attempts > 1, "a cut connection is a failed attempt");
+        assert_eq!(
+            coord.metrics().rejections_for("wire"),
+            0,
+            "cut frames never arrive"
+        );
+        assert_matches_site(&coord, &site);
+    }
+
+    #[test]
+    fn truncation_kills_the_connection_at_the_cut_frame() {
         let mut link = LossyLink::new(
             FaultSpec {
-                truncate: 0.5,
+                truncate: 1.0,
+                delay: 1.0,
                 ..FaultSpec::reliable()
             },
-            13,
+            0,
         )
         .unwrap();
-        let report = deliver_reliably(&frames, &mut link, &coord, 100).unwrap();
-        assert!(link.truncated > 0, "seed must exercise truncation");
-        assert_eq!(report.delivered, frames.len());
-        for stream in clean.streams() {
-            let expr = SetExpr::stream(stream.0);
-            assert_eq!(
-                clean.query(&expr).unwrap().estimate.value,
-                coord.query(&expr).unwrap().estimate.value
-            );
-        }
+        link.send(Bytes::from_static(b"cut"));
+        link.send(Bytes::from_static(b"after"));
+        assert!(link.is_cut());
+        assert!(link.is_idle(), "nothing survives the cut");
+        link.reconnect(1);
+        assert!(!link.is_cut(), "a fresh connection is whole");
     }
 
     #[test]
@@ -1029,6 +780,12 @@ mod tests {
         assert_eq!(err.field, "drop");
         assert_eq!(err.value, 1.5);
         assert!(LossyLink::new(bad, 0).is_err());
+        let coord = Arc::new(Coordinator::new(family()));
+        let metrics = Arc::new(TransportMetrics::new());
+        assert!(matches!(
+            MemoryPipe::new(coord, bad, 0, opts(1), metrics),
+            Err(TransportError::Faults(_))
+        ));
         let nan = FaultSpec {
             corrupt: f64::NAN,
             ..FaultSpec::reliable()
@@ -1037,83 +794,75 @@ mod tests {
     }
 
     #[test]
-    fn collect_epoch_over_nasty_link_matches_ground_truth() {
+    fn collection_over_nasty_link_matches_ground_truth() {
         let fam = family();
         let mut site = Site::new(1, fam);
-        let coord = Coordinator::new(fam);
-        let mut link = LossyLink::new(FaultSpec::nasty(), 17).unwrap();
-        let opts = CollectionOptions::default();
+        let coord = Arc::new(Coordinator::new(fam));
+        let mut pipe = pipe(&coord, FaultSpec::nasty(), 17, 64);
         for epoch in 0..3 {
             for e in 0..400u64 {
                 site.observe(&Update::insert(StreamId(0), epoch * 1000 + e, 1));
             }
-            let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+            let report = pipe.collect(&mut site).unwrap();
             assert_eq!(report.epoch, epoch + 1);
             assert!(!report.checkpoint.is_empty());
         }
-        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
-        for (m, s) in merged
-            .sketches()
-            .iter()
-            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
-        {
-            assert_eq!(m.counters(), s.counters());
-        }
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
-    fn collect_epoch_survives_quarantine_with_backoff() {
+    fn collection_survives_quarantine_with_backoff() {
         let fam = family();
         let mut site = Site::new(3, fam);
-        // Quarantine trips on the very first corrupt frame.
-        let coord = Coordinator::new(fam).with_quarantine_after(1);
-        let mut link = LossyLink::new(
-            FaultSpec {
-                corrupt: 0.4,
-                ..FaultSpec::reliable()
-            },
+        // Quarantine trips on the very first corrupt frame, and only the
+        // retried Hello of a backed-off attempt lifts it.
+        let coord = Arc::new(Coordinator::new(fam).with_quarantine_after(1));
+        let corrupting = FaultSpec {
+            corrupt: 0.4,
+            ..FaultSpec::reliable()
+        };
+        let metrics = Arc::new(TransportMetrics::new());
+        let mut pipe = MemoryPipe::new(
+            Arc::clone(&coord),
+            corrupting,
             23,
+            opts(256),
+            Arc::clone(&metrics),
         )
         .unwrap();
         for e in 0..300u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        let opts = CollectionOptions::builder().max_attempts(16).build().unwrap();
-        let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
-        assert!(report.attempts > 1, "corruption should have tripped quarantine");
+        let report = pipe.collect(&mut site).unwrap();
+        assert!(
+            report.attempts > 1,
+            "corruption should have tripped quarantine"
+        );
+        assert!(coord.metrics().quarantines.get() >= 1);
+        assert_eq!(
+            coord.metrics().quarantines.get(),
+            coord.metrics().quarantine_releases.get()
+        );
+        assert!(metrics.backoff_sleeps.get() >= 1, "quarantine backs off");
         assert!(!coord.site_status(3).unwrap().quarantined);
-        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
-        for (m, s) in merged
-            .sketches()
-            .iter()
-            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
-        {
-            assert_eq!(m.counters(), s.counters());
-        }
+        assert_matches_site(&coord, &site);
     }
 
     #[test]
-    fn collect_epoch_blackout_is_undelivered() {
+    fn collection_blackout_is_undelivered() {
         let fam = family();
         let mut site = Site::new(1, fam);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let coord = Coordinator::new(fam);
-        let mut link = LossyLink::new(
-            FaultSpec {
-                drop: 1.0,
-                ..FaultSpec::reliable()
-            },
-            0,
-        )
-        .unwrap();
-        let opts = CollectionOptions::builder()
-            .max_rounds(4)
-            .max_attempts(2)
-            .backoff_rounds(1)
-            .build()
-            .unwrap();
-        match collect_epoch(&mut site, &mut link, &coord, &opts) {
-            Err(CollectionError::Undelivered { missing, attempts: 2 }) => {
+        let coord = Arc::new(Coordinator::new(fam));
+        let drop_all = FaultSpec {
+            drop: 1.0,
+            ..FaultSpec::reliable()
+        };
+        match pipe(&coord, drop_all, 0, 2).collect(&mut site) {
+            Err(TransportError::Undelivered {
+                missing,
+                attempts: 2,
+            }) => {
                 assert!(missing > 0);
             }
             other => panic!("expected Undelivered, got {other:?}"),
@@ -1123,15 +872,14 @@ mod tests {
     #[test]
     fn crash_restart_resyncs_and_converges() {
         let fam = family();
-        let coord = Coordinator::new(fam);
-        let mut link = LossyLink::new(FaultSpec::nasty(), 31).unwrap();
-        let opts = CollectionOptions::default();
+        let coord = Arc::new(Coordinator::new(fam));
+        let mut pipe = pipe(&coord, FaultSpec::nasty(), 31, 64);
 
         let mut site = Site::new(9, fam);
         for e in 0..500u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        let r1 = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+        pipe.collect(&mut site).unwrap();
 
         // Epoch 2 is cut and WAL'd but never shipped — then the site dies.
         for e in 500..700u64 {
@@ -1139,7 +887,6 @@ mod tests {
         }
         let lost_cut = site.cut_epoch().unwrap();
         drop(site);
-        let _ = r1;
 
         // Restart from the epoch-2 WAL: the first delta after restart
         // chains from epoch 2, the coordinator is at 1 → gap → resync.
@@ -1147,16 +894,8 @@ mod tests {
         for e in 700..900u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        let report = collect_epoch(&mut site, &mut link, &coord, &opts).unwrap();
+        let report = pipe.collect(&mut site).unwrap();
         assert!(report.resyncs >= 1, "gap must force a resync");
-
-        let merged = coord.merged_synopsis(StreamId(0)).unwrap();
-        for (m, s) in merged
-            .sketches()
-            .iter()
-            .zip(site.synopsis(StreamId(0)).unwrap().sketches())
-        {
-            assert_eq!(m.counters(), s.counters());
-        }
+        assert_matches_site(&coord, &site);
     }
 }

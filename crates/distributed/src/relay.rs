@@ -211,7 +211,6 @@ pub struct RelayNode {
     relay: Relay,
     server: ServerHandle,
     upstream: TcpCollector,
-    opts: TransportOptions,
 }
 
 impl RelayNode {
@@ -249,7 +248,6 @@ impl RelayNode {
             relay,
             server,
             upstream: collector,
-            opts,
         })
     }
 
@@ -274,29 +272,13 @@ impl RelayNode {
     }
 
     /// Cut an upstream epoch from the current merged child state and
-    /// ship it, honouring upstream resync demands (bounded by the
-    /// attempt budget).
+    /// ship it through the epoch loop ([`crate::session::Collector::deliver`]),
+    /// honouring upstream resync demands.
     pub fn flush_upstream(&mut self) -> Result<(), TransportError> {
-        let frames = self.relay.cut_upstream().map_err(TransportError::Wire)?;
-        self.upstream.ship(self.relay.epoch(), frames)?;
-        let mut resyncs = 0u32;
-        loop {
-            match self.upstream.flush() {
-                Ok(()) => return Ok(()),
-                Err(TransportError::ResyncRequired) => {
-                    resyncs += 1;
-                    if resyncs > self.opts.max_attempts() {
-                        return Err(TransportError::Undelivered {
-                            missing: 0,
-                            attempts: resyncs,
-                        });
-                    }
-                    let frames = self.relay.resync_upstream().map_err(TransportError::Wire)?;
-                    self.upstream.ship(self.relay.epoch(), frames)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let frames = self.relay.cut_upstream()?;
+        self.upstream
+            .deliver(self.relay.epoch(), frames, &mut self.relay)?;
+        Ok(())
     }
 
     /// Stop the child-facing server and drop the upstream connection.

@@ -20,7 +20,7 @@
 //!    checkpoint *before* shipping the frames: the invariant the
 //!    recovery protocol relies on is `durable epoch ≥ coordinator
 //!    watermark`.
-//! 2. The frames ship (see [`crate::network::collect_epoch`]); the
+//! 2. The frames ship (see [`crate::session::Collector::collect`]); the
 //!    coordinator applies each delta only if its `(epoch, prev_epoch)`
 //!    stamps chain onto the per-`(site, stream)` watermark, so drops,
 //!    duplicates and reordering can never corrupt the merged synopsis.
@@ -295,7 +295,7 @@ impl Site {
     /// [`Self::resync_frames`]: the site cannot know whether its last
     /// pre-crash cut was delivered, so its state must be re-announced
     /// cumulatively before delta collection is trustworthy again.
-    /// [`crate::network::collect_epoch`] honours this automatically.
+    /// [`crate::session::Collector::collect`] honours this automatically.
     pub fn recovering(&self) -> bool {
         self.recovering
     }

@@ -1,9 +1,12 @@
 //! Real networked collection: a dependency-light nonblocking TCP layer
 //! speaking the SSWL frame container.
 //!
-//! The in-memory [`crate::network::LossyLink`] proved the *protocol*
-//! (watermarks, resync, quarantine); this module carries the same frames
-//! over real sockets. Design points, in paper terms:
+//! The client half of the protocol is the I/O-free
+//! [`crate::session::CollectionSession`]; this module is its socket
+//! driver ([`TcpLink`], [`TcpCollector`]) plus the serving half
+//! ([`FrameServer`], [`CoordinatorHandler`]). The in-memory
+//! [`crate::network::MemoryPipe`] drives the same session into the same
+//! handler. Design points, in paper terms:
 //!
 //! * **Framing.** SSWL frames are self-delimiting
 //!   (`magic | kind | len | payload | crc`), so the byte stream needs no
@@ -25,27 +28,26 @@
 //!   disconnected + quarantined — siblings never stall and the
 //!   coordinator never grows memory.
 //! * **Failure taxonomy.** Connect failures retry with bounded
-//!   exponential backoff (mirroring
-//!   [`CollectionOptions`](crate::network::CollectionOptions) semantics);
-//!   read/write timeouts reconnect and retransmit pending epochs; stream
-//!   desync (bad magic mid-stream) kills the connection; CRC-corrupt
-//!   frames are attributed to the site and feed the coordinator's
-//!   quarantine machinery; epoch gaps surface as `needs_resync` acks and
-//!   heal with a cumulative resync.
+//!   exponential backoff; read timeouts and lost connections reconnect
+//!   and retransmit pending epochs; stream desync (bad magic mid-stream)
+//!   kills the connection; CRC-corrupt frames are attributed to the site
+//!   and feed the coordinator's quarantine machinery, which the site's
+//!   retried `Hello` lifts; epoch gaps surface as `needs_resync` acks and
+//!   heal with a cumulative resync; a coin mismatch is a `refused` ack
+//!   and a final [`TransportError::Refused`].
 //!
-//! [`FaultyListener`] is the adversary: a TCP proxy that drops, delays,
-//! duplicates, truncates, corrupts, reorders, and partitions frames
-//! using the same seeded [`FaultSpec`] the in-memory link uses, so soak
-//! tests exercise the whole recovery ladder over real sockets.
+//! [`FaultyListener`] is the adversary: a TCP proxy that runs every
+//! connection's frames through the same seeded [`LossyLink`] the
+//! in-memory pipe uses, so soak tests exercise the whole recovery ladder
+//! over real sockets.
 
 use crate::coordinator::{Coordinator, CoordinatorError};
 use crate::metrics::TransportMetrics;
 use crate::network::{FaultSpec, FaultSpecError, LossyLink};
-use crate::codec;
-use crate::site::{Epoch, Site, SiteId};
+use crate::session::{Collector, Event, Link};
+use crate::site::{Epoch, SiteId};
 use crate::wire::{
-    self, decode_frame, decode_message, encode_frame, FrameKind, Message, WireError,
-    FRAME_OVERHEAD,
+    self, decode_message, encode_frame, DecodedFrame, FrameKind, Message, WireError, FRAME_OVERHEAD,
 };
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -75,6 +77,9 @@ pub struct AckMessage {
     pub needs_resync: bool,
     /// The site is quarantined; back off before retrying.
     pub quarantined: bool,
+    /// The coordinator refused the site's stored coins (a coin
+    /// mismatch). Retrying cannot help.
+    pub refused: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -295,8 +300,16 @@ pub enum TransportError {
     /// Invalid [`TransportOptions`].
     Options(TransportOptionsError),
     /// The peer demands a cumulative resync; pending epochs were
-    /// discarded. Ship [`Site::resync_frames`] and flush again.
+    /// discarded. Ship [`crate::Site::resync_frames`] and flush again.
     ResyncRequired,
+    /// The coordinator refused the sender's stored coins. Final: it is
+    /// never retried.
+    Refused {
+        /// The refused site.
+        site: SiteId,
+        /// The epoch whose ack carried the refusal.
+        epoch: Epoch,
+    },
     /// Attempt budget exhausted with epochs still unacknowledged.
     Undelivered {
         /// Frames of the failing epoch that never made it.
@@ -304,8 +317,6 @@ pub enum TransportError {
         /// Attempts used.
         attempts: u32,
     },
-    /// The connection is gone and cannot be re-established.
-    Closed,
 }
 
 impl fmt::Display for TransportError {
@@ -318,10 +329,15 @@ impl fmt::Display for TransportError {
             TransportError::ResyncRequired => {
                 write!(f, "peer demands a cumulative resync")
             }
+            TransportError::Refused { site, epoch } => {
+                write!(
+                    f,
+                    "coordinator refused site {site}'s stored coins (epoch {epoch})"
+                )
+            }
             TransportError::Undelivered { missing, attempts } => {
                 write!(f, "{missing} frames undelivered after {attempts} attempts")
             }
-            TransportError::Closed => write!(f, "connection closed"),
         }
     }
 }
@@ -410,10 +426,9 @@ impl FrameReader {
 // ---------------------------------------------------------------------
 // Client
 
-/// Connect to `addr` with bounded exponential backoff, reusing the
-/// `max_attempts`/`backoff` semantics of
-/// [`CollectionOptions`](crate::network::CollectionOptions). The
-/// returned stream is blocking with read/write timeouts set.
+/// Connect to `addr` with bounded exponential backoff (`max_attempts`
+/// tries, `backoff` doubling). The returned stream is blocking with
+/// read/write timeouts set.
 pub fn connect_with_backoff(
     addr: SocketAddr,
     opts: &TransportOptions,
@@ -442,157 +457,90 @@ pub fn connect_with_backoff(
     })))
 }
 
-/// One unacknowledged epoch batch.
+/// The socket driver of a [`crate::session::CollectionSession`]: one
+/// lazily opened TCP connection with read/write timeouts. A read timeout
+/// is [`Event::Timeout`]; end of stream, a desync or a failed write is
+/// [`Event::Lost`].
 #[derive(Debug)]
-struct PendingEpoch {
-    epoch: Epoch,
-    frames: Vec<Bytes>,
-    attempts: u32,
-}
-
-/// Site-side TCP collection client with a credit-based pipeline.
-///
-/// [`TcpCollector::ship`] enqueues one epoch's frames, blocking only
-/// when the credit window is full; [`TcpCollector::flush`] drains all
-/// pending acks. [`TcpCollector::collect`] is the one-call driver
-/// mirroring [`crate::network::collect_epoch`]: cut, ship, honour
-/// resync demands, return the sealed checkpoint.
-#[derive(Debug)]
-pub struct TcpCollector {
+pub struct TcpLink {
     addr: SocketAddr,
     opts: TransportOptions,
     metrics: Arc<TransportMetrics>,
     stream: Option<TcpStream>,
     reader: FrameReader,
-    pending: VecDeque<PendingEpoch>,
-    needs_resync: bool,
 }
 
-/// Outcome of one ack-read attempt, internal to the retry loop.
-enum AckRead {
-    Ack(AckMessage),
-    /// Read timeout — the peer is slow or a partition is in effect.
-    TimedOut,
-    /// The connection is unusable (EOF, desync, i/o error).
-    Broken,
-}
+/// Site-side TCP collection client: a
+/// [`crate::session::CollectionSession`] driven over a [`TcpLink`].
+pub type TcpCollector = Collector<TcpLink>;
 
 impl TcpCollector {
-    /// A collector shipping to `addr`.
+    /// A collector shipping to `addr`. It connects on the first send.
     pub fn new(addr: SocketAddr, opts: TransportOptions, metrics: Arc<TransportMetrics>) -> Self {
-        let max_frame = opts.max_frame();
-        TcpCollector {
+        let link = TcpLink {
             addr,
             opts,
-            metrics,
+            metrics: Arc::clone(&metrics),
             stream: None,
-            reader: FrameReader::new(max_frame),
-            pending: VecDeque::new(),
-            needs_resync: false,
-        }
+            reader: FrameReader::new(opts.max_frame()),
+        };
+        Collector::with_link(link, &opts, metrics)
     }
+}
 
-    /// Epochs currently in flight (unacknowledged).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether the peer has demanded a resync that was not yet shipped.
-    pub fn resync_pending(&self) -> bool {
-        self.needs_resync
-    }
-
-    fn ensure_connected(&mut self) -> Result<(), TransportError> {
+impl Link for TcpLink {
+    fn send(&mut self, frames: &[Bytes]) -> Result<bool, TransportError> {
         if self.stream.is_none() {
-            let stream = connect_with_backoff(self.addr, &self.opts, &self.metrics)?;
+            self.stream = Some(connect_with_backoff(self.addr, &self.opts, &self.metrics)?);
             self.reader = FrameReader::new(self.opts.max_frame());
-            self.stream = Some(stream);
         }
-        Ok(())
-    }
-
-    /// Write one batch of frames; `Err` means the connection died
-    /// mid-write (the caller reconnects and retransmits).
-    fn write_batch(&mut self, frames: &[Bytes]) -> Result<(), TransportError> {
-        self.ensure_connected()?;
         let Some(stream) = self.stream.as_mut() else {
-            return Err(TransportError::Closed);
+            return Ok(false);
         };
         for frame in frames {
-            if let Err(e) = stream.write_all(frame) {
+            if stream.write_all(frame).is_err() {
                 self.stream = None;
-                return Err(TransportError::Io(e));
+                return Ok(false);
             }
             self.metrics.frames_out.inc();
             self.metrics.bytes_out.add(frame.len() as u64);
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// Reconnect and retransmit every pending batch in epoch order,
-    /// retrying reconnects within the attempt budget (a connection that
-    /// dies mid-retransmit is the common case under fault injection).
-    fn resend_all(&mut self) -> Result<(), TransportError> {
-        let batches: Vec<Vec<Bytes>> = self.pending.iter().map(|p| p.frames.clone()).collect();
-        let mut last = TransportError::Closed;
-        for _ in 0..self.opts.max_attempts() {
-            self.stream = None;
-            // Propagate connect failures: connect_with_backoff already
-            // retried within the attempt budget.
-            self.ensure_connected()?;
-            let mut ok = true;
-            for frames in &batches {
-                self.metrics.retransmits.add(frames.len() as u64);
-                if let Err(e) = self.write_batch(frames) {
-                    last = e;
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                return Ok(());
-            }
-        }
-        Err(last)
-    }
-
-    /// Read one ack frame, classifying failures for the retry loop.
-    fn read_ack(&mut self) -> AckRead {
+    fn recv(&mut self) -> Event {
         loop {
             match self.reader.next_frame() {
                 Ok(Some(frame)) => {
                     self.metrics.frames_in.inc();
-                    let Ok((kind, payload)) = decode_frame(frame) else {
-                        self.metrics.desyncs.inc();
-                        return AckRead::Broken;
-                    };
-                    if kind != FrameKind::Ack {
-                        continue; // stray frame kinds are ignored
-                    }
-                    match codec::from_bytes::<AckMessage>(&payload) {
-                        Ok(ack) => return AckRead::Ack(ack),
+                    match decode_message(frame) {
+                        Ok(DecodedFrame {
+                            message: Message::Ack(ack),
+                            ..
+                        }) => return Event::Ack(ack),
+                        Ok(_) => continue, // stray frame kinds are ignored
                         Err(_) => {
                             self.metrics.desyncs.inc();
-                            return AckRead::Broken;
+                            return Event::Lost;
                         }
                     }
                 }
                 Ok(None) => {}
                 Err(_) => {
                     self.metrics.desyncs.inc();
-                    return AckRead::Broken;
+                    return Event::Lost;
                 }
             }
             let Some(stream) = self.stream.as_mut() else {
-                return AckRead::Broken;
+                return Event::Lost;
             };
             let mut buf = [0u8; 4096];
             match stream.read(&mut buf) {
-                Ok(0) => return AckRead::Broken,
+                Ok(0) => return Event::Lost,
                 Ok(n) => {
                     self.metrics.bytes_in.add(n as u64);
                     let Some(chunk) = buf.get(..n) else {
-                        return AckRead::Broken;
+                        return Event::Lost;
                     };
                     self.reader.extend(chunk);
                 }
@@ -600,177 +548,19 @@ impl TcpCollector {
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                 {
-                    return AckRead::TimedOut;
+                    return Event::Timeout;
                 }
-                Err(_) => return AckRead::Broken,
+                Err(_) => return Event::Lost,
             }
         }
     }
 
-    /// Charge a failed delivery round to the oldest pending epoch and
-    /// fail once its budget is gone.
-    fn charge_oldest(&mut self) -> Result<u32, TransportError> {
-        let max = self.opts.max_attempts();
-        let Some(oldest) = self.pending.front_mut() else {
-            return Ok(0);
-        };
-        oldest.attempts += 1;
-        if oldest.attempts > max {
-            return Err(TransportError::Undelivered {
-                missing: oldest.frames.len(),
-                attempts: oldest.attempts,
-            });
-        }
-        Ok(oldest.attempts)
+    fn reconnect(&mut self) {
+        self.stream = None;
     }
 
-    /// Block until at least one pending epoch resolves (acked, discarded
-    /// by a resync demand, or failed for good).
-    fn await_progress(&mut self) -> Result<(), TransportError> {
-        while !self.pending.is_empty() {
-            match self.read_ack() {
-                AckRead::Ack(ack) => {
-                    let Some(pos) = self.pending.iter().position(|p| p.epoch == ack.epoch)
-                    else {
-                        continue; // ack for an epoch we no longer track
-                    };
-                    if ack.needs_resync {
-                        // Everything in flight is superseded by the
-                        // cumulative resync the caller must now ship.
-                        self.pending.clear();
-                        self.needs_resync = true;
-                        return Ok(());
-                    }
-                    if ack.complete && !ack.quarantined {
-                        self.pending.remove(pos);
-                        return Ok(());
-                    }
-                    // Incomplete (frames lost in flight) or quarantined:
-                    // back off if told to, then retransmit that batch.
-                    let attempts = {
-                        let Some(entry) = self.pending.get_mut(pos) else {
-                            continue;
-                        };
-                        entry.attempts += 1;
-                        if entry.attempts > self.opts.max_attempts() {
-                            return Err(TransportError::Undelivered {
-                                missing: entry.frames.len(),
-                                attempts: entry.attempts,
-                            });
-                        }
-                        entry.attempts
-                    };
-                    if ack.quarantined {
-                        self.metrics.backoff_sleeps.inc();
-                        thread::sleep(self.opts.backoff_for(attempts));
-                    }
-                    let frames = self
-                        .pending
-                        .get(pos)
-                        .map(|p| p.frames.clone())
-                        .unwrap_or_default();
-                    self.metrics.retransmits.add(frames.len() as u64);
-                    if self.write_batch(&frames).is_err() {
-                        self.charge_oldest()?;
-                        self.resend_all()?;
-                    }
-                }
-                AckRead::TimedOut => {
-                    self.metrics.timeouts.inc();
-                    self.charge_oldest()?;
-                    self.metrics.backoff_sleeps.inc();
-                    thread::sleep(self.opts.backoff());
-                    self.resend_all()?;
-                }
-                AckRead::Broken => {
-                    self.charge_oldest()?;
-                    self.resend_all()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Enqueue one epoch's frames, waiting for credit if the window is
-    /// full, then transmit them.
-    pub fn ship(&mut self, epoch: Epoch, frames: Vec<Bytes>) -> Result<(), TransportError> {
-        while self.pending.len() >= self.opts.credit_window() {
-            self.metrics.backpressure_stalls.inc();
-            self.await_progress()?;
-            if self.needs_resync {
-                // The window drained by discard; the caller must resync
-                // before this epoch can meaningfully ship — but the
-                // frames are not lost: they stay pending and ride behind
-                // the resync.
-                break;
-            }
-        }
-        self.pending.push_back(PendingEpoch {
-            epoch,
-            frames: frames.clone(),
-            attempts: 1,
-        });
-        if self.write_batch(&frames).is_err() {
-            self.charge_oldest()?;
-            self.resend_all()?;
-        }
-        Ok(())
-    }
-
-    /// Drain every pending ack. Returns [`TransportError::ResyncRequired`]
-    /// (once, clearing the flag) if the peer demanded a cumulative
-    /// resync; ship [`Site::resync_frames`] and flush again.
-    pub fn flush(&mut self) -> Result<(), TransportError> {
-        while !self.pending.is_empty() && !self.needs_resync {
-            self.await_progress()?;
-        }
-        if self.needs_resync {
-            self.needs_resync = false;
-            return Err(TransportError::ResyncRequired);
-        }
-        Ok(())
-    }
-
-    /// Run one full collection cycle for `site` over the wire: cut the
-    /// next epoch, ship it, drain acks, honour resync demands (bounded
-    /// by the attempt budget), and hand back the site's sealed
-    /// checkpoint. The TCP twin of [`crate::network::collect_epoch`].
-    pub fn collect(
-        &mut self,
-        site: &mut Site,
-    ) -> Result<crate::network::CollectionReport, TransportError> {
-        let cut = site.cut_epoch().map_err(TransportError::Wire)?;
-        let epoch = cut.epoch;
-        self.ship(epoch, cut.frames)?;
-        let mut resyncs = 0u32;
-        loop {
-            let demand = match self.flush() {
-                Ok(()) => site.recovering(),
-                Err(TransportError::ResyncRequired) => true,
-                Err(e) => return Err(e),
-            };
-            if !demand {
-                break;
-            }
-            resyncs += 1;
-            if resyncs > self.opts.max_attempts() {
-                return Err(TransportError::Undelivered {
-                    missing: 0,
-                    attempts: resyncs,
-                });
-            }
-            let frames = site.resync_frames().map_err(TransportError::Wire)?;
-            self.ship(site.epoch(), frames)?;
-        }
-        let attempts = 1 + resyncs;
-        Ok(crate::network::CollectionReport {
-            epoch,
-            attempts,
-            rounds: attempts,
-            transmissions: 0,
-            resyncs,
-            checkpoint: cut.checkpoint,
-        })
+    fn backoff(&mut self, attempt: u32) {
+        thread::sleep(self.opts.backoff_for(attempt));
     }
 }
 
@@ -913,6 +703,9 @@ fn serve_loop<H: FrameHandler>(
             // Read phase: bounded rounds per tick so one firehose
             // connection cannot starve its siblings.
             let mut broken = false;
+            // A desynced connection is dropped after this tick's write
+            // phase, so the replies to frames it did process still go out.
+            let mut desynced = false;
             'reads: for _ in 0..32 {
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
@@ -942,7 +735,7 @@ fn serve_loop<H: FrameHandler>(
                                 Err(e) => {
                                     metrics.desyncs.inc();
                                     handler.on_wire_error(*id, &e);
-                                    broken = true;
+                                    desynced = true;
                                     break 'reads;
                                 }
                             }
@@ -989,7 +782,7 @@ fn serve_loop<H: FrameHandler>(
                     }
                 }
             }
-            if broken {
+            if broken || desynced {
                 dead.push(*id);
                 continue;
             }
@@ -1031,7 +824,8 @@ pub enum ServerRole {
     Relay,
 }
 
-/// Per-(site, epoch) delivery bookkeeping backing honest acks.
+/// Per-(connection, site, epoch) delivery bookkeeping backing honest
+/// acks.
 #[derive(Debug, Default)]
 struct LedgerEntry {
     /// Distinct content frames applied (or refused as harmless
@@ -1054,12 +848,17 @@ pub struct CoordinatorHandler {
     credit_window: usize,
     /// conn → site binding, learned from Hello (or any attributed frame).
     sites: HashMap<u64, SiteId>,
-    /// Delivery ledger, pruned per site to a bounded epoch window.
-    ledger: HashMap<SiteId, HashMap<Epoch, LedgerEntry>>,
+    /// Delivery ledger per connection and site, pruned to a bounded epoch
+    /// window. Per connection because a resync reuses its cut's epoch
+    /// number on a fresh connection: frames of the superseded batch still
+    /// arriving on the old one must not count toward it.
+    ledger: HashMap<(u64, SiteId), HashMap<Epoch, LedgerEntry>>,
     /// Hellos seen per quarantined site; the second one (the peer backed
-    /// off and retried) lifts the quarantine — the TCP analogue of the
-    /// in-process backoff-and-release protocol.
+    /// off and retried) lifts the quarantine.
     quarantine_hellos: HashMap<SiteId, u32>,
+    /// Sites whose stored coins the coordinator refused, until a Hello
+    /// with the right coins applies. Their acks carry `refused`.
+    refused: HashSet<SiteId>,
 }
 
 impl CoordinatorHandler {
@@ -1078,19 +877,20 @@ impl CoordinatorHandler {
             sites: HashMap::new(),
             ledger: HashMap::new(),
             quarantine_hellos: HashMap::new(),
+            refused: HashSet::new(),
         }
     }
 
     /// Record an applied (or harmlessly stale) content frame.
-    fn ledger_apply(&mut self, site: SiteId, epoch: Epoch, key: (u32, u32)) {
-        let per_site = self.ledger.entry(site).or_default();
+    fn ledger_apply(&mut self, conn: u64, site: SiteId, epoch: Epoch, key: (u32, u32)) {
+        let per_site = self.ledger.entry((conn, site)).or_default();
         per_site.entry(epoch).or_default().applied.insert(key);
         Self::prune_ledger(per_site, epoch, self.credit_window);
     }
 
     /// Record a commit's announced frame count.
-    fn ledger_expect(&mut self, site: SiteId, epoch: Epoch, expected: u32) {
-        let per_site = self.ledger.entry(site).or_default();
+    fn ledger_expect(&mut self, conn: u64, site: SiteId, epoch: Epoch, expected: u32) {
+        let per_site = self.ledger.entry((conn, site)).or_default();
         per_site.entry(epoch).or_default().expected = Some(expected);
         Self::prune_ledger(per_site, epoch, self.credit_window);
     }
@@ -1106,11 +906,11 @@ impl CoordinatorHandler {
         }
     }
 
-    /// Is epoch `epoch` of `site` fully delivered according to the
-    /// ledger?
-    fn ledger_complete(&self, site: SiteId, epoch: Epoch) -> bool {
+    /// Is epoch `epoch` of `site` fully delivered on `conn` according to
+    /// the ledger?
+    fn ledger_complete(&self, conn: u64, site: SiteId, epoch: Epoch) -> bool {
         self.ledger
-            .get(&site)
+            .get(&(conn, site))
             .and_then(|m| m.get(&epoch))
             .and_then(|entry| entry.expected.map(|exp| entry.applied.len() as u32 >= exp))
             .unwrap_or(false)
@@ -1147,8 +947,7 @@ impl FrameHandler for CoordinatorHandler {
         self.sites.insert(conn, site);
 
         // A quarantined site's retried Hello is its backoff signal: the
-        // second one lifts the quarantine (bounded release, mirroring
-        // the in-process driver).
+        // second one lifts the quarantine.
         if kind == FrameKind::Hello {
             let quarantined = self
                 .coordinator
@@ -1168,6 +967,11 @@ impl FrameHandler for CoordinatorHandler {
         }
 
         let verdict = self.coordinator.ingest_from(site, Ok(decoded));
+        if matches!(verdict, Err(CoordinatorError::CoinMismatch { .. })) {
+            self.refused.insert(site);
+        } else if verdict.is_ok() && kind == FrameKind::Hello {
+            self.refused.remove(&site);
+        }
         let applied = match &verdict {
             Ok(()) => true,
             // A stale epoch is a retransmitted frame the coordinator
@@ -1180,7 +984,7 @@ impl FrameHandler for CoordinatorHandler {
             FrameKind::Delta | FrameKind::Synopsis => {
                 if applied {
                     if let Some((epoch, key, _)) = routing {
-                        self.ledger_apply(site, epoch, key);
+                        self.ledger_apply(conn, site, epoch, key);
                         if verdict.is_ok() && self.role == ServerRole::Relay {
                             self.metrics.relay_merges.inc();
                         }
@@ -1196,15 +1000,17 @@ impl FrameHandler for CoordinatorHandler {
                     return Vec::new();
                 };
                 if applied {
-                    self.ledger_expect(site, epoch, expected);
+                    self.ledger_expect(conn, site, epoch, expected);
                 }
                 let status = self.coordinator.site_status(site);
+                let refused = self.refused.contains(&site);
                 let ack = AckMessage {
                     site,
                     epoch,
-                    complete: self.ledger_complete(site, epoch),
+                    complete: !refused && self.ledger_complete(conn, site, epoch),
                     needs_resync: status.as_ref().map(|s| s.needs_resync).unwrap_or(false),
                     quarantined: status.as_ref().map(|s| s.quarantined).unwrap_or(false),
+                    refused,
                 };
                 match encode_frame(FrameKind::Ack, &ack) {
                     Ok(frame) => {
@@ -1233,6 +1039,7 @@ impl FrameHandler for CoordinatorHandler {
 
     fn on_disconnect(&mut self, conn: u64) {
         self.sites.remove(&conn);
+        self.ledger.retain(|&(c, _), _| c != conn);
     }
 }
 
@@ -1258,21 +1065,17 @@ impl CoordinatorServer {
 
 /// A fault-injecting TCP proxy: accepts connections, forwards
 /// client→backend traffic *frame by frame* through a seeded
-/// [`LossyLink`] (drops, corruption, duplication, delay, reordering,
-/// truncation, partition windows), and passes backend→client traffic
-/// (acks) through clean — the same "acks are reliable" assumption the
-/// in-memory protocol documents.
+/// [`LossyLink`] per connection (connection `i` uses `seed + i`), and
+/// passes backend→client traffic (acks) through clean — the same rule
+/// the in-memory pipe follows.
 ///
-/// Truncation writes the frame's prefix and then closes the connection:
-/// over a byte stream a cut frame poisons everything after it, so the
-/// honest model of truncation is a dying connection.
+/// A truncated frame kills the connection at the cut frame: the frames
+/// before it are written, the rest are lost.
 ///
-/// Partition windows are **proxy-global**: the frame counter driving
-/// [`FaultSpec::partition_every`] spans connections, because a partition
-/// belongs to the network path, not to one TCP connection — otherwise a
-/// client could "escape" a partition simply by reconnecting, and a
-/// window larger than one batch would blackhole every retransmission
-/// forever.
+/// Partition windows are **proxy-global**: every connection's link counts
+/// frames on one shared counter, because a partition belongs to the
+/// network path, not to one TCP connection — otherwise a client could
+/// "escape" a partition simply by reconnecting.
 #[derive(Debug)]
 pub struct FaultyListener {
     addr: SocketAddr,
@@ -1294,16 +1097,7 @@ impl FaultyListener {
         let addr = listener.local_addr()?;
         let stop = Arc::new(Gauge::new());
         let flag = Arc::clone(&stop);
-        // The partition phase lives at the proxy, shared by every
-        // connection; the per-connection links get a partition-free spec.
-        let partition = PartitionWindow {
-            every: spec.partition_every,
-            dur: spec.partition_for,
-            sent: Arc::new(Counter::new()),
-        };
-        let mut conn_spec = spec;
-        conn_spec.partition_every = 0;
-        conn_spec.partition_for = 0;
+        let path = Arc::new(Counter::new());
         let join = thread::Builder::new()
             .name(format!("sswl-faulty-{addr}"))
             .spawn(move || {
@@ -1311,22 +1105,15 @@ impl FaultyListener {
                 while flag.get() == 0 {
                     match listener.accept() {
                         Ok((client, _)) => {
-                            let link_seed = seed.wrapping_add(conn_idx);
+                            let Ok(link) = LossyLink::new(spec, seed.wrapping_add(conn_idx)) else {
+                                break;
+                            };
+                            let link = link.with_path(Arc::clone(&path));
                             conn_idx += 1;
                             let pump_stop = Arc::clone(&flag);
-                            let pump_partition = partition.clone();
                             let _ = thread::Builder::new()
                                 .name(format!("sswl-pump-{conn_idx}"))
-                                .spawn(move || {
-                                    pump_connection(
-                                        client,
-                                        backend,
-                                        conn_spec,
-                                        link_seed,
-                                        pump_partition,
-                                        pump_stop,
-                                    )
-                                });
+                                .spawn(move || pump_connection(client, backend, link, pump_stop));
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             thread::sleep(Duration::from_millis(1));
@@ -1362,38 +1149,9 @@ impl Drop for FaultyListener {
     }
 }
 
-/// The proxy-global partition phase: one frame counter shared by every
-/// connection through a [`FaultyListener`], so reconnecting never resets
-/// a partition window.
-#[derive(Debug, Clone)]
-struct PartitionWindow {
-    every: u64,
-    dur: u64,
-    sent: Arc<Counter>,
-}
-
-impl PartitionWindow {
-    /// Account one frame and say whether the partition eats it.
-    fn blackholes_next(&self) -> bool {
-        if self.every == 0 {
-            return false;
-        }
-        self.sent.inc();
-        let n = self.sent.get().saturating_sub(1);
-        n % self.every < self.dur
-    }
-}
-
 /// Proxy one client connection: faulted frames toward the backend, clean
 /// ack bytes back. Runs until either side dies or the listener stops.
-fn pump_connection(
-    client: TcpStream,
-    backend: SocketAddr,
-    spec: FaultSpec,
-    seed: u64,
-    partition: PartitionWindow,
-    stop: Arc<Gauge>,
-) {
+fn pump_connection(client: TcpStream, backend: SocketAddr, mut link: LossyLink, stop: Arc<Gauge>) {
     let Ok(upstream) = TcpStream::connect_timeout(&backend, Duration::from_secs(2)) else {
         return;
     };
@@ -1434,9 +1192,6 @@ fn pump_connection(
         });
 
     // Data path: frame-granular faults.
-    let Ok(mut link) = LossyLink::new(spec, seed) else {
-        return;
-    };
     let mut client = client;
     let mut upstream_write = upstream;
     let mut reader = FrameReader::new(wire::MAX_PAYLOAD_LEN + FRAME_OVERHEAD);
@@ -1449,11 +1204,7 @@ fn pump_connection(
                 reader.extend(chunk);
                 loop {
                     match reader.next_frame() {
-                        Ok(Some(frame)) => {
-                            if !partition.blackholes_next() {
-                                link.send(frame);
-                            }
-                        }
+                        Ok(Some(frame)) => link.send(frame),
                         Ok(None) => break,
                         // The *client* side desynced (shouldn't happen —
                         // it writes whole frames) — drop the conn.
@@ -1468,19 +1219,12 @@ fn pump_connection(
             Err(_) => break,
         }
         for frame in link.drain() {
-            // A frame the link cut short poisons the byte stream: write
-            // the prefix, then kill the connection — the client's
-            // timeout/reconnect path takes over.
-            let intact = matches!(
-                wire::frame_size_hint(&frame),
-                Ok(Some(total)) if total == frame.len()
-            );
             if upstream_write.write_all(&frame).is_err() {
                 break 'pump;
             }
-            if !intact {
-                break 'pump;
-            }
+        }
+        if link.is_cut() {
+            break; // the connection dies at the cut frame
         }
     }
     drop(client);
@@ -1494,7 +1238,8 @@ fn pump_connection(
 mod tests {
     use super::*;
     use crate::network::{fault_seed, SeedEcho};
-    use crate::site::{EpochCommit, Hello, SynopsisMessage};
+    use crate::site::{EpochCommit, Hello, Site, SynopsisMessage};
+    use crate::wire::decode_frame;
     use setstream_core::SketchFamily;
     use setstream_stream::{StreamId, Update};
 
@@ -1667,6 +1412,85 @@ mod tests {
         // A second attributed failure trips the quarantine threshold.
         assert!(handler.on_frame(1, Bytes::from(corrupt)).is_empty());
         assert!(coord.site_status(7).unwrap().quarantined);
+    }
+
+    /// A resync reuses its cut's epoch number on a fresh connection, so
+    /// only frames from the commit's own connection may complete it.
+    #[test]
+    fn acks_count_only_frames_from_the_commits_connection() {
+        let fam = family();
+        let coord = Arc::new(Coordinator::new(fam));
+        let metrics = Arc::new(TransportMetrics::new());
+        let mut handler =
+            CoordinatorHandler::new(coord, metrics, ServerRole::Coordinator, &quick_opts());
+        let mut site = Site::new(7, fam);
+        site.observe(&Update::insert(StreamId(0), 1, 1));
+        let cut = site.cut_epoch().unwrap();
+        let [hello, delta, commit] = &cut.frames[..] else {
+            panic!("one stream: hello, delta, commit");
+        };
+        let complete = |replies: Vec<Bytes>| match decode_message(replies[0].clone()) {
+            Ok(DecodedFrame {
+                message: Message::Ack(ack),
+                ..
+            }) => ack.complete,
+            other => panic!("expected an ack, got {other:?}"),
+        };
+        // The delta lands on connection 1, which then dies.
+        handler.on_frame(1, hello.clone());
+        handler.on_frame(1, delta.clone());
+        handler.on_disconnect(1);
+        // On connection 2 the commit alone is not a complete epoch…
+        handler.on_frame(2, hello.clone());
+        assert!(!complete(handler.on_frame(2, commit.clone())));
+        // …until the delta (now a harmless stale replay) arrives there too.
+        handler.on_frame(2, delta.clone());
+        assert!(complete(handler.on_frame(2, commit.clone())));
+    }
+
+    /// A desync drops the connection only after the replies to the frames
+    /// before it are written back, so their acks stay honest.
+    #[test]
+    fn a_desynced_connection_still_gets_its_acks() {
+        let fam = family();
+        let coord = Arc::new(Coordinator::new(fam));
+        let metrics = Arc::new(TransportMetrics::new());
+        let server = CoordinatorServer::spawn(
+            "127.0.0.1:0",
+            coord,
+            ServerRole::Coordinator,
+            quick_opts(),
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        // An epoch with no deltas (Hello, Commit), then garbage, in one
+        // write: the server reads them in one tick.
+        let cut = Site::new(4, fam).cut_epoch().unwrap();
+        let mut bytes: Vec<u8> = cut.frames.iter().flat_map(|f| f.to_vec()).collect();
+        bytes.extend_from_slice(b"definitely not a frame at all!!!");
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&bytes).unwrap();
+        let mut reader = FrameReader::new(1 << 20);
+        let mut buf = [0u8; 4096];
+        let frame = loop {
+            if let Some(frame) = reader.next_frame().unwrap() {
+                break frame;
+            }
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed before the ack was written");
+            reader.extend(&buf[..n]);
+        };
+        match decode_message(frame) {
+            Ok(DecodedFrame {
+                message: Message::Ack(ack),
+                ..
+            }) => assert!(ack.complete),
+            other => panic!("expected an ack, got {other:?}"),
+        }
+        assert_eq!(metrics.desyncs.get(), 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based soak for continuous epoch collection: N rounds of
-//! arbitrary traffic over a nasty link (drops, corruption, duplication,
-//! reordering), with one site crash-and-restore mid-run, must leave the
-//! coordinator's merged synopsis **bit-identical** to a single site that
-//! ingested the combined traffic directly. Sketch linearity promises
-//! this; the epoch watermarks must preserve it under every failure the
-//! link and the crash can produce.
+//! arbitrary traffic through in-memory pipes over nasty links (drops,
+//! corruption, duplication, reordering, truncation, delays), with one
+//! site crash-and-restore mid-run, must leave the coordinator's merged
+//! synopsis **bit-identical** to a single site that ingested the combined
+//! traffic directly. Sketch linearity promises this; the epoch
+//! watermarks must preserve it under every failure the link and the
+//! crash can produce.
 //!
 //! Round count per case is tunable: `SOAK_ROUNDS=12 cargo test ...`
 //! (default 5 — CI-friendly; `scripts/tier1.sh` honours the same knob).
@@ -13,10 +14,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use setstream_core::SketchFamily;
 use setstream_distributed::coordinator::Coordinator;
-use setstream_distributed::metrics::CollectionMetrics;
-use setstream_distributed::network::{collect_epoch, CollectionOptions, FaultSpec, LossyLink};
+use setstream_distributed::metrics::TransportMetrics;
+use setstream_distributed::network::{FaultSpec, MemoryPipe};
 use setstream_distributed::site::Site;
+use setstream_distributed::transport::TransportOptions;
 use setstream_stream::{StreamId, Update};
+use std::sync::Arc;
 
 const SITES: usize = 2;
 const STREAMS: u32 = 3;
@@ -73,21 +76,25 @@ proptest! {
             .second_level(8)
             .seed(2003)
             .build();
-        let coord = Coordinator::new(fam);
+        let coord = Arc::new(Coordinator::new(fam));
         let mut mirror = Site::new(999, fam); // ground truth: sees ALL traffic
         let mut sites: Vec<Site> = (0..SITES).map(|i| Site::new(i as u32, fam)).collect();
-        let mut links: Vec<LossyLink> = (0..SITES)
-            .map(|i| LossyLink::new(FaultSpec::nasty(), seed ^ (i as u64) << 32).unwrap())
+        // In-memory attempts cost no wall time, so the budget is sized for
+        // the fault spec: over a nasty link about one attempt in eight
+        // completes an epoch (20 000 sampled epochs averaged 9 attempts,
+        // with the tail shrinking ~e× per 8 attempts), which makes 256
+        // exhaustion-proof (≈ 10⁻¹⁴ per epoch).
+        let opts = TransportOptions::builder().max_attempts(256).build().unwrap();
+        let transport = Arc::new(TransportMetrics::new());
+        let mut pipes: Vec<MemoryPipe> = (0..SITES)
+            .map(|i| {
+                let seed = seed ^ (i as u64) << 32;
+                MemoryPipe::new(Arc::clone(&coord), FaultSpec::nasty(), seed, opts, Arc::clone(&transport))
+                    .unwrap()
+            })
             .collect();
-        let opts = CollectionOptions::builder()
-            .max_rounds(256)
-            .max_attempts(8)
-            .backoff_rounds(1)
-            .build()
-            .unwrap();
-        let cm = CollectionMetrics::new();
-        let mut want_transmissions = 0u64;
-        let mut want_resyncs = 0u64;
+        let mut collections = 0u64;
+        let mut resyncs = 0u64;
 
         for (round, per_site) in plan.iter().enumerate() {
             for (i, ops) in per_site.iter().enumerate() {
@@ -106,31 +113,43 @@ proptest! {
                 sites[crash_site] = Site::restore_from_bytes(&cut.checkpoint).unwrap();
             }
             for i in 0..SITES {
-                let report = collect_epoch(&mut sites[i], &mut links[i], &coord, &opts)
+                let frames_before = transport.frames_out.get();
+                let report = pipes[i]
+                    .collect(&mut sites[i])
                     .expect("collection must converge on a lossy-but-alive link");
-                prop_assert!(report.transmissions > 0);
-                cm.record_report(&report);
-                want_transmissions += report.transmissions;
-                want_resyncs += u64::from(report.resyncs);
+                prop_assert!(transport.frames_out.get() > frames_before);
+                collections += 1;
+                resyncs += u64::from(report.resyncs);
             }
         }
 
-        // The observability layer must agree with the fault script: the
-        // driver-side counters sum the reports exactly, the crash forced
-        // at least one cumulative resync, wire rejections cannot exceed
-        // the corruption the links actually injected, and every
-        // quarantine the corruption tripped was released again (the run
-        // converged).
-        prop_assert_eq!(cm.collections.get(), (SITES * plan.len()) as u64);
-        prop_assert_eq!(cm.transmissions.get(), want_transmissions);
-        prop_assert_eq!(cm.resyncs.get(), want_resyncs);
-        prop_assert!(cm.resyncs.get() >= 1, "crash must force a resync");
+        // The observability layer must agree with the fault script: every
+        // epoch committed, the transport counters agree exactly with the
+        // frames the links carried, the crash forced at least one
+        // cumulative resync and every resync the coordinator demanded
+        // healed, wire rejections cannot exceed the corruption the links
+        // actually injected, and every quarantine the corruption tripped
+        // was released again (the run converged).
+        prop_assert_eq!(collections, (SITES * plan.len()) as u64);
+        for site in &sites {
+            let status = coord.site_status(site.id()).unwrap();
+            prop_assert_eq!(status.commit_epoch, site.epoch());
+        }
+        let offered: u64 = pipes.iter().map(|p| p.link().faults().sent).sum();
+        prop_assert_eq!(transport.frames_out.get(), offered);
+        prop_assert!(transport.retransmits.get() < transport.frames_out.get());
+        prop_assert!(transport.backoff_sleeps.get() >= transport.timeouts.get());
+        prop_assert!(resyncs >= 1, "crash must force a resync");
         let m = coord.metrics();
+        prop_assert_eq!(m.resync_flags.get(), m.resyncs_healed.get());
         prop_assert!(m.frames_total() > 0);
         // A mangled frame the link also duplicates is rejected twice,
         // so the ceiling is two rejections per injected corruption or
         // truncation (both surface as typed wire errors).
-        let mangled: u64 = links.iter().map(|l| l.corrupted + l.truncated).sum();
+        let mangled: u64 = pipes
+            .iter()
+            .map(|p| p.link().faults().corrupted + p.link().faults().truncated)
+            .sum();
         prop_assert!(
             m.rejections_for("wire") <= 2 * mangled,
             "wire rejections {} exceed injected corruption+truncation {}",

@@ -47,6 +47,20 @@ if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
     exit 1
 fi
 
+# Line ratchet: non-test code lines per crate (`setstream-analyze --loc`;
+# blank, comment-only and literal-only lines do not count) may only go
+# down. When a change removes lines, lower that crate's budget to match; a
+# change that must grow a crate raises its budget on purpose. Every crate
+# needs an entry.
+LOC_BUDGET="analyze=2283 apps=1179 baselines=411 bench=1360 core=2289 distributed=3713 engine=2247 expr=822 hash=977 obs=1627 stream=811"
+loc=$(cargo run --release -q -p setstream-analyze -- --loc)
+echo "$loc" | awk -v budget="$LOC_BUDGET" '
+    BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }
+    !($1 in max) { printf "tier-1: FAIL — crate %s has no LOC_BUDGET entry\n", $1; bad = 1; next }
+    $2 > max[$1] { printf "tier-1: FAIL — crate %s has %d code lines, over its budget %d\n", $1, $2, max[$1]; bad = 1; next }
+    { printf "    %s: %d code lines (budget %d)\n", $1, $2, max[$1] }
+    END { exit bad }' || exit 1
+
 echo "==> loom concurrency models (obs metrics/trace, engine shard hand-off)"
 scripts/loom.sh
 

@@ -6,11 +6,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use setstream_core::{estimate, EstimatorOptions, SketchFamily};
 use setstream_distributed::coordinator::CoordinatorError;
-use setstream_distributed::network::{collect_epoch, CollectionOptions, FaultSpec, LossyLink};
+use setstream_distributed::network::{FaultSpec, MemoryPipe};
 use setstream_distributed::wire;
-use setstream_distributed::{Coordinator, Site};
+use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::StreamEngine;
 use setstream_stream::{StreamId, Update};
+use std::sync::Arc;
 
 fn family() -> SketchFamily {
     SketchFamily::builder()
@@ -198,7 +199,7 @@ fn late_site_with_wrong_coins_is_quarantined() {
 
 #[test]
 fn continuous_collection_with_crash_matches_exact_engine() {
-    // The PR's acceptance scenario: multi-round epoch collection (≥3
+    // The acceptance scenario: multi-round epoch collection (≥3
     // epochs) over a nasty link, with one site crashing mid-run and
     // restoring from its write-ahead checkpoint. The coordinator's
     // answers must be bit-identical to a single exact engine that
@@ -215,17 +216,28 @@ fn continuous_collection_with_crash_matches_exact_engine() {
         engine.process(u);
     }
 
-    let coord = Coordinator::new(fam);
+    let coord = Arc::new(Coordinator::new(fam));
     let mut sites: Vec<Site> = (0..3).map(|i| Site::new(i as u32, fam)).collect();
-    let mut links: Vec<LossyLink> = (0..3)
-        .map(|i| LossyLink::new(FaultSpec::nasty(), 0xacce55 + i as u64).unwrap())
-        .collect();
-    let opts = CollectionOptions::builder()
-        .max_rounds(256)
-        .max_attempts(8)
-        .backoff_rounds(1)
+    // In-memory attempts cost no wall time: about one nasty-link attempt
+    // in eight completes an epoch, and 256 attempts never run out.
+    let opts = TransportOptions::builder()
+        .max_attempts(256)
         .build()
         .unwrap();
+    let metrics = Arc::new(TransportMetrics::new());
+    let mut pipes: Vec<MemoryPipe> = (0..3)
+        .map(|i| {
+            let seed = 0xacce55 + i as u64;
+            MemoryPipe::new(
+                Arc::clone(&coord),
+                FaultSpec::nasty(),
+                seed,
+                opts,
+                Arc::clone(&metrics),
+            )
+            .unwrap()
+        })
+        .collect();
 
     for round in 0..n_rounds {
         // Each site observes its slice of this round's traffic.
@@ -245,7 +257,7 @@ fn continuous_collection_with_crash_matches_exact_engine() {
             assert!(sites[1].recovering());
         }
         for i in 0..3 {
-            let report = collect_epoch(&mut sites[i], &mut links[i], &coord, &opts).unwrap();
+            let report = pipes[i].collect(&mut sites[i]).unwrap();
             assert_eq!(report.epoch, sites[i].epoch());
         }
         // The coordinator answers mid-collection — graceful degradation

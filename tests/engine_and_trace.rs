@@ -4,11 +4,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use setstream_core::{estimate, EstimatorOptions, SketchFamily};
-use setstream_distributed::network::{deliver_reliably, FaultSpec, LossyLink};
-use setstream_distributed::Coordinator;
+use setstream_distributed::network::{FaultSpec, MemoryPipe};
+use setstream_distributed::site::{EpochCommit, Hello, SynopsisMessage};
+use setstream_distributed::wire::{encode_frame, FrameKind};
+use setstream_distributed::{Coordinator, TransportMetrics, TransportOptions};
 use setstream_engine::StreamEngine;
 use setstream_stream::gen::{SessionConfig, SessionWorkload};
 use setstream_stream::{trace, StreamId, Update};
+use std::sync::Arc;
 
 fn family() -> SketchFamily {
     SketchFamily::builder()
@@ -68,30 +71,54 @@ fn engine_synopses_ship_to_coordinator_over_lossy_network() {
         engine.process(&Update::delete(StreamId(0), e, 1));
     }
 
-    // Frame the engine's synopses directly (the engine plays the role of
-    // a site here; re-observing the updates through a Site would
-    // double-handle them).
-    let frames: Vec<bytes::Bytes> = [StreamId(0), StreamId(1)]
-        .into_iter()
-        .map(|sid| {
-            let msg = setstream_distributed::site::SynopsisMessage {
-                site: 7,
-                stream: sid,
-                epoch: 0,
-                vector: engine.synopsis(sid).unwrap().clone(),
-            };
-            setstream_distributed::wire::encode_frame(
-                setstream_distributed::wire::FrameKind::Synopsis,
-                &msg,
-            )
-            .unwrap()
-        })
-        .collect();
+    // Frame the engine's synopses directly as one cumulative epoch batch
+    // (the engine plays the role of a site here; re-observing the updates
+    // through a Site would double-handle them).
+    let streams = [StreamId(0), StreamId(1)];
+    let mut frames = vec![encode_frame(
+        FrameKind::Hello,
+        &Hello {
+            site: 7,
+            family: fam,
+            resume_epoch: 1,
+        },
+    )
+    .unwrap()];
+    for sid in streams {
+        let msg = SynopsisMessage {
+            site: 7,
+            stream: sid,
+            epoch: 1,
+            vector: engine.synopsis(sid).unwrap().clone(),
+        };
+        frames.push(encode_frame(FrameKind::Synopsis, &msg).unwrap());
+    }
+    let commit = EpochCommit {
+        site: 7,
+        epoch: 1,
+        deltas: streams.len() as u32,
+    };
+    frames.push(encode_frame(FrameKind::Commit, &commit).unwrap());
 
-    let coordinator = Coordinator::new(fam);
-    let mut link = LossyLink::new(FaultSpec::nasty(), 42).unwrap();
-    let report = deliver_reliably(&frames, &mut link, &coordinator, 200).unwrap();
-    assert_eq!(report.delivered, frames.len());
+    let coordinator = Arc::new(Coordinator::new(fam));
+    let opts = TransportOptions::builder()
+        .max_attempts(256)
+        .build()
+        .unwrap();
+    let metrics = Arc::new(TransportMetrics::new());
+    let mut pipe = MemoryPipe::new(
+        Arc::clone(&coordinator),
+        FaultSpec::nasty(),
+        42,
+        opts,
+        metrics,
+    )
+    .unwrap();
+    pipe.ship(1, frames).unwrap();
+    pipe.flush().unwrap();
+    // The complete ack means every synopsis frame was delivered.
+    assert_eq!(pipe.in_flight(), 0);
+    assert_eq!(coordinator.streams(), streams.to_vec());
 
     let opts = EstimatorOptions::default();
     for query in ["A & B", "A - B"] {
