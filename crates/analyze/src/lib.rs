@@ -120,8 +120,8 @@ impl Config {
                 ("crates/hash/src/simd.rs", "horner_many"),
                 ("crates/core/src/sketch/two_level.rs", "update"),
                 ("crates/core/src/sketch/two_level.rs", "update_batch"),
-                ("crates/core/src/sketch/two_level.rs", "update_chunk"),
                 ("crates/core/src/sketch/two_level.rs", "update_chunk_prepared"),
+                ("crates/core/src/sketch/two_level.rs", "apply_prepared"),
                 ("crates/engine/src/runqueue.rs", "publish"),
                 ("crates/engine/src/runqueue.rs", "wait"),
             ]

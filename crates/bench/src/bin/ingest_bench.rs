@@ -99,28 +99,6 @@ fn workload(n: usize, shape: Shape) -> Vec<Update> {
         .collect()
 }
 
-/// Host topology recorded alongside the numbers so gates (and readers)
-/// can tell which results are meaningful on this machine: thread-scaling
-/// rows only bind when `cores` allows real parallelism, and speedups are
-/// only comparable within one `simd` backend.
-fn host_json() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let simd = setstream_hash::backend().name();
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    format!(
-        "{{\"cores\": {cores}, \"simd\": \"{simd}\", \"cpu\": \"{}\"}}",
-        cpu.replace('"', "'")
-    )
-}
-
 fn family(r: usize) -> SketchFamily {
     SketchFamily::builder().copies(r).second_level(PAPER_S).seed(1).build()
 }
@@ -273,7 +251,7 @@ fn main() {
          \"parallel_scaling_4t\": {scaling_4t:.3},\n  \
          \"metrics_overhead\": {metrics_overhead:.3},\n  \"results\": [\n    {rows}\n  ]\n}}\n",
         args.quick,
-        host_json()
+        setstream_bench::host::host_json()
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);
@@ -372,9 +350,11 @@ fn main() {
     );
 
     let obs_json = format!(
-        "{{\n  \"bench\": \"obs\",\n  \"quick\": {},\n  \"quality_overhead\": {quality_overhead:.3},\n  \
+        "{{\n  \"bench\": \"obs\",\n  \"quick\": {},\n  \"host\": {},\n  \
+         \"quality_overhead\": {quality_overhead:.3},\n  \
          \"tracing_overhead\": {tracing_overhead:.3},\n  \"results\": [\n    {obs_rows}\n  ]\n}}\n",
-        args.quick
+        args.quick,
+        setstream_bench::host::host_json()
     );
     std::fs::write(&args.obs_out, &obs_json).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.obs_out);

@@ -61,20 +61,6 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-fn host_json() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    format!("{{\"cores\": {cores}, \"cpu\": \"{}\"}}", cpu.replace('"', "'"))
-}
-
 /// The distinct-expression pool: `N_SUBS / 10` expressions over 8
 /// streams, each registered 10 times (90% of registrations are interning
 /// hits). The first three touch streams A/B so the per-round deltas
@@ -200,7 +186,7 @@ fn main() {
          \"speedup_100k\": {speedup_100k:.3},\n  \
          \"speedup_at_largest\": {speedup_gate:.3},\n  \"results\": [\n    {rows}\n  ]\n}}\n",
         args.quick,
-        host_json()
+        setstream_bench::host::host_json()
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);

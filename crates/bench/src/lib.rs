@@ -17,6 +17,7 @@
 
 pub mod cli;
 pub mod figure;
+pub mod host;
 pub mod metrics;
 pub mod table;
 pub mod workload;

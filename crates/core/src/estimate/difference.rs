@@ -8,7 +8,7 @@
 use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
-use crate::sketch::singleton_bucket;
+use crate::sketch::singleton_levels;
 
 /// Estimate `|A − B|`, deriving the union estimate `û` internally (with a
 /// tightened `ε/3`, as the analysis requires).
@@ -47,10 +47,10 @@ pub fn difference_with_union(
             copies,
         });
     }
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, level| {
+    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
         // Witness of A − B: singleton in A, empty in B (Fig. 6 step 5).
         // analyze: allow(indexing) — binary estimator: `collect` passes one sketch per input vector
-        singleton_bucket(sketches[0], level) && sketches[1].is_level_empty(level)
+        singleton_levels(sketches[0]) & !sketches[1].occupied_levels()
     });
     witness::finish(counts, u_hat, copies)
 }

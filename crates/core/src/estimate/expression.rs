@@ -11,6 +11,7 @@
 use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
+use crate::sketch::TwoLevelSketch;
 use setstream_expr::SetExpr;
 use setstream_stream::StreamId;
 
@@ -86,18 +87,23 @@ fn estimate_with(
         });
     }
     let ids: Vec<StreamId> = participating.iter().map(|&(id, _)| id).collect();
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, level| {
-        // B(E): stream Aᵢ "present" iff its level bucket is non-empty;
-        // valid because the bucket is a union singleton, so non-emptiness
-        // pins the one element's membership in Aᵢ.
-        expr.eval_bool(&|sid| {
-            ids.iter()
-                .position(|&id| id == sid)
-                // analyze: allow(indexing) — `k` is a position into `ids`, which is index-aligned with `sketches`
-                .is_some_and(|k| !sketches[k].is_level_empty(level))
-        })
+    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
+        // B(E) over every level of the copy at once: stream Aᵢ "present"
+        // at a level iff its bucket there is non-empty; valid because the
+        // bucket is a union singleton, so non-emptiness pins the one
+        // element's membership in Aᵢ.
+        expr.eval_bits(&|sid| occupancy(&ids, sketches, sid))
     });
     witness::finish(counts, u_hat, copies)
+}
+
+/// Stream `sid`'s occupied levels in one copy: `sketches` is
+/// index-aligned with `ids`; a stream not among them is absent everywhere.
+pub(super) fn occupancy(ids: &[StreamId], sketches: &[&TwoLevelSketch], sid: StreamId) -> u64 {
+    ids.iter()
+        .zip(sketches)
+        .find(|&(&id, _)| id == sid)
+        .map_or(0, |(_, sk)| sk.occupied_levels())
 }
 
 #[cfg(test)]

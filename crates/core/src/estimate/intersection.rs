@@ -8,7 +8,7 @@
 use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
-use crate::sketch::singleton_bucket;
+use crate::sketch::singleton_levels;
 
 /// Estimate `|A ∩ B|`, deriving the union estimate internally.
 pub fn intersection(
@@ -45,10 +45,10 @@ pub fn intersection_with_union(
             copies,
         });
     }
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, level| {
+    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
         // Witness of A ∩ B (§3.5): singleton in A and singleton in B.
         // analyze: allow(indexing) — binary estimator: `collect` passes one sketch per input vector
-        singleton_bucket(sketches[0], level) && singleton_bucket(sketches[1], level)
+        singleton_levels(sketches[0]) & singleton_levels(sketches[1])
     });
     witness::finish(counts, u_hat, copies)
 }

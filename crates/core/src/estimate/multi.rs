@@ -1,20 +1,19 @@
 //! Batched multi-expression estimation: answer many expressions over the
 //! same streams from **one** witness scan.
 //!
-//! The expensive part of witness estimation is walking `r × levels`
-//! buckets and checking union-singletons; evaluating `B(E)` for each
-//! expression on an already-certified bucket is nearly free. A monitoring
-//! deployment with dozens of registered queries over the same streams
-//! (the engine's `evaluate_all`) therefore batches them: certify each
-//! bucket once, then score every expression against the bucket's
-//! occupancy pattern.
-//!
-//! analyze: allow(indexing) — estimator kernel: per-copy/per-level indices are bounded by `witness::validate_vectors`' dimension check
+//! Per sketch copy, witness estimation first finds the union-singleton
+//! levels (an OR of the streams' summary masks plus a sign-word test per
+//! candidate level) and the union estimate `û`; scoring `B(E)` against
+//! those levels is then one bitwise evaluation per expression. A
+//! monitoring deployment with dozens of registered queries over the same
+//! streams (the engine's `evaluate_all`) therefore batches them: certify
+//! each copy's levels and compute `û` once, then score every expression
+//! against the copy's occupancy masks.
 
-use super::{union_est, witness, Estimate, EstimatorOptions, WitnessMode};
+use super::expression::occupancy;
+use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
-use crate::sketch::{singleton_union_bucket_many, TwoLevelSketch};
 use setstream_expr::SetExpr;
 use setstream_stream::StreamId;
 
@@ -58,7 +57,6 @@ pub fn multi_expression(
 
     let vectors: Vec<&SketchVector> = streams.iter().map(|&(_, v)| v).collect();
     let copies = first.1.copies();
-    let levels = first.1.family().config().levels;
     let union_opts = EstimatorOptions {
         epsilon: opts.epsilon / 3.0,
         ..*opts
@@ -78,43 +76,16 @@ pub fn multi_expression(
             .collect());
     }
 
-    let range: std::ops::Range<u32> = match opts.witness_mode {
-        WitnessMode::SingleBucket => {
-            let idx = witness::witness_index(u_hat, levels, opts);
-            idx..idx + 1
-        }
-        WitnessMode::AllLevels => 0..levels,
-    };
-
     let ids: Vec<StreamId> = streams.iter().map(|&(id, _)| id).collect();
-    let mut valid = 0usize;
     let mut hits = vec![0usize; exprs.len()];
-    let mut copy_sketches: Vec<&TwoLevelSketch> = Vec::with_capacity(vectors.len());
-    // Reused per-bucket occupancy pattern — B(E) evaluation reads this.
-    let mut occupied = vec![false; streams.len()];
-    for i in 0..copies {
-        copy_sketches.clear();
-        copy_sketches.extend(vectors.iter().map(|v| &v.sketches()[i]));
-        for level in range.clone() {
-            if !singleton_union_bucket_many(&copy_sketches, level) {
-                continue;
-            }
-            valid += 1;
-            for (k, sk) in copy_sketches.iter().enumerate() {
-                occupied[k] = !sk.is_level_empty(level);
-            }
-            for (e_idx, expr) in exprs.iter().enumerate() {
-                let witness_hit = expr.eval_bool(&|sid| {
-                    ids.iter()
-                        .position(|&id| id == sid)
-                        .is_some_and(|k| occupied[k])
-                });
-                if witness_hit {
-                    hits[e_idx] += 1;
-                }
-            }
+    let counts = witness::collect(&vectors, u_hat, opts, |sketches, valid| {
+        for (expr, h) in exprs.iter().zip(&mut hits) {
+            let witnesses = expr.eval_bits(&|sid| occupancy(&ids, sketches, sid));
+            *h += (valid & witnesses).count_ones() as usize;
         }
-    }
+        0 // hits are tallied per expression above
+    });
+    let valid = counts.valid;
     if valid == 0 {
         return Err(EstimateError::NoValidObservations);
     }

@@ -13,7 +13,7 @@
 use super::{witness, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
-use crate::sketch::singleton_bucket;
+use crate::sketch::singleton_levels;
 use serde::{Deserialize, Serialize};
 
 /// A ratio estimate with its observation counts.
@@ -48,8 +48,8 @@ pub fn jaccard(
     // Level selection needs some union scale for SingleBucket mode; use
     // the pooled union estimate (cheap) — AllLevels ignores it.
     let u_hat = super::union_est::union(&vectors, opts)?.value;
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, level| {
-        singleton_bucket(sketches[0], level) && singleton_bucket(sketches[1], level)
+    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
+        singleton_levels(sketches[0]) & singleton_levels(sketches[1])
     });
     if counts.valid == 0 {
         return Err(EstimateError::NoValidObservations);
@@ -76,14 +76,10 @@ pub fn containment(
     let u_hat = super::union_est::union(&vectors, opts)?.value;
     let mut in_both = 0usize;
     let mut in_a = 0usize;
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, level| {
-        let a_has = singleton_bucket(sketches[0], level);
-        if a_has {
-            in_a += 1;
-            if singleton_bucket(sketches[1], level) {
-                in_both += 1;
-            }
-        }
+    let counts = witness::collect(&vectors, u_hat, opts, |sketches, valid| {
+        let a_has = singleton_levels(sketches[0]) & valid;
+        in_a += a_has.count_ones() as usize;
+        in_both += (a_has & singleton_levels(sketches[1])).count_ones() as usize;
         a_has // hit counter tracks |A|-membership; numerator kept aside
     });
     if in_a == 0 {

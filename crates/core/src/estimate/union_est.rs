@@ -4,13 +4,14 @@
 //! The union estimator needs only first-level bucket *occupancy* — no
 //! second-level signatures — which is why the paper notes union could run
 //! on a plain extension of the FM structure. We read occupancy straight
-//! off the 2-level sketches.
+//! off the 2-level sketches' summaries: one OR of level masks per copy.
 //!
 //! analyze: allow(indexing) — estimator kernel: per-copy/per-level indices are bounded by `witness::validate_vectors`' dimension check
 
 use super::{Estimate, EstimatorOptions, UnionMode};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
+use crate::sketch::two_level::levels_of;
 
 /// Estimate `|A₁ ∪ … ∪ A_k|` from the streams' sketch vectors.
 ///
@@ -32,13 +33,11 @@ pub fn union(vectors: &[&SketchVector], opts: &EstimatorOptions) -> Result<Estim
     // Per-level counts of copies whose union bucket is non-empty.
     let mut counts = vec![0usize; levels as usize];
     for i in 0..r {
-        for (level, slot) in counts.iter_mut().enumerate() {
-            let non_empty = vectors
-                .iter()
-                .any(|v| !v.sketches()[i].is_level_empty(level as u32));
-            if non_empty {
-                *slot += 1;
-            }
+        let occupied = vectors
+            .iter()
+            .fold(0u64, |m, v| m | v.sketches()[i].occupied_levels());
+        for level in levels_of(occupied) {
+            counts[level as usize] += 1;
         }
     }
 

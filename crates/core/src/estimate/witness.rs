@@ -11,7 +11,7 @@
 use super::{Estimate, EstimatorOptions, WitnessMode};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
-use crate::sketch::{singleton_union_bucket_many, TwoLevelSketch};
+use crate::sketch::{singleton_union_levels, TwoLevelSketch};
 
 /// Tally of witness observations across copies (and levels).
 #[derive(Debug, Default, Clone, Copy)]
@@ -31,41 +31,39 @@ pub(super) fn witness_index(u_hat: f64, levels: u32, opts: &EstimatorOptions) ->
 }
 
 /// Scan buckets per `opts.witness_mode`, counting union-singletons and
-/// witness hits. `is_witness(copy_sketches, level)` is only consulted for
-/// buckets already established to be union-singletons.
+/// witness hits, one sketch copy at a time and every level at once.
+///
+/// `witnesses(copy_sketches, valid)` returns the copy's witness levels as
+/// a mask; `valid` holds the copy's union-singleton levels in scope, and
+/// only witness levels among them count as hits. It is called only for
+/// copies with at least one valid level.
 pub(super) fn collect<F>(
     vectors: &[&SketchVector],
     u_hat: f64,
     opts: &EstimatorOptions,
-    mut is_witness: F,
+    mut witnesses: F,
 ) -> WitnessCounts
 where
-    F: FnMut(&[&TwoLevelSketch], u32) -> bool,
+    F: FnMut(&[&TwoLevelSketch], u64) -> u64,
 {
     let r = vectors[0].copies();
     let levels = vectors[0].family().config().levels;
-    let range: std::ops::Range<u32> = match opts.witness_mode {
-        WitnessMode::SingleBucket => {
-            let idx = witness_index(u_hat, levels, opts);
-            idx..idx + 1
-        }
-        WitnessMode::AllLevels => 0..levels,
+    let scope = match opts.witness_mode {
+        WitnessMode::SingleBucket => 1u64 << witness_index(u_hat, levels, opts),
+        WitnessMode::AllLevels => u64::MAX,
     };
 
     let mut counts = WitnessCounts::default();
     // Reused per-copy scratch buffer of sketch refs (no allocation per
-    // level).
+    // copy).
     let mut copy_sketches: Vec<&TwoLevelSketch> = Vec::with_capacity(vectors.len());
     for i in 0..r {
         copy_sketches.clear();
         copy_sketches.extend(vectors.iter().map(|v| &v.sketches()[i]));
-        for level in range.clone() {
-            if singleton_union_bucket_many(&copy_sketches, level) {
-                counts.valid += 1;
-                if is_witness(&copy_sketches, level) {
-                    counts.hits += 1;
-                }
-            }
+        let valid = singleton_union_levels(&copy_sketches, scope);
+        if valid != 0 {
+            counts.valid += valid.count_ones() as usize;
+            counts.hits += (witnesses(&copy_sketches, valid) & valid).count_ones() as usize;
         }
     }
     counts

@@ -111,25 +111,8 @@ impl PreparedBatch {
 /// Drive a prepared batch through a run of sketch copies — the apply
 /// stage of the ingest pipeline, allocation-free.
 fn apply_prepared_to(sketches: &mut [TwoLevelSketch], batch: &PreparedBatch) {
-    if batch.len() < 32 {
-        // Grouping overhead outweighs locality on tiny batches; the
-        // per-update path is bit-identical.
-        for sk in sketches.iter_mut() {
-            for (&e, &d) in batch.elems.iter().zip(&batch.deltas) {
-                sk.update(e, d);
-            }
-        }
-        return;
-    }
     for sk in sketches.iter_mut() {
-        let chunks = batch
-            .elems
-            .chunks(BATCH_CHUNK)
-            .zip(batch.xrs.chunks(BATCH_CHUNK))
-            .zip(batch.deltas.chunks(BATCH_CHUNK));
-        for ((ec, xc), dc) in chunks {
-            sk.update_chunk_prepared(ec, xc, dc);
-        }
+        sk.apply_prepared(&batch.elems, &batch.xrs, &batch.deltas);
     }
 }
 

@@ -11,8 +11,21 @@
 //! contributions: a cell is positive **iff** some element with positive net
 //! frequency hashes to it — exactly the predicate the paper's pseudocode
 //! tests.
+//!
+//! The checks read the sketch's occupancy summary (see
+//! [`TwoLevelSketch`]) rather than its cells: a bucket is a singleton when
+//! its emptiness probe fires and no `gⱼ` has both cells positive, and two
+//! buckets hold the same singleton when their sign words agree. The
+//! `*_levels` forms answer a check for every level at once, as a mask.
 
-use super::two_level::TwoLevelSketch;
+use super::two_level::{levels_of, TwoLevelSketch, EVEN_BITS};
+
+/// The levels whose bucket is a non-empty singleton:
+/// [`singleton_bucket`] for every level at once.
+#[inline]
+pub fn singleton_levels(x: &TwoLevelSketch) -> u64 {
+    x.occupied_levels() & !x.multi_levels()
+}
 
 /// `SingletonBucket(𝒳, i)`: does first-level bucket `level` contain
 /// exactly one distinct element (with positive net frequency)?
@@ -22,15 +35,7 @@ use super::two_level::TwoLevelSketch;
 /// functions agree on every pair of its elements); never errs on true
 /// singletons or empty buckets.
 pub fn singleton_bucket(x: &TwoLevelSketch, level: u32) -> bool {
-    if x.is_level_empty(level) {
-        return false;
-    }
-    for j in 0..x.second_level() {
-        if x.cell(level, j, 0) > 0 && x.cell(level, j, 1) > 0 {
-            return false; // gⱼ separates two elements of the bucket
-        }
-    }
-    true
+    singleton_levels(x) >> level & 1 == 1
 }
 
 /// `IdenticalSingletonBucket(𝒳_A, 𝒳_B, i)`: are both buckets singletons
@@ -40,19 +45,11 @@ pub fn singleton_bucket(x: &TwoLevelSketch, level: u32) -> bool {
 /// callers uphold this via [`TwoLevelSketch::compatible`].
 pub fn identical_singleton_bucket(a: &TwoLevelSketch, b: &TwoLevelSketch, level: u32) -> bool {
     debug_assert!(a.compatible(b), "checks require sketches with shared coins");
-    if !singleton_bucket(a, level) || !singleton_bucket(b, level) {
-        return false;
-    }
-    for j in 0..a.second_level() {
-        // Compare the occupancy signature: the singleton's value determines
-        // which of the two cells is positive for every gⱼ.
-        if (a.cell(level, j, 0) > 0) != (b.cell(level, j, 0) > 0)
-            || (a.cell(level, j, 1) > 0) != (b.cell(level, j, 1) > 0)
-        {
-            return false;
-        }
-    }
-    true
+    // The singleton's value determines which of the two cells is positive
+    // for every gⱼ: equal sign words mean equal occupancy signatures.
+    singleton_bucket(a, level)
+        && singleton_bucket(b, level)
+        && a.sign_words(level) == b.sign_words(level)
 }
 
 /// `SingletonUnionBucket(𝒳_A, 𝒳_B, i)`: does the *union* of the two
@@ -76,21 +73,45 @@ pub fn singleton_union_bucket(a: &TwoLevelSketch, b: &TwoLevelSketch, level: u32
 /// streams ⇒ summed cells are positive iff any operand's cell is), without
 /// materializing the merge.
 pub fn singleton_union_bucket_many(sketches: &[&TwoLevelSketch], level: u32) -> bool {
-    let Some(first) = sketches.first() else {
-        return false;
-    };
-    debug_assert!(sketches.iter().all(|s| first.compatible(s)));
-    if sketches.iter().all(|s| s.is_level_empty(level)) {
-        return false;
-    }
-    for j in 0..first.second_level() {
-        let zero = sketches.iter().any(|s| s.cell(level, j, 0) > 0);
-        let one = sketches.iter().any(|s| s.cell(level, j, 1) > 0);
-        if zero && one {
-            return false;
+    singleton_union_levels(sketches, 1 << level) != 0
+}
+
+/// Among the `candidates` levels, those whose bucket is a singleton for the
+/// union of all `sketches`: [`singleton_union_bucket_many`] for many
+/// levels at once.
+///
+/// A level qualifies when some sketch's emptiness probe fires there and,
+/// with the sketches' sign words OR-ed together, no `gⱼ` has both cells
+/// positive. A sketch with a multi-element bucket already fails that test,
+/// so only levels outside every sketch's [`TwoLevelSketch::multi_levels`]
+/// have their sign words read.
+pub fn singleton_union_levels(sketches: &[&TwoLevelSketch], candidates: u64) -> u64 {
+    debug_assert!(sketches.iter().zip(sketches.iter().skip(1)).all(|(a, b)| a.compatible(b)));
+    let (occupied, multi) = sketches.iter().fold((0u64, 0u64), |(o, m), s| {
+        (o | s.occupied_levels(), m | s.multi_levels())
+    });
+    let mut levels = occupied & !multi & candidates;
+    if sketches.len() > 1 {
+        for level in levels_of(levels) {
+            if !one_cell_per_function(sketches, level) {
+                levels &= !(1 << level);
+            }
         }
     }
-    true
+    levels
+}
+
+/// With the sketches' sign words of `level` OR-ed together, does every
+/// second-level function have at most one positive cell?
+fn one_cell_per_function(sketches: &[&TwoLevelSketch], level: u32) -> bool {
+    let width = sketches.first().map_or(0, |s| s.sign_words(level).len());
+    (0..width).all(|w| {
+        let p = sketches
+            .iter()
+            .filter_map(|s| s.sign_words(level).get(w))
+            .fold(0, |p, &x| p | x);
+        p & p >> 1 & EVEN_BITS == 0
+    })
 }
 
 #[cfg(test)]

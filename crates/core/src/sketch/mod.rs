@@ -9,8 +9,8 @@ pub(crate) mod two_level;
 
 pub use bit::BitSketch;
 pub use checks::{
-    identical_singleton_bucket, singleton_bucket, singleton_union_bucket,
-    singleton_union_bucket_many,
+    identical_singleton_bucket, singleton_bucket, singleton_levels, singleton_union_bucket,
+    singleton_union_bucket_many, singleton_union_levels,
 };
 pub use diagnostics::LevelHistogram;
 pub use two_level::TwoLevelSketch;

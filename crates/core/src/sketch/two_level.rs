@@ -9,7 +9,9 @@ use serde::ser::SerializeStruct;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use super::coins;
-use setstream_hash::{bucket_of, field, hash_many, AnyHash, Hash64, PairwiseHashBank};
+use setstream_hash::{
+    bucket_of, field, hash_many, positive_bits, prefetch, AnyHash, Hash64, PairwiseHashBank,
+};
 use setstream_stream::{Element, Update};
 
 /// Elements hashed per inner batch round: large enough to amortize the
@@ -17,6 +19,19 @@ use setstream_stream::{Element, Update};
 /// runs (a chunk of 512 puts ~256 elements in the level-0 group), small
 /// enough that the ~16 KiB of scratch arrays live on the stack.
 pub(crate) const BATCH_CHUNK: usize = 512;
+
+/// The `b = 0` bit of every cell pair in a sign word (bits `2j`, `2j+1`
+/// hold function `j`'s two cells, so pairs never straddle a word).
+pub(crate) const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// The set bits of a level mask, in ascending order.
+pub(crate) fn levels_of(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let level = (mask != 0).then(|| mask.trailing_zeros())?;
+        mask &= mask - 1;
+        Some(level)
+    })
+}
 
 /// One 2-level hash sketch: conceptually a `levels × s × 2` array of
 /// element counters (Figure 3 of the paper).
@@ -36,6 +51,15 @@ pub(crate) const BATCH_CHUNK: usize = 512;
 /// functions are rebuilt from the coins on decode, and the counters travel
 /// as a sparse *counter block* ([`Self::counter_block`]) holding only the
 /// levels that have a nonzero cell.
+///
+/// Beside the counters every sketch keeps an **occupancy summary**: the
+/// only facts about a bucket the estimators use. Per level `ℓ` it holds
+/// whether the emptiness probe fires ([`Self::occupied_levels`]), whether
+/// some `gⱼ` has both cells positive ([`Self::multi_levels`]), whether
+/// any cell is nonzero ([`Self::row_mask`]), and which cells are positive
+/// ([`Self::sign_words`]). Every write refreshes the rows it touched, so
+/// the summary always equals what the cells say; it is derived state and
+/// never serialized.
 #[derive(Debug, Clone)]
 pub struct TwoLevelSketch {
     config: SketchConfig,
@@ -50,6 +74,15 @@ pub struct TwoLevelSketch {
     /// Total net count over all cells of one second-level function —
     /// maintained for O(1) emptiness checks.
     total: i64,
+    /// Bit `ℓ`: `X[ℓ,0,0] + X[ℓ,0,1] ≠ 0` (wrapping).
+    occupied: u64,
+    /// Bit `ℓ`: some `j` has `X[ℓ,j,0] > 0` and `X[ℓ,j,1] > 0`.
+    multi: u64,
+    /// Bit `ℓ`: level `ℓ` holds a nonzero cell.
+    rows: u64,
+    /// `⌈s/32⌉` words per level, level-major: bit `2j + b` of a level's
+    /// words is set iff `X[ℓ,j,b] > 0`.
+    signs: Box<[u64]>,
 }
 
 impl TwoLevelSketch {
@@ -61,6 +94,7 @@ impl TwoLevelSketch {
         config.validate();
         let first = coins::first_hash(&config, seed);
         let second = PairwiseHashBank::from_functions(&coins::second_hashes(&config, seed));
+        let sign_words = config.levels as usize * sign_width(&config);
         TwoLevelSketch {
             config,
             seed,
@@ -68,6 +102,10 @@ impl TwoLevelSketch {
             second,
             counters: vec![0i64; config.n_counters()].into_boxed_slice(),
             total: 0,
+            occupied: 0,
+            multi: 0,
+            rows: 0,
+            signs: vec![0u64; sign_words].into_boxed_slice(),
         }
     }
 
@@ -117,16 +155,79 @@ impl TwoLevelSketch {
     }
 
     /// Net number of elements (with multiplicity) in first-level bucket
-    /// `level` — the paper's emptiness probe `X[i,1,0] + X[i,1,1]`.
+    /// `level` — the paper's emptiness probe `X[i,1,0] + X[i,1,1]`
+    /// (wrapping, so hostile cells cannot make it panic).
     #[inline]
     pub fn level_total(&self, level: u32) -> i64 {
-        self.cell(level, 0, 0) + self.cell(level, 0, 1)
+        self.cell(level, 0, 0).wrapping_add(self.cell(level, 0, 1))
     }
 
     /// `true` if no element (net) maps to `level`.
     #[inline]
     pub fn is_level_empty(&self, level: u32) -> bool {
-        self.level_total(level) == 0
+        self.occupied >> level & 1 == 0
+    }
+
+    /// The levels whose emptiness probe fires ([`Self::level_total`]
+    /// `≠ 0`), bit `ℓ` for level `ℓ`.
+    #[inline]
+    pub fn occupied_levels(&self) -> u64 {
+        self.occupied
+    }
+
+    /// The levels where some second-level function has both cells
+    /// positive, so the bucket holds at least two distinct elements.
+    #[inline]
+    pub fn multi_levels(&self) -> u64 {
+        self.multi
+    }
+
+    /// The levels holding at least one nonzero cell — the row mask of
+    /// [`Self::counter_block`].
+    #[inline]
+    pub fn row_mask(&self) -> u64 {
+        self.rows
+    }
+
+    /// The `⌈s/32⌉` sign words of `level`: bit `2j + b` of the
+    /// little-endian concatenation is set iff `X[level, j, b] > 0`.
+    #[inline]
+    pub fn sign_words(&self, level: u32) -> &[u64] {
+        let width = sign_width(&self.config);
+        &self.signs[level as usize * width..][..width]
+    }
+
+    /// Recompute the summary of every level in `levels` from its cells.
+    fn refresh_rows(&mut self, levels: u64) {
+        for level in levels_of(levels) {
+            let base = self.row_base(level);
+            let row = &self.counters[base..base + 2 * self.config.second_level as usize];
+            let width = sign_width(&self.config);
+            let words = &mut self.signs[level as usize * width..][..width];
+            let nonzero = positive_bits(row, words);
+            self.set_multi(level);
+            self.set_level(level, nonzero);
+        }
+    }
+
+    /// Set `level`'s `multi` bit from its sign words.
+    #[inline]
+    fn set_multi(&mut self, level: u32) {
+        let multi = self
+            .sign_words(level)
+            .iter()
+            .any(|&w| w & w >> 1 & EVEN_BITS != 0);
+        self.multi = self.multi & !(1 << level) | u64::from(multi) << level;
+    }
+
+    /// Set `level`'s `occupied` bit from its emptiness probe and its row
+    /// bit to `nonzero`.
+    #[inline]
+    fn set_level(&mut self, level: u32, nonzero: bool) {
+        let occupied = self.level_total(level) != 0;
+        let keep = !(1u64 << level);
+        self.occupied = self.occupied & keep | u64::from(occupied) << level;
+        self.rows = self.rows & keep | u64::from(nonzero) << level;
     }
 
     /// `true` if the whole sketch is (net) empty.
@@ -148,15 +249,22 @@ impl TwoLevelSketch {
     /// Apply a net frequency change of `delta` to element `e`.
     ///
     /// This is the batch kernel applied to a batch of one: one first-level
-    /// hash, then all `s` second-level bits from the coefficient bank and
-    /// the counter bumps — `O(s)` with no allocation. Bit-for-bit
-    /// identical to routing the same update through [`Self::update_batch`].
+    /// hash, then the grouped second-level kernel on a group of one
+    /// element (all `s` bits and counter bumps, lane-parallel across the
+    /// functions) — `O(s)` with no allocation, and bit-for-bit identical
+    /// to routing the same update through [`Self::update_batch`]. The
+    /// written row's summary is then refreshed.
     pub fn update(&mut self, e: Element, delta: i64) {
         let level = self.bucket_of(e);
         let base = self.row_base(level);
         let s = self.config.second_level as usize;
-        self.second.accumulate_row(e, delta, &mut self.counters[base..base + 2 * s]);
-        self.total += delta;
+        // Fetch the row's sign words now, so that a cache miss on them
+        // overlaps the kernel instead of stalling the refresh's store.
+        prefetch(&self.sign_words(level)[0]);
+        let row = &mut self.counters[base..base + 2 * s];
+        self.second.accumulate_group_uniform(&[field::reduce64(e)], delta, row);
+        self.total = self.total.wrapping_add(delta);
+        self.refresh_rows(1 << level);
     }
 
     /// Apply a slice of updates (stream ids are ignored, as in
@@ -185,51 +293,70 @@ impl TwoLevelSketch {
             return;
         }
         let mut elems = [0u64; BATCH_CHUNK];
+        let mut xrs = [0u64; BATCH_CHUNK];
         let mut deltas = [0i64; BATCH_CHUNK];
+        let mut touched = 0u64;
         for chunk in updates.chunks(BATCH_CHUNK) {
             let n = chunk.len();
             for (i, u) in chunk.iter().enumerate() {
                 elems[i] = u.element;
+                xrs[i] = field::reduce64(u.element);
                 deltas[i] = u.delta;
             }
-            self.update_chunk(&elems[..n], &deltas[..n]);
+            touched |= self.update_chunk_prepared(&elems[..n], &xrs[..n], &deltas[..n]);
         }
+        self.refresh_rows(touched);
+    }
+
+    /// Apply a prepared batch — raw elements, their canonical field
+    /// representatives `reduce64(e)`, and deltas, in parallel slices — in
+    /// `BATCH_CHUNK` rounds, then refresh the summary of each touched
+    /// row once. Bit-for-bit identical to [`Self::update_batch`] over the
+    /// same updates.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub(crate) fn apply_prepared(&mut self, elems: &[u64], xrs: &[u64], deltas: &[i64]) {
+        if elems.len() < 32 {
+            // Grouping overhead outweighs locality on tiny batches.
+            for (&e, &d) in elems.iter().zip(deltas) {
+                self.update(e, d);
+            }
+            return;
+        }
+        let mut touched = 0u64;
+        let chunks = elems
+            .chunks(BATCH_CHUNK)
+            .zip(xrs.chunks(BATCH_CHUNK))
+            .zip(deltas.chunks(BATCH_CHUNK));
+        for ((ec, xc), dc) in chunks {
+            touched |= self.update_chunk_prepared(ec, xc, dc);
+        }
+        self.refresh_rows(touched);
     }
 
     /// One batch round over parallel `(element, delta)` slices of length
-    /// `≤ BATCH_CHUNK`: first-level hashes evaluated together, the chunk
-    /// counting-sorted by bucket into linear scratch arrays (so the group
-    /// kernel walks plain slices — no index indirection), then each
-    /// bucket's group applied against its row in one register-resident
-    /// pass per second-level function. The net delta is folded into
-    /// `total` once per chunk.
+    /// `≤ BATCH_CHUNK`, with the canonical field representatives
+    /// `xrs[i] = reduce64(elems[i])` already computed: first-level hashes
+    /// evaluated together, the chunk counting-sorted by bucket into
+    /// linear scratch arrays (so the group kernel walks plain slices — no
+    /// index indirection), then each bucket's group applied against its
+    /// row in one register-resident pass per second-level function. The
+    /// net delta is folded into `total` once per chunk. Returns the levels
+    /// it wrote, whose summary the caller refreshes once the whole batch
+    /// is in.
+    ///
+    /// The reductions are element-wise and copy-independent, so a
+    /// prepared batch computes them **once** and shares them across all
+    /// `r` copies (and all parallel shards) instead of re-deriving them
+    /// per copy. `elems` (the raw values) still feed the first-level hash:
+    /// the Carter–Wegman families reduce their input anyway, but
+    /// tabulation/mixer families hash raw 64-bit values, and feeding them
+    /// `xrs` would silently change their buckets.
     ///
     /// # Panics
     /// Panics if the slices differ in length or exceed [`BATCH_CHUNK`].
-    pub(crate) fn update_chunk(&mut self, elems: &[u64], deltas: &[i64]) {
-        let n = elems.len();
-        assert!(n <= BATCH_CHUNK && n == deltas.len(), "chunk shape");
-        let mut xrs = [0u64; BATCH_CHUNK];
-        for (xr, &e) in xrs[..n].iter_mut().zip(elems) {
-            *xr = field::reduce64(e);
-        }
-        self.update_chunk_prepared(elems, &xrs[..n], deltas);
-    }
-
-    /// [`Self::update_chunk`] with the canonical field representatives
-    /// `xrs[i] = reduce64(elems[i])` already computed. The reductions are
-    /// element-wise and copy-independent, so a prepared batch computes
-    /// them **once** and shares them across all `r` copies (and all
-    /// parallel shards) instead of re-deriving them per copy.
-    ///
-    /// `elems` (the raw values) still feed the first-level hash: the
-    /// Carter–Wegman families reduce their input anyway, but tabulation/
-    /// mixer families hash raw 64-bit values, and feeding them `xrs`
-    /// would silently change their buckets.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length or exceed [`BATCH_CHUNK`].
-    pub(crate) fn update_chunk_prepared(&mut self, elems: &[u64], xrs: &[u64], deltas: &[i64]) {
+    fn update_chunk_prepared(&mut self, elems: &[u64], xrs: &[u64], deltas: &[i64]) -> u64 {
         let n = elems.len();
         assert!(
             n <= BATCH_CHUNK && n == deltas.len() && n == xrs.len(),
@@ -280,11 +407,13 @@ impl TwoLevelSketch {
         // Grouped counter writes: one bucket's row at a time, all of the
         // bucket's updates applied in a single pass per second-level
         // function (coefficients and accumulator stay in registers).
+        let mut touched = 0u64;
         for level in 0..levels {
             let (lo, hi) = (starts[level] as usize, starts[level + 1] as usize);
             if lo == hi {
                 continue;
             }
+            touched |= 1 << level;
             let base = self.row_base(level as u32);
             let row = &mut self.counters[base..base + 2 * s];
             if uniform {
@@ -293,7 +422,8 @@ impl TwoLevelSketch {
                 self.second.accumulate_group(&selems[lo..hi], &sdeltas[lo..hi], row);
             }
         }
-        self.total += deltas.iter().sum::<i64>();
+        self.total = deltas.iter().fold(self.total, |t, &d| t.wrapping_add(d));
+        touched
     }
 
     /// Insert one copy of `e`.
@@ -344,12 +474,7 @@ impl TwoLevelSketch {
     /// result is exactly the sketch of the concatenated streams — the
     /// operation that makes the distributed stored-coins model work.
     pub fn merge_from(&mut self, other: &TwoLevelSketch) -> Result<(), EstimateError> {
-        self.check_compatible(other)?;
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
-        self.total += other.total;
-        Ok(())
+        self.combine(other, i64::wrapping_add)
     }
 
     /// Non-destructive merge.
@@ -365,11 +490,29 @@ impl TwoLevelSketch {
     /// `other`'s, which is what epoch-delta shipping needs: a delta frame
     /// carries `current − last_acknowledged`.
     pub fn subtract_from(&mut self, other: &TwoLevelSketch) -> Result<(), EstimateError> {
+        self.combine(other, i64::wrapping_sub)
+    }
+
+    /// Fold `other`'s cells into `self`'s with `op`, row-sparse: only the
+    /// rows `other` holds nonzero cells in can change, so only those are
+    /// visited and refreshed. Wrapping arithmetic: cells decoded from
+    /// hostile bytes must not be able to trigger overflow panics.
+    fn combine(
+        &mut self,
+        other: &TwoLevelSketch,
+        op: fn(i64, i64) -> i64,
+    ) -> Result<(), EstimateError> {
         self.check_compatible(other)?;
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c -= o;
+        let width = 2 * self.config.second_level as usize;
+        for level in levels_of(other.rows) {
+            let base = self.row_base(level);
+            let theirs = &other.counters[base..base + width];
+            for (c, &o) in self.counters[base..base + width].iter_mut().zip(theirs) {
+                *c = op(*c, o);
+            }
         }
-        self.total -= other.total;
+        self.total = op(self.total, other.total);
+        self.refresh_rows(other.rows);
         Ok(())
     }
 
@@ -377,7 +520,7 @@ impl TwoLevelSketch {
     /// [`Self::is_empty`], which only checks the net total: a sketch of
     /// `+x, -y` has total 0 but non-null cells.
     pub fn is_null(&self) -> bool {
-        self.total == 0 && self.counters.iter().all(|&c| c == 0)
+        self.total == 0 && self.rows == 0
     }
 
     /// Raw counter slice (row-major `[level][j][bit]`); used by the
@@ -401,19 +544,12 @@ impl TwoLevelSketch {
     /// per sketch instead of `levels · s · 16`.
     pub fn counter_block(&self) -> Vec<u8> {
         let width = 2 * self.config.second_level as usize;
-        let rows = self.counters.chunks_exact(width);
-        let mask = rows
-            .clone()
-            .enumerate()
-            .filter(|(_, row)| row.iter().any(|&c| c != 0))
-            .fold(0u64, |m, (level, _)| m | 1 << level);
-        let mut out = Vec::with_capacity(8 + mask.count_ones() as usize * width * 2);
-        out.extend_from_slice(&mask.to_le_bytes());
-        for (level, row) in rows.enumerate() {
-            if mask >> level & 1 == 1 {
-                for &cell in row {
-                    write_varint(&mut out, zigzag(cell));
-                }
+        let mut out = Vec::with_capacity(8 + self.rows.count_ones() as usize * width * 2);
+        out.extend_from_slice(&self.rows.to_le_bytes());
+        for level in levels_of(self.rows) {
+            let base = self.row_base(level);
+            for &cell in &self.counters[base..base + width] {
+                write_varint(&mut out, zigzag(cell));
             }
         }
         out
@@ -497,8 +633,15 @@ impl TwoLevelSketch {
             )));
         }
         sketch.total = total;
+        sketch.refresh_rows(mask);
         Ok(sketch)
     }
+}
+
+/// Sign words per level: one bit per cell, `2·s` bits.
+#[inline]
+fn sign_width(config: &SketchConfig) -> usize {
+    (config.second_level as usize).div_ceil(32)
 }
 
 /// Zigzag-map a signed cell so small magnitudes of either sign encode in

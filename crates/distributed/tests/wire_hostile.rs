@@ -23,16 +23,21 @@ use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use serde::{Serialize, Serializer};
-use setstream_core::{EstimateError, SketchConfig, SketchFamily, SketchVector, TwoLevelSketch};
+use setstream_core::{
+    estimate, EstimateError, EstimatorOptions, SketchConfig, SketchFamily, SketchVector,
+    TwoLevelSketch,
+};
 use setstream_distributed::codec::{self, CodecError};
-use setstream_distributed::site::EpochCommit;
+use setstream_distributed::site::{EpochCommit, SynopsisMessage};
 use setstream_distributed::transport::FrameReader;
 use setstream_distributed::wire::{
     crc32, decode_frame, decode_frame_parts, decode_payload, encode_frame, encode_frame_traced,
     frame_size_hint, FrameContext, FrameKind, WireError, EXT_FLAG, MAX_PAYLOAD_LEN,
 };
+use setstream_expr::SetExpr;
 use setstream_hash::HashFamily;
 use setstream_obs::TraceContext;
+use setstream_stream::StreamId;
 
 fn commit_frame(epoch: u64) -> Bytes {
     encode_frame(
@@ -315,6 +320,83 @@ fn vector_headers_cannot_size_allocations_beyond_the_cap() {
     };
     let back: SketchVector = codec::from_bytes(&codec::to_bytes(&honest).unwrap()).unwrap();
     assert!(back.is_null());
+}
+
+/// The serde layout of a [`SynopsisMessage`], around a raw vector.
+#[derive(Serialize)]
+struct RawSynopsis {
+    site: u32,
+    stream: StreamId,
+    epoch: u64,
+    vector: RawVector,
+}
+
+fn zigzag_varint(out: &mut Vec<u8>, v: i64) {
+    let mut u = ((v << 1) ^ (v >> 63)) as u64;
+    while u >= 0x80 {
+        out.push(u as u8 | 0x80);
+        u >>= 7;
+    }
+    out.push(u as u8);
+}
+
+#[test]
+fn extreme_cells_decode_merge_and_estimate_without_panicking() {
+    // Level 0 of copy 0 holds cells (i64::MAX, 1). The block is canonical
+    // and its j = 0 cells sum (wrapping) to the declared total i64::MIN,
+    // so the decoder accepts it — yet an unchecked `cell + cell`
+    // emptiness probe overflows on it.
+    let family = SketchFamily::new(tiny(), 2, 1);
+    let mut block = 1u64.to_le_bytes().to_vec();
+    zigzag_varint(&mut block, i64::MAX);
+    zigzag_varint(&mut block, 1);
+    let hostile = RawSynopsis {
+        site: 7,
+        stream: StreamId(0),
+        epoch: 1,
+        vector: RawVector {
+            family,
+            sketches: vec![
+                RawSketch {
+                    config: tiny(),
+                    seed: family.copy_seed(0),
+                    block,
+                    total: i64::MIN,
+                },
+                empty_copy(tiny(), family.copy_seed(1)),
+            ],
+        },
+    };
+    let frame = encode_frame(FrameKind::Synopsis, &hostile).unwrap();
+    let (kind, message): (FrameKind, SynopsisMessage) = decode_payload(frame).unwrap();
+    assert_eq!(kind, FrameKind::Synopsis);
+    let decoded = message.vector;
+    assert_eq!(decoded.sketches()[0].cell(0, 0, 0), i64::MAX);
+    assert!(!decoded.sketches()[0].is_level_empty(0));
+
+    // Merging it twice wraps the cells to (-2, 2) and the total to 0;
+    // subtracting it again wraps back.
+    let mut merged = family.new_vector();
+    merged.merge_from(&decoded).unwrap();
+    merged.merge_from(&decoded).unwrap();
+    assert_eq!(merged.sketches()[0].counters()[..2], [-2, 2]);
+    let mut other = family.new_vector();
+    for e in 0..50u64 {
+        other.insert(e);
+    }
+    let opts = EstimatorOptions::default();
+    let expr: SetExpr = "(A - B) | (B & A)".parse().unwrap();
+    for v in [&decoded, &merged] {
+        estimate::union(&[v, &other], &opts).unwrap();
+        let answer = estimate::expression(&expr, &[(StreamId(0), v), (StreamId(1), &other)], &opts);
+        assert!(
+            matches!(answer, Ok(_) | Err(EstimateError::NoValidObservations)),
+            "{answer:?}"
+        );
+    }
+    merged.subtract_from(&decoded).unwrap();
+    assert_eq!(merged.sketches()[0].counters(), decoded.sketches()[0].counters());
+    assert_eq!(merged.sketches()[0].total_count(), i64::MIN);
 }
 
 proptest! {

@@ -46,11 +46,21 @@ impl SetExpr {
     /// element (or: is the level-j bucket non-empty) for stream `s`?";
     /// union becomes `∨`, intersection `∧`, difference `∧¬`.
     pub fn eval_bool(&self, present: &impl Fn(StreamId) -> bool) -> bool {
+        self.eval_bits(&|s| u64::from(present(s))) & 1 == 1
+    }
+
+    /// `B(E)` over 64 independent lanes at once: bit `i` of `present(s)`
+    /// is stream `s`'s membership bit in lane `i`, and bit `i` of the
+    /// result is `B(E)` in that lane. Union becomes `|`, intersection
+    /// `&`, difference `& !`. The estimators pass each stream's occupied
+    /// first-level buckets of one sketch copy, so one call scores every
+    /// bucket of the copy.
+    pub fn eval_bits(&self, present: &impl Fn(StreamId) -> u64) -> u64 {
         match self {
             SetExpr::Stream(id) => present(*id),
-            SetExpr::Union(l, r) => l.eval_bool(present) || r.eval_bool(present),
-            SetExpr::Intersect(l, r) => l.eval_bool(present) && r.eval_bool(present),
-            SetExpr::Diff(l, r) => l.eval_bool(present) && !r.eval_bool(present),
+            SetExpr::Union(l, r) => l.eval_bits(present) | r.eval_bits(present),
+            SetExpr::Intersect(l, r) => l.eval_bits(present) & r.eval_bits(present),
+            SetExpr::Diff(l, r) => l.eval_bits(present) & !r.eval_bits(present),
         }
     }
 

@@ -36,7 +36,8 @@
 //! This module is the one place the crate permits `unsafe`: calling a
 //! `#[target_feature]` function requires it, and every call site is
 //! guarded by the corresponding `is_x86_feature_detected!` check cached in
-//! [`backend`].
+//! [`backend`] — except [`prefetch`]'s, whose SSE instruction every
+//! x86_64 CPU has.
 //!
 //! analyze: allow(indexing) — lane kernels index fixed `[u64; LANES]` arrays by `0..LANES` and slice chunks produced by `chunks_exact(LANES)`
 #![allow(unsafe_code)]
@@ -510,6 +511,24 @@ fn horner_many_lanes<const LANES: usize>(coeffs: &[u64], xs: &[u64], out: &mut [
     }
 }
 
+/// Positivity bitmap of a counter row: bit `i % 64` of `out[i / 64]` is
+/// set iff `cells[i] > 0`; returns whether any cell is nonzero. No lane
+/// unrolling: the compare-and-pack loop auto-vectorizes as written once
+/// its wrapper enables the vector features.
+#[inline(always)]
+fn positive_bits_kernel(cells: &[i64], out: &mut [u64]) -> bool {
+    let mut any = 0i64;
+    for (word, chunk) in out.iter_mut().zip(cells.chunks(64)) {
+        let mut bits = 0u64;
+        for (i, &c) in chunk.iter().enumerate() {
+            bits |= u64::from(c > 0) << i;
+            any |= c;
+        }
+        *word = bits;
+    }
+    any != 0
+}
+
 // ------------------------------------------------- target_feature wrappers
 
 #[cfg(all(target_arch = "x86_64", feature = "simd"))]
@@ -566,6 +585,13 @@ mod x86 {
         horner_many_lanes::<16>(coeffs, xs, out);
     }
 
+    // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; the body is
+    // safe code over chunked slices.
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
+    pub unsafe fn positive_bits_avx512(cells: &[i64], out: &mut [u64]) -> bool {
+        positive_bits_kernel(cells, out)
+    }
+
     // SAFETY: to call, the CPU must support avx2; the body is safe code over
     // chunked slices.
     #[target_feature(enable = "avx2")]
@@ -603,6 +629,13 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn horner_many_avx2(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
         horner_many_lanes::<4>(coeffs, xs, out);
+    }
+
+    // SAFETY: to call, the CPU must support avx2; the body is safe code over
+    // chunked slices.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn positive_bits_avx2(cells: &[i64], out: &mut [u64]) -> bool {
+        positive_bits_kernel(cells, out)
     }
 }
 
@@ -678,6 +711,41 @@ pub(crate) fn horner_many(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
         Backend::Avx2 => unsafe { x86::horner_many_avx2(coeffs, xs, out) },
         _ => horner_many_lanes::<1>(coeffs, xs, out),
     }
+}
+
+/// The positivity bitmap of a counter row, dispatched: bit `i % 64` of
+/// `out[i / 64]` is set iff `cells[i] > 0`, and `out` holds
+/// `⌈cells.len()/64⌉` words (extra words are left alone). Returns whether
+/// any cell is nonzero. This is how a sketch refreshes the sign words of
+/// a row it wrote.
+#[inline]
+pub fn positive_bits(cells: &[i64], out: &mut [u64]) -> bool {
+    debug_assert!(out.len() >= cells.len().div_ceil(64));
+    match backend() {
+        // SAFETY: `backend()` returns Avx512 only after detecting all four features.
+        #[cfg(all(target_arch = "x86_64", feature = "simd"))]
+        Backend::Avx512 => unsafe { x86::positive_bits_avx512(cells, out) },
+        // SAFETY: `backend()` returns Avx2 only after detecting avx2.
+        #[cfg(all(target_arch = "x86_64", feature = "simd"))]
+        Backend::Avx2 => unsafe { x86::positive_bits_avx2(cells, out) },
+        _ => positive_bits_kernel(cells, out),
+    }
+}
+
+/// Ask the CPU to start loading `value`'s cache line, so that a likely
+/// miss overlaps the work the caller does before touching it. A hint
+/// only: no effect on results, and a no-op off x86_64.
+#[inline]
+pub fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and has no architectural effect;
+    // the address comes from a live reference and SSE is baseline x86_64.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
 }
 
 #[cfg(test)]

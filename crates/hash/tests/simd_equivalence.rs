@@ -1,9 +1,10 @@
 //! SIMD ≡ scalar equivalence, property-tested through the public API.
 //!
 //! The dispatched lane kernels behind [`PairwiseHashBank::hash_bits_into`],
-//! [`PairwiseHashBank::accumulate_group`], and the `hash_slice` overrides
-//! must be **bit-identical** to the per-element scalar references that
-//! predate them (`for_each_bit` / `accumulate_row` / `Hash64::hash`), for
+//! [`PairwiseHashBank::accumulate_group`], [`setstream_hash::positive_bits`]
+//! and the `hash_slice` overrides must be **bit-identical** to the
+//! per-element scalar references that predate them (`for_each_bit` /
+//! `accumulate_row` / `c > 0` / `Hash64::hash`), for
 //! every input shape: arbitrary bank widths and batch lengths (including
 //! odd lane remainders), insert-only, mixed, and delete-heavy deltas.
 //!
@@ -26,6 +27,28 @@ fn bank(seed: u64, s: usize) -> PairwiseHashBank {
 }
 
 proptest! {
+    /// The dispatched positivity bitmap ≡ a per-cell `c > 0` test, for row
+    /// lengths straddling every word and lane boundary and cells of any
+    /// sign and size.
+    #[test]
+    fn positive_bits_match_per_cell_sign(
+        cells in vec(
+            prop_oneof![-2i64..3, any::<i64>(), Just(i64::MIN), Just(i64::MAX)],
+            0..300,
+        ),
+    ) {
+        let mut packed = vec![!0u64; cells.len().div_ceil(64)];
+        let nonzero = setstream_hash::positive_bits(&cells, &mut packed);
+        prop_assert_eq!(nonzero, cells.iter().any(|&c| c != 0));
+        for (i, &c) in cells.iter().enumerate() {
+            prop_assert_eq!(packed[i / 64] >> (i % 64) & 1 == 1, c > 0, "cell {} = {}", i, c);
+        }
+        if cells.len() % 64 != 0 {
+            let last = packed[packed.len() - 1];
+            prop_assert_eq!(last >> (cells.len() % 64), 0, "tail word has stray bits");
+        }
+    }
+
     /// Packed bit extraction ≡ the callback-driven scalar path, for bank
     /// widths straddling every word and lane boundary.
     #[test]

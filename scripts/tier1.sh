@@ -39,7 +39,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=54
+WAIVER_BUDGET=52
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
@@ -52,7 +52,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2283 apps=1179 baselines=411 bench=1360 core=2289 distributed=3713 engine=2247 expr=822 hash=977 obs=1627 stream=811"
+LOC_BUDGET="analyze=2283 apps=1179 baselines=411 bench=1360 core=2325 distributed=3713 engine=2247 expr=825 hash=1019 obs=1627 stream=811"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }
@@ -66,6 +66,14 @@ scripts/loom.sh
 
 echo "==> distributed fault-injection suite (SOAK_ROUNDS=${SOAK_ROUNDS})"
 cargo test -p setstream-distributed -q
+
+# setbench is a package of its own (its own [workspace]), so the workspace
+# test run above never reaches it. Its suite smoke-runs all four workloads
+# with their correctness checks: subscribe's bit-identical cache check,
+# collect's cell identity against a central engine, and the sabotage run
+# that must fail them.
+echo "==> setbench suite (smoke runs of every workload and their checks)"
+cargo test --release --offline -q --manifest-path setbench/Cargo.toml
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
