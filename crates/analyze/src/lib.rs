@@ -116,7 +116,6 @@ impl Config {
             hot_roots: [
                 ("crates/hash/src/simd.rs", "accumulate_uniform"),
                 ("crates/hash/src/simd.rs", "accumulate_weighted"),
-                ("crates/hash/src/simd.rs", "hash_bits"),
                 ("crates/hash/src/simd.rs", "horner_many"),
                 ("crates/core/src/sketch/two_level.rs", "update"),
                 ("crates/core/src/sketch/two_level.rs", "update_batch"),

@@ -13,8 +13,8 @@ use setstream_core::SketchFamily;
 use setstream_distributed::network::{FaultSpec, MemoryPipe};
 use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::{
-    ChangeEvent, ExprReport, QualityConfig, QualityMonitor, QueryId, StreamEngine,
-    SubscriptionOptions, Tolerance,
+    ChangeEvent, ExprReport, QualityConfig, QualityMonitor, StreamEngine, SubscriptionOptions,
+    Tolerance,
 };
 use setstream_obs::{chrome, export, lineage, serve, Registry, RingRecorder, TraceHandle};
 use setstream_stream::{StreamId, Update};
@@ -88,8 +88,8 @@ pub struct DemoStack {
     pipes: Vec<MemoryPipe>,
     recorder: Arc<RingRecorder>,
     registry: Registry,
-    union_q: QueryId,
-    inter_q: QueryId,
+    union_q: setstream_expr::SetExpr,
+    inter_q: setstream_expr::SetExpr,
     rounds_run: usize,
 }
 
@@ -107,8 +107,8 @@ impl DemoStack {
         let recorder = Arc::new(RingRecorder::new(config.trace_capacity));
         let trace = TraceHandle::new(recorder.clone());
         let mut engine = StreamEngine::new(family).with_trace(trace.clone());
-        let union_q = engine.register_query("A | B").map_err(|e| e.to_string())?;
-        let inter_q = engine.register_query("A & B").map_err(|e| e.to_string())?;
+        let union_q: setstream_expr::SetExpr = "A | B".parse().map_err(|e| format!("{e}"))?;
+        let inter_q: setstream_expr::SetExpr = "A & B".parse().map_err(|e| format!("{e}"))?;
 
         // Standing queries: notify when an estimate drifts more than 5%
         // from the last notified value. The demo round publishes one
@@ -120,8 +120,8 @@ impl DemoStack {
             .build()
             .map_err(|e| e.to_string())?;
         for text in ["A | B", "A & B", "A - B"] {
-            let query: setstream_engine::Query = text.parse().map_err(|e| format!("{e}"))?;
-            engine.subscribe(query, sub_options).map_err(|e| e.to_string())?;
+            let expr: setstream_expr::SetExpr = text.parse().map_err(|e| format!("{e}"))?;
+            engine.subscribe(expr, sub_options).map_err(|e| e.to_string())?;
         }
 
         let monitor = Arc::new(
@@ -240,8 +240,8 @@ impl DemoStack {
             health.lagging,
             health.resync_pending,
         );
-        let union = self.engine.evaluate(self.union_q).map_err(|e| e.to_string())?;
-        let inter = self.engine.evaluate(self.inter_q).map_err(|e| e.to_string())?;
+        let union = self.engine.evaluate(&self.union_q).map_err(|e| e.to_string())?;
+        let inter = self.engine.evaluate(&self.inter_q).map_err(|e| e.to_string())?;
         self.rounds_run += 1;
         Ok(RoundSummary {
             round,

@@ -1,9 +1,10 @@
 //! Engine-level costs: update routing overhead vs raw synopsis updates,
-//! query evaluation rounds, and watch checks.
+//! ad-hoc evaluation, and snapshots.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use setstream_core::SketchFamily;
-use setstream_engine::{Comparison, StreamEngine};
+use setstream_engine::StreamEngine;
+use setstream_expr::SetExpr;
 use setstream_stream::{StreamId, Update};
 
 fn family() -> SketchFamily {
@@ -41,20 +42,11 @@ fn engine_updates(c: &mut Criterion) {
 fn engine_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_query");
     group.sample_size(30);
-    let mut engine = loaded_engine();
-    let q1 = engine.register_query("A & B").unwrap();
-    let _q2 = engine.register_query("A - B").unwrap();
-    let _q3 = engine.register_query("(A & B) - C").unwrap();
-    engine.register_watch(q1, 100.0, Comparison::Above).unwrap();
+    let engine = loaded_engine();
+    let expr: SetExpr = "A & B".parse().unwrap();
 
     group.bench_function("estimate_single", |b| {
-        b.iter(|| engine.evaluate(q1).unwrap().value)
-    });
-    group.bench_function("estimate_all_3_queries_shared_union", |b| {
-        b.iter(|| engine.evaluate_all().len())
-    });
-    group.bench_function("check_watches", |b| {
-        b.iter(|| engine.check_watches().len())
+        b.iter(|| engine.evaluate(&expr).unwrap().value)
     });
     group.bench_function("snapshot", |b| {
         b.iter(|| engine.snapshot().synopses.len())

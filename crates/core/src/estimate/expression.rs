@@ -99,7 +99,7 @@ fn estimate_with(
 
 /// Stream `sid`'s occupied levels in one copy: `sketches` is
 /// index-aligned with `ids`; a stream not among them is absent everywhere.
-pub(super) fn occupancy(ids: &[StreamId], sketches: &[&TwoLevelSketch], sid: StreamId) -> u64 {
+fn occupancy(ids: &[StreamId], sketches: &[&TwoLevelSketch], sid: StreamId) -> u64 {
     ids.iter()
         .zip(sketches)
         .find(|&(&id, _)| id == sid)

@@ -28,7 +28,6 @@
 
 mod bit;
 mod boost;
-mod multi;
 mod difference;
 mod expression;
 mod intersection;
@@ -39,7 +38,6 @@ mod witness;
 pub use bit::{bit_difference, bit_expression, bit_intersection, bit_union, BitSketchVector};
 pub use boost::{difference_boosted, intersection_boosted, median_of_groups};
 pub use expression::{expression, expression_with_union};
-pub use multi::multi_expression;
 pub use ratio::{containment, jaccard, RatioEstimate};
 pub use union_est::{union, union_estimate_value};
 
@@ -131,8 +129,6 @@ pub enum EstimateMethod {
     Union,
     /// A witness-based atomic or expression estimator (§3.4–3.5, §4).
     Witness,
-    /// The shared-scan batch estimator ([`multi_expression`]).
-    MultiWitness,
     /// Median-of-groups boosting over witness estimates.
     MedianBoost,
     /// A bit-sketch baseline estimator.
@@ -148,7 +144,6 @@ impl EstimateMethod {
         match self {
             EstimateMethod::Union => "union",
             EstimateMethod::Witness => "witness",
-            EstimateMethod::MultiWitness => "multi_witness",
             EstimateMethod::MedianBoost => "median_boost",
             EstimateMethod::BitSketch => "bit_sketch",
             EstimateMethod::TrivialEmpty => "trivial_empty",

@@ -59,7 +59,6 @@ pub mod family;
 pub mod incremental;
 pub mod plan;
 pub mod sketch;
-pub mod window;
 
 pub use config::SketchConfig;
 pub use error::EstimateError;
@@ -74,4 +73,3 @@ pub use family::{
 };
 pub use plan::Plan;
 pub use sketch::{BitSketch, TwoLevelSketch};
-pub use window::RotatingSketchVector;

@@ -230,47 +230,6 @@ mod reference {
         })
     }
 
-    pub fn multi_expression(
-        exprs: &[SetExpr],
-        streams: &[(StreamId, &SketchVector)],
-        opts: &EstimatorOptions,
-    ) -> Result<Vec<Estimate>, EstimateError> {
-        let ids: Vec<StreamId> = streams.iter().map(|&(id, _)| id).collect();
-        let vectors: Vec<&SketchVector> = streams.iter().map(|&(_, v)| v).collect();
-        let union_opts = EstimatorOptions {
-            epsilon: opts.epsilon / 3.0,
-            ..*opts
-        };
-        let u_hat = union(&vectors, &union_opts).value;
-        let copies = vectors[0].copies();
-        if u_hat == 0.0 {
-            return Ok(exprs.iter().map(|_| trivial(copies)).collect());
-        }
-        let mut hits = vec![0usize; exprs.len()];
-        let (valid, _) = collect(&vectors, u_hat, opts, |copy, level| {
-            for (expr, h) in exprs.iter().zip(&mut hits) {
-                if expr.eval_bool(&|sid| present(&ids, copy, level, sid)) {
-                    *h += 1;
-                }
-            }
-            false
-        });
-        if valid == 0 {
-            return Err(EstimateError::NoValidObservations);
-        }
-        Ok(hits
-            .into_iter()
-            .map(|h| Estimate {
-                value: h as f64 / valid as f64 * u_hat,
-                method: EstimateMethod::MultiWitness,
-                union_estimate: u_hat,
-                valid_observations: valid,
-                witness_hits: h,
-                copies,
-            })
-            .collect())
-    }
-
     pub fn jaccard(
         a: &SketchVector,
         b: &SketchVector,
@@ -471,16 +430,6 @@ fn expression_estimators_match_the_cell_scan() {
                     &reference::expression(expr, &pairs, &opts),
                     &format!("s={s} {name} {expr}"),
                 );
-            }
-            let fast = estimate::multi_expression(&exprs, &pairs, &opts);
-            let slow = reference::multi_expression(&exprs, &pairs, &opts);
-            match (fast, slow) {
-                (Ok(f), Ok(sl)) => {
-                    for ((expr, f), sl) in exprs.iter().zip(&f).zip(&sl) {
-                        assert_same(&Ok(*f), &Ok(*sl), &format!("s={s} {name} multi {expr}"));
-                    }
-                }
-                (f, sl) => assert_eq!(f, sl, "s={s} {name} multi"),
             }
         }
     }

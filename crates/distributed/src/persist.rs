@@ -36,7 +36,7 @@ mod tests {
     use super::*;
     use setstream_core::SketchFamily;
     use setstream_engine::durable::DurableError;
-    use setstream_engine::StreamEngine;
+    use setstream_engine::{StreamEngine, SubscriptionOptions, Tolerance};
     use setstream_stream::{StreamId, Update};
 
     fn sample_engine() -> StreamEngine {
@@ -51,7 +51,15 @@ mod tests {
         for e in 0..40u64 {
             engine.process(&Update::insert(StreamId(0), e, 1));
         }
-        engine.register_query("A").unwrap();
+        let alarm = SubscriptionOptions::builder()
+            .tolerance(Tolerance::Above {
+                threshold: 10.0,
+                hysteresis: 2.0,
+            })
+            .build()
+            .unwrap();
+        engine.subscribe("A".parse().unwrap(), alarm).unwrap();
+        engine.publish_epoch();
         engine
     }
 
@@ -61,6 +69,10 @@ mod tests {
         let blob = seal_engine_snapshot(&engine.snapshot()).unwrap();
         let restored = StreamEngine::restore(unseal_engine_snapshot(&blob).unwrap());
         assert_eq!(engine.stats(), restored.stats());
+        // The threshold rule and its tripped state survive the codec.
+        let (a, b) = (engine.subscriptions().next(), restored.subscriptions().next());
+        assert_eq!(a.unwrap().options(), b.unwrap().options());
+        assert_eq!(a.unwrap().last_notified(), b.unwrap().last_notified());
     }
 
     #[test]

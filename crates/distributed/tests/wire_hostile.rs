@@ -37,7 +37,7 @@ use setstream_distributed::wire::{
 use setstream_expr::SetExpr;
 use setstream_hash::HashFamily;
 use setstream_obs::TraceContext;
-use setstream_stream::StreamId;
+use setstream_stream::{StreamId, Update};
 
 fn commit_frame(epoch: u64) -> Bytes {
     encode_frame(
@@ -340,12 +340,12 @@ fn zigzag_varint(out: &mut Vec<u8>, v: i64) {
     out.push(u as u8);
 }
 
-#[test]
-fn extreme_cells_decode_merge_and_estimate_without_panicking() {
-    // Level 0 of copy 0 holds cells (i64::MAX, 1). The block is canonical
-    // and its j = 0 cells sum (wrapping) to the declared total i64::MIN,
-    // so the decoder accepts it — yet an unchecked `cell + cell`
-    // emptiness probe overflows on it.
+/// A Synopsis frame whose copy 0 holds level-0 cells (i64::MAX, 1),
+/// decoded through the codec. The block is canonical and its j = 0 cells
+/// sum (wrapping) to the declared total i64::MIN, so the decoder accepts
+/// it — yet an unchecked `cell + cell` emptiness probe, or an unchecked
+/// cell add, overflows on it.
+fn decode_extreme_cells() -> (SketchFamily, SketchVector) {
     let family = SketchFamily::new(tiny(), 2, 1);
     let mut block = 1u64.to_le_bytes().to_vec();
     zigzag_varint(&mut block, i64::MAX);
@@ -370,7 +370,12 @@ fn extreme_cells_decode_merge_and_estimate_without_panicking() {
     let frame = encode_frame(FrameKind::Synopsis, &hostile).unwrap();
     let (kind, message): (FrameKind, SynopsisMessage) = decode_payload(frame).unwrap();
     assert_eq!(kind, FrameKind::Synopsis);
-    let decoded = message.vector;
+    (family, message.vector)
+}
+
+#[test]
+fn extreme_cells_decode_merge_and_estimate_without_panicking() {
+    let (family, decoded) = decode_extreme_cells();
     assert_eq!(decoded.sketches()[0].cell(0, 0, 0), i64::MAX);
     assert!(!decoded.sketches()[0].is_level_empty(0));
 
@@ -397,6 +402,48 @@ fn extreme_cells_decode_merge_and_estimate_without_panicking() {
     merged.subtract_from(&decoded).unwrap();
     assert_eq!(merged.sketches()[0].counters(), decoded.sketches()[0].counters());
     assert_eq!(merged.sketches()[0].total_count(), i64::MIN);
+}
+
+#[test]
+fn extreme_cells_take_scalar_and_batch_updates() {
+    // Updates landing on the decoded i64::MAX cell go through the lane
+    // kernels, whose cell adds wrap. Maintenance is linear and merge
+    // wraps too, so each result equals the decoded sketch merged with a
+    // fresh one given the same updates.
+    let (family, decoded) = decode_extreme_cells();
+    let inserts: Vec<Update> = (0..64u64)
+        .map(|e| Update::insert(StreamId(0), e, 1))
+        .collect();
+    let mixed: Vec<Update> = (0..64u64)
+        .map(|e| Update {
+            stream: StreamId(0),
+            element: e,
+            delta: if e % 3 == 0 { -2 } else { 1 },
+        })
+        .collect();
+    for (what, updates, batch) in [
+        ("scalar insert", &inserts, false),
+        ("uniform batch", &inserts, true),
+        ("mixed-delta batch", &mixed, true),
+    ] {
+        let mut got = decoded.clone();
+        let mut fresh = family.new_vector();
+        if batch {
+            got.update_batch(updates);
+            fresh.update_batch(updates);
+        } else {
+            for u in updates {
+                got.process(u);
+                fresh.process(u);
+            }
+        }
+        let mut want = decoded.clone();
+        want.merge_from(&fresh).unwrap();
+        for (g, w) in got.sketches().iter().zip(want.sketches()) {
+            assert_eq!(g.counters(), w.counters(), "{what}");
+            assert_eq!(g.total_count(), w.total_count(), "{what}");
+        }
+    }
 }
 
 proptest! {

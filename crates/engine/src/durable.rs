@@ -35,9 +35,13 @@ const OVERHEAD: usize = 4 + 2 + 1 + 4 + 4;
 /// Bump when the envelope layout or any sealed payload's encoding changes
 /// incompatibly. Readers reject blobs with a higher version (a downgrade
 /// cannot guess a future layout) and, since no legacy decoder is kept,
-/// blobs with a lower one. Version 2 is the first whose sketches carry
-/// sparse counter blocks; version 1 blobs held dense counter arrays.
-pub const FORMAT_VERSION: u16 = 2;
+/// blobs with a lower one. Version 2 was the first whose sketches carry
+/// sparse counter blocks (version 1 blobs held dense counter arrays).
+/// Version 3 drops the registered queries, threshold watches and their id
+/// counters from the engine snapshot, since subscriptions became the
+/// engine's only standing-query registry; a version-2 engine snapshot
+/// would otherwise be misread field by field.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// What kind of state a durable blob carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +83,8 @@ pub enum DurableError {
         supported: u16,
     },
     /// Written by an older release whose payload encoding this build no
-    /// longer decodes (version 1 carried dense counter arrays).
+    /// longer decodes (version 1 carried dense counter arrays, version 2
+    /// engine snapshots the retired query and watch registries).
     RetiredVersion {
         /// Version stamped on the blob.
         found: u16,
@@ -335,9 +340,27 @@ mod tests {
         );
         let retired = DurableError::RetiredVersion {
             found: 1,
-            supported: 2,
+            supported: FORMAT_VERSION,
         };
         assert!(retired.to_string().contains("retired"));
+    }
+
+    #[test]
+    fn version_two_blobs_are_a_typed_refusal() {
+        // A blob sealed by a release whose engine snapshots still carried
+        // registered queries and watches.
+        let mut blob = seal(DurableKind::EngineSnapshot, b"v2 engine snapshot");
+        blob[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let total = blob.len();
+        let crc = crc32(&blob[4..total - 4]).to_le_bytes();
+        blob[total - 4..].copy_from_slice(&crc);
+        assert_eq!(
+            unseal(&blob, DurableKind::EngineSnapshot),
+            Err(DurableError::RetiredVersion {
+                found: 2,
+                supported: 3
+            })
+        );
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The engine proper: stream registry, query registry, evaluation rounds.
+//! The engine proper: stream registry, ad-hoc estimation, and the
+//! standing-query (subscription) rounds.
 
 use crate::config::EngineConfig;
 use crate::metrics::EngineMetrics;
-use crate::query::{Query, QueryId, RegisteredQuery};
 use crate::subscribe::{
     ChangeCause, ChangeEvent, Subscription, SubscriptionError, SubscriptionHub, SubscriptionId,
     SubscriptionMetrics, SubscriptionOptions,
 };
-use crate::watch::{Comparison, Watch, WatchEvent, WatchId};
 use setstream_core::{
     estimate, Estimate, EstimateError, EstimatorOptions, IngestStats, SketchFamily, SketchVector,
 };
 use setstream_expr::intern::NodeId;
-use setstream_expr::{ParseError, SetExpr, SubscribeError};
+use setstream_expr::{SetExpr, SubscribeError};
 use setstream_hash::clock;
 use setstream_obs::{TraceContext, TraceHandle};
 use setstream_stream::cdc::CdcEvent;
@@ -24,18 +23,12 @@ use std::sync::Arc;
 /// Engine failures.
 #[derive(Debug)]
 pub enum EngineError {
-    /// The query text did not parse.
-    Parse(ParseError),
     /// Estimation failed (incompatible synopses cannot happen inside one
     /// engine; this surfaces e.g. `NoValidObservations`).
     Estimate(EstimateError),
-    /// Unknown query handle.
-    UnknownQuery(QueryId),
-    /// Unknown watch handle.
-    UnknownWatch(WatchId),
     /// Unknown subscription handle.
     UnknownSubscription(SubscriptionId),
-    /// Invalid subscription or watch parameters.
+    /// Invalid subscription parameters.
     Subscription(SubscriptionError),
     /// A `SUBSCRIBE … TOLERANCE …` statement did not parse.
     Subscribe(SubscribeError),
@@ -44,10 +37,7 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Parse(e) => write!(f, "query parse error: {e}"),
             EngineError::Estimate(e) => write!(f, "estimation error: {e}"),
-            EngineError::UnknownQuery(q) => write!(f, "unknown query id {q}"),
-            EngineError::UnknownWatch(w) => write!(f, "unknown watch id {w}"),
             EngineError::UnknownSubscription(s) => {
                 write!(f, "unknown subscription id {s}")
             }
@@ -58,12 +48,6 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<ParseError> for EngineError {
-    fn from(e: ParseError) -> Self {
-        EngineError::Parse(e)
-    }
-}
 
 impl From<EstimateError> for EngineError {
     fn from(e: EstimateError) -> Self {
@@ -92,10 +76,6 @@ pub struct EngineStats {
     pub deletions: u64,
     /// Streams with a live synopsis.
     pub streams: usize,
-    /// Registered queries.
-    pub queries: usize,
-    /// Registered watches.
-    pub watches: usize,
     /// Registered subscriptions.
     pub subscriptions: usize,
     /// Synopsis memory in bytes (counters only).
@@ -109,13 +89,7 @@ pub struct StreamEngine {
     synopses: BTreeMap<StreamId, SketchVector>,
     /// Shared stand-in for streams that have never received an update.
     empty: SketchVector,
-    queries: BTreeMap<QueryId, RegisteredQuery>,
-    watches: BTreeMap<WatchId, Watch>,
-    /// Hysteresis latch state per watch (`true` = currently reporting).
-    watch_latched: BTreeMap<WatchId, bool>,
     subs: SubscriptionHub,
-    next_query: u64,
-    next_watch: u64,
     updates: u64,
     deletions: u64,
     metrics: Arc<EngineMetrics>,
@@ -148,12 +122,7 @@ impl StreamEngine {
             options: EstimatorOptions::default(),
             synopses: BTreeMap::new(),
             empty: family.new_vector(),
-            queries: BTreeMap::new(),
-            watches: BTreeMap::new(),
-            watch_latched: BTreeMap::new(),
             subs: SubscriptionHub::new(),
-            next_query: 1,
-            next_watch: 1,
             updates: 0,
             deletions: 0,
             metrics: Arc::new(EngineMetrics::new()),
@@ -188,7 +157,8 @@ impl StreamEngine {
     }
 
     /// Install a trace sink for spans around estimate calls
-    /// (`engine.query`, `engine.query_all`). Defaults to the no-op sink.
+    /// (`engine.query`) and subscription rounds (`engine.publish_epoch`).
+    /// Defaults to the no-op sink.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
@@ -294,52 +264,14 @@ impl StreamEngine {
         }
     }
 
-    // ----------------------------------------------------------- queries
-
-    /// Register a continuous query from text (see
-    /// [`setstream_expr::parser`] for the grammar) or fail with a parse
-    /// error. The expression is simplified before registration.
-    pub fn register_query(&mut self, text: &str) -> Result<QueryId, EngineError> {
-        let expr: SetExpr = text.parse()?;
-        Ok(self.register_query_expr(expr))
-    }
-
-    /// Register a pre-built expression.
-    pub fn register_query_expr(&mut self, expr: SetExpr) -> QueryId {
-        let id = QueryId::new(self.next_query);
-        self.next_query += 1;
-        self.queries.insert(id, RegisteredQuery::new(id, expr));
-        id
-    }
-
-    /// Remove a query (and any watches bound to it).
-    pub fn unregister_query(&mut self, id: QueryId) -> Result<(), EngineError> {
-        self.queries
-            .remove(&id)
-            .ok_or(EngineError::UnknownQuery(id))?;
-        self.watches.retain(|_, w| w.query != id);
-        Ok(())
-    }
-
-    /// Inspect a registered query.
-    pub fn query(&self, id: QueryId) -> Option<&RegisteredQuery> {
-        self.queries.get(&id)
-    }
-
-    /// All registered queries.
-    pub fn queries(&self) -> impl Iterator<Item = &RegisteredQuery> {
-        self.queries.values()
-    }
-
     // -------------------------------------------------------- estimation
 
-    /// Answer one estimation request — the single structured entry point.
+    /// Answer one set expression from the current synopses — the single
+    /// ad-hoc estimation entry point.
     ///
-    /// Accepts anything convertible into a [`Query`]: a registered
-    /// [`QueryId`], a [`SetExpr`] (by value or reference), or a parsed
-    /// [`Query`]. Ad-hoc expressions are simplified before evaluation.
-    /// Streams the query references but the engine has never seen updates
-    /// for are treated as empty (an empty synopsis is minted on the fly).
+    /// The expression is simplified before evaluation. Streams it
+    /// references but the engine has never seen updates for are treated
+    /// as empty (the shared empty synopsis stands in).
     ///
     /// Every call is instrumented: latency lands in the engine's estimate
     /// histogram, the result bumps the per-method counter, and an
@@ -347,8 +279,9 @@ impl StreamEngine {
     /// returned [`Estimate`] is self-describing — estimator path
     /// ([`Estimate::method`]), witness evidence ([`Estimate::witnesses`]),
     /// atomic fraction, and confidence band ride along with the value.
-    pub fn evaluate(&self, query: impl Into<Query>) -> Result<Estimate, EngineError> {
-        self.evaluate_traced(query, TraceContext::default())
+    /// Expressions answered every epoch belong in [`Self::subscribe`].
+    pub fn evaluate(&self, expr: &SetExpr) -> Result<Estimate, EngineError> {
+        self.evaluate_traced(expr, TraceContext::default())
     }
 
     /// Like [`Self::evaluate`], but the `engine.query` span joins an
@@ -360,84 +293,22 @@ impl StreamEngine {
     /// this exactly [`Self::evaluate`].
     pub fn evaluate_traced(
         &self,
-        query: impl Into<Query>,
+        expr: &SetExpr,
         ctx: TraceContext,
     ) -> Result<Estimate, EngineError> {
-        let query = query.into();
         let mut span = self.trace.child_span("engine.query", ctx);
         let start = clock::now_ns();
-        let result = match &query {
-            Query::Registered(id) => self
-                .queries
-                .get(id)
-                .ok_or(EngineError::UnknownQuery(*id))
-                .and_then(|q| self.estimate_expr_internal(&q.simplified)),
-            Query::Expr(expr) => self.estimate_expr_internal(&setstream_expr::simplify(expr)),
-        };
+        let result = self.estimate_expr_internal(&setstream_expr::simplify(expr));
         let elapsed = clock::now_ns().saturating_sub(start);
         self.metrics
             .record_estimate(elapsed, result.as_ref().map(|e| e.method).map_err(|_| ()));
         if span.is_recording() {
             match &result {
-                Ok(e) => span.detail(format!("{query:?} -> {:.1} via {}", e.value, e.method)),
-                Err(e) => span.detail(format!("{query:?} -> error: {e}")),
+                Ok(e) => span.detail(format!("{expr} -> {:.1} via {}", e.value, e.method)),
+                Err(e) => span.detail(format!("{expr} -> error: {e}")),
             }
         }
         result
-    }
-
-    /// Answer every registered query in one instrumented round. Queries
-    /// over the same participating stream set are **batched**: one union
-    /// estimate and one witness scan answer the whole group
-    /// ([`estimate::multi_expression`]), so a dashboard with dozens of
-    /// queries costs barely more than one.
-    pub fn evaluate_all(&self) -> Vec<(QueryId, Result<Estimate, EngineError>)> {
-        let mut span = self.trace.span("engine.query_all");
-        let start = clock::now_ns();
-        // Group queries by their (sorted) participating stream set.
-        let mut groups: BTreeMap<Vec<StreamId>, Vec<QueryId>> = BTreeMap::new();
-        for (&id, q) in &self.queries {
-            groups.entry(q.streams.clone()).or_default().push(id);
-        }
-        let mut results: BTreeMap<QueryId, Result<Estimate, EngineError>> = BTreeMap::new();
-        for (streams, members) in groups {
-            let pairs: Vec<(StreamId, &SketchVector)> = streams
-                .iter()
-                .map(|&id| (id, self.synopses.get(&id).unwrap_or(&self.empty)))
-                .collect();
-            let exprs: Vec<setstream_expr::SetExpr> = members
-                .iter()
-                // analyze: allow(indexing) — `members` was grouped from `self.queries`' own keys
-                .map(|id| self.queries[id].simplified.clone())
-                .collect();
-            match estimate::multi_expression(&exprs, &pairs, &self.options) {
-                Ok(estimates) => {
-                    for (id, est) in members.iter().zip(estimates) {
-                        // The shared-scan path bypasses `evaluate`, so it
-                        // accounts its per-method counters here; latency is
-                        // observed once for the whole round below.
-                        self.metrics.record_method(est.method);
-                        results.insert(*id, Ok(est));
-                    }
-                }
-                Err(shared_err) => {
-                    // Re-run individually so each query reports its own
-                    // error (e.g. NoValidObservations) faithfully; the
-                    // individual calls instrument themselves.
-                    let _ = shared_err;
-                    for id in members {
-                        results.insert(id, self.evaluate(id));
-                    }
-                }
-            }
-        }
-        self.metrics
-            .estimate_latency_ns
-            .observe(clock::now_ns().saturating_sub(start));
-        if span.is_recording() {
-            span.detail(format!("{} queries", results.len()));
-        }
-        results.into_iter().collect()
     }
 
     fn estimate_expr_internal(&self, expr: &SetExpr) -> Result<Estimate, EngineError> {
@@ -446,29 +317,19 @@ impl StreamEngine {
 
     // ----------------------------------------------------- subscriptions
 
-    /// Register a standing query: the expression is simplified, interned
-    /// into the shared DAG (so equivalent subscriptions share one
+    /// Register a standing query — the engine's one registry of
+    /// continuously answered expressions. The expression is simplified,
+    /// interned into the shared DAG (so equivalent subscriptions share one
     /// evaluation per round) and evaluated incrementally from then on.
     /// Notifications arrive from [`Self::publish_epoch`] whenever the
-    /// estimate leaves the subscriber's tolerance band.
-    ///
-    /// Accepts anything convertible into a [`Query`] — a registered
-    /// [`QueryId`] or an ad-hoc [`SetExpr`].
+    /// estimate breaks the subscriber's [`Tolerance`](crate::Tolerance)
+    /// rule: a drift band, or a threshold alarm's trip and release.
     pub fn subscribe(
         &mut self,
-        query: impl Into<Query>,
+        expr: SetExpr,
         options: SubscriptionOptions,
     ) -> Result<SubscriptionId, EngineError> {
-        let simplified = match query.into() {
-            Query::Registered(id) => self
-                .queries
-                .get(&id)
-                .ok_or(EngineError::UnknownQuery(id))?
-                .simplified
-                .clone(),
-            Query::Expr(expr) => setstream_expr::simplify(&expr),
-        };
-        Ok(self.subs.register(simplified, options))
+        Ok(self.subs.register(setstream_expr::simplify(&expr), options))
     }
 
     /// Register a standing query from a
@@ -507,7 +368,7 @@ impl StreamEngine {
         &self.subs.metrics
     }
 
-    /// Distinct interned DAG nodes backing subscriptions and watches.
+    /// Distinct interned DAG nodes backing subscriptions.
     pub fn interned_nodes(&self) -> usize {
         self.subs.dag.len()
     }
@@ -527,8 +388,8 @@ impl StreamEngine {
     /// Close the current epoch: dirty-propagate the changed streams up
     /// the interned DAG, re-estimate only the tainted subscription roots
     /// (clean roots serve their cached estimate), and return a
-    /// [`ChangeEvent`] for every subscription whose estimate moved outside
-    /// its tolerance band.
+    /// [`ChangeEvent`] for every subscription whose estimate broke its
+    /// tolerance rule.
     pub fn publish_epoch(&mut self) -> Vec<ChangeEvent> {
         self.run_subscription_round(false)
     }
@@ -541,27 +402,31 @@ impl StreamEngine {
         self.run_subscription_round(true)
     }
 
-    /// Bring the estimate cache up to date for the given DAG roots:
-    /// drain the dirty-stream set, taint the affected nodes, re-estimate
-    /// dirty roots. Returns `(evaluated, served_from_cache)`.
-    fn sync_subscription_cache(&mut self, roots: &BTreeSet<NodeId>, full: bool) -> (u64, u64) {
+    /// One notification round: drain the dirty-stream set, taint the
+    /// affected DAG nodes (every node on a full round), re-estimate the
+    /// dirty subscription roots, then apply each subscription's rule to
+    /// its root's cached estimate.
+    fn run_subscription_round(&mut self, full: bool) -> Vec<ChangeEvent> {
+        let trace = self.trace.clone();
+        let mut span = trace.span("engine.publish_epoch");
+        let start = clock::now_ns();
         let hub = &mut self.subs;
+        let roots: BTreeSet<NodeId> = hub.subs.values().map(|s| s.node()).collect();
         hub.cache.ensure(hub.dag.len());
         let dirty: Vec<StreamId> = std::mem::take(&mut hub.dirty).into_iter().collect();
-        let tainted = hub.dag.taint(&dirty);
-        for id in &tainted {
+        for id in hub.dag.taint(&dirty) {
             hub.cache.taint(id.index());
-            hub.pending.insert(*id, ChangeCause::Delta);
+            hub.pending.insert(id, ChangeCause::Delta);
         }
         if full {
             hub.cache.taint_all();
-            for &root in roots {
+            for &root in &roots {
                 hub.pending.insert(root, ChangeCause::Full);
             }
         }
         let mut evaluated = 0u64;
         let mut served = 0u64;
-        for &node in roots {
+        for &node in &roots {
             if hub.cache.is_dirty(node.index()) {
                 if let Ok(e) = estimate_expr_over(
                     &self.synopses,
@@ -578,16 +443,6 @@ impl StreamEngine {
                 served += 1;
             }
         }
-        (evaluated, served)
-    }
-
-    fn run_subscription_round(&mut self, full: bool) -> Vec<ChangeEvent> {
-        let trace = self.trace.clone();
-        let mut span = trace.span("engine.publish_epoch");
-        let start = clock::now_ns();
-        let roots: BTreeSet<NodeId> = self.subs.subs.values().map(|s| s.node()).collect();
-        let (evaluated, served) = self.sync_subscription_cache(&roots, full);
-        let hub = &mut self.subs;
         hub.epoch += 1;
         let epoch = hub.epoch;
         let mut events = Vec::new();
@@ -649,111 +504,6 @@ impl StreamEngine {
         events
     }
 
-    // ----------------------------------------------------------- watches
-
-    /// Register a watch on a query (no hysteresis).
-    pub fn register_watch(
-        &mut self,
-        query: QueryId,
-        threshold: f64,
-        comparison: Comparison,
-    ) -> Result<WatchId, EngineError> {
-        self.register_watch_with_hysteresis(query, threshold, comparison, 0.0)
-    }
-
-    /// Register a watch with a hysteresis band: once tripped, the watch
-    /// keeps reporting until the estimate re-crosses the threshold by
-    /// more than `hysteresis` (level-in, edge-out — the AlarmSet
-    /// discipline), so estimates oscillating on the threshold don't flap.
-    pub fn register_watch_with_hysteresis(
-        &mut self,
-        query: QueryId,
-        threshold: f64,
-        comparison: Comparison,
-        hysteresis: f64,
-    ) -> Result<WatchId, EngineError> {
-        if !self.queries.contains_key(&query) {
-            return Err(EngineError::UnknownQuery(query));
-        }
-        if !hysteresis.is_finite() || hysteresis < 0.0 {
-            return Err(EngineError::Subscription(
-                SubscriptionError::InvalidHysteresis(hysteresis),
-            ));
-        }
-        let id = WatchId::new(self.next_watch);
-        self.next_watch += 1;
-        self.watches.insert(
-            id,
-            Watch {
-                id,
-                query,
-                threshold,
-                comparison,
-                hysteresis,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Remove a watch.
-    pub fn unregister_watch(&mut self, id: WatchId) -> Result<(), EngineError> {
-        self.watches
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(EngineError::UnknownWatch(id))?;
-        self.watch_latched.remove(&id);
-        Ok(())
-    }
-
-    /// Evaluate all watches against fresh estimates; returns the ones
-    /// currently reporting (level-triggered, like before — plus the
-    /// hysteresis latch of [`Self::register_watch_with_hysteresis`]).
-    ///
-    /// Watches are a thin adapter over the subscription layer: each
-    /// watched query is interned into the shared expression DAG and
-    /// served from the same per-node estimate cache as the
-    /// subscriptions, so each distinct expression class is evaluated at
-    /// most once per round across watches *and* subscriptions.
-    pub fn check_watches(&mut self) -> Vec<WatchEvent> {
-        // Intern every watched query (cheap hash lookups after the first
-        // call) and sync the shared cache for exactly those roots.
-        let mut nodes: BTreeMap<WatchId, NodeId> = BTreeMap::new();
-        let mut roots: BTreeSet<NodeId> = BTreeSet::new();
-        let watched: Vec<(WatchId, QueryId)> =
-            self.watches.values().map(|w| (w.id, w.query)).collect();
-        for (wid, qid) in watched {
-            let Some(q) = self.queries.get(&qid) else {
-                continue;
-            };
-            let expr = q.simplified.clone();
-            let node = self.subs.dag.intern(&expr);
-            nodes.insert(wid, node);
-            roots.insert(node);
-        }
-        let (evaluated, served) = self.sync_subscription_cache(&roots, false);
-        self.subs.metrics.nodes_evaluated.add(evaluated);
-        self.subs.metrics.nodes_cached.add(served);
-        let mut events = Vec::new();
-        for (wid, node) in nodes {
-            let Some(watch) = self.watches.get(&wid) else {
-                continue;
-            };
-            let value = self.subs.cache.peek(node.index()).map_or(0.0, |e| e.value);
-            let latched = self.watch_latched.get(&wid).copied().unwrap_or(false);
-            let reporting = watch.triggers(value) || (latched && !watch.releases(value));
-            self.watch_latched.insert(wid, reporting);
-            if reporting {
-                events.push(WatchEvent {
-                    watch: watch.id,
-                    query: watch.query,
-                    estimate: value,
-                    threshold: watch.threshold,
-                });
-            }
-        }
-        events
-    }
-
     // ------------------------------------------------------------- stats
 
     /// Operational counters.
@@ -762,8 +512,6 @@ impl StreamEngine {
             updates: self.updates,
             deletions: self.deletions,
             streams: self.synopses.len(),
-            queries: self.queries.len(),
-            watches: self.watches.len(),
             subscriptions: self.subs.subs.len(),
             synopsis_bytes: self.synopses.len() * self.family.vector_bytes(),
         }
@@ -780,11 +528,6 @@ impl StreamEngine {
         self.synopses.keys().copied()
     }
 
-    /// All registered watches.
-    pub fn watches(&self) -> impl Iterator<Item = &Watch> {
-        self.watches.values()
-    }
-
     // --------------------------------------------- snapshot plumbing
 
     pub(crate) fn options_ref(&self) -> EstimatorOptions {
@@ -795,25 +538,8 @@ impl StreamEngine {
         (self.updates, self.deletions)
     }
 
-    pub(crate) fn next_ids(&self) -> (u64, u64) {
-        (self.next_query, self.next_watch)
-    }
-
     pub(crate) fn install_synopsis(&mut self, stream: StreamId, vector: SketchVector) {
         self.synopses.insert(stream, vector);
-    }
-
-    pub(crate) fn install_query(&mut self, query: RegisteredQuery) {
-        self.queries.insert(query.id, query);
-    }
-
-    pub(crate) fn install_watch(&mut self, watch: Watch, latched: bool) {
-        self.watch_latched.insert(watch.id, latched);
-        self.watches.insert(watch.id, watch);
-    }
-
-    pub(crate) fn watch_is_latched(&self, id: WatchId) -> bool {
-        self.watch_latched.get(&id).copied().unwrap_or(false)
     }
 
     pub(crate) fn install_subscription(
@@ -826,11 +552,9 @@ impl StreamEngine {
         self.subs.install(id, expr, options, last_notified);
     }
 
-    pub(crate) fn set_counters(&mut self, counters: (u64, u64), next_ids: (u64, u64)) {
+    pub(crate) fn set_counters(&mut self, counters: (u64, u64)) {
         self.updates = counters.0;
         self.deletions = counters.1;
-        self.next_query = next_ids.0;
-        self.next_watch = next_ids.1;
     }
 
     pub(crate) fn set_subscription_counters(&mut self, next_sub: u64, epoch: u64) {

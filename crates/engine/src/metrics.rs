@@ -15,10 +15,9 @@ use setstream_core::{EstimateMethod, IngestStats};
 use setstream_obs::{Counter, Histogram, MetricSource, Sample};
 
 /// All estimator paths, in the order their counters are exported.
-const METHODS: [EstimateMethod; 6] = [
+const METHODS: [EstimateMethod; 5] = [
     EstimateMethod::Union,
     EstimateMethod::Witness,
-    EstimateMethod::MultiWitness,
     EstimateMethod::MedianBoost,
     EstimateMethod::BitSketch,
     EstimateMethod::TrivialEmpty,
@@ -44,7 +43,7 @@ pub struct EngineMetrics {
     /// Updates that rode a uniform-delta (insert-only) fast-path chunk.
     pub ingest_fastpath_updates: Counter,
     /// Estimates served, by estimator path (indexed like `METHODS`).
-    estimates_by_method: [Counter; 6],
+    estimates_by_method: [Counter; 5],
     /// Estimate attempts that returned an error.
     pub estimate_errors: Counter,
     /// Wall-clock latency of estimate calls, nanoseconds.
@@ -93,15 +92,9 @@ impl EngineMetrics {
     pub fn record_estimate(&self, elapsed_ns: u64, result: Result<EstimateMethod, ()>) {
         self.estimate_latency_ns.observe(elapsed_ns);
         match result {
-            Ok(method) => self.record_method(method),
+            Ok(method) => self.estimates_by_method[method_index(method)].inc(),
             Err(()) => self.estimate_errors.inc(),
         }
-    }
-
-    /// Bump the served-estimates counter for one estimator path (used by
-    /// batch evaluation, which observes latency once per round instead).
-    pub fn record_method(&self, method: EstimateMethod) {
-        self.estimates_by_method[method_index(method)].inc();
     }
 
     /// Estimates served via the given estimator path.

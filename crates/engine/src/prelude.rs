@@ -1,22 +1,19 @@
 //! The canonical import surface for engine users.
 //!
-//! One `use setstream_engine::prelude::*;` brings in the unified
-//! query/estimate API — the [`Query`] request type, the self-describing
-//! [`Estimate`] answer record, the validated [`EngineConfig`] builder —
-//! plus the supporting types an application touches: handles, watches,
-//! standing-query subscriptions, errors, metrics, and the observability
-//! primitives they plug into.
+//! One `use setstream_engine::prelude::*;` brings in the estimation API —
+//! the self-describing [`Estimate`] answer record and the validated
+//! [`EngineConfig`] builder — plus the supporting types an application
+//! touches: standing-query subscriptions and their notification rules,
+//! errors, metrics, and the observability primitives they plug into.
 
 pub use crate::config::{ConfigError, EngineConfig, EngineConfigBuilder};
 pub use crate::engine::{EngineError, EngineStats, StreamEngine};
 pub use crate::metrics::EngineMetrics;
-pub use crate::query::{Query, QueryId, RegisteredQuery};
 pub use crate::snapshot::EngineSnapshot;
 pub use crate::subscribe::{
     ChangeCause, ChangeEvent, Subscription, SubscriptionError, SubscriptionId,
     SubscriptionMetrics, SubscriptionOptions, SubscriptionOptionsBuilder, Tolerance,
 };
-pub use crate::watch::{Comparison, Watch, WatchEvent, WatchId};
 pub use setstream_core::{
     Estimate, EstimateMethod, EstimatorOptions, UnionMode, WitnessMode, WitnessSummary,
 };

@@ -1,5 +1,5 @@
-//! Engine persistence: capture the whole engine state — synopses, query
-//! registry, watches, counters — into one serde-serializable value.
+//! Engine persistence: capture the whole engine state — synopses,
+//! subscriptions, counters — into one serde-serializable value.
 //!
 //! A production stream processor restarts; its synopses must not (they
 //! cannot be rebuilt without replaying the stream, which the model
@@ -8,30 +8,11 @@
 //! `setstream-distributed::codec` is the intended one).
 
 use crate::engine::StreamEngine;
-use crate::query::{QueryId, RegisteredQuery};
 use crate::subscribe::{SubscriptionId, SubscriptionOptions, Tolerance};
-use crate::watch::{Comparison, Watch, WatchId};
 use serde::{Deserialize, Serialize};
 use setstream_core::{EstimatorOptions, SketchFamily, SketchVector};
 use setstream_expr::SetExpr;
 use setstream_stream::StreamId;
-
-/// A registered watch in snapshot form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WatchSnapshot {
-    /// Watch id.
-    pub id: u64,
-    /// Watched query id.
-    pub query: u64,
-    /// Threshold.
-    pub threshold: f64,
-    /// `true` for [`Comparison::Above`].
-    pub above: bool,
-    /// Hysteresis band.
-    pub hysteresis: f64,
-    /// Whether the watch was latched (currently reporting).
-    pub latched: bool,
-}
 
 /// A registered subscription in snapshot form. The expression is
 /// re-interned on restore (interning is deterministic).
@@ -41,11 +22,12 @@ pub struct SubscriptionSnapshot {
     pub id: u64,
     /// The simplified expression being watched.
     pub expr: SetExpr,
-    /// Notification band.
+    /// Notification rule.
     pub tolerance: Tolerance,
     /// Whether the first evaluation notifies.
     pub notify_initial: bool,
-    /// Last value the subscriber was notified about.
+    /// Last value the subscriber was notified about (for a threshold
+    /// rule, whether it is tripped).
     pub last_notified: Option<f64>,
 }
 
@@ -58,18 +40,11 @@ pub struct EngineSnapshot {
     pub options: EstimatorOptions,
     /// Per-stream synopses.
     pub synopses: Vec<(StreamId, SketchVector)>,
-    /// Registered queries as `(id, original expression)` — simplification
-    /// is re-derived on restore (it is deterministic).
-    pub queries: Vec<(u64, SetExpr)>,
-    /// Registered watches.
-    pub watches: Vec<WatchSnapshot>,
     /// Registered subscriptions. Estimate caches are **not** carried:
     /// the first epoch after restore re-evaluates from the synopses.
     pub subscriptions: Vec<SubscriptionSnapshot>,
     /// Update counters `(updates, deletions)`.
     pub counters: (u64, u64),
-    /// Next query / watch ids.
-    pub next_ids: (u64, u64),
     /// Next subscription id.
     pub next_sub: u64,
     /// Epochs published so far.
@@ -88,21 +63,6 @@ impl StreamEngine {
                 // analyze: allow(panic) — `id` comes from this engine's own stream_ids() iteration
                 .map(|id| (id, self.synopsis(id).expect("listed stream").clone()))
                 .collect(),
-            queries: self
-                .queries()
-                .map(|q| (q.id.value(), q.original.clone()))
-                .collect(),
-            watches: self
-                .watches()
-                .map(|w| WatchSnapshot {
-                    id: w.id.value(),
-                    query: w.query.value(),
-                    threshold: w.threshold,
-                    above: matches!(w.comparison, Comparison::Above),
-                    hysteresis: w.hysteresis,
-                    latched: self.watch_is_latched(w.id),
-                })
-                .collect(),
             subscriptions: self
                 .subscriptions()
                 .map(|s| SubscriptionSnapshot {
@@ -114,7 +74,6 @@ impl StreamEngine {
                 })
                 .collect(),
             counters: self.counters(),
-            next_ids: self.next_ids(),
             next_sub: self.next_sub(),
             epoch: self.subscription_epoch(),
         }
@@ -126,25 +85,6 @@ impl StreamEngine {
         engine.metrics().restores.inc();
         for (id, vector) in snapshot.synopses {
             engine.install_synopsis(id, vector);
-        }
-        for (id, expr) in snapshot.queries {
-            engine.install_query(RegisteredQuery::new(QueryId::new(id), expr));
-        }
-        for w in snapshot.watches {
-            engine.install_watch(
-                Watch {
-                    id: WatchId::new(w.id),
-                    query: QueryId::new(w.query),
-                    threshold: w.threshold,
-                    comparison: if w.above {
-                        Comparison::Above
-                    } else {
-                        Comparison::Below
-                    },
-                    hysteresis: w.hysteresis,
-                },
-                w.latched,
-            );
         }
         for s in snapshot.subscriptions {
             // Builder-validated at original registration; re-validate to
@@ -161,7 +101,7 @@ impl StreamEngine {
                 s.last_notified,
             );
         }
-        engine.set_counters(snapshot.counters, snapshot.next_ids);
+        engine.set_counters(snapshot.counters);
         engine.set_subscription_counters(snapshot.next_sub, snapshot.epoch);
         engine
     }
@@ -188,26 +128,32 @@ mod tests {
             engine.process(&Update::insert(StreamId(1), e + 400, 1));
         }
         engine.process(&Update::delete(StreamId(0), 5, 1));
-        let q = engine.register_query("A & B").unwrap();
-        let w = engine
-            .register_watch(q, 100.0, Comparison::Above)
+        let expr: SetExpr = "A & B".parse().unwrap();
+        let options = SubscriptionOptions::builder()
+            .tolerance(Tolerance::Above {
+                threshold: 100.0,
+                hysteresis: 0.0,
+            })
+            .build()
             .unwrap();
+        let id = engine.subscribe(expr.clone(), options).unwrap();
+        let tripped = engine.publish_epoch();
 
         let snap = engine.snapshot();
         let mut restored = StreamEngine::restore(snap);
 
         // Identical answers.
         assert_eq!(
-            engine.evaluate(q).unwrap().value,
-            restored.evaluate(q).unwrap().value
+            engine.evaluate(&expr).unwrap().value,
+            restored.evaluate(&expr).unwrap().value
         );
         // Identical stats.
         assert_eq!(engine.stats(), restored.stats());
-        // Watches carried over.
-        let e1 = engine.check_watches();
-        let e2 = restored.check_watches();
-        assert_eq!(e1.len(), e2.len());
-        let _ = w;
+        // The subscription carried over, rule and last value included.
+        let sub = restored.subscription(id).unwrap();
+        assert_eq!(sub.options(), &options);
+        assert_eq!(sub.last_notified(), Some(tripped[0].new));
+        assert_eq!(engine.publish_epoch(), restored.publish_epoch());
     }
 
     #[test]
@@ -216,7 +162,7 @@ mod tests {
         for e in 0..500u64 {
             engine.process(&Update::insert(StreamId(0), e, 1));
         }
-        let q = engine.register_query("A").unwrap();
+        let a: SetExpr = "A".parse().unwrap();
         let mut restored = StreamEngine::restore(engine.snapshot());
         // Continue the stream on the restored engine and on the original;
         // answers must agree exactly (same coins, same state).
@@ -225,19 +171,23 @@ mod tests {
             restored.process(&Update::insert(StreamId(0), e, 1));
         }
         assert_eq!(
-            engine.evaluate(q).unwrap().value,
-            restored.evaluate(q).unwrap().value
+            engine.evaluate(&a).unwrap().value,
+            restored.evaluate(&a).unwrap().value
         );
     }
 
     #[test]
     fn id_counters_survive_so_new_ids_do_not_collide() {
         let mut engine = StreamEngine::new(family());
-        let q1 = engine.register_query("A").unwrap();
+        let s1 = engine
+            .subscribe("A".parse().unwrap(), SubscriptionOptions::default())
+            .unwrap();
         let mut restored = StreamEngine::restore(engine.snapshot());
-        let q2 = restored.register_query("B").unwrap();
-        assert_ne!(q1, q2);
-        assert!(restored.query(q1).is_some());
-        assert!(restored.query(q2).is_some());
+        let s2 = restored
+            .subscribe("B".parse().unwrap(), SubscriptionOptions::default())
+            .unwrap();
+        assert_ne!(s1, s2);
+        assert!(restored.subscription(s1).is_some());
+        assert!(restored.subscription(s2).is_some());
     }
 }

@@ -16,12 +16,13 @@
 //! 3. re-estimates only the tainted subscription roots, serving every
 //!    other subscriber from the per-node [`setstream_core::EvalCache`],
 //! 4. emits a typed [`ChangeEvent`] for each subscription whose estimate
-//!    moved outside its [`Tolerance`] band.
+//!    broke its [`Tolerance`] rule.
 //!
-//! The legacy threshold-watch layer rides on the same machinery: watched
-//! queries are interned into the same DAG and served from the same cache,
-//! so a dashboard mixing watches and subscriptions costs one evaluation
-//! per distinct expression class per round.
+//! Threshold alarms are subscriptions too: [`Tolerance::Above`] and
+//! [`Tolerance::Below`] notify once when the estimate crosses the
+//! threshold and once when it falls back past the hysteresis band, so
+//! alarms and drift subscriptions share one DAG, one cache and one
+//! evaluation per distinct expression class per round.
 
 use serde::{Deserialize, Serialize};
 use setstream_core::EvalCache;
@@ -57,8 +58,8 @@ impl fmt::Display for SubscriptionId {
     }
 }
 
-/// The notification band of a subscription: how far the estimate may move
-/// from the last *notified* value before the subscriber hears about it.
+/// The notification rule of a subscription, judged against the last
+/// *notified* value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Tolerance {
     /// Notify when the estimate moves by more than this many elements.
@@ -67,6 +68,27 @@ pub enum Tolerance {
     /// last notified value. A last value of zero makes any non-zero move
     /// notify.
     Relative(f64),
+    /// Threshold alarm: notify when the estimate rises strictly above
+    /// `threshold` (trip), then once more when it falls to
+    /// `threshold − hysteresis` or below (release). Dips that stay inside
+    /// the hysteresis band notify nothing, so an estimate oscillating on
+    /// the threshold does not flap.
+    Above {
+        /// Trip level; an estimate exactly at it does not trip.
+        threshold: f64,
+        /// How far below the threshold a tripped alarm must fall to
+        /// release.
+        hysteresis: f64,
+    },
+    /// The mirror of [`Tolerance::Above`]: trip strictly below
+    /// `threshold`, release at `threshold + hysteresis` or above.
+    Below {
+        /// Trip level; an estimate exactly at it does not trip.
+        threshold: f64,
+        /// How far above the threshold a tripped alarm must rise to
+        /// release.
+        hysteresis: f64,
+    },
 }
 
 impl Default for Tolerance {
@@ -77,29 +99,43 @@ impl Default for Tolerance {
 }
 
 impl Tolerance {
-    /// The band parameter (absolute elements or relative fraction).
-    pub fn band(&self) -> f64 {
-        match *self {
-            Tolerance::Absolute(b) | Tolerance::Relative(b) => b,
-        }
-    }
-
     /// `true` when moving from `last` (the last notified value) to
-    /// `current` leaves the band.
+    /// `current` must notify. A threshold rule is tripped exactly when
+    /// `last` lies past its threshold, so it notifies on the edges only:
+    /// a tripped rule waits for the release bound, an untripped one for
+    /// the threshold.
     pub fn exceeded(&self, last: f64, current: f64) -> bool {
-        let delta = (current - last).abs();
         match *self {
-            Tolerance::Absolute(band) => delta > band,
-            Tolerance::Relative(frac) => delta > frac * last.abs(),
+            Tolerance::Absolute(band) => (current - last).abs() > band,
+            Tolerance::Relative(frac) => (current - last).abs() > frac * last.abs(),
+            Tolerance::Above { threshold, hysteresis } if last > threshold => {
+                current <= threshold - hysteresis
+            }
+            Tolerance::Above { threshold, .. } => current > threshold,
+            Tolerance::Below { threshold, hysteresis } if last < threshold => {
+                current >= threshold + hysteresis
+            }
+            Tolerance::Below { threshold, .. } => current < threshold,
         }
     }
 
     fn validate(&self) -> Result<(), SubscriptionError> {
-        let band = self.band();
-        if band.is_finite() && band >= 0.0 {
-            Ok(())
-        } else {
-            Err(SubscriptionError::InvalidTolerance(band))
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        match *self {
+            Tolerance::Absolute(band) | Tolerance::Relative(band) if !non_negative(band) => {
+                Err(SubscriptionError::InvalidTolerance(band))
+            }
+            Tolerance::Above { threshold, .. } | Tolerance::Below { threshold, .. }
+                if !threshold.is_finite() =>
+            {
+                Err(SubscriptionError::InvalidTolerance(threshold))
+            }
+            Tolerance::Above { hysteresis, .. } | Tolerance::Below { hysteresis, .. }
+                if !non_negative(hysteresis) =>
+            {
+                Err(SubscriptionError::InvalidHysteresis(hysteresis))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -113,12 +149,13 @@ impl From<ToleranceSpec> for Tolerance {
     }
 }
 
-/// Why a subscription (or hysteresis) parameter was rejected.
+/// Why a subscription's notification rule was rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubscriptionError {
-    /// The tolerance band is negative or non-finite.
+    /// A tolerance band is negative or non-finite, or a threshold is
+    /// non-finite.
     InvalidTolerance(f64),
-    /// A watch hysteresis band is negative or non-finite.
+    /// A threshold rule's hysteresis band is negative or non-finite.
     InvalidHysteresis(f64),
 }
 
@@ -126,7 +163,7 @@ impl fmt::Display for SubscriptionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SubscriptionError::InvalidTolerance(b) => {
-                write!(f, "tolerance band {b} must be finite and non-negative")
+                write!(f, "tolerance {b} must be finite (and a band non-negative)")
             }
             SubscriptionError::InvalidHysteresis(h) => {
                 write!(f, "hysteresis band {h} must be finite and non-negative")
@@ -165,7 +202,7 @@ impl SubscriptionOptions {
         }
     }
 
-    /// The notification band.
+    /// The notification rule.
     pub fn tolerance(&self) -> Tolerance {
         self.tolerance
     }
@@ -183,7 +220,7 @@ pub struct SubscriptionOptionsBuilder {
 }
 
 impl SubscriptionOptionsBuilder {
-    /// Set the notification band.
+    /// Set the notification rule.
     pub fn tolerance(mut self, tolerance: Tolerance) -> Self {
         self.options.tolerance = tolerance;
         self
@@ -234,7 +271,7 @@ impl fmt::Display for ChangeCause {
 }
 
 /// A typed notification: a subscription's estimate moved outside its
-/// tolerance band.
+/// tolerance band, or crossed its threshold rule's trip or release bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangeEvent {
     /// Which subscription moved.
@@ -297,7 +334,7 @@ pub struct SubscriptionMetrics {
     pub unsubscribed: Counter,
     /// Currently registered subscriptions.
     pub registered: Gauge,
-    /// Distinct interned DAG nodes backing subscriptions and watches.
+    /// Distinct interned DAG nodes backing subscriptions.
     pub dag_nodes: Gauge,
     /// Notification rounds run (incremental + full).
     pub rounds: Counter,
@@ -529,6 +566,108 @@ mod tests {
             .tolerance(Tolerance::Relative(f64::NAN))
             .build()
             .is_err());
+
+        let threshold = |threshold, hysteresis| {
+            SubscriptionOptions::builder()
+                .tolerance(Tolerance::Above {
+                    threshold,
+                    hysteresis,
+                })
+                .build()
+        };
+        assert!(
+            threshold(-5.0, 0.0).is_ok(),
+            "any finite threshold is valid"
+        );
+        assert!(matches!(
+            threshold(f64::NAN, 1.0),
+            Err(SubscriptionError::InvalidTolerance(t)) if t.is_nan()
+        ));
+        let err = threshold(100.0, -1.0).unwrap_err();
+        assert_eq!(err, SubscriptionError::InvalidHysteresis(-1.0));
+        assert!(err.to_string().contains("hysteresis"));
+        assert!(SubscriptionOptions::builder()
+            .tolerance(Tolerance::Below {
+                threshold: 100.0,
+                hysteresis: f64::INFINITY
+            })
+            .build()
+            .is_err());
+    }
+
+    fn above(hysteresis: f64) -> Tolerance {
+        Tolerance::Above {
+            threshold: 100.0,
+            hysteresis,
+        }
+    }
+
+    fn below(hysteresis: f64) -> Tolerance {
+        Tolerance::Below {
+            threshold: 100.0,
+            hysteresis,
+        }
+    }
+
+    #[test]
+    fn trigger_directions() {
+        // From an untripped last value, only crossing the threshold
+        // notifies.
+        assert!(above(0.0).exceeded(50.0, 101.0));
+        assert!(!above(0.0).exceeded(50.0, 99.0));
+        assert!(below(0.0).exceeded(150.0, 99.0));
+        assert!(!below(0.0).exceeded(150.0, 101.0));
+    }
+
+    #[test]
+    fn equal_to_threshold_never_triggers() {
+        // Pinned: comparisons are strict in both directions.
+        for rule in [above(0.0), below(0.0)] {
+            assert!(
+                !rule.exceeded(100.0, 100.0),
+                "{rule:?} must not trip at the threshold"
+            );
+        }
+        assert!(!above(0.0).exceeded(0.0, 100.0));
+        assert!(!below(0.0).exceeded(500.0, 100.0));
+    }
+
+    #[test]
+    fn release_bands_mirror_the_direction() {
+        // A tripped last value (past the threshold) waits for the release
+        // bound instead.
+        assert!(!above(10.0).exceeded(120.0, 95.0)); // inside the band: stay tripped
+        assert!(above(10.0).exceeded(120.0, 90.0)); // at threshold − h: release
+        assert!(above(10.0).exceeded(120.0, 80.0));
+        assert!(
+            !above(10.0).exceeded(120.0, 150.0),
+            "rising further is not an edge"
+        );
+        assert!(!below(10.0).exceeded(80.0, 105.0));
+        assert!(below(10.0).exceeded(80.0, 110.0));
+        assert!(below(10.0).exceeded(80.0, 120.0));
+        assert!(
+            !below(10.0).exceeded(80.0, 50.0),
+            "falling further is not an edge"
+        );
+    }
+
+    #[test]
+    fn zero_hysteresis_release_is_not_triggers() {
+        // With zero hysteresis a tripped rule releases exactly when a
+        // fresh one would not trip.
+        for v in [0.0, 99.9, 100.0, 100.1, 500.0] {
+            assert_eq!(
+                above(0.0).exceeded(101.0, v),
+                !above(0.0).exceeded(0.0, v),
+                "v={v}"
+            );
+            assert_eq!(
+                below(0.0).exceeded(99.0, v),
+                !below(0.0).exceeded(200.0, v),
+                "v={v}"
+            );
+        }
     }
 
     #[test]
@@ -547,6 +686,41 @@ mod tests {
         hub.remove(s1).unwrap();
         assert_eq!(hub.metrics.registered.get(), 1);
         assert!(hub.remove(s1).is_none());
+    }
+
+    fn small_engine() -> crate::StreamEngine {
+        let family = setstream_core::SketchFamily::builder()
+            .copies(4)
+            .second_level(4)
+            .seed(1)
+            .build();
+        crate::StreamEngine::new(family)
+    }
+
+    #[test]
+    fn registration_simplifies() {
+        let mut engine = small_engine();
+        let id = engine
+            .subscribe(
+                "A | (A & B)".parse().unwrap(),
+                SubscriptionOptions::default(),
+            )
+            .unwrap();
+        let sub = engine.subscription(id).unwrap();
+        assert_eq!(sub.expr(), &"A".parse::<SetExpr>().unwrap());
+        assert_eq!(sub.expr().streams(), vec![StreamId(0)]);
+    }
+
+    #[test]
+    fn irreducible_queries_pass_through() {
+        let mut engine = small_engine();
+        let expr: SetExpr = "(A - B) & C".parse().unwrap();
+        let id = engine
+            .subscribe(expr.clone(), SubscriptionOptions::default())
+            .unwrap();
+        let sub = engine.subscription(id).unwrap();
+        assert_eq!(sub.expr(), &expr);
+        assert_eq!(sub.expr().streams().len(), 3);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Integration tests for the continuous query engine.
 
-use setstream_core::SketchFamily;
-use setstream_engine::{Comparison, EngineError, StreamEngine};
+use setstream_core::{EstimateMethod, SketchFamily};
+use setstream_engine::{EngineError, StreamEngine, SubscriptionOptions, Tolerance};
+use setstream_expr::SetExpr;
 use setstream_stream::{StreamId, Update};
 
 fn family() -> SketchFamily {
@@ -27,6 +28,17 @@ fn engine_with_data() -> StreamEngine {
     engine
 }
 
+fn expr(text: &str) -> SetExpr {
+    text.parse().unwrap()
+}
+
+fn rule(tolerance: Tolerance) -> SubscriptionOptions {
+    SubscriptionOptions::builder()
+        .tolerance(tolerance)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn registered_queries_answer_close_to_truth() {
     let mut engine = engine_with_data();
@@ -36,55 +48,55 @@ fn registered_queries_answer_close_to_truth() {
         ("A | B", 6000.0),
         ("(A & B) - C", 1000.0), // A∩B = 2000..4000, −C = 2000..3000
     ];
-    for (text, truth) in cases {
-        let q = engine.register_query(text).unwrap();
-        let est = engine.evaluate(q).unwrap();
-        let rel = (est.value - truth).abs() / truth;
-        assert!(rel < 0.45, "{text}: estimate {} (truth {truth})", est.value);
-    }
-}
-
-#[test]
-fn estimate_all_shares_union_and_matches_individual() {
-    let mut engine = engine_with_data();
-    let q1 = engine.register_query("A & B").unwrap();
-    let q2 = engine.register_query("A - B").unwrap();
-    let q3 = engine.register_query("(A & B) - C").unwrap();
-    let all: std::collections::BTreeMap<_, _> = engine
-        .evaluate_all()
-        .into_iter()
-        .map(|(id, r)| (id, r.unwrap()))
+    let ids: Vec<_> = cases
+        .iter()
+        .map(|(text, _)| {
+            engine
+                .subscribe(expr(text), SubscriptionOptions::default())
+                .unwrap()
+        })
         .collect();
-    assert_eq!(all.len(), 3);
-    // q1 and q2 run over the same stream set {A, B}: the cached union must
-    // make their û identical.
-    assert_eq!(all[&q1].union_estimate, all[&q2].union_estimate);
-    // q3 involves {A, B, C} — a different (larger) union.
-    assert!(all[&q3].union_estimate >= all[&q1].union_estimate);
+    let initial = engine.publish_epoch();
+    assert_eq!(initial.len(), cases.len());
+    for ((text, truth), id) in cases.iter().zip(ids) {
+        let event = initial.iter().find(|e| e.sub_id == id).unwrap();
+        let rel = (event.new - truth).abs() / truth;
+        assert!(rel < 0.45, "{text}: estimate {} (truth {truth})", event.new);
+        // The standing answer is the ad-hoc answer, bit for bit.
+        assert_eq!(
+            engine.evaluate(&expr(text)).unwrap().value.to_bits(),
+            event.new.to_bits()
+        );
+    }
 }
 
 #[test]
 fn queries_are_simplified_on_registration() {
     let mut engine = engine_with_data();
-    let q = engine.register_query("A | (A & B)").unwrap();
-    let reg = engine.query(q).unwrap();
-    assert!(reg.was_simplified());
-    assert_eq!(reg.simplified.to_string(), "A");
-    // The simplified query only touches stream A.
-    assert_eq!(reg.streams, vec![StreamId(0)]);
-    let est = engine.evaluate(q).unwrap();
+    let id = engine
+        .subscribe(expr("A | (A & B)"), SubscriptionOptions::default())
+        .unwrap();
+    // The simplified query only touches stream A, and an equivalent
+    // subscription shares its DAG node.
+    let sub = engine.subscription(id).unwrap();
+    assert_eq!(sub.expr().to_string(), "A");
+    assert_eq!(sub.expr().streams(), vec![StreamId(0)]);
+    let node = sub.node();
+    let twin = engine
+        .subscribe(expr("A"), SubscriptionOptions::default())
+        .unwrap();
+    assert_eq!(engine.subscription(twin).unwrap().node(), node);
+    let est = engine.evaluate(&expr("A | (A & B)")).unwrap();
     let rel = (est.value - 4000.0).abs() / 4000.0;
     assert!(rel < 0.2, "estimate {}", est.value);
 }
 
 #[test]
 fn unknown_streams_are_empty_sets() {
-    let mut engine = engine_with_data();
-    let q = engine.register_query("A & Z").unwrap();
-    let est = engine.evaluate(q).unwrap();
+    let engine = engine_with_data();
+    let est = engine.evaluate(&expr("A & Z")).unwrap();
     assert_eq!(est.witness_hits, 0, "nothing intersects an empty stream");
-    let q2 = engine.register_query("A - Z").unwrap();
-    let est2 = engine.evaluate(q2).unwrap();
+    let est2 = engine.evaluate(&expr("A - Z")).unwrap();
     let rel = (est2.value - 4000.0).abs() / 4000.0;
     assert!(rel < 0.2, "A - ∅ should be ≈ |A|, got {}", est2.value);
 }
@@ -96,13 +108,13 @@ fn deletions_flow_through_to_answers() {
         engine.process(&Update::insert(StreamId(0), e, 1));
         engine.process(&Update::insert(StreamId(1), e, 1));
     }
-    let q = engine.register_query("A & B").unwrap();
-    let before = engine.evaluate(q).unwrap().value;
+    let q = expr("A & B");
+    let before = engine.evaluate(&q).unwrap().value;
     // Remove the top half of B.
     for e in 1000..2000u64 {
         engine.process(&Update::delete(StreamId(1), e, 1));
     }
-    let after = engine.evaluate(q).unwrap().value;
+    let after = engine.evaluate(&q).unwrap().value;
     assert!((before - 2000.0).abs() / 2000.0 < 0.25, "before {before}");
     assert!((after - 1000.0).abs() / 1000.0 < 0.35, "after {after}");
     assert_eq!(engine.stats().deletions, 1000);
@@ -111,66 +123,93 @@ fn deletions_flow_through_to_answers() {
 #[test]
 fn watches_fire_on_threshold_crossings() {
     let mut engine = StreamEngine::new(family());
-    let q = engine.register_query("A & B").unwrap();
-    let w_above = engine
-        .register_watch(q, 500.0, Comparison::Above)
+    let q = expr("A & B");
+    let above = engine
+        .subscribe(
+            q.clone(),
+            rule(Tolerance::Above {
+                threshold: 500.0,
+                hysteresis: 0.0,
+            }),
+        )
         .unwrap();
-    let w_below = engine
-        .register_watch(q, 100.0, Comparison::Below)
+    let below = engine
+        .subscribe(
+            q,
+            rule(Tolerance::Below {
+                threshold: 100.0,
+                hysteresis: 0.0,
+            }),
+        )
         .unwrap();
 
-    // Empty engine: estimate 0 → the "below 100" watch fires.
-    let events = engine.check_watches();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].watch, w_below);
+    // Empty engine: estimate 0. Both rules report their first value; the
+    // "below 100" one is tripped by it.
+    let events = engine.publish_epoch();
+    assert_eq!(events.len(), 2);
+    assert!(events.iter().all(|e| e.old.is_none() && e.new == 0.0));
+    assert_eq!(
+        engine.subscription(below).unwrap().last_notified(),
+        Some(0.0)
+    );
 
-    // Grow the intersection past 500.
+    // Grow the intersection past 500: "above" trips, "below" releases.
     for e in 0..1500u64 {
         engine.process(&Update::insert(StreamId(0), e, 1));
         engine.process(&Update::insert(StreamId(1), e, 1));
     }
-    let events = engine.check_watches();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].watch, w_above);
-    assert!(events[0].estimate > 500.0);
+    let events = engine.publish_epoch();
+    assert_eq!(events.len(), 2);
+    let trip = events.iter().find(|e| e.sub_id == above).unwrap();
+    assert!(trip.new > 500.0);
+    let release = events.iter().find(|e| e.sub_id == below).unwrap();
+    assert_eq!(release.new, trip.new);
+
+    // Edge, not level: staying tripped notifies nothing more.
+    for e in 1500..1600u64 {
+        engine.process(&Update::insert(StreamId(0), e, 1));
+        engine.process(&Update::insert(StreamId(1), e, 1));
+    }
+    assert!(engine.publish_epoch().is_empty());
 }
 
 #[test]
 fn unregistering_cleans_up() {
     let mut engine = engine_with_data();
-    let q = engine.register_query("A & B").unwrap();
-    let w = engine.register_watch(q, 1.0, Comparison::Above).unwrap();
-    assert_eq!(engine.stats().queries, 1);
-    assert_eq!(engine.stats().watches, 1);
-    engine.unregister_query(q).unwrap();
-    assert_eq!(engine.stats().queries, 0);
-    assert_eq!(engine.stats().watches, 0, "orphan watches must be removed");
+    let id = engine
+        .subscribe(
+            expr("A & B"),
+            rule(Tolerance::Above {
+                threshold: 1.0,
+                hysteresis: 0.0,
+            }),
+        )
+        .unwrap();
+    assert_eq!(engine.stats().subscriptions, 1);
+    engine.unsubscribe(id).unwrap();
+    assert_eq!(engine.stats().subscriptions, 0);
+    assert!(engine.subscription(id).is_none());
+    assert!(engine.publish_epoch().is_empty());
     assert!(matches!(
-        engine.evaluate(q),
-        Err(EngineError::UnknownQuery(_))
+        engine.unsubscribe(id),
+        Err(EngineError::UnknownSubscription(_))
     ));
-    assert!(engine.unregister_watch(w).is_err());
 }
 
 #[test]
 fn error_paths() {
     let mut engine = StreamEngine::new(family());
     assert!(matches!(
-        engine.register_query("A &&& B"),
-        Err(EngineError::Parse(_))
+        engine.subscribe_sql("SUBSCRIBE A &&& B TOLERANCE 1"),
+        Err(EngineError::Subscribe(_))
     ));
     // Handles can no longer be forged (private inner id) — a stale handle
-    // from an unregistered query exercises the same unknown-id path.
-    let bogus = engine.register_query("A").unwrap();
-    engine.unregister_query(bogus).unwrap();
-    assert!(matches!(
-        engine.register_watch(bogus, 1.0, Comparison::Above),
-        Err(EngineError::UnknownQuery(_))
-    ));
-    assert!(matches!(
-        engine.unregister_query(bogus),
-        Err(EngineError::UnknownQuery(_))
-    ));
+    // from a removed subscription exercises the same unknown-id path.
+    let stale = engine.subscribe_sql("SUBSCRIBE A TOLERANCE 1").unwrap();
+    engine.unsubscribe(stale).unwrap();
+    let err = engine.unsubscribe(stale).unwrap_err();
+    assert!(matches!(err, EngineError::UnknownSubscription(_)));
+    assert!(err.to_string().contains("unknown subscription"));
 }
 
 #[test]
@@ -204,36 +243,28 @@ fn ad_hoc_expressions_without_registration() {
 }
 
 #[test]
-fn unified_query_type_accepts_all_request_forms() {
-    use setstream_engine::prelude::*;
-    let mut engine = engine_with_data();
-    let q = engine.register_query("A & B").unwrap();
-    let by_id = engine.evaluate(q).unwrap();
-    let by_query: Query = "A & B".parse().unwrap();
-    let by_text = engine.evaluate(by_query).unwrap();
-    let expr: setstream_expr::SetExpr = "A & B".parse().unwrap();
-    let by_expr = engine.evaluate(&expr).unwrap();
-    // Same synopses, same estimator: identical answers.
-    assert_eq!(by_id.value, by_text.value);
-    assert_eq!(by_id.value, by_expr.value);
-    // The record is self-describing.
-    assert_eq!(by_id.method, EstimateMethod::Witness);
-    assert!(by_id.witnesses().valid > 0);
-    assert!(by_id.atomic_fraction().unwrap() > 0.0);
-    let (lo, hi) = by_id.confidence().unwrap();
-    assert!(lo <= by_id.value && by_id.value <= hi);
-}
-
-#[test]
 fn evaluate_is_the_single_estimation_surface() {
-    // The deprecated `estimate_*` wrappers are gone; every request shape
-    // routes through `evaluate`/`evaluate_all` and answers identically.
+    // Ad-hoc answers come from `evaluate`; standing answers come from the
+    // subscription cache, which holds the identical estimate.
     let mut engine = engine_with_data();
-    let q = engine.register_query("A - B").unwrap();
-    let by_id = engine.evaluate(q).unwrap();
-    let expr: setstream_expr::SetExpr = "A - B".parse().unwrap();
-    assert_eq!(engine.evaluate(&expr).unwrap().value, by_id.value);
-    assert_eq!(engine.evaluate_all().len(), 1);
+    let q = expr("A & B");
+    let answer = engine.evaluate(&q).unwrap();
+    let traced = engine
+        .evaluate_traced(&q, setstream_obs::TraceContext::default())
+        .unwrap();
+    assert_eq!(answer.value.to_bits(), traced.value.to_bits());
+    let id = engine.subscribe(q, SubscriptionOptions::default()).unwrap();
+    engine.publish_epoch();
+    assert_eq!(
+        engine.subscription(id).unwrap().last_notified(),
+        Some(answer.value)
+    );
+    // The record is self-describing.
+    assert_eq!(answer.method, EstimateMethod::Witness);
+    assert!(answer.witnesses().valid > 0);
+    assert!(answer.atomic_fraction().unwrap() > 0.0);
+    let (lo, hi) = answer.confidence().unwrap();
+    assert!(lo <= answer.value && answer.value <= hi);
 }
 
 #[test]
@@ -251,9 +282,9 @@ fn engine_metrics_track_ingest_and_estimates() {
     // The all-insert batch rides the uniform-delta fast path end to end.
     assert_eq!(m.ingest_fastpath_updates.get(), 5000);
 
-    let q = engine.register_query("A & B").unwrap();
-    let _ = engine.evaluate(q).unwrap();
-    let _ = engine.evaluate(q).unwrap();
+    let q = expr("A & B");
+    let _ = engine.evaluate(&q).unwrap();
+    let _ = engine.evaluate(&q).unwrap();
     assert_eq!(m.estimates_total(), 2);
     assert_eq!(m.estimate_latency_ns.count(), 2);
     assert!(m.estimate_latency_ns.sum() > 0);
@@ -290,12 +321,13 @@ fn trace_ring_records_estimate_spans() {
     let ring = Arc::new(RingRecorder::new(16));
     let mut engine = engine_with_data();
     engine.set_trace(TraceHandle::new(ring.clone()));
-    let q = engine.register_query("A | B").unwrap();
-    let _ = engine.evaluate(q).unwrap();
-    let _ = engine.evaluate_all();
+    let q = expr("A | B");
+    let _ = engine.evaluate(&q).unwrap();
+    engine.subscribe(q, SubscriptionOptions::default()).unwrap();
+    let _ = engine.publish_epoch();
     let names: Vec<&str> = ring.events().iter().map(|e| e.name).collect();
     assert!(names.contains(&"engine.query"));
-    assert!(names.contains(&"engine.query_all"));
+    assert!(names.contains(&"engine.publish_epoch"));
     let q_span = ring
         .events()
         .into_iter()
@@ -312,14 +344,14 @@ fn traced_evaluate_joins_an_existing_trace() {
     let ring = Arc::new(RingRecorder::new(16));
     let mut engine = engine_with_data();
     engine.set_trace(TraceHandle::new(ring.clone()));
-    let q = engine.register_query("A | B").unwrap();
+    let q = expr("A | B");
     // Joining a foreign trace (e.g. a collection epoch's context): the
     // query span carries that trace id and parents on the given span.
     let ctx = TraceContext {
         trace_id: 777,
         span_id: 42,
     };
-    let _ = engine.evaluate_traced(q, ctx).unwrap();
+    let _ = engine.evaluate_traced(&q, ctx).unwrap();
     let span = ring
         .events()
         .into_iter()
@@ -328,7 +360,7 @@ fn traced_evaluate_joins_an_existing_trace() {
     assert_eq!(span.trace_id, 777);
     assert_eq!(span.parent_id, 42);
     // An inactive context degrades to a root span — evaluate semantics.
-    let _ = engine.evaluate_traced(q, TraceContext::default()).unwrap();
+    let _ = engine.evaluate_traced(&q, TraceContext::default()).unwrap();
     let root = ring
         .events()
         .into_iter()

@@ -9,14 +9,14 @@
 //!    synopses.
 //! 2. **Notification completeness** — the published change log equals a
 //!    brute-force diff of from-scratch evaluations filtered through the
-//!    tolerance band. Nothing extra, nothing missing, values bitwise.
+//!    tolerance band (or, for a threshold rule, through the latch-and-
+//!    hysteresis state machine). Nothing extra, nothing missing, values
+//!    bitwise.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setstream_core::SketchFamily;
-use setstream_engine::{
-    ChangeCause, Comparison, StreamEngine, SubscriptionOptions, Tolerance,
-};
+use setstream_engine::{ChangeCause, StreamEngine, SubscriptionOptions, Tolerance};
 use setstream_expr::SetExpr;
 use setstream_stream::{CdcEvent, StreamId, Update};
 
@@ -87,10 +87,29 @@ proptest! {
     }
 }
 
+/// The level a threshold watch reports for `value`, given whether it
+/// was already reporting: trip strictly past the threshold, then keep
+/// reporting until the value re-crosses it by the hysteresis band.
+fn watch_reporting(rule: Tolerance, latched: bool, value: f64) -> bool {
+    match rule {
+        Tolerance::Above {
+            threshold,
+            hysteresis,
+        } => value > threshold || (latched && value > threshold - hysteresis),
+        Tolerance::Below {
+            threshold,
+            hysteresis,
+        } => value < threshold || (latched && value < threshold + hysteresis),
+        Tolerance::Absolute(_) | Tolerance::Relative(_) => unreachable!("not a threshold rule"),
+    }
+}
+
 /// Soak: replay a deterministic multi-epoch workload and check the
 /// engine's notification log against a brute-force reference — a second
 /// engine fed the identical updates, evaluated from scratch each epoch,
-/// with the tolerance band applied in plain code.
+/// with the tolerance band applied in plain code. A threshold rule's
+/// reference is the watch state machine with an explicit latch, notified
+/// on every change of the level it reports.
 #[test]
 fn notification_log_equals_brute_force_diff() {
     let fam = family(32, 99);
@@ -102,6 +121,20 @@ fn notification_log_equals_brute_force_diff() {
         ("(A | B) - C", Tolerance::Relative(0.08)),
         ("A & B", Tolerance::Absolute(0.0)), // duplicate expr, distinct band
         ("C | D", Tolerance::Absolute(25.0)),
+        (
+            "A & B",
+            Tolerance::Above {
+                threshold: 300.0,
+                hysteresis: 30.0,
+            },
+        ),
+        (
+            "C - D",
+            Tolerance::Below {
+                threshold: 250.0,
+                hysteresis: 40.0,
+            },
+        ),
     ];
     let mut subs = Vec::new();
     for &(text, tolerance) in specs {
@@ -115,6 +148,8 @@ fn notification_log_equals_brute_force_diff() {
     }
 
     let mut last: Vec<Option<f64>> = vec![None; subs.len()];
+    let mut latched = vec![false; subs.len()];
+    let mut threshold_edges = 0;
     for epoch in 0..12usize {
         let mut batch = Vec::new();
         for i in 0..600u64 {
@@ -134,12 +169,19 @@ fn notification_log_equals_brute_force_diff() {
         let mut expected = Vec::new();
         for (i, (id, expr, tolerance)) in subs.iter().enumerate() {
             let value = reference.evaluate(expr).unwrap().value;
-            let notify = match last[i] {
-                None => true,
-                Some(prev) => match tolerance {
-                    Tolerance::Absolute(band) => (value - prev).abs() > *band,
-                    Tolerance::Relative(frac) => (value - prev).abs() > frac * prev.abs(),
-                },
+            let notify = match (last[i], *tolerance) {
+                (None, Tolerance::Absolute(_) | Tolerance::Relative(_)) => true,
+                (Some(prev), Tolerance::Absolute(band)) => (value - prev).abs() > band,
+                (Some(prev), Tolerance::Relative(frac)) => (value - prev).abs() > frac * prev.abs(),
+                (last, rule) => {
+                    let reporting = watch_reporting(rule, latched[i], value);
+                    let edge = last.is_none() || reporting != latched[i];
+                    if edge && last.is_some() {
+                        threshold_edges += 1;
+                    }
+                    latched[i] = reporting;
+                    edge
+                }
             };
             if notify {
                 expected.push((*id, last[i], value));
@@ -162,7 +204,12 @@ fn notification_log_equals_brute_force_diff() {
             assert_eq!(e.cause, want, "epoch {epoch}: wrong cause on {:?}", e);
         }
     }
-    // The workload kept moving, so the bands must have fired repeatedly.
+    // The workload kept moving, so the bands must have fired repeatedly,
+    // and the threshold rules must have crossed at least once.
+    assert!(
+        threshold_edges >= 1,
+        "no threshold rule tripped or released"
+    );
     let metrics = engine.subscription_metrics();
     assert!(metrics.notifications.get() >= subs.len() as u64);
     assert_eq!(metrics.rounds.get(), 12);
@@ -239,43 +286,72 @@ fn cdc_events_feed_the_dirty_set() {
     );
 }
 
-/// Hysteresis keeps a watch latched through small dips below the
-/// threshold (flap suppression) and releases it only past the band.
+/// Hysteresis keeps a threshold rule tripped through small dips below
+/// the threshold (flap suppression) and releases it only past the band —
+/// also across a snapshot taken while it is tripped.
 #[test]
 fn watch_hysteresis_suppresses_flapping() {
     let fam = family(128, 3);
     let mut engine = StreamEngine::new(fam);
-    let q = engine.register_query("A").unwrap();
-    let w = engine
-        .register_watch_with_hysteresis(q, 1000.0, Comparison::Above, 400.0)
+    let options = SubscriptionOptions::builder()
+        .tolerance(Tolerance::Above {
+            threshold: 1000.0,
+            hysteresis: 400.0,
+        })
+        .build()
         .unwrap();
+    let id = engine.subscribe("A".parse().unwrap(), options).unwrap();
+    let armed = engine.publish_epoch();
+    assert_eq!(armed.len(), 1);
+    assert_eq!(
+        (armed[0].old, armed[0].new),
+        (None, 0.0),
+        "empty stream arms the rule"
+    );
 
     // Cross the threshold: ~1500 distinct elements.
     for e in 0..1500u64 {
         engine.process(&Update::insert(StreamId(0), e, 1));
     }
-    let events = engine.check_watches();
-    assert_eq!(events.len(), 1, "watch fires on the crossing");
-    assert_eq!(events[0].watch, w);
+    let events = engine.publish_epoch();
+    assert_eq!(events.len(), 1, "the rule notifies on the crossing");
+    assert_eq!(events[0].sub_id, id);
+    assert!(events[0].new > 1000.0);
 
     // Dip to ~900 — below threshold but inside the release band
-    // (releases only at ≤ 600): still latched, still reporting.
+    // (releases only at ≤ 600): still tripped, nothing to report.
     for e in 900..1500u64 {
         engine.process(&Update::delete(StreamId(0), e, 1));
     }
-    let events = engine.check_watches();
-    assert_eq!(events.len(), 1, "in-band dip must not release the latch");
+    assert!(
+        engine.publish_epoch().is_empty(),
+        "in-band dip must not release"
+    );
 
-    // Drop to ~300 — past the release bound: the latch clears.
+    // The trip survives a snapshot: the restored rule waits for the
+    // release bound too.
+    let mut restored = StreamEngine::restore(engine.snapshot());
+    assert_eq!(
+        restored.subscription(id).unwrap().last_notified(),
+        Some(events[0].new)
+    );
+
+    // Drop to ~300 — past the release bound: both engines release, with
+    // bit-identical events.
     for e in 300..900u64 {
         engine.process(&Update::delete(StreamId(0), e, 1));
+        restored.process(&Update::delete(StreamId(0), e, 1));
     }
-    assert!(engine.check_watches().is_empty(), "release band reached");
-
-    // And a zero-hysteresis watch keeps the old strict level semantics.
-    let w0 = engine.register_watch(q, 250.0, Comparison::Above).unwrap();
-    let events = engine.check_watches();
-    assert!(events.iter().any(|e| e.watch == w0));
+    let released = engine.publish_epoch();
+    assert_eq!(released.len(), 1, "release band reached");
+    assert!(released[0].new <= 600.0);
+    assert_eq!(released[0].old, Some(events[0].new));
+    let restored_released = restored.publish_epoch();
+    assert_eq!(restored_released, released);
+    assert_eq!(
+        restored_released[0].new.to_bits(),
+        released[0].new.to_bits()
+    );
 }
 
 /// `SUBSCRIBE … TOLERANCE …` round-trips through the engine, and the

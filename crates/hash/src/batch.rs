@@ -5,16 +5,14 @@
 //! At the paper's `r = 512`, `s = 32` that is ~16k scattered hash calls per
 //! stream item. The kernels here restructure that work:
 //!
-//! * [`PairwiseHashBank`] stores the `(a, b)` coefficients of `s` pairwise
-//!   functions as two flat arrays (structure-of-arrays) and evaluates all
-//!   `s` output bits of one element in a single multiply-add loop — the
-//!   coefficient arrays stay resident in L1 and the loop has no dependent
+//! * [`PairwiseHashBank`] stores the coefficients of `s` pairwise
+//!   functions as flat arrays (structure-of-arrays) and applies a whole
+//!   group of updates to a counter row function by function — the
+//!   coefficients stay resident in L1 and the inner loop has no dependent
 //!   chain, so it saturates the multiplier.
 //! * [`hash_many`] evaluates a first-level hash over a slice of elements.
 //!   A single Carter–Wegman evaluation is a latency-bound Horner chain;
 //!   hashing a batch exposes independent chains the CPU can overlap.
-//!
-//! analyze: allow(indexing) — batch kernel: lane indices iterate `0..LANES` over arrays sized `LANES`, and chunk offsets are bounded by `chunks_exact`
 
 use crate::field;
 use crate::pairwise::PairwiseHash;
@@ -24,18 +22,16 @@ use crate::Hash64;
 /// Structure-of-arrays bank of pairwise hash functions
 /// `hⱼ(x) = (aⱼ·x + bⱼ) mod p`, evaluated together.
 ///
-/// Bit `j` produced by the bank is identical to
+/// The bit the bank applies for function `j` is identical to
 /// `PairwiseHash::hash_bit` of the j-th source function: same
 /// coefficients, same field arithmetic, so scalar and batched sketch
-/// maintenance agree bit-for-bit. The grouped kernels dispatch to the
-/// lane-parallel forms in [`crate::simd`], which hold split pre-scaled
-/// copies of the coefficients; those are derived from `(a, b)` at
-/// construction and proven (by the simd module's tests) to evaluate the
+/// maintenance agree bit-for-bit. The kernels are the lane-parallel forms
+/// in [`crate::simd`], which hold split pre-scaled copies of the
+/// coefficients, derived from `(a, b)` at construction and proven (by the
+/// simd module's tests and `tests/simd_equivalence.rs`) to evaluate the
 /// identical bit.
 #[derive(Debug, Clone)]
 pub struct PairwiseHashBank {
-    a: Box<[u64]>,
-    b: Box<[u64]>,
     split: simd::ParityBank,
 }
 
@@ -43,64 +39,33 @@ impl PairwiseHashBank {
     /// Build a bank from individual functions (flattening their
     /// coefficients into contiguous storage).
     pub fn from_functions(fns: &[PairwiseHash]) -> Self {
-        let a: Box<[u64]> = fns.iter().map(|h| h.coefficients().0).collect();
-        let b: Box<[u64]> = fns.iter().map(|h| h.coefficients().1).collect();
-        let split = simd::ParityBank::new(&a, &b);
-        PairwiseHashBank { a, b, split }
+        let a: Vec<u64> = fns.iter().map(|h| h.coefficients().0).collect();
+        let b: Vec<u64> = fns.iter().map(|h| h.coefficients().1).collect();
+        PairwiseHashBank {
+            split: simd::ParityBank::new(&a, &b),
+        }
     }
 
     /// Number of hash functions in the bank.
     #[inline]
     pub fn len(&self) -> usize {
-        self.a.len()
+        self.split.len()
     }
 
     /// `true` if the bank holds no functions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.a.is_empty()
-    }
-
-    /// Number of `u64` words needed to hold one bit per function.
-    #[inline]
-    pub fn words(&self) -> usize {
-        self.len().div_ceil(64)
-    }
-
-    /// Evaluate the output **bit** of every function on `x`, packed
-    /// little-endian into `out` (bit `j` of the bank lands in
-    /// `out[j / 64]` at position `j % 64`).
-    ///
-    /// This is the batch kernel: one field reduction of `x`, then a tight
-    /// independent multiply-add per function over the flat coefficient
-    /// arrays.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.words()`.
-    #[inline]
-    pub fn hash_bits_into(&self, x: u64, out: &mut [u64]) {
-        assert_eq!(out.len(), self.words(), "bit buffer sized to bank");
-        simd::hash_bits(&self.split, x, out);
-    }
-
-    /// Evaluate every function's output bit on `x`, invoking
-    /// `f(j, bit)` in function order. Allocation-free.
-    #[inline]
-    pub fn for_each_bit(&self, x: u64, mut f: impl FnMut(usize, usize)) {
-        let xr = field::reduce64(x) as u128;
-        for (j, (&a, &b)) in self.a.iter().zip(self.b.iter()).enumerate() {
-            f(j, field::parity128(a as u128 * xr + b as u128) as usize);
-        }
+        self.len() == 0
     }
 
     /// Group sketch-maintenance kernel: apply a whole batch of updates
     /// that all target the same counter row.
     ///
     /// For every function `j`, adds `deltas[i]` to `row[2j + bitⱼ(xrs[i])]`
-    /// for all `i` — the same counter state as calling [`accumulate_row`]
-    /// per element, but with the loop nest inverted: the outer loop walks
-    /// functions, the inner loop streams the elements, so `(aⱼ, bⱼ)` and
-    /// the accumulator live in registers and each counter cell is touched
+    /// for all `i` — the same counter state as bumping one cell per
+    /// function for each element in turn, but with the loop nest inverted:
+    /// the outer loop walks functions, the inner loop streams the
+    /// elements, so `(aⱼ, bⱼ)` and the accumulator live in registers and each counter cell is touched
     /// **once per group** instead of once per element. Because the two
     /// cells of a pair split the group's delta total (`cell₀ + cell₁ =
     /// Σdeltas`), a single branchless accumulator of the `bit = 1` mass
@@ -111,8 +76,6 @@ impl PairwiseHashBank {
     /// already passed through [`field::reduce64`]) — hoisting the
     /// reduction out of the `s`-fold loop is the caller's half of the
     /// bargain.
-    ///
-    /// [`accumulate_row`]: PairwiseHashBank::accumulate_row
     ///
     /// # Panics
     /// Panics if `row.len() != 2 * self.len()` or the element and delta
@@ -129,10 +92,11 @@ impl PairwiseHashBank {
         // weighted kernel, which folds the sign into a branch-free mask —
         // the two differ by one vector op per lane, so deletions no
         // longer fall off a fast-path cliff.
-        let uniform = deltas.windows(2).all(|w| w[0] == w[1]);
-        if uniform && !deltas.is_empty() {
-            simd::accumulate_uniform(&self.split, xrs, deltas[0], row);
-            return;
+        if let Some(&d0) = deltas.first() {
+            if deltas.iter().all(|&d| d == d0) {
+                simd::accumulate_uniform(&self.split, xrs, d0, row);
+                return;
+            }
         }
         let total: i64 = deltas.iter().sum();
         simd::accumulate_weighted(&self.split, xrs, deltas, total, row);
@@ -157,28 +121,6 @@ impl PairwiseHashBank {
             simd::accumulate_uniform(&self.split, xrs, d0, row);
         }
     }
-
-    /// Fused sketch-maintenance kernel: for every function `j`, add
-    /// `delta` to `row[2j + bitⱼ(x)]`.
-    ///
-    /// This is the inner loop of 2-level-sketch counter maintenance with
-    /// the bit evaluation and the counter bump in a single pass — no
-    /// packed intermediate words, and the `chunks_exact_mut(2)`/zip shape
-    /// leaves no per-cell bounds checks. The bit is the parity of
-    /// `(aⱼ·x + bⱼ) mod p` via [`field::parity128`], identical to
-    /// `PairwiseHash::hash_bit` of the j-th source function.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != 2 * self.len()`.
-    #[inline]
-    pub fn accumulate_row(&self, x: u64, delta: i64, row: &mut [i64]) {
-        assert_eq!(row.len(), 2 * self.len(), "row holds one cell pair per function");
-        let xr = field::reduce64(x) as u128;
-        for ((pair, &a), &b) in row.chunks_exact_mut(2).zip(self.a.iter()).zip(self.b.iter()) {
-            let bit = field::parity128(a as u128 * xr + b as u128) as usize;
-            pair[bit] += delta;
-        }
-    }
 }
 
 /// First-level batch kernel: `out[i] = h(xs[i])`.
@@ -200,85 +142,6 @@ mod tests {
     use super::*;
     use crate::{AnyHash, HashFamily};
 
-    fn bank_and_fns(s: usize, seed: u64) -> (PairwiseHashBank, Vec<PairwiseHash>) {
-        let fns: Vec<PairwiseHash> = (0..s as u64)
-            .map(|j| PairwiseHash::from_seed(seed.wrapping_mul(0x9e37) ^ j))
-            .collect();
-        (PairwiseHashBank::from_functions(&fns), fns)
-    }
-
-    #[test]
-    fn bank_bits_match_scalar_hash_bit() {
-        for s in [1usize, 7, 32, 64, 65, 130] {
-            let (bank, fns) = bank_and_fns(s, 5);
-            let mut words = vec![0u64; bank.words()];
-            for x in [0u64, 1, 42, u64::MAX, 0xdead_beef_cafe] {
-                bank.hash_bits_into(x, &mut words);
-                for (j, f) in fns.iter().enumerate() {
-                    let got = (words[j / 64] >> (j % 64)) & 1;
-                    assert_eq!(got as usize, f.hash_bit(x), "s={s} j={j} x={x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_bit_matches_packed_words() {
-        let (bank, _) = bank_and_fns(40, 9);
-        let mut words = vec![0u64; bank.words()];
-        for x in 0..200u64 {
-            bank.hash_bits_into(x, &mut words);
-            let mut seen = 0usize;
-            bank.for_each_bit(x, |j, bit| {
-                assert_eq!(bit as u64, (words[j / 64] >> (j % 64)) & 1);
-                seen += 1;
-            });
-            assert_eq!(seen, 40);
-        }
-    }
-
-    #[test]
-    fn accumulate_row_bumps_the_scalar_cells() {
-        for s in [1usize, 8, 32, 33] {
-            let (bank, fns) = bank_and_fns(s, 11);
-            let mut row = vec![0i64; 2 * s];
-            let mut expect = vec![0i64; 2 * s];
-            for (i, x) in [0u64, 3, 999, u64::MAX, 0x1234_5678].into_iter().enumerate() {
-                let delta = (i as i64 + 1) * if i % 2 == 0 { 1 } else { -1 };
-                bank.accumulate_row(x, delta, &mut row);
-                for (j, f) in fns.iter().enumerate() {
-                    expect[2 * j + f.hash_bit(x)] += delta;
-                }
-                assert_eq!(row, expect, "s={s} x={x}");
-            }
-        }
-    }
-
-    #[test]
-    fn accumulate_group_matches_per_element_rows() {
-        for s in [1usize, 8, 32, 33] {
-            let (bank, _) = bank_and_fns(s, 13);
-            for n in [0usize, 1, 2, 7, 64] {
-                let elems: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37) ^ 0xabc).collect();
-                let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
-                // Mixed deltas (general path) and uniform deltas
-                // (count-only fast path) must both match per-element
-                // application.
-                let mixed: Vec<i64> = (0..n as i64).map(|i| (i % 5) - 2).collect();
-                let uniform = vec![-3i64; n];
-                for deltas in [&mixed, &uniform] {
-                    let mut grouped = vec![0i64; 2 * s];
-                    bank.accumulate_group(&xrs, deltas, &mut grouped);
-                    let mut scalar = vec![0i64; 2 * s];
-                    for (&e, &d) in elems.iter().zip(deltas.iter()) {
-                        bank.accumulate_row(e, d, &mut scalar);
-                    }
-                    assert_eq!(grouped, scalar, "s={s} n={n}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn hash_many_matches_scalar() {
         let h = AnyHash::from_seed(HashFamily::KWise(8), 77);
@@ -294,8 +157,8 @@ mod tests {
     fn empty_bank_is_fine() {
         let bank = PairwiseHashBank::from_functions(&[]);
         assert!(bank.is_empty());
-        assert_eq!(bank.words(), 0);
-        bank.hash_bits_into(123, &mut []);
-        bank.for_each_bit(123, |_, _| panic!("no functions, no bits"));
+        assert_eq!(bank.len(), 0);
+        bank.accumulate_group(&[123], &[1], &mut []);
+        bank.accumulate_group_uniform(&[123], 1, &mut []);
     }
 }

@@ -292,6 +292,11 @@ fn weighted_ones_lanes<const LANES: usize>(c: Coef, xrs: &[u64], deltas: &[i64])
 /// distribution — would otherwise fall back to scalar parity math. Cell
 /// updates are exact integer adds, so routing an element through this
 /// axis instead of the element-lane axis is bit-identical.
+///
+/// Every cell add in the three accumulate kernels wraps, like the
+/// sketch's merge and subtract: a decoded peer synopsis may hold any
+/// `i64`, and maintenance stays linear modulo 2⁶⁴ instead of panicking
+/// where overflow checks are on.
 #[inline(always)]
 fn accumulate_one_lanes<const LANES: usize>(bank: &ParityBank, xr: u64, d: i64, row: &mut [i64]) {
     let (x0, x1) = (xr & M31, xr >> 31);
@@ -316,14 +321,14 @@ fn accumulate_one_lanes<const LANES: usize>(bank: &ParityBank, xr: u64, d: i64, 
         let seg = &mut row[2 * j..2 * (j + LANES)];
         for i in 0..LANES {
             let m = (bits[i] as i64).wrapping_neg();
-            seg[2 * i] += d & !m;
-            seg[2 * i + 1] += d & m;
+            seg[2 * i] = seg[2 * i].wrapping_add(d & !m);
+            seg[2 * i + 1] = seg[2 * i + 1].wrapping_add(d & m);
         }
         j += LANES;
     }
     while j < s {
         let bit = parity_eval(bank.coef(j), x0, x1) as usize;
-        row[2 * j + bit] += d;
+        row[2 * j + bit] = row[2 * j + bit].wrapping_add(d);
         j += 1;
     }
 }
@@ -355,8 +360,8 @@ fn accumulate_uniform_lanes<const LANES: usize>(
         let n = main.len() as i64;
         for (j, pair) in row.chunks_exact_mut(2).enumerate() {
             let ones = count_ones_lanes::<LANES>(bank.coef(j), main);
-            pair[0] += d0 * (n - ones);
-            pair[1] += d0 * ones;
+            pair[0] = pair[0].wrapping_add(d0.wrapping_mul(n - ones));
+            pair[1] = pair[1].wrapping_add(d0.wrapping_mul(ones));
         }
     }
     for &xr in tail {
@@ -385,43 +390,12 @@ fn accumulate_weighted_lanes<const LANES: usize>(
         let main_total = total - dtail.iter().sum::<i64>();
         for (j, pair) in row.chunks_exact_mut(2).enumerate() {
             let ones = weighted_ones_lanes::<LANES>(bank.coef(j), main, dmain);
-            pair[0] += main_total - ones;
-            pair[1] += ones;
+            pair[0] = pair[0].wrapping_add(main_total.wrapping_sub(ones));
+            pair[1] = pair[1].wrapping_add(ones);
         }
     }
     for (&xr, &d) in tail.iter().zip(dtail) {
         accumulate_one_lanes::<LANES>(bank, xr, d, row);
-    }
-}
-
-/// All functions' bits on one element, packed little-endian into `out`
-/// (function lanes instead of element lanes: the coefficient SoA provides
-/// the per-lane operands and the element is broadcast).
-#[inline(always)]
-fn hash_bits_lanes<const LANES: usize>(bank: &ParityBank, x: u64, out: &mut [u64]) {
-    let xr = reduce64_lane(x);
-    let (x0, x1) = (xr & M31, xr >> 31);
-    let s = bank.len();
-    for (w, slot) in out.iter_mut().enumerate() {
-        let lo = w * 64;
-        let m = s.min(lo + 64) - lo;
-        let mut word = 0u64;
-        let mut k = 0;
-        while k + LANES <= m {
-            let mut bits = [0u64; LANES];
-            for (i, b) in bits.iter_mut().enumerate() {
-                *b = parity_eval(bank.coef(lo + k + i), x0, x1);
-            }
-            for (i, &bit) in bits.iter().enumerate() {
-                word |= bit << (k + i);
-            }
-            k += LANES;
-        }
-        while k < m {
-            word |= parity_eval(bank.coef(lo + k), x0, x1) << k;
-            k += 1;
-        }
-        *slot = word;
     }
 }
 
@@ -571,13 +545,6 @@ mod x86 {
         accumulate_weighted_lanes::<16>(bank, xrs, deltas, total, row);
     }
 
-    // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; `out` must
-    // hold one bit per bank function, `⌈bank.len()/64⌉` words.
-    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
-    pub unsafe fn hash_bits_avx512(bank: &ParityBank, x: u64, out: &mut [u64]) {
-        hash_bits_lanes::<16>(bank, x, out);
-    }
-
     // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; `xs` and `out`
     // must be equal-length (the kernel zips them).
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
@@ -615,13 +582,6 @@ mod x86 {
         row: &mut [i64],
     ) {
         accumulate_weighted_lanes::<4>(bank, xrs, deltas, total, row);
-    }
-
-    // SAFETY: to call, the CPU must support avx2; `out` must hold one bit
-    // per bank function, `⌈bank.len()/64⌉` words.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn hash_bits_avx2(bank: &ParityBank, x: u64, out: &mut [u64]) {
-        hash_bits_lanes::<4>(bank, x, out);
     }
 
     // SAFETY: to call, the CPU must support avx2; `xs` and `out` must be
@@ -679,20 +639,6 @@ pub(crate) fn accumulate_weighted(
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
         Backend::Avx2 => unsafe { x86::accumulate_weighted_avx2(bank, xrs, deltas, total, row) },
         _ => accumulate_weighted_lanes::<1>(bank, xrs, deltas, total, row),
-    }
-}
-
-/// All function bits of one element packed into `out` words, dispatched.
-#[inline]
-pub(crate) fn hash_bits(bank: &ParityBank, x: u64, out: &mut [u64]) {
-    match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all four features.
-        #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx512 => unsafe { x86::hash_bits_avx512(bank, x, out) },
-        // SAFETY: `backend()` returns Avx2 only after detecting avx2.
-        #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx2 => unsafe { x86::hash_bits_avx2(bank, x, out) },
-        _ => hash_bits_lanes::<1>(bank, x, out),
     }
 }
 
@@ -837,22 +783,6 @@ mod tests {
             let mut got_w = vec![0i64; 2 * bank.len()];
             accumulate_weighted(&bank, &xrs, &deltas, total, &mut got_w);
             assert_eq!(got_w, want_w, "weighted n={n} backend={:?}", backend());
-        }
-    }
-
-    #[test]
-    fn hash_bits_matches_reference_any_bank_size() {
-        for s in [1usize, 7, 16, 32, 64, 65, 130] {
-            let (bank, a, b) = bank(s, 99);
-            let mut out = vec![0u64; s.div_ceil(64)];
-            for x in rngs(3, 50).into_iter().chain([0, 1, u64::MAX, P, P - 1]) {
-                hash_bits(&bank, x, &mut out);
-                let xr = field::reduce64(x);
-                for j in 0..s {
-                    let got = (out[j / 64] >> (j % 64)) & 1;
-                    assert_eq!(got, ref_bit(a[j], b[j], xr), "s={s} j={j} x={x}");
-                }
-            }
         }
     }
 

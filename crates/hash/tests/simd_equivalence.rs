@@ -1,12 +1,11 @@
 //! SIMD ≡ scalar equivalence, property-tested through the public API.
 //!
-//! The dispatched lane kernels behind [`PairwiseHashBank::hash_bits_into`],
-//! [`PairwiseHashBank::accumulate_group`], [`setstream_hash::positive_bits`]
-//! and the `hash_slice` overrides must be **bit-identical** to the
-//! per-element scalar references that predate them (`for_each_bit` /
-//! `accumulate_row` / `c > 0` / `Hash64::hash`), for
-//! every input shape: arbitrary bank widths and batch lengths (including
-//! odd lane remainders), insert-only, mixed, and delete-heavy deltas.
+//! The dispatched lane kernels behind [`PairwiseHashBank::accumulate_group`],
+//! [`setstream_hash::positive_bits`] and the `hash_slice` overrides must
+//! be **bit-identical** to the per-element scalar references that predate
+//! them (`accumulate_row` below / `c > 0` / `Hash64::hash`), for every
+//! input shape: arbitrary bank widths and batch lengths (including odd
+//! lane remainders), insert-only, mixed, and delete-heavy deltas.
 //!
 //! The same suite runs in all three backend configurations: the default
 //! build dispatches to the widest kernel the CPU has, the
@@ -19,11 +18,75 @@ use proptest::prelude::*;
 use setstream_hash::field;
 use setstream_hash::{hash_many, Hash64, KWiseHash, PairwiseHash, PairwiseHashBank};
 
-fn bank(seed: u64, s: usize) -> PairwiseHashBank {
+fn bank(seed: u64, s: usize) -> (PairwiseHashBank, Vec<PairwiseHash>) {
     let fns: Vec<PairwiseHash> = (0..s as u64)
         .map(|j| PairwiseHash::from_seed(seed ^ (j.wrapping_mul(0x9e37_79b9))))
         .collect();
-    PairwiseHashBank::from_functions(&fns)
+    (PairwiseHashBank::from_functions(&fns), fns)
+}
+
+/// The scalar reference the grouped kernels are pinned to: for every
+/// function `j`, add `delta` to `row[2j + bitⱼ(x)]`, where the bit is the
+/// parity of `(aⱼ·x + bⱼ) mod p` computed from the function's own
+/// coefficients with 128-bit field arithmetic.
+fn accumulate_row(fns: &[PairwiseHash], x: u64, delta: i64, row: &mut [i64]) {
+    assert_eq!(
+        row.len(),
+        2 * fns.len(),
+        "row holds one cell pair per function"
+    );
+    let xr = field::reduce64(x) as u128;
+    for (pair, h) in row.chunks_exact_mut(2).zip(fns) {
+        let (a, b) = h.coefficients();
+        let bit = field::parity128(a as u128 * xr + b as u128) as usize;
+        pair[bit] += delta;
+    }
+}
+
+#[test]
+fn accumulate_row_bumps_the_scalar_cells() {
+    for s in [1usize, 8, 32, 33] {
+        let (_, fns) = bank(11, s);
+        let mut row = vec![0i64; 2 * s];
+        let mut expect = vec![0i64; 2 * s];
+        for (i, x) in [0u64, 3, 999, u64::MAX, 0x1234_5678]
+            .into_iter()
+            .enumerate()
+        {
+            let delta = (i as i64 + 1) * if i % 2 == 0 { 1 } else { -1 };
+            accumulate_row(&fns, x, delta, &mut row);
+            for (j, f) in fns.iter().enumerate() {
+                expect[2 * j + f.hash_bit(x)] += delta;
+            }
+            assert_eq!(row, expect, "s={s} x={x}");
+        }
+    }
+}
+
+#[test]
+fn accumulate_group_matches_per_element_rows() {
+    for s in [1usize, 8, 32, 33] {
+        let (bank, fns) = bank(13, s);
+        for n in [0usize, 1, 2, 7, 64] {
+            let elems: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9e37) ^ 0xabc)
+                .collect();
+            let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
+            // Mixed deltas (general path) and uniform deltas (count-only
+            // fast path) must both match per-element application.
+            let mixed: Vec<i64> = (0..n as i64).map(|i| (i % 5) - 2).collect();
+            let uniform = vec![-3i64; n];
+            for deltas in [&mixed, &uniform] {
+                let mut grouped = vec![0i64; 2 * s];
+                bank.accumulate_group(&xrs, deltas, &mut grouped);
+                let mut scalar = vec![0i64; 2 * s];
+                for (&e, &d) in elems.iter().zip(deltas.iter()) {
+                    accumulate_row(&fns, e, d, &mut scalar);
+                }
+                assert_eq!(grouped, scalar, "s={s} n={n}");
+            }
+        }
+    }
 }
 
 proptest! {
@@ -49,32 +112,6 @@ proptest! {
         }
     }
 
-    /// Packed bit extraction ≡ the callback-driven scalar path, for bank
-    /// widths straddling every word and lane boundary.
-    #[test]
-    fn hash_bits_match_for_each_bit(
-        seed in any::<u64>(),
-        s in 1usize..130,
-        xs in vec(any::<u64>(), 1..40),
-    ) {
-        let bank = bank(seed, s);
-        let mut packed = vec![0u64; bank.words()];
-        let mut reference = vec![0usize; s];
-        for &x in &xs {
-            bank.hash_bits_into(x, &mut packed);
-            bank.for_each_bit(x, |j, bit| reference[j] = bit);
-            for (j, &bit) in reference.iter().enumerate() {
-                let got = ((packed[j / 64] >> (j % 64)) & 1) as usize;
-                prop_assert_eq!(got, bit, "function {} on input {}", j, x);
-            }
-            // No stray bits above the bank width.
-            if s % 64 != 0 {
-                let last = packed[bank.words() - 1];
-                prop_assert_eq!(last >> (s % 64), 0, "tail word has stray bits");
-            }
-        }
-    }
-
     /// Grouped accumulation ≡ per-element `accumulate_row`, across
     /// insert-only (uniform +1), mixed, and delete-heavy delta mixes and
     /// group lengths that leave every possible lane remainder.
@@ -86,7 +123,7 @@ proptest! {
         // 0 = insert-only, 1 = ~10% deletes, 2 = delete-heavy (~90%).
         mix in 0u8..3,
     ) {
-        let bank = bank(seed, s);
+        let (bank, fns) = bank(seed, s);
         let deltas: Vec<i64> = elems
             .iter()
             .enumerate()
@@ -105,7 +142,7 @@ proptest! {
 
         let mut reference = vec![0i64; 2 * s];
         for (&e, &d) in elems.iter().zip(&deltas) {
-            bank.accumulate_row(e, d, &mut reference);
+            accumulate_row(&fns, e, d, &mut reference);
         }
         prop_assert_eq!(grouped, reference);
     }
@@ -159,12 +196,12 @@ fn accumulate_group_field_edges() {
     let deltas: Vec<i64> = elems.iter().enumerate().map(|(i, _)| if i % 2 == 0 { 3 } else { -2 }).collect();
     let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
     for s in [1usize, 7, 16, 17, 32] {
-        let bank = bank(0xdead_beef ^ s as u64, s);
+        let (bank, fns) = bank(0xdead_beef ^ s as u64, s);
         let mut grouped = vec![0i64; 2 * s];
         bank.accumulate_group(&xrs, &deltas, &mut grouped);
         let mut reference = vec![0i64; 2 * s];
         for (&e, &d) in elems.iter().zip(&deltas) {
-            bank.accumulate_row(e, d, &mut reference);
+            accumulate_row(&fns, e, d, &mut reference);
         }
         assert_eq!(grouped, reference, "s={s}");
     }

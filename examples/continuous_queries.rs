@@ -1,11 +1,15 @@
-//! The full Figure-1 architecture via `setstream-engine`: continuous
-//! set-expression queries and threshold watches over live update streams
-//! — here, a denial-of-service detector.
+//! The full Figure-1 architecture via `setstream-engine`: a continuous
+//! set-expression query with two threshold alarms over live update
+//! streams — here, a denial-of-service detector.
 //!
 //! Streams: `A` = sources with open TCP handshakes, `B` = sources that
 //! completed handshakes, `C` = an allow-list of known scanners. A surge
 //! of `|A − B − C|` (many half-open handshakes from unknown sources) is
 //! the classic SYN-flood signature.
+//!
+//! Both alarms are subscriptions with a threshold rule: each notifies
+//! once when the estimate crosses its threshold (trip) and once when it
+//! falls back past the hysteresis band (release), never in between.
 //!
 //! ```sh
 //! cargo run --release -p setstream-apps --example continuous_queries
@@ -14,12 +18,22 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use setstream_core::SketchFamily;
-use setstream_engine::{Comparison, StreamEngine};
+use setstream_engine::{StreamEngine, SubscriptionOptions, Tolerance};
+use setstream_expr::SetExpr;
 use setstream_stream::{StreamId, Update};
 
 const HALF_OPEN: StreamId = StreamId(0); // A
 const COMPLETED: StreamId = StreamId(1); // B
 const ALLOW_LIST: StreamId = StreamId(2); // C
+
+/// `true` when `value` lies past the rule's threshold.
+fn tripped(rule: Tolerance, value: f64) -> bool {
+    match rule {
+        Tolerance::Above { threshold, .. } => value > threshold,
+        Tolerance::Below { threshold, .. } => value < threshold,
+        Tolerance::Absolute(_) | Tolerance::Relative(_) => false,
+    }
+}
 
 fn main() {
     let family = SketchFamily::builder()
@@ -29,18 +43,43 @@ fn main() {
         .build();
     let mut engine = StreamEngine::new(family);
 
-    // Register the detector query and two watches. Note the deliberately
-    // clumsy query text: the engine simplifies it before evaluating.
-    let q = engine
-        .register_query("((A - B) - C) | ((A - B) - C)")
-        .unwrap();
+    // Subscribe the detector query twice, once per alarm. Note the
+    // deliberately clumsy query text: the engine simplifies it, and both
+    // subscriptions share one interned DAG node.
+    let text = "((A - B) - C) | ((A - B) - C)";
+    let query: SetExpr = text.parse().unwrap();
+    let rules = [
+        (
+            "ALARM",
+            Tolerance::Above {
+                threshold: 800.0,
+                hysteresis: 200.0,
+            },
+        ),
+        (
+            "heartbeat",
+            Tolerance::Below {
+                threshold: 5.0,
+                hysteresis: 0.0,
+            },
+        ),
+    ];
+    let alarms = rules.map(|(name, rule)| {
+        let options = SubscriptionOptions::builder()
+            .tolerance(rule)
+            .build()
+            .unwrap();
+        (
+            name,
+            rule,
+            engine.subscribe(query.clone(), options).unwrap(),
+        )
+    });
     println!(
-        "registered: {}   (simplified to: {})",
-        engine.query(q).unwrap().original,
-        engine.query(q).unwrap().simplified
+        "subscribed: {text}   (simplified to: {}; {} interned DAG nodes for both)",
+        engine.subscription(alarms[0].2).unwrap().expr(),
+        engine.interned_nodes()
     );
-    let alarm = engine.register_watch(q, 800.0, Comparison::Above).unwrap();
-    let _heartbeat = engine.register_watch(q, 5.0, Comparison::Below).unwrap();
 
     // The allow-list is a slowly-changing stream.
     for scanner in 0..200u64 {
@@ -66,24 +105,30 @@ fn main() {
                 engine.process(&Update::insert(COMPLETED, src, 1));
             }
         }
-        // End of monitoring interval: evaluate watches.
-        let estimate = engine.evaluate(q).unwrap();
-        let events = engine.check_watches();
-        let fired: Vec<String> = events
+        // End of monitoring interval: publish the epoch.
+        let estimate = engine.evaluate(&query).unwrap();
+        let events: Vec<String> = engine
+            .publish_epoch()
             .iter()
             .map(|e| {
-                if e.watch == alarm {
-                    format!("ALARM (estimate {:.0} > {:.0})", e.estimate, e.threshold)
-                } else {
-                    "quiet-period heartbeat".to_string()
-                }
+                let (name, rule, _) = alarms.iter().find(|a| a.2 == e.sub_id).unwrap();
+                let edge = match (tripped(*rule, e.new), e.old) {
+                    (true, _) => "tripped",
+                    (false, None) => "armed", // the first epoch's value
+                    (false, Some(_)) => "released",
+                };
+                format!("{name} {edge} at {:.0}", e.new)
             })
             .collect();
         let (lo, hi) = estimate.confidence_interval(1.96).unwrap_or((0.0, 0.0));
         println!(
-            "phase {phase}: |A - B - C| ≈ {:>7.0}  (95% CI [{lo:.0}, {hi:.0}])  watches: {}",
+            "phase {phase}: |A - B - C| ≈ {:>7.0}  (95% CI [{lo:.0}, {hi:.0}])  alarms: {}",
             estimate.value,
-            if fired.is_empty() { "none".to_string() } else { fired.join(", ") }
+            if events.is_empty() {
+                "no change".to_string()
+            } else {
+                events.join(", ")
+            }
         );
 
         // The attack subsides: half-open entries time out (deletions).

@@ -21,6 +21,12 @@ export SOAK_ROUNDS
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+# The Criterion benches are `harness = false` targets: `cargo test` never
+# builds them and clippy lints them only where `--all-targets` is given,
+# so an API change could break them silently. Compile every one.
+echo "==> cargo build --release --workspace --benches"
+cargo build --release --workspace --benches
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -39,7 +45,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=52
+WAIVER_BUDGET=47
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
@@ -52,7 +58,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2283 apps=1179 baselines=411 bench=1360 core=2325 distributed=3713 engine=2247 expr=825 hash=1019 obs=1627 stream=811"
+LOC_BUDGET="analyze=2282 apps=1179 baselines=411 bench=1360 core=2176 distributed=3713 engine=1876 expr=825 hash=949 obs=1627 stream=811"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }

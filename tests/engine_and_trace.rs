@@ -9,6 +9,7 @@ use setstream_distributed::site::{EpochCommit, Hello, SynopsisMessage};
 use setstream_distributed::wire::{encode_frame, FrameKind};
 use setstream_distributed::{Coordinator, TransportMetrics, TransportOptions};
 use setstream_engine::StreamEngine;
+use setstream_expr::SetExpr;
 use setstream_stream::gen::{SessionConfig, SessionWorkload};
 use setstream_stream::{trace, StreamId, Update};
 use std::sync::Arc;
@@ -44,11 +45,10 @@ fn trace_round_trip_preserves_engine_answers() {
     via_trace.process_batch(&replayed);
 
     for query in ["A & B", "A - B", "A | B"] {
-        let q1 = direct.register_query(query).unwrap();
-        let q2 = via_trace.register_query(query).unwrap();
+        let expr: SetExpr = query.parse().unwrap();
         assert_eq!(
-            direct.evaluate(q1).unwrap().value,
-            via_trace.evaluate(q2).unwrap().value,
+            direct.evaluate(&expr).unwrap().value,
+            via_trace.evaluate(&expr).unwrap().value,
             "query {query}"
         );
     }
@@ -151,7 +151,7 @@ fn engine_snapshot_survives_binary_serialization() {
     for e in 0..300u64 {
         engine.process(&Update::delete(StreamId(0), e, 1));
     }
-    let q = engine.register_query("A - B").unwrap();
+    let q: SetExpr = "A - B".parse().unwrap();
 
     let bytes = setstream_distributed::codec::to_bytes(&engine.snapshot()).unwrap();
     let snapshot: setstream_engine::EngineSnapshot =
@@ -159,8 +159,8 @@ fn engine_snapshot_survives_binary_serialization() {
     let restored = StreamEngine::restore(snapshot);
 
     assert_eq!(
-        engine.evaluate(q).unwrap().value,
-        restored.evaluate(q).unwrap().value
+        engine.evaluate(&q).unwrap().value,
+        restored.evaluate(&q).unwrap().value
     );
     assert_eq!(engine.stats(), restored.stats());
 }
