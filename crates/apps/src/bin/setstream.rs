@@ -386,8 +386,10 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         .register(server.metrics());
 
     // With --listen, also accept real TCP sites: the collector feeds the
-    // same coordinator the demo's in-process sites use, and its traffic
-    // counters land in the same /metrics exposition. With --fault-dup /
+    // same coordinator the demo's in-process sites use, so remote epochs
+    // move the demo's answers and subscriptions (the quality shadow only
+    // samples the locally generated traffic), and its traffic counters
+    // land in the same /metrics exposition. With --fault-dup /
     // --fault-drop, a fault-injecting proxy fronts the collector so the
     // remote sites' recovery (and its lineage record) can be exercised
     // deterministically from the command line.
@@ -590,22 +592,17 @@ fn fmt_ppm(ppm: f64) -> String {
 fn render_top_frame(addr: std::net::SocketAddr, lines: &[demo::MetricLine], prev_updates: Option<f64>, interval: f64) -> f64 {
     use demo::{histogram_quantile, labeled_value, sum_values};
 
-    let updates = sum_values(lines, "setstream_engine_ingest_updates_total");
-    let deletions = sum_values(lines, "setstream_engine_ingest_deletions_total");
+    // The engine only takes committed changes, so the generated traffic
+    // is counted where the shadow path sees every update.
+    let updates = sum_values(lines, "setstream_quality_updates_seen_total");
     let rate = prev_updates
         .map(|p| (updates - p).max(0.0) / interval.max(1e-9))
         .unwrap_or(0.0);
     println!("setstream top — http://{addr}");
+    println!("ingest   : {updates:.0} updates ({rate:.0}/s)");
+    let sampled = sum_values(lines, "setstream_quality_updates_sampled_total");
     println!(
-        "ingest   : {updates:.0} updates ({rate:.0}/s), {:.1}% deletions",
-        if updates > 0.0 { 100.0 * deletions / updates } else { 0.0 }
-    );
-    let (seen, sampled) = (
-        sum_values(lines, "setstream_quality_updates_seen_total"),
-        sum_values(lines, "setstream_quality_updates_sampled_total"),
-    );
-    println!(
-        "shadow   : {sampled:.0} / {seen:.0} sampled ({}), {} eval rounds",
+        "shadow   : {sampled:.0} / {updates:.0} sampled ({}), {} eval rounds",
         fmt_ppm(sum_values(lines, "setstream_quality_sampling_rate_ppm")),
         sum_values(lines, "setstream_quality_eval_rounds_total"),
     );

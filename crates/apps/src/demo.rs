@@ -1,20 +1,20 @@
 //! The shared observability demo stack behind `setstream stats`,
 //! `setstream serve`, and `setstream top`.
 //!
-//! All three commands drive the same synthetic deployment — an
-//! instrumented [`StreamEngine`] with a [`QualityMonitor`] shadow path,
-//! plus a fault-injected distributed collection loop — and expose its
-//! state through one [`Registry`]. Keeping the stack here guarantees the
-//! one-shot `stats` dump, the `/metrics` scrape endpoint, and the `top`
-//! dashboard all render from the identical sample stream, so numbers can
-//! be cross-checked between them.
+//! All three commands drive the same synthetic deployment — sites feeding
+//! a coordinator over fault-injected in-memory links, the coordinator's
+//! engine answering and notifying from committed state, and a
+//! [`QualityMonitor`] shadow path over the generated traffic — and
+//! expose its state through one [`Registry`]. Keeping the stack here
+//! guarantees the one-shot `stats` dump, the `/metrics` scrape endpoint,
+//! and the `top` dashboard all render from the identical sample stream,
+//! so numbers can be cross-checked between them.
 
 use setstream_core::SketchFamily;
 use setstream_distributed::network::{FaultSpec, MemoryPipe};
 use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::{
-    ChangeEvent, ExprReport, QualityConfig, QualityMonitor, StreamEngine, SubscriptionOptions,
-    Tolerance,
+    ChangeEvent, ExprReport, QualityConfig, QualityMonitor, SubscriptionOptions, Tolerance,
 };
 use setstream_obs::{chrome, export, lineage, serve, Registry, RingRecorder, TraceHandle};
 use setstream_stream::{StreamId, Update};
@@ -74,13 +74,12 @@ pub struct RoundSummary {
     pub notifications: Vec<ChangeEvent>,
 }
 
-/// The instrumented demo deployment: engine + quality monitor + sites +
-/// coordinator, all registered in one metric [`Registry`] and one span
-/// recorder.
+/// The instrumented demo deployment: sites + coordinator (whose engine
+/// holds the standing queries) + quality monitor, all registered in one
+/// metric [`Registry`] and one span recorder.
 pub struct DemoStack {
     config: DemoConfig,
     family: SketchFamily,
-    engine: StreamEngine,
     monitor: Arc<QualityMonitor>,
     coordinator: Arc<Coordinator>,
     transport: Arc<TransportMetrics>,
@@ -94,10 +93,10 @@ pub struct DemoStack {
 }
 
 impl DemoStack {
-    /// Build the stack: engine with trace + quality monitor watching
-    /// `A | B` and `A & B`, `config.sites` sites behind (optionally
-    /// lossy) in-memory pipes, and a registry holding every metric
-    /// source.
+    /// Build the stack: a traced coordinator holding three standing
+    /// queries, a quality monitor watching `A | B` and `A & B`,
+    /// `config.sites` sites behind (optionally lossy) in-memory pipes,
+    /// and a registry holding every metric source.
     pub fn new(config: DemoConfig) -> Result<Self, String> {
         let family = SketchFamily::builder()
             .copies(config.copies)
@@ -106,14 +105,21 @@ impl DemoStack {
             .build();
         let recorder = Arc::new(RingRecorder::new(config.trace_capacity));
         let trace = TraceHandle::new(recorder.clone());
-        let mut engine = StreamEngine::new(family).with_trace(trace.clone());
+        // One trace handle spans the whole stack: site cuts start traces,
+        // the trace context rides the frames' wire extension, and the
+        // coordinator's merge/commit spans join them — `/trace` then
+        // stitches each epoch across the site and coordinator tracks.
+        // The coordinator's engine records its query spans there too.
+        let coordinator = Arc::new(
+            Coordinator::new(family).with_trace(trace.clone(), "coordinator"),
+        );
         let union_q: setstream_expr::SetExpr = "A | B".parse().map_err(|e| format!("{e}"))?;
         let inter_q: setstream_expr::SetExpr = "A & B".parse().map_err(|e| format!("{e}"))?;
 
-        // Standing queries: notify when an estimate drifts more than 5%
-        // from the last notified value. The demo round publishes one
-        // subscription epoch per step, so `/metrics` shows the
-        // incremental-evaluation counters moving.
+        // Standing queries on committed state: notify when an estimate
+        // drifts more than 5% from the last notified value. The demo
+        // round publishes one subscription epoch per step, so `/metrics`
+        // shows the incremental-evaluation counters moving.
         const DEMO_TOLERANCE: Tolerance = Tolerance::Relative(0.05);
         let sub_options = SubscriptionOptions::builder()
             .tolerance(DEMO_TOLERANCE)
@@ -121,7 +127,9 @@ impl DemoStack {
             .map_err(|e| e.to_string())?;
         for text in ["A | B", "A & B", "A - B"] {
             let expr: setstream_expr::SetExpr = text.parse().map_err(|e| format!("{e}"))?;
-            engine.subscribe(expr, sub_options).map_err(|e| e.to_string())?;
+            coordinator
+                .subscribe(expr, sub_options)
+                .map_err(|e| e.to_string())?;
         }
 
         let monitor = Arc::new(
@@ -136,13 +144,6 @@ impl DemoStack {
             .watch("intersection", "A & B")
             .map_err(|e| e.to_string())?;
 
-        // One trace handle spans the whole stack: site cuts start traces,
-        // the trace context rides the frames' wire extension, and the
-        // coordinator's merge/commit spans join them — `/trace` then
-        // stitches each epoch across the site and coordinator tracks.
-        let coordinator = Arc::new(
-            Coordinator::new(family).with_trace(trace.clone(), "coordinator"),
-        );
         let transport = Arc::new(TransportMetrics::new());
         let sites: Vec<Site> = (0..config.sites)
             .map(|i| {
@@ -174,8 +175,10 @@ impl DemoStack {
             .map_err(|e| e.to_string())?;
 
         let registry = Registry::new();
-        registry.register(engine.metrics().clone());
-        registry.register(engine.subscription_metrics().clone());
+        coordinator.with_engine(|engine| {
+            registry.register(engine.metrics().clone());
+            registry.register(engine.subscription_metrics().clone());
+        });
         registry.register(monitor.clone());
         registry.register(coordinator.clone());
         registry.register(transport.clone());
@@ -184,7 +187,6 @@ impl DemoStack {
         Ok(DemoStack {
             config,
             family,
-            engine,
             monitor,
             coordinator,
             transport,
@@ -198,10 +200,12 @@ impl DemoStack {
         })
     }
 
-    /// Run one round: generate a batch, ingest it on the engine and the
-    /// shadow path, feed the sites, collect an epoch from each, then run
-    /// a quality evaluation against the engine and refresh the
-    /// stale-sites alarm from coordinator health.
+    /// Run one round: generate a batch, show it to the shadow path, feed
+    /// the sites, collect an epoch from each, then publish the
+    /// coordinator's subscription round, run a quality evaluation against
+    /// its engine, and refresh the stale-sites alarm from coordinator
+    /// health. Every answer reads committed state, so frames from remote
+    /// sites (`serve --listen`) count too.
     pub fn step(&mut self) -> Result<RoundSummary, String> {
         let round = self.rounds_run;
         let events = self.config.events_per_round;
@@ -217,7 +221,6 @@ impl DemoStack {
                 batch.push(Update::insert(stream, element, 1));
             }
         }
-        self.engine.process_batch(&batch);
         self.monitor.observe_batch(&batch);
         let n_sites = self.sites.len();
         for (i, u) in batch.iter().enumerate() {
@@ -227,12 +230,13 @@ impl DemoStack {
             pipe.collect(site)
                 .map_err(|e| format!("collection from site {i}: {e}"))?;
         }
-        // The coordinator's delta frames say which streams the sites
-        // touched this round; feed that into the engine's dirty set so
-        // the subscription epoch re-estimates only tainted DAG nodes.
-        self.engine.note_dirty(self.coordinator.drain_dirty_streams());
-        let notifications = self.engine.publish_epoch();
-        let reports = self.monitor.evaluate(&self.engine);
+        // Commits marked the streams the sites touched, so the round
+        // re-estimates only the subscriptions over them.
+        let notifications = self.coordinator.publish_epoch();
+        let (reports, union, inter) = self.coordinator.with_engine(|engine| {
+            let reports = self.monitor.evaluate(engine);
+            (reports, engine.evaluate(&self.union_q), engine.evaluate(&self.inter_q))
+        });
         let health = self.coordinator.health();
         self.monitor.note_collection_health(
             health.sites,
@@ -240,8 +244,8 @@ impl DemoStack {
             health.lagging,
             health.resync_pending,
         );
-        let union = self.engine.evaluate(&self.union_q).map_err(|e| e.to_string())?;
-        let inter = self.engine.evaluate(&self.inter_q).map_err(|e| e.to_string())?;
+        let union = union.map_err(|e| e.to_string())?;
+        let inter = inter.map_err(|e| e.to_string())?;
         self.rounds_run += 1;
         Ok(RoundSummary {
             round,
@@ -269,7 +273,8 @@ impl DemoStack {
         &self.monitor
     }
 
-    /// The coordinator (merged state, health, queries).
+    /// The coordinator (merged state, health, queries, and the engine
+    /// holding the standing queries).
     pub fn coordinator(&self) -> &Arc<Coordinator> {
         &self.coordinator
     }
@@ -589,7 +594,7 @@ mod tests {
             .all(|n| n.cause == setstream_engine::ChangeCause::Initial));
 
         let metrics = stack.render_metrics();
-        assert!(metrics.contains("setstream_engine_ingest_updates_total 600"));
+        assert!(metrics.contains("setstream_quality_updates_seen_total 600"));
         assert!(metrics.contains("setstream_quality_eval_rounds_total 1"));
         assert!(metrics.contains("setstream_alarm_active"));
         assert!(metrics.contains("setstream_engine_subs_registered 3"));

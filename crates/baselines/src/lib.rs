@@ -3,8 +3,6 @@
 //! * [`fm`] — the Flajolet–Martin distinct-count estimator (the paper's
 //!   Figure 2, verbatim), the structural ancestor of the 2-level sketch's
 //!   first level. Insert-only.
-//! * [`ams`] — the Alon–Matias–Szegedy style variant of FM that needs only
-//!   pairwise-independent hashing (constant-factor guarantees).
 //! * [`mips`] — min-wise independent permutations: k-min signatures for
 //!   Jaccard similarity and bottom-k (KMV) sketches that extend to set
 //!   expressions over *insert-only* streams. Deletions **deplete** these
@@ -15,10 +13,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod ams;
 pub mod fm;
 pub mod mips;
 
-pub use ams::AmsDistinct;
 pub use fm::FmEstimator;
 pub use mips::{BottomKSketch, MinwiseSignature};

@@ -31,14 +31,12 @@ mod boost;
 mod difference;
 mod expression;
 mod intersection;
-mod ratio;
 mod union_est;
 mod witness;
 
 pub use bit::{bit_difference, bit_expression, bit_intersection, bit_union, BitSketchVector};
 pub use boost::{difference_boosted, intersection_boosted, median_of_groups};
 pub use expression::{expression, expression_with_union};
-pub use ratio::{containment, jaccard, RatioEstimate};
 pub use union_est::{union, union_estimate_value};
 
 use crate::error::EstimateError;

@@ -196,26 +196,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn jaccard_equals_intersection_over_union_witnesses(split in 0u64..1500) {
-        let fam = SketchFamily::builder()
-            .copies(64)
-            .second_level(16)
-            .seed(555)
-            .build();
-        let mut a = fam.new_vector();
-        let mut b = fam.new_vector();
-        for e in 0..1500u64 {
-            a.insert(e);
-            b.insert(e + split);
-        }
-        let opts = EstimatorOptions::default();
-        let j = estimate::jaccard(&a, &b, &opts);
-        let i = estimate::intersection_with_union(&a, &b, 1.0, &opts);
-        if let (Ok(j), Ok(i)) = (j, i) {
-            // Identical witness machinery → identical counts.
-            prop_assert_eq!(j.valid_observations, i.valid_observations);
-            prop_assert_eq!(j.numerator_hits, i.witness_hits);
-        }
-    }
 }

@@ -30,26 +30,39 @@
 //! a [`setstream_obs::Registry`] to export them plus collect-time site
 //! gauges.
 //!
-//! Thread-safe: sites may deliver frames concurrently (ingestion takes a
-//! short [`parking_lot::Mutex`] critical section per frame), while queries
-//! snapshot under the same lock. Linearity of the sketches guarantees the
-//! merged synopsis equals a single-site synopsis of the combined traffic,
+//! # One synopsis store
+//!
+//! Every coordinator owns a [`StreamEngine`] whose synopsis map is the
+//! merged state: each committed change goes through
+//! [`StreamEngine::apply_delta`] — a delta frame adds its vector, a
+//! replacing snapshot adds `new − old` — so the store always equals the
+//! sum of the per-site contributions (cells wrap in ℤ/2⁶⁴, so the
+//! running sum is exact). Queries are that engine's
+//! [`StreamEngine::evaluate`] plus staleness, health and lineage
+//! annotations, and subscriptions registered with
+//! [`Coordinator::subscribe`] fire on committed state in
+//! [`Coordinator::publish_epoch`]. Linearity of the sketches guarantees
+//! the store equals a single-site synopsis of the combined traffic,
 //! regardless of delivery order.
+//!
+//! Thread-safe: sites may deliver frames concurrently (ingestion takes a
+//! short [`parking_lot::Mutex`] critical section per frame), while
+//! queries and subscription rounds run under the same lock.
 
 use crate::metrics::CoordinatorMetrics;
 use crate::site::{Epoch, SiteId};
 use crate::wire::{self, DecodedFrame, FrameContext, Message, WireError};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use setstream_core::{
-    estimate, EpochWitness, Estimate, EstimateError, EstimatorOptions, SketchFamily,
-    SketchVector,
+use setstream_core::{EpochWitness, Estimate, EstimateError, SketchFamily, SketchVector};
+use setstream_engine::{
+    ChangeEvent, EngineError, StreamEngine, SubscriptionId, SubscriptionOptions,
 };
 use setstream_expr::SetExpr;
 use setstream_hash::clock;
 use setstream_obs::{LineageRing, MetricSource, Sample, TraceHandle};
 use setstream_stream::StreamId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -63,8 +76,9 @@ pub enum CoordinatorError {
         /// The offending site.
         site: SiteId,
     },
-    /// A synopsis arrived that is incompatible with the family.
-    Estimate(EstimateError),
+    /// The engine refused a synopsis (incompatible with the family) or
+    /// an estimate.
+    Estimate(EngineError),
     /// A query referenced a stream no site has reported.
     UnknownStream(StreamId),
     /// A delta or snapshot for an epoch at or before the watermark — a
@@ -125,7 +139,7 @@ impl fmt::Display for CoordinatorError {
             CoordinatorError::CoinMismatch { site } => {
                 write!(f, "site {site} uses different stored coins")
             }
-            CoordinatorError::Estimate(e) => write!(f, "estimation error: {e}"),
+            CoordinatorError::Estimate(e) => write!(f, "{e}"),
             CoordinatorError::UnknownStream(s) => write!(f, "no synopsis for stream {s}"),
             CoordinatorError::StaleEpoch {
                 site,
@@ -163,7 +177,7 @@ impl From<WireError> for CoordinatorError {
 
 impl From<EstimateError> for CoordinatorError {
     fn from(e: EstimateError) -> Self {
-        CoordinatorError::Estimate(e)
+        CoordinatorError::Estimate(EngineError::Estimate(e))
     }
 }
 
@@ -257,37 +271,43 @@ impl AnnotatedEstimate {
     }
 }
 
-#[derive(Default)]
 struct State {
     /// Per-site bookkeeping (watermarks, contributions, quarantine).
     sites: BTreeMap<SiteId, SiteState>,
-    /// Frames ingested (diagnostics).
-    frames: u64,
-    /// Streams whose merged synopsis changed since the last drain —
-    /// the delta-frame feed for an engine's subscription dirty set.
-    dirty: BTreeSet<StreamId>,
+    /// The merged synopses every query and subscription reads.
+    store: Store,
     /// The last trace context applied per stream — what a relay re-ships
     /// upstream so one trace spans site → relay → root coordinator.
     stream_ctx: BTreeMap<StreamId, FrameContext>,
 }
 
-impl State {
-    fn merged_vector(&self, stream: StreamId) -> Option<SketchVector> {
-        let mut merged: Option<SketchVector> = None;
-        for st in self.sites.values() {
-            if let Some(contribution) = st.contributions.get(&stream) {
-                match merged.as_mut() {
-                    None => merged = Some(contribution.clone()),
-                    Some(m) => m
-                        .merge_from(contribution)
-                        // analyze: allow(panic) — every stored contribution passed family validation on ingest
-                        .expect("contributions validated on ingest"),
-                }
-            }
+/// The synopsis store: per stream, the sum of every site's contribution.
+struct Store {
+    engine: StreamEngine,
+    /// A relay's child-facing coordinator only: per stream, the sum of
+    /// the changes committed since the last upstream cut.
+    unshipped: Option<BTreeMap<StreamId, SketchVector>>,
+}
+
+impl Store {
+    /// Fold one committed change into the engine (and the unshipped sum).
+    fn commit(&mut self, stream: StreamId, change: &SketchVector) -> Result<(), CoordinatorError> {
+        self.engine.apply_delta(stream, change).map_err(CoordinatorError::Estimate)?;
+        if let Some(sums) = self.unshipped.as_mut() {
+            let family = self.engine.family();
+            sums.entry(stream).or_insert_with(|| family.new_vector()).merge_from(change)?;
         }
-        merged
+        Ok(())
     }
 
+    /// A copy of every stream's merged synopsis.
+    fn copy(&self) -> BTreeMap<StreamId, SketchVector> {
+        let engine = &self.engine;
+        engine.stream_ids().filter_map(|s| Some((s, engine.synopsis(s)?.clone()))).collect()
+    }
+}
+
+impl State {
     fn staleness_of(&self, stream: StreamId) -> StreamStaleness {
         let mut reporting = 0usize;
         let mut oldest = Epoch::MAX;
@@ -335,7 +355,6 @@ const DEFAULT_LINEAGE_CAPACITY: usize = 1024;
 /// The query-processing coordinator.
 pub struct Coordinator {
     family: SketchFamily,
-    options: EstimatorOptions,
     /// Consecutive attributed CRC/decode failures before a site is
     /// quarantined.
     quarantine_after: u32,
@@ -359,9 +378,15 @@ impl Coordinator {
     pub fn new(family: SketchFamily) -> Self {
         Coordinator {
             family,
-            options: EstimatorOptions::default(),
             quarantine_after: 8,
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                sites: BTreeMap::new(),
+                store: Store {
+                    engine: StreamEngine::new(family),
+                    unshipped: None,
+                },
+                stream_ctx: BTreeMap::new(),
+            }),
             metrics: Arc::new(CoordinatorMetrics::new()),
             trace: TraceHandle::noop(),
             track: "coordinator".to_string(),
@@ -377,13 +402,6 @@ impl Coordinator {
         &self.metrics
     }
 
-    /// Override the estimator options used for queries.
-    pub fn with_options(mut self, options: EstimatorOptions) -> Self {
-        options.validate();
-        self.options = options;
-        self
-    }
-
     /// Override how many *consecutive* attributed CRC/decode failures
     /// quarantine a site (default 8 — a 10%-corruption link hits that
     /// spuriously about once in 10⁸ frames).
@@ -397,13 +415,41 @@ impl Coordinator {
     }
 
     /// Record merge/commit spans into `trace` under the Chrome-export
-    /// track `track` (e.g. `coordinator`, `relay-2`). Frames carrying a
-    /// trace-context extension produce *child* spans of the originating
-    /// site cut, so one trace id follows an epoch across processes.
+    /// track `track` (e.g. `coordinator`, `relay-2`), and the engine's
+    /// `engine.query` and `engine.publish_epoch` spans into the same
+    /// sink. Frames carrying a trace-context extension produce *child*
+    /// spans of the originating site cut, so one trace id follows an
+    /// epoch across processes.
     pub fn with_trace(mut self, trace: TraceHandle, track: impl Into<String>) -> Self {
+        self.state.get_mut().store.engine.set_trace(trace.clone());
         self.trace = trace;
         self.track = track.into();
         self
+    }
+
+    /// Keep the per-stream sum of changes committed since the last
+    /// [`Self::take_unshipped`] — what a [`crate::Relay`] ships upstream.
+    /// Whatever is committed already counts as unshipped.
+    pub(crate) fn track_unshipped(mut self) -> Self {
+        let store = &mut self.state.get_mut().store;
+        store.unshipped = Some(store.copy());
+        self
+    }
+
+    /// Take the per-stream sums of the changes committed since the
+    /// previous take. Empty unless [`Self::track_unshipped`] enabled them.
+    pub(crate) fn take_unshipped(&self) -> BTreeMap<StreamId, SketchVector> {
+        let mut st = self.state.lock();
+        st.store.unshipped.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// A copy of the whole store, with the unshipped sums cleared under
+    /// the same lock: a cumulative resync of this state leaves nothing
+    /// for the next cut to ship.
+    pub(crate) fn take_store(&self) -> BTreeMap<StreamId, SketchVector> {
+        let mut st = self.state.lock();
+        st.store.unshipped.iter_mut().for_each(BTreeMap::clear);
+        st.store.copy()
     }
 
     /// Override how many `(stream, epoch)` lineage entries the provenance
@@ -531,15 +577,17 @@ impl Coordinator {
                     return Err(CoordinatorError::CoinMismatch { site: hello.site });
                 }
                 let mut st = self.state.lock();
-                st.frames += 1;
                 let entry = st.sites.entry(hello.site).or_default();
                 entry.announced = true;
                 entry.announced_epoch = hello.resume_epoch;
-                if hello.resume_epoch < entry.commit_epoch {
+                if hello.resume_epoch < entry.commit_epoch && !entry.contributions.is_empty() {
                     // The site restored from a checkpoint older than what
                     // we already applied — its epoch numbering is about to
                     // collide with history. Only a cumulative resync can
-                    // realign it.
+                    // realign it. (With nothing applied there is nothing
+                    // to realign, and no snapshot could clear the flag: a
+                    // delta that does not chain from zero asks for the
+                    // resync itself.)
                     if !entry.needs_resync {
                         self.metrics.resync_flags.inc();
                     }
@@ -557,15 +605,15 @@ impl Coordinator {
                         msg.site, msg.stream, msg.epoch
                     ));
                 }
-                let mut st = self.state.lock();
-                st.frames += 1;
+                let mut guard = self.state.lock();
+                let st = &mut *guard;
                 let entry = st.sites.entry(msg.site).or_default();
                 if entry.quarantined {
                     return Err(CoordinatorError::Quarantined { site: msg.site });
                 }
                 let watermark = entry.watermarks.get(&msg.stream).copied().unwrap_or(0);
                 if msg.epoch < watermark {
-                    drop(st);
+                    drop(guard);
                     self.lineage
                         .record_retransmit(msg.stream.0, msg.epoch, msg.site);
                     return Err(CoordinatorError::StaleEpoch {
@@ -575,19 +623,23 @@ impl Coordinator {
                         got: msg.epoch,
                     });
                 }
-                // Cumulative snapshot: REPLACE the previous contribution.
-                // Re-merging it would double-count all prior traffic.
+                // Cumulative snapshot: REPLACE the previous contribution,
+                // so the store moves by new − old. Re-merging it would
+                // double-count all prior traffic.
+                match entry.contributions.get(&msg.stream) {
+                    Some(old) => st.store.commit(msg.stream, &msg.vector.delta_since(old)?)?,
+                    None => st.store.commit(msg.stream, &msg.vector)?,
+                }
                 entry.contributions.insert(msg.stream, msg.vector);
                 entry.watermarks.insert(msg.stream, msg.epoch);
                 if entry.needs_resync {
                     self.metrics.resyncs_healed.inc();
                 }
                 entry.needs_resync = false;
-                st.dirty.insert(msg.stream);
                 if let Some(c) = ctx {
                     st.stream_ctx.insert(msg.stream, c);
                 }
-                drop(st);
+                drop(guard);
                 let (trace_id, cut_ns) = ctx.map_or((0, 0), |c| (c.trace.trace_id, c.cut_ns));
                 self.lineage
                     .record_frame(msg.stream.0, msg.epoch, msg.site, trace_id, cut_ns);
@@ -604,15 +656,15 @@ impl Coordinator {
                         msg.site, msg.stream, msg.epoch
                     ));
                 }
-                let mut st = self.state.lock();
-                st.frames += 1;
+                let mut guard = self.state.lock();
+                let st = &mut *guard;
                 let entry = st.sites.entry(msg.site).or_default();
                 if entry.quarantined {
                     return Err(CoordinatorError::Quarantined { site: msg.site });
                 }
                 let watermark = entry.watermarks.get(&msg.stream).copied().unwrap_or(0);
                 if msg.epoch <= watermark {
-                    drop(st);
+                    drop(guard);
                     self.lineage
                         .record_retransmit(msg.stream.0, msg.epoch, msg.site);
                     return Err(CoordinatorError::StaleEpoch {
@@ -635,6 +687,7 @@ impl Coordinator {
                         epoch: msg.epoch,
                     });
                 }
+                st.store.commit(msg.stream, &msg.vector)?;
                 match entry.contributions.get_mut(&msg.stream) {
                     Some(existing) => existing.merge_from(&msg.vector)?,
                     None => {
@@ -642,11 +695,10 @@ impl Coordinator {
                     }
                 }
                 entry.watermarks.insert(msg.stream, msg.epoch);
-                st.dirty.insert(msg.stream);
                 if let Some(c) = ctx {
                     st.stream_ctx.insert(msg.stream, c);
                 }
-                drop(st);
+                drop(guard);
                 let (trace_id, cut_ns) = ctx.map_or((0, 0), |c| (c.trace.trace_id, c.cut_ns));
                 self.lineage
                     .record_frame(msg.stream.0, msg.epoch, msg.site, trace_id, cut_ns);
@@ -657,7 +709,6 @@ impl Coordinator {
                     span.detail(format!("site={} epoch={}", msg.site, msg.epoch));
                 }
                 let mut st = self.state.lock();
-                st.frames += 1;
                 let entry = st.sites.entry(msg.site).or_default();
                 if entry.quarantined {
                     return Err(CoordinatorError::Quarantined { site: msg.site });
@@ -668,9 +719,7 @@ impl Coordinator {
                 self.lineage
                     .record_commit(msg.epoch, msg.site, clock::now_ns(), cut_ns);
             }
-            Message::Flush => {
-                self.state.lock().frames += 1;
-            }
+            Message::Flush => {}
             Message::Ack(_) => {
                 // Acks are transport control traffic flowing *toward*
                 // sites; one arriving at the merge path means a confused
@@ -684,17 +733,7 @@ impl Coordinator {
 
     /// Streams for which a merged synopsis exists.
     pub fn streams(&self) -> Vec<StreamId> {
-        let st = self.state.lock();
-        let mut out: Vec<StreamId> = Vec::new();
-        for site in st.sites.values() {
-            for &stream in site.contributions.keys() {
-                if !out.contains(&stream) {
-                    out.push(stream);
-                }
-            }
-        }
-        out.sort_unstable_by_key(|s| s.0);
-        out
+        self.state.lock().store.engine.stream_ids().collect()
     }
 
     /// Sites that have said hello.
@@ -708,15 +747,10 @@ impl Coordinator {
             .collect()
     }
 
-    /// Total frames ingested.
-    pub fn frames_ingested(&self) -> u64 {
-        self.state.lock().frames
-    }
-
-    /// The merged global synopsis of one stream (sum of every site's
-    /// contribution), if any site has reported it.
+    /// A copy of the merged global synopsis of one stream (sum of every
+    /// site's contribution), if any site has reported it.
     pub fn merged_synopsis(&self, stream: StreamId) -> Option<SketchVector> {
-        self.state.lock().merged_vector(stream)
+        self.state.lock().store.engine.synopsis(stream).cloned()
     }
 
     /// One site's health, if the coordinator has heard of it.
@@ -768,13 +802,32 @@ impl Coordinator {
         }
     }
 
-    /// Streams whose merged synopsis changed since the previous drain.
-    /// Pairs with `StreamEngine::note_dirty`: a relay that forwards
-    /// coordinator state into a local engine calls this once per round
-    /// so subscription epochs re-estimate only what the sites touched.
-    pub fn drain_dirty_streams(&self) -> Vec<StreamId> {
-        let mut st = self.state.lock();
-        std::mem::take(&mut st.dirty).into_iter().collect()
+    /// Register a standing query on the store (see
+    /// [`StreamEngine::subscribe`]); it is re-estimated whenever a
+    /// committed change touches one of its streams.
+    ///
+    /// # Errors
+    /// See [`StreamEngine::subscribe`].
+    pub fn subscribe(
+        &self,
+        expr: SetExpr,
+        options: SubscriptionOptions,
+    ) -> Result<SubscriptionId, EngineError> {
+        self.state.lock().store.engine.subscribe(expr, options)
+    }
+
+    /// Close a subscription round over committed state: re-estimate the
+    /// subscriptions over streams committed since the previous round and
+    /// return their notifications (see [`StreamEngine::publish_epoch`]).
+    pub fn publish_epoch(&self) -> Vec<ChangeEvent> {
+        self.state.lock().store.engine.publish_epoch()
+    }
+
+    /// Read the store's engine under the state lock — its metrics, its
+    /// subscriptions, or a [`StreamEngine::evaluate`] over committed
+    /// state. Frames wait while `f` runs, so keep it short.
+    pub fn with_engine<R>(&self, f: impl FnOnce(&StreamEngine) -> R) -> R {
+        f(&self.state.lock().store.engine)
     }
 
     /// Answer `|E|` and annotate the answer with per-stream staleness
@@ -783,14 +836,12 @@ impl Coordinator {
     /// and the caller can see exactly how stale that is.
     pub fn query(&self, expr: &SetExpr) -> Result<AnnotatedEstimate, CoordinatorError> {
         let st = self.state.lock();
-        let mut merged: Vec<(StreamId, SketchVector)> = Vec::new();
         let mut staleness = Vec::new();
         let mut lineage = Vec::new();
         for id in expr.streams() {
-            let v = st
-                .merged_vector(id)
-                .ok_or(CoordinatorError::UnknownStream(id))?;
-            merged.push((id, v));
+            if st.store.engine.synopsis(id).is_none() {
+                return Err(CoordinatorError::UnknownStream(id));
+            }
             staleness.push(st.staleness_of(id));
             // The witness: exactly which per-site epochs the merged vector
             // for this stream contains.
@@ -804,9 +855,7 @@ impl Coordinator {
                 }
             }
         }
-        let pairs: Vec<(StreamId, &SketchVector)> =
-            merged.iter().map(|(id, v)| (*id, v)).collect();
-        let estimate = estimate::expression(expr, &pairs, &self.options)?;
+        let estimate = st.store.engine.evaluate(expr).map_err(CoordinatorError::Estimate)?;
         self.metrics.queries.inc();
         Ok(AnnotatedEstimate {
             estimate,
@@ -885,6 +934,7 @@ mod tests {
     use super::*;
     use crate::site::Site;
     use crate::wire::FrameKind;
+    use setstream_core::{estimate, EstimatorOptions};
     use setstream_stream::Update;
 
     fn family() -> SketchFamily {
@@ -992,28 +1042,37 @@ mod tests {
 
     #[test]
     fn dirty_streams_drain_once_per_collection_round() {
+        // A subscription round re-estimates only the roots over streams
+        // committed since the previous round.
         let fam = family();
         let mut site = Site::new(1, fam);
         let coord = Coordinator::new(fam);
-        assert!(coord.drain_dirty_streams().is_empty());
+        let options = SubscriptionOptions::builder().build().unwrap();
+        for text in ["A", "D", "A | D", "B"] {
+            coord.subscribe(text.parse().unwrap(), options).unwrap();
+        }
+        let evaluated = || coord.with_engine(|e| e.subscription_metrics().nodes_evaluated.get());
+        let round = |frames: &[Bytes]| {
+            for frame in frames {
+                let _ = coord.ingest_frame(frame);
+            }
+            let before = evaluated();
+            coord.publish_epoch();
+            evaluated() - before
+        };
+        assert_eq!(round(&[]), 4, "the first round evaluates every root");
         site.observe(&Update::insert(StreamId(0), 1, 1));
         site.observe(&Update::insert(StreamId(3), 2, 1));
-        for frame in site.cut_epoch().unwrap().frames {
-            coord.ingest_frame(&frame).unwrap();
-        }
-        assert_eq!(
-            coord.drain_dirty_streams(),
-            vec![StreamId(0), StreamId(3)]
-        );
-        // Drained: a second drain with no new frames reports nothing.
-        assert!(coord.drain_dirty_streams().is_empty());
+        assert_eq!(round(&site.cut_epoch().unwrap().frames), 3, "A, D and A | D");
+        // Drained: a round with no new commits re-estimates nothing.
+        assert_eq!(round(&[]), 0);
         // Epoch cuts ship deltas only for changed streams, so only the
-        // touched stream comes back dirty.
+        // roots over the touched stream come back dirty.
         site.observe(&Update::insert(StreamId(3), 9, 1));
-        for frame in site.cut_epoch().unwrap().frames {
-            coord.ingest_frame(&frame).unwrap();
-        }
-        assert_eq!(coord.drain_dirty_streams(), vec![StreamId(3)]);
+        let cut = site.cut_epoch().unwrap();
+        assert_eq!(round(&cut.frames), 2, "D and A | D");
+        // A refused duplicate commits nothing.
+        assert_eq!(round(&cut.frames), 0);
     }
 
     #[test]
@@ -1389,6 +1448,140 @@ mod tests {
         assert_eq!(entries[0].cut_ns, 0, "no extension, no cut timestamp");
         assert!(entries[0].is_committed());
         assert!(coord.stream_context(StreamId(0)).is_none());
+    }
+
+    /// The store's invariant, checked against a from-scratch sum of the
+    /// per-site contributions: equal cells and an equal occupancy
+    /// summary in every copy.
+    fn assert_store_is_the_sum(coord: &Coordinator, streams: u32) -> Result<(), String> {
+        let st = coord.state.lock();
+        for stream in (0..streams).map(StreamId) {
+            let mut sum: Option<SketchVector> = None;
+            for site in st.sites.values() {
+                if let Some(contribution) = site.contributions.get(&stream) {
+                    match sum.as_mut() {
+                        None => sum = Some(contribution.clone()),
+                        Some(s) => s.merge_from(contribution).unwrap(),
+                    }
+                }
+            }
+            let store = st.store.engine.synopsis(stream);
+            let (store, sum) = match (store, &sum) {
+                (None, None) => continue,
+                (Some(store), Some(sum)) => (store, sum),
+                (store, _) => {
+                    return Err(format!(
+                        "stream {stream}: store present {}, sum present {}",
+                        store.is_some(),
+                        sum.is_some()
+                    ))
+                }
+            };
+            for (k, (a, b)) in store.sketches().iter().zip(sum.sketches()).enumerate() {
+                let same = a.counters() == b.counters()
+                    && a.total_count() == b.total_count()
+                    && a.occupied_levels() == b.occupied_levels()
+                    && a.multi_levels() == b.multi_levels()
+                    && a.row_mask() == b.row_mask()
+                    && (0..a.levels()).all(|l| a.sign_words(l) == b.sign_words(l));
+                if !same {
+                    return Err(format!("stream {stream} copy {k}: store differs from the sum"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[derive(Debug, Clone)]
+    enum StoreOp {
+        Observe { site: usize, stream: u32, element: u64, insert: bool },
+        /// Cut an epoch and deliver its frames; `keep` drops some (a gap
+        /// when a delta goes missing).
+        Cut { site: usize, keep: u8 },
+        /// Re-deliver the site's last cut (duplicates).
+        Replay { site: usize },
+        /// Ship the site's cumulative resync (replacing snapshots).
+        Resync { site: usize },
+        /// Restore the site from its last checkpoint and deliver its
+        /// hello (a stale restore once it has cut since).
+        Crash { site: usize },
+        Quarantine { site: usize },
+        Release { site: usize },
+    }
+
+    fn store_op(sites: usize, streams: u32) -> impl proptest::strategy::Strategy<Value = StoreOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0..sites, 0..streams, 0u64..64, any::<bool>()).prop_map(
+                |(site, stream, element, insert)| StoreOp::Observe { site, stream, element, insert }
+            ),
+            (0..sites, any::<u8>()).prop_map(|(site, keep)| StoreOp::Cut { site, keep }),
+            (0..sites).prop_map(|site| StoreOp::Replay { site }),
+            (0..sites).prop_map(|site| StoreOp::Resync { site }),
+            (0..sites).prop_map(|site| StoreOp::Crash { site }),
+            (0..sites).prop_map(|site| StoreOp::Quarantine { site }),
+            (0..sites).prop_map(|site| StoreOp::Release { site }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn store_equals_the_sum_of_contributions_after_every_frame(
+            ops in proptest::collection::vec(store_op(3, 3), 1..80),
+        ) {
+            let fam = SketchFamily::builder().copies(4).second_level(4).seed(77).build();
+            let coord = Coordinator::new(fam);
+            let mut sites: Vec<Site> = (0..3).map(|i| Site::new(i, fam)).collect();
+            let mut last_cut: Vec<Vec<Bytes>> = vec![Vec::new(); 3];
+            let mut checkpoints: Vec<Option<Vec<u8>>> = vec![None; 3];
+            use proptest::prelude::TestCaseError;
+            let deliver = |site: usize, frames: &[Bytes]| -> Result<(), TestCaseError> {
+                for frame in frames {
+                    let _ = coord.ingest_frame_from(site as SiteId, frame);
+                    assert_store_is_the_sum(&coord, 3).map_err(TestCaseError::fail)?;
+                }
+                Ok(())
+            };
+            for op in ops {
+                match op {
+                    StoreOp::Observe { site, stream, element, insert } => {
+                        let u = if insert {
+                            Update::insert(StreamId(stream), element, 1)
+                        } else {
+                            Update::delete(StreamId(stream), element, 1)
+                        };
+                        sites[site].observe(&u);
+                    }
+                    StoreOp::Cut { site, keep } => {
+                        let cut = sites[site].cut_epoch().unwrap();
+                        checkpoints[site] = Some(cut.checkpoint);
+                        let kept: Vec<Bytes> = cut
+                            .frames
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| keep >> (i % 8) & 1 == 1 || keep < 64)
+                            .map(|(_, f)| f.clone())
+                            .collect();
+                        deliver(site, &kept)?;
+                        last_cut[site] = cut.frames;
+                    }
+                    StoreOp::Replay { site } => deliver(site, &last_cut[site].clone())?,
+                    StoreOp::Resync { site } => {
+                        deliver(site, &sites[site].resync_frames().unwrap())?;
+                    }
+                    StoreOp::Crash { site } => {
+                        if let Some(wal) = &checkpoints[site] {
+                            sites[site] = Site::restore_from_bytes(wal).unwrap();
+                            deliver(site, &[sites[site].hello_frame().unwrap()])?;
+                        }
+                    }
+                    StoreOp::Quarantine { site } => coord.quarantine(site as SiteId),
+                    StoreOp::Release { site } => coord.release_quarantine(site as SiteId),
+                }
+            }
+        }
     }
 
     #[test]

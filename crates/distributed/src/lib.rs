@@ -8,7 +8,9 @@
 //! binary frames — to a *coordinator*, which merges them per stream
 //! (sketch linearity makes merged synopses identical to single-site ones)
 //! and answers set-expression cardinality queries over the union of all
-//! traffic.
+//! traffic. The merged synopses live in one store: the coordinator's own
+//! [`setstream_engine::StreamEngine`], updated on every commit, which
+//! answers queries and fires subscriptions on committed state.
 //!
 //! Collection is **continuous**: sites cut numbered *epochs* and ship
 //! compact **delta frames** (counter changes since the last shipped
@@ -24,8 +26,9 @@
 //! * [`wire`] — length-delimited, CRC-checked frames over [`bytes`];
 //! * [`site`] — the per-site stream processor: epoch cuts, delta frames,
 //!   sealed crash-recovery checkpoints;
-//! * [`coordinator`] — watermark-guarded ingestion, merging, quarantine,
-//!   and (staleness-annotated) query answering;
+//! * [`coordinator`] — watermark-guarded ingestion into one synopsis
+//!   store, quarantine, (staleness-annotated) query answering, and
+//!   subscriptions on committed state;
 //! * [`session`] — the collection protocol's client half with no I/O
 //!   ([`session::CollectionSession`]: credit window, acks, attempt
 //!   budgets, resync and back-off decisions) and the one epoch loop
@@ -39,9 +42,9 @@
 //! * [`metrics`] — always-on frame/rejection/transport counters
 //!   ([`metrics::CoordinatorMetrics`], [`metrics::TransportMetrics`]),
 //!   exported through [`setstream_obs`];
-//! * [`relay`] — intermediate aggregation: a relay merges its children's
-//!   delta frames (sketch linearity) and ships one compact delta per
-//!   (stream, epoch) upstream.
+//! * [`relay`] — intermediate aggregation: a relay ships the sum of its
+//!   children's committed changes (sketch linearity) as one compact delta
+//!   per (stream, epoch) upstream.
 //!
 //! # Tracing & lineage
 //!

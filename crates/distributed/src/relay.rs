@@ -10,10 +10,12 @@
 //!
 //! A [`Relay`] wraps a child-facing [`Coordinator`] (the same watermark
 //! machinery sites already speak) and presents itself *upstream* as one
-//! ordinary site: it cuts its own epochs with [`Relay::cut_upstream`]
-//! (delta = merged child state − last shipped baseline) and heals
-//! upstream divergence with [`Relay::resync_upstream`] (cumulative
-//! baselines, replace semantics). Two properties make this sound:
+//! ordinary site. That coordinator folds every committed child change
+//! into its store and into a per-stream **unshipped sum**;
+//! [`Relay::cut_upstream`] takes the sum as its epoch's deltas, and
+//! [`Relay::resync_upstream`] heals upstream divergence by shipping the
+//! store itself (replace semantics) and clearing the sum. Three
+//! properties make this sound:
 //!
 //! * **Mid-batch cuts are safe.** A cut taken while children are
 //!   mid-epoch just ships less; the remainder rides the next cut.
@@ -21,7 +23,10 @@
 //! * **Negative deltas are expected.** When a child resyncs after a
 //!   crash-restore, its *replaced* contribution can shrink the relay's
 //!   merged state; the next upstream delta then carries negative
-//!   counters, which the `i64` cells absorb exactly.
+//!   counters, which the wrapping `i64` cells absorb exactly.
+//! * **Undelivered cuts are resynced.** A cut whose delivery fails took
+//!   its sum with it, so the relay owes a resync: its next delivery
+//!   ships the store once the cut is through.
 //!
 //! [`RelayNode`] bundles the pieces into a runnable 2-level topology
 //! element: a child-facing TCP server and an upstream [`TcpCollector`],
@@ -29,31 +34,33 @@
 
 use crate::coordinator::Coordinator;
 use crate::metrics::TransportMetrics;
+use crate::session::{Collector, Link};
 use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
 use crate::transport::{
     CoordinatorServer, ServerHandle, ServerRole, TcpCollector, TransportError, TransportOptions,
 };
 use crate::wire::{encode_frame, encode_frame_traced, FrameContext, FrameKind, WireError};
 use bytes::Bytes;
-use setstream_core::{SketchFamily, SketchVector};
+use setstream_core::SketchFamily;
 use setstream_stream::StreamId;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// Merge-and-forward state: a child-facing [`Coordinator`] plus the
-/// baseline ledger that turns its merged synopses into upstream deltas.
+/// Merge-and-forward state: a child-facing [`Coordinator`] that keeps
+/// the unshipped sum, plus the upstream epoch chain.
 pub struct Relay {
     id: SiteId,
     family: SketchFamily,
     downstream: Arc<Coordinator>,
-    /// Last upstream-shipped merged state per stream.
-    baselines: BTreeMap<StreamId, SketchVector>,
     /// Epoch each stream last shipped in (the upstream `prev_epoch`
     /// chain).
     shipped: BTreeMap<StreamId, Epoch>,
     /// The relay's own upstream epoch counter.
     epoch: Epoch,
+    /// A cut's delivery failed after its sum was taken: the next
+    /// delivery must end with a cumulative resync.
+    pub(crate) owes_resync: bool,
 }
 
 impl Relay {
@@ -70,10 +77,10 @@ impl Relay {
         Relay {
             id,
             family: *downstream.family(),
-            downstream: Arc::new(downstream),
-            baselines: BTreeMap::new(),
+            downstream: Arc::new(downstream.track_unshipped()),
             shipped: BTreeMap::new(),
             epoch: 0,
+            owes_resync: false,
         }
     }
 
@@ -94,8 +101,9 @@ impl Relay {
     }
 
     /// Cut the relay's next upstream epoch: one delta frame per stream
-    /// whose merged child state changed since the last cut, bracketed by
-    /// `Hello` and `Commit`. Rolls the baselines forward.
+    /// whose merged child state changed since the last cut — the sum of
+    /// the child changes committed since then — bracketed by `Hello` and
+    /// `Commit`.
     ///
     /// Trace propagation: each upstream delta re-ships the stream's last
     /// child frame context *verbatim* (same trace id, span id, and cut
@@ -106,33 +114,14 @@ impl Relay {
     /// record of who contributed.
     pub fn cut_upstream(&mut self) -> Result<Vec<Bytes>, WireError> {
         self.epoch += 1;
-        let mut frames = vec![encode_frame(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-        )?];
+        let mut frames = vec![self.hello()?];
         let mut seq = 0u32;
         let mut last_ctx: Option<FrameContext> = None;
-        for stream in self.downstream.streams() {
-            let Some(merged) = self.downstream.merged_synopsis(stream) else {
-                continue;
-            };
-            let (delta, prev) = match self.baselines.get(&stream) {
-                Some(base) => {
-                    let delta = merged
-                        .delta_since(base)
-                        // analyze: allow(panic) — the baseline was cloned from this same downstream family
-                        .expect("baseline minted from the relay family");
-                    if delta.is_null() {
-                        continue; // unchanged since last cut
-                    }
-                    (delta, self.shipped.get(&stream).copied().unwrap_or(0))
-                }
-                None => (merged.clone(), 0),
-            };
+        for (stream, delta) in self.downstream.take_unshipped() {
+            let prev = self.shipped.get(&stream).copied();
+            if prev.is_some() && delta.is_null() {
+                continue; // the changes since the last cut cancelled out
+            }
             let ctx = self.downstream.stream_context(stream);
             if ctx.is_some() {
                 last_ctx = ctx;
@@ -143,14 +132,13 @@ impl Relay {
                     site: self.id,
                     stream,
                     epoch: self.epoch,
-                    prev_epoch: prev,
+                    prev_epoch: prev.unwrap_or(0),
                     seq,
                     vector: delta,
                 },
                 ctx.as_ref(),
             )?);
             self.shipped.insert(stream, self.epoch);
-            self.baselines.insert(stream, merged);
             seq += 1;
         }
         frames.push(encode_frame_traced(
@@ -165,20 +153,16 @@ impl Relay {
         Ok(frames)
     }
 
-    /// Cumulative upstream resync: the shipped baselines as epoch-stamped
-    /// snapshots (replace semantics upstream). Heals any watermark
-    /// divergence, exactly like [`crate::site::Site::resync_frames`].
+    /// Cumulative upstream resync: the child-facing store as
+    /// epoch-stamped snapshots (replace semantics upstream), taken under
+    /// the lock that clears the unshipped sum — so the next cut ships
+    /// exactly what commits after it. Heals any watermark divergence,
+    /// exactly like [`crate::site::Site::resync_frames`].
     pub fn resync_upstream(&mut self) -> Result<Vec<Bytes>, WireError> {
-        let mut frames = vec![encode_frame(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-        )?];
+        self.owes_resync = false;
+        let mut frames = vec![self.hello()?];
         let mut count = 0u32;
-        for (&stream, vector) in &self.baselines {
+        for (stream, vector) in self.downstream.take_store() {
             let ctx = self.downstream.stream_context(stream);
             frames.push(encode_frame_traced(
                 FrameKind::Synopsis,
@@ -186,7 +170,7 @@ impl Relay {
                     site: self.id,
                     stream,
                     epoch: self.epoch,
-                    vector: vector.clone(),
+                    vector,
                 },
                 ctx.as_ref(),
             )?);
@@ -202,6 +186,33 @@ impl Relay {
             },
         )?);
         Ok(frames)
+    }
+
+    /// The `Hello` that opens every upstream batch.
+    fn hello(&self) -> Result<Bytes, WireError> {
+        let hello = Hello {
+            site: self.id,
+            family: self.family,
+            resume_epoch: self.epoch,
+        };
+        encode_frame(FrameKind::Hello, &hello)
+    }
+
+    /// Cut the next upstream epoch and run it through `upstream`'s epoch
+    /// loop ([`Collector::deliver`]), honouring resync demands and any
+    /// resync owed by an earlier failed delivery.
+    ///
+    /// # Errors
+    /// See [`Collector::deliver`]; the relay then owes a resync.
+    fn flush(&mut self, upstream: &mut Collector<impl Link>) -> Result<(), TransportError> {
+        let delivered = self
+            .cut_upstream()
+            .map_err(TransportError::from)
+            .and_then(|frames| upstream.deliver(self.epoch, frames, self));
+        if delivered.is_err() {
+            self.owes_resync = true;
+        }
+        delivered.map(drop)
     }
 }
 
@@ -266,19 +277,11 @@ impl RelayNode {
         self.relay.coordinator()
     }
 
-    /// The relay's merge-and-forward state.
-    pub fn relay(&self) -> &Relay {
-        &self.relay
-    }
-
     /// Cut an upstream epoch from the current merged child state and
     /// ship it through the epoch loop ([`crate::session::Collector::deliver`]),
     /// honouring upstream resync demands.
     pub fn flush_upstream(&mut self) -> Result<(), TransportError> {
-        let frames = self.relay.cut_upstream()?;
-        self.upstream
-            .deliver(self.relay.epoch(), frames, &mut self.relay)?;
-        Ok(())
+        self.relay.flush(&mut self.upstream)
     }
 
     /// Stop the child-facing server and drop the upstream connection.
@@ -291,6 +294,7 @@ impl RelayNode {
 mod tests {
     use super::*;
     use crate::site::Site;
+    use setstream_core::SketchVector;
     use setstream_stream::Update;
 
     fn family() -> SketchFamily {
@@ -420,6 +424,27 @@ mod tests {
     }
 
     #[test]
+    fn frames_committed_before_the_relay_wraps_its_coordinator_ship_first() {
+        let fam = family();
+        let mut site = Site::new(1, fam);
+        site.observe(&Update::insert(StreamId(0), 7, 1));
+        let children = Coordinator::new(fam);
+        for frame in site.cut_epoch().unwrap().frames {
+            children.ingest_frame_from(1, &frame).unwrap();
+        }
+        let mut relay = Relay::with_coordinator(1000, children);
+        let root = Coordinator::new(fam);
+        for frame in relay.cut_upstream().unwrap() {
+            root.ingest_frame_from(1000, &frame).unwrap();
+        }
+        let relayed = root.merged_synopsis(StreamId(0)).unwrap();
+        let direct = site.synopsis(StreamId(0)).unwrap();
+        for (d, r) in direct.sketches().iter().zip(relayed.sketches()) {
+            assert_eq!(d.counters(), r.counters());
+        }
+    }
+
+    #[test]
     fn resync_upstream_heals_a_cold_root() {
         let fam = family();
         let mut relay = Relay::new(1000, fam);
@@ -445,6 +470,156 @@ mod tests {
         let relayed = root.merged_synopsis(StreamId(0)).unwrap();
         for (d, r) in direct.sketches().iter().zip(relayed.sketches()) {
             assert_eq!(d.counters(), r.counters());
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum RelayOp {
+        /// A child observes `updates`, cuts, and delivers the first
+        /// `keep` frames of the cut; the rest land before its next cut.
+        Child { site: usize, updates: Vec<(u32, u64, bool)>, keep: usize },
+        /// A child crashes, restores its last checkpoint (its undelivered
+        /// frames are gone) and resyncs to the relay.
+        Crash { site: usize },
+        /// The relay flushes upstream; a `lost` flush runs over a link
+        /// that drops frames and gives up after one attempt.
+        Flush { lost: bool },
+        /// The root demands a resync (a stale hello in the relay's name);
+        /// the next flush answers it.
+        Demand,
+        /// The relay ships a resync straight away, with child changes
+        /// committed since its last cut.
+        Resync,
+    }
+
+    fn relay_op() -> impl proptest::strategy::Strategy<Value = RelayOp> {
+        use proptest::prelude::*;
+        let update = (0u32..2, 0u64..16, any::<bool>());
+        prop_oneof![
+            (0usize..3, proptest::collection::vec(update, 0..12), 0usize..5)
+                .prop_map(|(site, updates, keep)| RelayOp::Child { site, updates, keep }),
+            (0usize..3).prop_map(|site| RelayOp::Crash { site }),
+            any::<bool>().prop_map(|lost| RelayOp::Flush { lost }),
+            Just(RelayOp::Demand),
+            Just(RelayOp::Resync),
+        ]
+    }
+
+    fn same_cells(a: Option<SketchVector>, b: Option<SketchVector>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a
+                .sketches()
+                .iter()
+                .zip(b.sketches())
+                .all(|(x, y)| x.counters() == y.counters()),
+            _ => false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn root_equals_the_relay_store_after_every_flush(
+            ops in proptest::collection::vec(relay_op(), 1..40),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::network::{FaultSpec, MemoryPipe};
+
+            let fam = SketchFamily::builder().copies(4).second_level(4).seed(31).build();
+            let root = Arc::new(Coordinator::new(fam));
+            let mut relay = Relay::new(1000, fam);
+            let metrics = Arc::new(TransportMetrics::new());
+            let pipe = |spec: FaultSpec, attempts: u32, seed: u64| {
+                let opts = TransportOptions::builder().max_attempts(attempts).build().unwrap();
+                MemoryPipe::new(Arc::clone(&root), spec, seed, opts, Arc::clone(&metrics)).unwrap()
+            };
+            let mut upstream = pipe(FaultSpec::reliable(), 8, seed);
+            let lossy = FaultSpec { drop: 0.5, ..FaultSpec::reliable() };
+            let mut sites: Vec<Site> = (0..3).map(|i| Site::new(i, fam)).collect();
+            let mut pending: Vec<Vec<Bytes>> = vec![Vec::new(); 3];
+            let mut checkpoints: Vec<Option<Vec<u8>>> = vec![None; 3];
+            let children = Arc::clone(relay.coordinator());
+            let child = |site: &Site, frames: &[Bytes]| {
+                for frame in frames {
+                    let _ = children.ingest_frame_from(site.id(), frame);
+                }
+            };
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    RelayOp::Child { site, updates, keep } => {
+                        child(&sites[site], &std::mem::take(&mut pending[site]));
+                        for (stream, element, insert) in updates {
+                            sites[site].observe(&if insert {
+                                Update::insert(StreamId(stream), element, 1)
+                            } else {
+                                Update::delete(StreamId(stream), element, 1)
+                            });
+                        }
+                        let cut = sites[site].cut_epoch().unwrap();
+                        let keep = keep.min(cut.frames.len());
+                        child(&sites[site], &cut.frames[..keep]);
+                        pending[site] = cut.frames[keep..].to_vec();
+                        checkpoints[site] = Some(cut.checkpoint);
+                    }
+                    RelayOp::Crash { site } => {
+                        if let Some(wal) = &checkpoints[site] {
+                            sites[site] = Site::restore_from_bytes(wal).unwrap();
+                            pending[site].clear();
+                            let frames = sites[site].resync_frames().unwrap();
+                            child(&sites[site], &frames);
+                        }
+                    }
+                    RelayOp::Demand => {
+                        let hello = encode_frame(
+                            FrameKind::Hello,
+                            &Hello { site: relay.id(), family: fam, resume_epoch: 0 },
+                        )
+                        .unwrap();
+                        let _ = root.ingest_frame_from(relay.id(), &hello);
+                    }
+                    RelayOp::Resync => {
+                        for frame in relay.resync_upstream().unwrap() {
+                            root.ingest_frame_from(relay.id(), &frame).unwrap();
+                        }
+                    }
+                    RelayOp::Flush { lost: true } => {
+                        let mut link = pipe(lossy, 1, seed ^ step as u64);
+                        if relay.flush(&mut link).is_err() {
+                            proptest::prop_assert!(relay.owes_resync);
+                        }
+                    }
+                    RelayOp::Flush { lost: false } => {
+                        relay.flush(&mut upstream).unwrap();
+                        proptest::prop_assert!(!relay.owes_resync);
+                        for stream in [StreamId(0), StreamId(1)] {
+                            let store = relay.coordinator().merged_synopsis(stream);
+                            proptest::prop_assert!(
+                                same_cells(root.merged_synopsis(stream), store.clone()),
+                                "step {}: root differs from the relay store on stream {}",
+                                step,
+                                stream
+                            );
+                            if pending.iter().all(Vec::is_empty) {
+                                let mut sum: Option<SketchVector> = None;
+                                for v in sites.iter().filter_map(|s| s.synopsis(stream)) {
+                                    match sum.as_mut() {
+                                        None => sum = Some(v.clone()),
+                                        Some(acc) => acc.merge_from(v).unwrap(),
+                                    }
+                                }
+                                proptest::prop_assert!(
+                                    same_cells(store, sum),
+                                    "step {}: relay store differs from the child sum on stream {}",
+                                    step,
+                                    stream
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -246,13 +246,16 @@ pub trait Link {
 pub trait EpochSource {
     /// The last cut epoch.
     fn epoch(&self) -> Epoch;
-    /// Cumulative resync frames as of the last cut.
+    /// Cumulative resync frames stamped with the last cut epoch: a site
+    /// ships its state as of that cut, a relay its current store (what
+    /// its children committed since the cut rides along, and the next
+    /// cut does not ship it again).
     ///
     /// # Errors
     /// Framing the state failed.
     fn resync_frames(&mut self) -> Result<Vec<Bytes>, WireError>;
     /// Whether a resync is owed without any demand (a site restored from
-    /// a checkpoint).
+    /// a checkpoint, or a relay whose last delivery failed).
     fn recovering(&self) -> bool;
 }
 
@@ -280,7 +283,7 @@ impl EpochSource for Relay {
     }
 
     fn recovering(&self) -> bool {
-        false
+        self.owes_resync
     }
 }
 

@@ -3,7 +3,7 @@
 //! corruption, duplication, reordering, truncation, delays), with one
 //! site crash-and-restore mid-run, must leave the coordinator's merged
 //! synopsis **bit-identical** to a single site that ingested the combined
-//! traffic directly. Sketch linearity promises this; the epoch
+//! traffic directly — after every round, not only at the end. Sketch linearity promises this; the epoch
 //! watermarks must preserve it under every failure the link and the
 //! crash can produce.
 //!
@@ -121,6 +121,33 @@ proptest! {
                 collections += 1;
                 resyncs += u64::from(report.resyncs);
             }
+            // After every round: bit-identical merged state, stream by
+            // stream, counter by counter.
+            for s in 0..STREAMS {
+                let sid = StreamId(s);
+                match (coord.merged_synopsis(sid), mirror.synopsis(sid)) {
+                    (None, None) => {} // stream never touched
+                    (Some(merged), Some(truth)) => {
+                        for (m, t) in merged.sketches().iter().zip(truth.sketches()) {
+                            prop_assert_eq!(
+                                m.counters(),
+                                t.counters(),
+                                "round {}: stream {} diverged from centralized ground truth",
+                                round,
+                                s
+                            );
+                        }
+                    }
+                    (m, t) => prop_assert!(
+                        false,
+                        "round {}: stream {} presence mismatch: coordinator={}, truth={}",
+                        round,
+                        s,
+                        m.is_some(),
+                        t.is_some()
+                    ),
+                }
+            }
         }
 
         // The observability layer must agree with the fault script: every
@@ -157,30 +184,5 @@ proptest! {
             mangled
         );
         prop_assert_eq!(m.quarantines.get(), m.quarantine_releases.get());
-
-        // Bit-identical merged state, stream by stream, counter by counter.
-        for s in 0..STREAMS {
-            let sid = StreamId(s);
-            match (coord.merged_synopsis(sid), mirror.synopsis(sid)) {
-                (None, None) => {} // stream never touched
-                (Some(merged), Some(truth)) => {
-                    for (m, t) in merged.sketches().iter().zip(truth.sketches()) {
-                        prop_assert_eq!(
-                            m.counters(),
-                            t.counters(),
-                            "stream {} diverged from centralized ground truth",
-                            s
-                        );
-                    }
-                }
-                (m, t) => prop_assert!(
-                    false,
-                    "stream {} presence mismatch: coordinator={}, truth={}",
-                    s,
-                    m.is_some(),
-                    t.is_some()
-                ),
-            }
-        }
     }
 }

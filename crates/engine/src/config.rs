@@ -65,7 +65,9 @@ pub enum ConfigError {
     InvalidRatio(f64),
     /// Zero sketch copies requested.
     NoCopies,
-    /// The sketch shape failed validation (reason from the core check).
+    /// The sketch shape failed validation, or the family exceeds the
+    /// per-vector cell cap every decoder enforces (reason from the core
+    /// check).
     InvalidShape(String),
 }
 
@@ -212,6 +214,10 @@ impl EngineConfigBuilder {
                 SketchFamily::new(config, r, self.seed)
             }
         };
+        // A family over the cell cap builds, but every decoder (the
+        // engine's own snapshot restore included) would refuse its
+        // synopses.
+        family.check().map_err(ConfigError::InvalidShape)?;
         let options = EstimatorOptions {
             epsilon: self.epsilon,
             beta: self.beta,
@@ -257,14 +263,44 @@ mod tests {
 
     #[test]
     fn ratio_hint_switches_to_witness_plan() {
-        let union = EngineConfig::builder().epsilon(0.2).delta(0.05).build().unwrap();
+        let union = EngineConfig::builder().epsilon(0.5).delta(0.1).build().unwrap();
         let witness = EngineConfig::builder()
-            .epsilon(0.2)
-            .delta(0.05)
-            .ratio_hint(32.0)
+            .epsilon(0.5)
+            .delta(0.1)
+            .ratio_hint(2.0)
             .build()
             .unwrap();
+        assert_eq!(union.family().copies(), Plan::for_union(0.5, 0.1).copies);
+        assert_eq!(witness.family().copies(), Plan::for_witness(0.5, 0.1, 2.0).copies);
         assert!(witness.family().copies() > union.family().copies());
+        // At ρ = 32 the witness theorem asks for ~556 k copies: over the
+        // cell cap, so a typed error instead of a family no decoder takes.
+        assert!(matches!(
+            EngineConfig::builder()
+                .epsilon(0.2)
+                .delta(0.05)
+                .ratio_hint(32.0)
+                .build(),
+            Err(ConfigError::InvalidShape(_))
+        ));
+    }
+
+    #[test]
+    fn default_accuracy_plan_over_the_cell_cap_is_refused() {
+        // ε = δ = 0.05 plans r = 53 964 copies at s = 27: 186 M cells.
+        assert!(matches!(
+            EngineConfig::builder().build(),
+            Err(ConfigError::InvalidShape(_))
+        ));
+    }
+
+    #[test]
+    fn explicit_copy_count_over_the_cell_cap_is_refused() {
+        assert!(matches!(
+            EngineConfig::builder().copies(20_000).build(),
+            Err(ConfigError::InvalidShape(_))
+        ));
+        assert!(EngineConfig::builder().copies(2_000).build().is_ok());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use setstream_stream::cdc::CdcEvent;
 use setstream_stream::{StreamId, Update};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Engine failures.
 #[derive(Debug)]
@@ -87,8 +87,10 @@ pub struct StreamEngine {
     family: SketchFamily,
     options: EstimatorOptions,
     synopses: BTreeMap<StreamId, SketchVector>,
-    /// Shared stand-in for streams that have never received an update.
-    empty: SketchVector,
+    /// Shared stand-in for streams that have never received an update,
+    /// built by the first estimate or subscription round: a relay's
+    /// engine, which only takes committed changes, never pays for it.
+    empty: OnceLock<SketchVector>,
     subs: SubscriptionHub,
     updates: u64,
     deletions: u64,
@@ -121,7 +123,7 @@ impl StreamEngine {
             family,
             options: EstimatorOptions::default(),
             synopses: BTreeMap::new(),
-            empty: family.new_vector(),
+            empty: OnceLock::new(),
             subs: SubscriptionHub::new(),
             updates: 0,
             deletions: 0,
@@ -161,12 +163,6 @@ impl StreamEngine {
     /// Defaults to the no-op sink.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
-    }
-
-    /// Builder-style [`Self::set_trace`].
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = trace;
-        self
     }
 
     // ----------------------------------------------------------- updates
@@ -264,6 +260,26 @@ impl StreamEngine {
         }
     }
 
+    /// Add a committed change to stream `id`'s synopsis (created lazily) and
+    /// mark the stream dirty for the next subscription round — the entry
+    /// point for synopses maintained elsewhere. A distributed coordinator
+    /// applies each committed delta frame here, and a replacing snapshot
+    /// as `new − old`; cells wrap in ℤ/2⁶⁴, so the sum stays exact.
+    ///
+    /// # Errors
+    /// [`EngineError::Estimate`] if `delta` was built with another family;
+    /// the engine is then unchanged.
+    pub fn apply_delta(&mut self, id: StreamId, delta: &SketchVector) -> Result<(), EngineError> {
+        if delta.family() != &self.family {
+            let why = format!("delta family {:?} is not {:?}", delta.family(), self.family);
+            return Err(EngineError::Estimate(EstimateError::Incompatible(why)));
+        }
+        let synopsis = self.synopses.entry(id).or_insert_with(|| self.family.new_vector());
+        synopsis.merge_from(delta)?;
+        self.subs.dirty.insert(id);
+        Ok(())
+    }
+
     // -------------------------------------------------------- estimation
 
     /// Answer one set expression from the current synopses — the single
@@ -296,9 +312,11 @@ impl StreamEngine {
         expr: &SetExpr,
         ctx: TraceContext,
     ) -> Result<Estimate, EngineError> {
+        let empty = self.empty.get_or_init(|| self.family.new_vector());
         let mut span = self.trace.child_span("engine.query", ctx);
         let start = clock::now_ns();
-        let result = self.estimate_expr_internal(&setstream_expr::simplify(expr));
+        let simplified = setstream_expr::simplify(expr);
+        let result = estimate_expr_over(&self.synopses, empty, &self.options, &simplified);
         let elapsed = clock::now_ns().saturating_sub(start);
         self.metrics
             .record_estimate(elapsed, result.as_ref().map(|e| e.method).map_err(|_| ()));
@@ -309,10 +327,6 @@ impl StreamEngine {
             }
         }
         result
-    }
-
-    fn estimate_expr_internal(&self, expr: &SetExpr) -> Result<Estimate, EngineError> {
-        estimate_expr_over(&self.synopses, &self.empty, &self.options, expr)
     }
 
     // ----------------------------------------------------- subscriptions
@@ -378,13 +392,6 @@ impl StreamEngine {
         self.subs.epoch
     }
 
-    /// Mark streams as changed for the next epoch without routing updates
-    /// through this engine — the hook for externally-maintained synopses
-    /// (e.g. distributed delta frames merged by a coordinator).
-    pub fn note_dirty(&mut self, streams: impl IntoIterator<Item = StreamId>) {
-        self.subs.dirty.extend(streams);
-    }
-
     /// Close the current epoch: dirty-propagate the changed streams up
     /// the interned DAG, re-estimate only the tainted subscription roots
     /// (clean roots serve their cached estimate), and return a
@@ -410,6 +417,7 @@ impl StreamEngine {
         let trace = self.trace.clone();
         let mut span = trace.span("engine.publish_epoch");
         let start = clock::now_ns();
+        let empty = self.empty.get_or_init(|| self.family.new_vector());
         let hub = &mut self.subs;
         let roots: BTreeSet<NodeId> = hub.subs.values().map(|s| s.node()).collect();
         hub.cache.ensure(hub.dag.len());
@@ -430,7 +438,7 @@ impl StreamEngine {
             if hub.cache.is_dirty(node.index()) {
                 if let Ok(e) = estimate_expr_over(
                     &self.synopses,
-                    &self.empty,
+                    empty,
                     &self.options,
                     hub.dag.node(node).expr(),
                 ) {

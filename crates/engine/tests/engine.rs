@@ -370,3 +370,51 @@ fn traced_evaluate_joins_an_existing_trace() {
     assert_eq!(root.parent_id, 0);
     assert_eq!(root.trace_id, root.id);
 }
+
+#[test]
+fn apply_delta_matches_processing_and_refuses_foreign_families() {
+    let fam = family();
+    let mut processed = StreamEngine::new(fam);
+    let mut applied = StreamEngine::new(fam);
+    let id = applied
+        .subscribe("A | B".parse().unwrap(), SubscriptionOptions::builder().build().unwrap())
+        .unwrap();
+    applied.publish_epoch();
+    // Two committed changes per stream, the second one partly retracting
+    // the first: the store is their exact sum.
+    for round in 0..2u64 {
+        for s in 0..2u32 {
+            let mut delta = fam.new_vector();
+            for e in 0..300u64 {
+                let u = if round == 1 && e % 3 == 0 {
+                    Update::delete(StreamId(s), e, 1)
+                } else {
+                    Update::insert(StreamId(s), round * 1000 + e + u64::from(s) * 150, 1)
+                };
+                delta.process(&u);
+                processed.process(&u);
+            }
+            applied.apply_delta(StreamId(s), &delta).unwrap();
+        }
+    }
+    for s in [StreamId(0), StreamId(1)] {
+        let (a, p) = (applied.synopsis(s).unwrap(), processed.synopsis(s).unwrap());
+        for (x, y) in a.sketches().iter().zip(p.sketches()) {
+            assert_eq!(x.counters(), y.counters());
+        }
+    }
+    let expr: SetExpr = "A | B".parse().unwrap();
+    let want = processed.evaluate(&expr).unwrap().value;
+    assert_eq!(applied.evaluate(&expr).unwrap().value.to_bits(), want.to_bits());
+    // The commits marked both streams dirty for the subscription round.
+    let events = applied.publish_epoch();
+    assert_eq!(events.len(), 1);
+    assert_eq!((events[0].sub_id, events[0].new.to_bits()), (id, want.to_bits()));
+
+    let foreign = SketchFamily::builder().copies(8).seed(99).build().new_vector();
+    assert!(matches!(
+        applied.apply_delta(StreamId(7), &foreign),
+        Err(EngineError::Estimate(_))
+    ));
+    assert_eq!(applied.stream_ids().count(), 2, "a refused delta leaves no stream behind");
+}
