@@ -3,9 +3,9 @@
 //! §5.1 of the paper sizes its synopses assuming one *bit* per cell for
 //! insert-only streams — 64× smaller than the `i64` counters deletions
 //! require. This module provides an `r`-copy [`BitSketchVector`] and the
-//! full estimator suite over it, so insert-only deployments can trade the
-//! deletion capability for an 64× larger `r` at the same memory budget
-//! (`ablation_memory` quantifies the win).
+//! intersection estimator over it, so insert-only deployments can trade
+//! the deletion capability for an 64× larger `r` at the same memory
+//! budget (`ablation_memory` quantifies the win).
 //!
 //! The algorithms are identical to the counter versions — occupancy and
 //! singleton signatures read the same cells — so for insert-only input a
@@ -96,7 +96,7 @@ fn validate(vectors: &[&BitSketchVector]) -> Result<usize, EstimateError> {
 
 /// Set-union estimate over bit synopses (Figure 5 / pooled, per
 /// `opts.union_mode`).
-pub fn bit_union(
+fn bit_union(
     vectors: &[&BitSketchVector],
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
@@ -149,7 +149,7 @@ fn bit_singleton_union_many(sketches: &[&BitSketch], level: u32) -> bool {
 
 /// General set-expression estimate over bit synopses (§4's algorithm on
 /// the compact representation).
-pub fn bit_expression(
+fn bit_expression(
     expr: &SetExpr,
     streams: &[(StreamId, &BitSketchVector)],
     opts: &EstimatorOptions,
@@ -230,16 +230,6 @@ pub fn bit_intersection(
     bit_expression(&expr, &[(StreamId(0), a), (StreamId(1), b)], opts)
 }
 
-/// `|A − B|` over bit synopses.
-pub fn bit_difference(
-    a: &BitSketchVector,
-    b: &BitSketchVector,
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    let expr = SetExpr::stream(0).diff(SetExpr::stream(1));
-    bit_expression(&expr, &[(StreamId(0), a), (StreamId(1), b)], opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,10 +270,6 @@ mod tests {
         assert_eq!(bi.value, ci.value, "intersection");
         assert_eq!(bi.valid_observations, ci.valid_observations);
         assert_eq!(bi.witness_hits, ci.witness_hits);
-
-        let bd = bit_difference(&ba, &bb, &opts).unwrap();
-        let cd = super::super::difference(&ca, &cb, &opts).unwrap();
-        assert_eq!(bd.value, cd.value, "difference");
     }
 
     #[test]

@@ -34,10 +34,10 @@ mod intersection;
 mod union_est;
 mod witness;
 
-pub use bit::{bit_difference, bit_expression, bit_intersection, bit_union, BitSketchVector};
+pub use bit::{bit_intersection, BitSketchVector};
 pub use boost::{difference_boosted, intersection_boosted, median_of_groups};
 pub use expression::{expression, expression_with_union};
-pub use union_est::{union, union_estimate_value};
+pub use union_est::union;
 
 use crate::error::EstimateError;
 use serde::{Deserialize, Serialize};
@@ -304,34 +304,4 @@ pub fn intersection_with_union(
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
     intersection::intersection_with_union(a, b, u_hat, opts)
-}
-
-/// Witness-based estimate for the symmetric difference `|A Δ B|`
-/// (elements in exactly one of the two streams).
-///
-/// A union-singleton bucket witnesses `A Δ B` exactly when it is *not* a
-/// witness for `A ∩ B`, so this runs one witness pass via the expression
-/// machinery on `(A − B) ∪ (B − A)`.
-///
-/// ```
-/// use setstream_core::{estimate, EstimatorOptions, SketchFamily};
-/// let family = SketchFamily::builder().copies(128).second_level(8).seed(9).build();
-/// let mut a = family.new_vector();
-/// let mut b = family.new_vector();
-/// for e in 0..3000u64 { a.insert(e); }
-/// for e in 2000..5000u64 { b.insert(e); }  // |A Δ B| = 4000
-/// let est = estimate::symmetric_difference(&a, &b, &EstimatorOptions::default()).unwrap();
-/// assert!((est.value - 4000.0).abs() / 4000.0 < 0.3);
-/// ```
-pub fn symmetric_difference(
-    a: &crate::SketchVector,
-    b: &crate::SketchVector,
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    use setstream_expr::SetExpr;
-    use setstream_stream::StreamId;
-    let left = SetExpr::stream(0).diff(SetExpr::stream(1));
-    let right = SetExpr::stream(1).diff(SetExpr::stream(0));
-    let expr = left.union(right);
-    expression(&expr, &[(StreamId(0), a), (StreamId(1), b)], opts)
 }

@@ -56,14 +56,6 @@ pub fn union(vectors: &[&SketchVector], opts: &EstimatorOptions) -> Result<Estim
     })
 }
 
-/// Convenience: just the union value.
-pub fn union_estimate_value(
-    vectors: &[&SketchVector],
-    opts: &EstimatorOptions,
-) -> Result<f64, EstimateError> {
-    union(vectors, opts).map(|e| e.value)
-}
-
 /// Figure 5: find the first level where the non-empty count drops to
 /// `f = (1+ε)r/8`, then invert `p = 1 − (1 − 1/R)^u`.
 pub(super) fn paper_level_estimate(counts: &[usize], r: usize, epsilon: f64) -> (f64, usize) {

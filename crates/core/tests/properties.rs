@@ -7,6 +7,8 @@ use proptest::prelude::*;
 use setstream_core::{
     estimate, EstimatorOptions, SketchConfig, SketchFamily, TwoLevelSketch,
 };
+use setstream_expr::SetExpr;
+use setstream_stream::StreamId;
 
 fn small_config() -> SketchConfig {
     SketchConfig {
@@ -185,7 +187,10 @@ proptest! {
         let opts = EstimatorOptions::default();
         let u_hat = estimate::union(&[&a, &b], &opts).unwrap().value;
         let inter = estimate::intersection_with_union(&a, &b, u_hat, &opts).unwrap();
-        let sym = estimate::symmetric_difference(&a, &b, &opts);
+        let sym_expr = SetExpr::stream(0)
+            .diff(SetExpr::stream(1))
+            .union(SetExpr::stream(1).diff(SetExpr::stream(0)));
+        let sym = estimate::expression(&sym_expr, &[(StreamId(0), &a), (StreamId(1), &b)], &opts);
         if let Ok(sym) = sym {
             // Same synopses, same buckets: hits partition valid.
             prop_assert_eq!(inter.valid_observations, sym.valid_observations);

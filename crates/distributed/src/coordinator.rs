@@ -348,8 +348,8 @@ impl State {
     }
 }
 
-/// Epoch-lineage entries a coordinator retains by default — enough for
-/// hundreds of sites over many collection rounds while bounding memory.
+/// Epoch-lineage entries a coordinator retains — enough for hundreds of
+/// sites over many collection rounds while bounding memory.
 const DEFAULT_LINEAGE_CAPACITY: usize = 1024;
 
 /// The query-processing coordinator.
@@ -450,14 +450,6 @@ impl Coordinator {
         let mut st = self.state.lock();
         st.store.unshipped.iter_mut().for_each(BTreeMap::clear);
         st.store.copy()
-    }
-
-    /// Override how many `(stream, epoch)` lineage entries the provenance
-    /// ring retains (default 1024; minimum 1). Evictions are counted in
-    /// `setstream_lineage_dropped_total`.
-    pub fn with_lineage_capacity(mut self, capacity: usize) -> Self {
-        self.lineage = Arc::new(LineageRing::new(capacity));
-        self
     }
 
     /// The coordinator's epoch provenance ring: per retained
@@ -719,7 +711,6 @@ impl Coordinator {
                 self.lineage
                     .record_commit(msg.epoch, msg.site, clock::now_ns(), cut_ns);
             }
-            Message::Flush => {}
             Message::Ack(_) => {
                 // Acks are transport control traffic flowing *toward*
                 // sites; one arriving at the merge path means a confused
@@ -945,8 +936,8 @@ mod tests {
             .build()
     }
 
-    fn deliver(site: &Site, coord: &Coordinator) {
-        for frame in site.snapshot_frames().unwrap() {
+    fn deliver(site: &mut Site, coord: &Coordinator) {
+        for frame in site.cut_epoch().unwrap().frames {
             coord.ingest_frame(&frame).unwrap();
         }
     }
@@ -968,8 +959,8 @@ mod tests {
             all.observe(&u);
         }
         let coord = Coordinator::new(fam);
-        deliver(&s1, &coord);
-        deliver(&s2, &coord);
+        deliver(&mut s1, &coord);
+        deliver(&mut s2, &coord);
         let merged = coord
             .query(&SetExpr::stream(0))
             .unwrap()
@@ -1000,7 +991,7 @@ mod tests {
             site.observe(&Update::insert(StreamId(1), e, 1));
         }
         let coord = Coordinator::new(fam);
-        deliver(&site, &coord);
+        deliver(&mut site, &coord);
         let est = coord
             .query(&"A & B".parse().unwrap())
             .unwrap()
@@ -1012,19 +1003,25 @@ mod tests {
     #[test]
     fn repeated_cumulative_snapshots_replace_not_double_count() {
         // Regression for the periodic-collection footgun: a site that
-        // ships its (growing) cumulative snapshot twice must contribute
-        // its traffic exactly once.
+        // ships its (growing) cumulative synopsis twice, as two resyncs,
+        // must contribute its traffic exactly once.
         let fam = family();
         let mut site = Site::new(1, fam);
         let coord = Coordinator::new(fam);
+        let resync = |site: &mut Site| {
+            let _ = site.cut_epoch().unwrap(); // cut, but never delivered
+            for frame in site.resync_frames().unwrap() {
+                coord.ingest_frame(&frame).unwrap();
+            }
+        };
         for e in 0..1500u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        deliver(&site, &coord); // first periodic snapshot
+        resync(&mut site); // first cumulative synopsis
         for e in 1500..2000u64 {
             site.observe(&Update::insert(StreamId(0), e, 1));
         }
-        deliver(&site, &coord); // second periodic snapshot of the SAME site
+        resync(&mut site); // second cumulative synopsis of the SAME site
 
         let est = coord.query(&SetExpr::stream(0)).unwrap().estimate.value;
         let direct = estimate::expression(
@@ -1081,7 +1078,7 @@ mod tests {
         let other = SketchFamily::builder().copies(64).seed(999).build();
         let mut site = Site::new(5, other);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
+        let frames = site.cut_epoch().unwrap().frames;
         let err = coord.ingest_frame(&frames[0]).unwrap_err();
         assert!(matches!(err, CoordinatorError::CoinMismatch { site: 5 }));
     }
@@ -1100,7 +1097,7 @@ mod tests {
         let fam = family();
         let mut site = Site::new(1, fam);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
+        let frames = site.cut_epoch().unwrap().frames;
         let mut bad = frames[1].to_vec();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xff;
@@ -1118,7 +1115,7 @@ mod tests {
             for e in 0..500u64 {
                 site.observe(&Update::insert(StreamId(0), (sid as u64) * 500 + e, 1));
             }
-            site_frames.push(site.snapshot_frames().unwrap());
+            site_frames.push(site.cut_epoch().unwrap().frames);
         }
         crossbeam::thread::scope(|scope| {
             for frames in &site_frames {
@@ -1260,7 +1257,7 @@ mod tests {
         let fam = family();
         let mut site = Site::new(4, fam);
         site.observe(&Update::insert(StreamId(0), 1, 1));
-        let frames = site.snapshot_frames().unwrap();
+        let frames = site.cut_epoch().unwrap().frames;
         let coord = Coordinator::new(fam).with_quarantine_after(3);
 
         let mut corrupt = frames[1].to_vec();

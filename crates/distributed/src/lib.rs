@@ -103,6 +103,7 @@
 
 pub mod codec;
 pub mod coordinator;
+mod epoch;
 pub mod metrics;
 pub mod network;
 pub mod persist;

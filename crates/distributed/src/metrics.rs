@@ -23,12 +23,11 @@ use crate::wire::FrameKind;
 use setstream_obs::{Counter, MetricSource, Sample};
 
 /// Frame kinds in export order.
-const KINDS: [FrameKind; 6] = [
+const KINDS: [FrameKind; 5] = [
     FrameKind::Hello,
     FrameKind::Synopsis,
     FrameKind::Delta,
     FrameKind::Commit,
-    FrameKind::Flush,
     FrameKind::Ack,
 ];
 
@@ -39,7 +38,6 @@ pub(crate) fn kind_label(kind: FrameKind) -> &'static str {
         FrameKind::Synopsis => "synopsis",
         FrameKind::Delta => "delta",
         FrameKind::Commit => "commit",
-        FrameKind::Flush => "flush",
         FrameKind::Ack => "ack",
     }
 }
@@ -79,7 +77,7 @@ pub(crate) fn reason_index(reason: &str) -> usize {
 #[derive(Debug, Default)]
 pub struct CoordinatorMetrics {
     /// Frames accepted and applied, by kind (indexed like `KINDS`).
-    frames_by_kind: [Counter; 6],
+    frames_by_kind: [Counter; 5],
     /// Frames refused, by typed reason (indexed like `REASONS`).
     rejected_by_reason: [Counter; 7],
     /// Sites newly quarantined (transitions into quarantine, not refused

@@ -33,34 +33,26 @@
 //! driven by periodic [`RelayNode::flush_upstream`] calls.
 
 use crate::coordinator::Coordinator;
+use crate::epoch::EpochWriter;
 use crate::metrics::TransportMetrics;
 use crate::session::{Collector, Link};
-use crate::site::{DeltaMessage, Epoch, EpochCommit, Hello, SiteId, SynopsisMessage};
+use crate::site::{Epoch, SiteId};
 use crate::transport::{
     CoordinatorServer, ServerHandle, ServerRole, TcpCollector, TransportError, TransportOptions,
 };
-use crate::wire::{encode_frame, encode_frame_traced, FrameContext, FrameKind, WireError};
+use crate::wire::WireError;
 use bytes::Bytes;
 use setstream_core::SketchFamily;
-use setstream_stream::StreamId;
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// Merge-and-forward state: a child-facing [`Coordinator`] that keeps
 /// the unshipped sum, plus the upstream epoch chain.
 pub struct Relay {
-    id: SiteId,
-    family: SketchFamily,
     downstream: Arc<Coordinator>,
-    /// Epoch each stream last shipped in (the upstream `prev_epoch`
-    /// chain).
-    shipped: BTreeMap<StreamId, Epoch>,
-    /// The relay's own upstream epoch counter.
-    epoch: Epoch,
-    /// A cut's delivery failed after its sum was taken: the next
-    /// delivery must end with a cumulative resync.
-    pub(crate) owes_resync: bool,
+    /// The upstream identity and epoch chain. Owes a resync when a cut's
+    /// delivery failed after its sum was taken.
+    pub(crate) writer: EpochWriter,
 }
 
 impl Relay {
@@ -75,12 +67,8 @@ impl Relay {
     /// relay's merge spans join each originating site cut's trace.
     pub fn with_coordinator(id: SiteId, downstream: Coordinator) -> Self {
         Relay {
-            id,
-            family: *downstream.family(),
+            writer: EpochWriter::new(id, *downstream.family()),
             downstream: Arc::new(downstream.track_unshipped()),
-            shipped: BTreeMap::new(),
-            epoch: 0,
-            owes_resync: false,
         }
     }
 
@@ -92,12 +80,12 @@ impl Relay {
 
     /// The relay's upstream site identity.
     pub fn id(&self) -> SiteId {
-        self.id
+        self.writer.site
     }
 
     /// The relay's current upstream epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.writer.epoch
     }
 
     /// Cut the relay's next upstream epoch: one delta frame per stream
@@ -113,89 +101,27 @@ impl Relay {
     /// context wins — the lineage ring, not the trace, is the exhaustive
     /// record of who contributed.
     pub fn cut_upstream(&mut self) -> Result<Vec<Bytes>, WireError> {
-        self.epoch += 1;
-        let mut frames = vec![self.hello()?];
-        let mut seq = 0u32;
-        let mut last_ctx: Option<FrameContext> = None;
-        for (stream, delta) in self.downstream.take_unshipped() {
-            let prev = self.shipped.get(&stream).copied();
-            if prev.is_some() && delta.is_null() {
-                continue; // the changes since the last cut cancelled out
-            }
-            let ctx = self.downstream.stream_context(stream);
-            if ctx.is_some() {
-                last_ctx = ctx;
-            }
-            frames.push(encode_frame_traced(
-                FrameKind::Delta,
-                &DeltaMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    prev_epoch: prev.unwrap_or(0),
-                    seq,
-                    vector: delta,
-                },
-                ctx.as_ref(),
-            )?);
-            self.shipped.insert(stream, self.epoch);
-            seq += 1;
-        }
-        frames.push(encode_frame_traced(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: seq,
-            },
-            last_ctx.as_ref(),
-        )?);
-        Ok(frames)
+        let downstream = &self.downstream;
+        let changes = downstream
+            .take_unshipped()
+            .into_iter()
+            .map(|(stream, delta)| (stream, delta, downstream.stream_context(stream)));
+        self.writer.cut(changes, None)
     }
 
     /// Cumulative upstream resync: the child-facing store as
     /// epoch-stamped snapshots (replace semantics upstream), taken under
     /// the lock that clears the unshipped sum — so the next cut ships
     /// exactly what commits after it. Heals any watermark divergence,
-    /// exactly like [`crate::site::Site::resync_frames`].
+    /// exactly like [`crate::site::Site::resync_frames`]. Each snapshot
+    /// carries its stream's last child context.
     pub fn resync_upstream(&mut self) -> Result<Vec<Bytes>, WireError> {
-        self.owes_resync = false;
-        let mut frames = vec![self.hello()?];
-        let mut count = 0u32;
-        for (stream, vector) in self.downstream.take_store() {
-            let ctx = self.downstream.stream_context(stream);
-            frames.push(encode_frame_traced(
-                FrameKind::Synopsis,
-                &SynopsisMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    vector,
-                },
-                ctx.as_ref(),
-            )?);
-            self.shipped.insert(stream, self.epoch);
-            count += 1;
-        }
-        frames.push(encode_frame(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: count,
-            },
-        )?);
-        Ok(frames)
-    }
-
-    /// The `Hello` that opens every upstream batch.
-    fn hello(&self) -> Result<Bytes, WireError> {
-        let hello = Hello {
-            site: self.id,
-            family: self.family,
-            resume_epoch: self.epoch,
-        };
-        encode_frame(FrameKind::Hello, &hello)
+        let downstream = &self.downstream;
+        let store = downstream
+            .take_store()
+            .into_iter()
+            .map(|(stream, vector)| (stream, vector, downstream.stream_context(stream)));
+        self.writer.resync(store)
     }
 
     /// Cut the next upstream epoch and run it through `upstream`'s epoch
@@ -208,9 +134,9 @@ impl Relay {
         let delivered = self
             .cut_upstream()
             .map_err(TransportError::from)
-            .and_then(|frames| upstream.deliver(self.epoch, frames, self));
+            .and_then(|frames| upstream.deliver(self.writer.epoch, frames, self));
         if delivered.is_err() {
-            self.owes_resync = true;
+            self.writer.owes_resync = true;
         }
         delivered.map(drop)
     }
@@ -293,9 +219,10 @@ impl RelayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::site::Site;
+    use crate::site::{Hello, Site};
+    use crate::wire::{encode_frame, FrameKind};
     use setstream_core::SketchVector;
-    use setstream_stream::Update;
+    use setstream_stream::{StreamId, Update};
 
     fn family() -> SketchFamily {
         SketchFamily::builder()
@@ -587,12 +514,12 @@ mod tests {
                     RelayOp::Flush { lost: true } => {
                         let mut link = pipe(lossy, 1, seed ^ step as u64);
                         if relay.flush(&mut link).is_err() {
-                            proptest::prop_assert!(relay.owes_resync);
+                            proptest::prop_assert!(relay.writer.owes_resync);
                         }
                     }
                     RelayOp::Flush { lost: false } => {
                         relay.flush(&mut upstream).unwrap();
-                        proptest::prop_assert!(!relay.owes_resync);
+                        proptest::prop_assert!(!relay.writer.owes_resync);
                         for stream in [StreamId(0), StreamId(1)] {
                             let store = relay.coordinator().merged_synopsis(stream);
                             proptest::prop_assert!(
@@ -621,6 +548,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The relay's trace rules, read off its own frames: a cut's Hello
+    /// carries no context, each Delta re-ships its stream's last child
+    /// context unchanged, and the Commit carries the last context a Delta
+    /// carried; a resync puts each stream's context on its Synopsis only.
+    #[test]
+    fn relay_frames_carry_their_streams_child_contexts() {
+        use crate::wire::decode_frame_parts;
+        use setstream_obs::{RingRecorder, TraceHandle};
+
+        let fam = family();
+        let trace = TraceHandle::new(Arc::new(RingRecorder::new(64)));
+        let mut relay = Relay::new(1000, fam);
+        // Sites 3 and 4 trace their cuts on streams 0 and 1; site 5, on
+        // stream 2, does not.
+        let mut child_ctx = Vec::new();
+        for (id, stream) in [(3, 0), (4, 1), (5, 2)] {
+            let mut site = Site::new(id, fam);
+            if id != 5 {
+                site.set_trace(trace.clone());
+            }
+            site.observe(&Update::insert(StreamId(stream), 1, 1));
+            let cut = site.cut_epoch().unwrap();
+            child_ctx.push(decode_frame_parts(cut.frames[0].clone()).unwrap().2);
+            for frame in &cut.frames {
+                relay.coordinator().ingest_frame_from(id, frame).unwrap();
+            }
+        }
+        assert!(child_ctx[0].is_some() && child_ctx[1].is_some() && child_ctx[2].is_none());
+        assert_ne!(child_ctx[0], child_ctx[1]);
+        let contexts = |frames: Vec<Bytes>| -> Vec<_> {
+            frames
+                .into_iter()
+                .map(|f| decode_frame_parts(f).unwrap().2)
+                .collect()
+        };
+
+        let cut = contexts(relay.cut_upstream().unwrap());
+        let (ctx0, ctx1) = (child_ctx[0], child_ctx[1]);
+        assert_eq!(
+            cut,
+            vec![None, ctx0, ctx1, None, ctx1],
+            "hello, 3 deltas, commit"
+        );
+
+        let resync = contexts(relay.resync_upstream().unwrap());
+        assert_eq!(
+            resync,
+            vec![None, ctx0, ctx1, None, None],
+            "hello, 3 synopses, commit"
+        );
     }
 
     #[test]

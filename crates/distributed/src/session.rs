@@ -261,7 +261,7 @@ pub trait EpochSource {
 
 impl EpochSource for Site {
     fn epoch(&self) -> Epoch {
-        Site::epoch(self)
+        self.writer.epoch
     }
 
     fn resync_frames(&mut self) -> Result<Vec<Bytes>, WireError> {
@@ -269,13 +269,13 @@ impl EpochSource for Site {
     }
 
     fn recovering(&self) -> bool {
-        Site::recovering(self)
+        self.writer.owes_resync
     }
 }
 
 impl EpochSource for Relay {
     fn epoch(&self) -> Epoch {
-        Relay::epoch(self)
+        self.writer.epoch
     }
 
     fn resync_frames(&mut self) -> Result<Vec<Bytes>, WireError> {
@@ -283,7 +283,7 @@ impl EpochSource for Relay {
     }
 
     fn recovering(&self) -> bool {
-        self.owes_resync
+        self.writer.owes_resync
     }
 }
 

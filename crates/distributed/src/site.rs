@@ -30,15 +30,12 @@
 //!    resync ([`Site::resync_frames`]), which *replaces* the site's
 //!    contribution at the coordinator.
 //!
-//! The legacy one-shot path ([`Site::snapshot_frames`]) still exists for
-//! simple deployments: it ships cumulative snapshots, which the
-//! coordinator now replaces rather than re-merges. Do not interleave it
-//! with epoch collection on the same site — cumulative frames stamped
-//! between cuts would fold not-yet-cut traffic into the contribution
-//! that the next delta then re-ships.
+//! A [`crate::Relay`] speaks the same protocol upstream: both frame
+//! their cuts and resyncs through one crate-private epoch writer.
 
 use crate::codec::{self, CodecError};
-use crate::wire::{encode_frame, encode_frame_traced, FrameContext, FrameKind, WireError};
+use crate::epoch::EpochWriter;
+use crate::wire::{FrameContext, WireError};
 use bytes::Bytes;
 use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize, Serializer};
@@ -71,19 +68,18 @@ pub struct Hello {
     pub resume_epoch: Epoch,
 }
 
-/// One stream's **cumulative** synopsis snapshot.
+/// One stream's **cumulative** synopsis, shipped by a resync.
 ///
-/// Replace semantics at the coordinator: a later snapshot from the same
+/// Replace semantics at the coordinator: a later synopsis from the same
 /// `(site, stream)` supersedes the previous contribution — it is never
-/// merged on top of it, so periodic re-snapshots cannot double-count.
+/// merged on top of it, so repeated resyncs cannot double-count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SynopsisMessage {
     /// Sender.
     pub site: SiteId,
     /// Which logical stream this synopsis summarizes.
     pub stream: StreamId,
-    /// The site epoch this snapshot is current as of (0 on the legacy
-    /// one-shot path).
+    /// The sender's last cut epoch, which this synopsis is current as of.
     pub epoch: Epoch,
     /// The synopsis itself.
     pub vector: SketchVector,
@@ -158,13 +154,13 @@ struct CheckpointRef<'a>(&'a Site);
 
 impl Serialize for CheckpointRef<'_> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let site = self.0;
+        let (writer, baselines) = (&self.0.writer, &self.0.baselines);
         let mut out = serializer.serialize_struct("SiteCheckpoint", 5)?;
-        out.serialize_field("site", &site.id)?;
-        out.serialize_field("family", &site.family)?;
-        out.serialize_field("epoch", &site.epoch)?;
-        out.serialize_field("streams", &Pairs(&site.baselines))?;
-        out.serialize_field("shipped", &Pairs(&site.shipped))?;
+        out.serialize_field("site", &writer.site)?;
+        out.serialize_field("family", &writer.family)?;
+        out.serialize_field("epoch", &writer.epoch)?;
+        out.serialize_field("streams", &Pairs(baselines))?;
+        out.serialize_field("shipped", &Pairs(&writer.shipped))?;
         out.end()
     }
 }
@@ -227,22 +223,12 @@ impl From<CodecError> for RestoreError {
 /// A stream-processing site.
 #[derive(Debug, Clone)]
 pub struct Site {
-    id: SiteId,
-    family: SketchFamily,
+    /// Identity, coins, epoch chain, and whether a resync is owed.
+    pub(crate) writer: EpochWriter,
     streams: BTreeMap<StreamId, SketchVector>,
-    /// Last cut epoch (0 = never cut).
-    epoch: Epoch,
     /// Per-stream state as of the last cut — the subtrahend of the next
     /// delta, and exactly what the checkpoint persists.
     baselines: BTreeMap<StreamId, SketchVector>,
-    /// The epoch each stream last shipped a delta in (`prev_epoch` of its
-    /// next delta).
-    shipped: BTreeMap<StreamId, Epoch>,
-    /// Restored from a checkpoint and not yet resynced. A recovered site
-    /// cannot know whether the frames of its last cut were delivered
-    /// before the crash, so it must resync before its deltas mean
-    /// anything again.
-    recovering: bool,
     /// Span sink for epoch cuts and collection rounds; a no-op handle
     /// (the default) costs one branch per span site. Not persisted in
     /// checkpoints — a restored site starts with a no-op handle.
@@ -253,20 +239,16 @@ impl Site {
     /// A site using the shared `family` coins.
     pub fn new(id: SiteId, family: SketchFamily) -> Self {
         Site {
-            id,
-            family,
+            writer: EpochWriter::new(id, family),
             streams: BTreeMap::new(),
-            epoch: 0,
             baselines: BTreeMap::new(),
-            shipped: BTreeMap::new(),
-            recovering: false,
             trace: TraceHandle::noop(),
         }
     }
 
     /// This site's id.
     pub fn id(&self) -> SiteId {
-        self.id
+        self.writer.site
     }
 
     /// Record epoch-cut and collection spans into `trace` (e.g. a
@@ -283,12 +265,12 @@ impl Site {
 
     /// The family (stored coins) in use.
     pub fn family(&self) -> &SketchFamily {
-        &self.family
+        &self.writer.family
     }
 
     /// The last cut epoch (0 = never cut).
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.writer.epoch
     }
 
     /// `true` between a checkpoint restore and the next
@@ -297,7 +279,7 @@ impl Site {
     /// cumulatively before delta collection is trustworthy again.
     /// [`crate::session::Collector::collect`] honours this automatically.
     pub fn recovering(&self) -> bool {
-        self.recovering
+        self.writer.owes_resync
     }
 
     /// Route one update into the synopsis of its stream, creating the
@@ -305,7 +287,7 @@ impl Site {
     pub fn observe(&mut self, update: &Update) {
         self.streams
             .entry(update.stream)
-            .or_insert_with(|| self.family.new_vector())
+            .or_insert_with(|| self.writer.family.new_vector())
             .process(update);
     }
 
@@ -320,62 +302,8 @@ impl Site {
         for (stream, group) in groups {
             self.streams
                 .entry(stream)
-                .or_insert_with(|| self.family.new_vector())
+                .or_insert_with(|| self.writer.family.new_vector())
                 .update_batch(&group);
-        }
-    }
-
-    /// Observe a batch using `threads` worker threads: workers build
-    /// partial synopses over disjoint shards of the batch, and the
-    /// partials are merged into the site's live synopses — the same
-    /// stored-coins merge the coordinator performs across sites, applied
-    /// across cores within one site. Identical counters to
-    /// [`Self::observe_batch`] for any shard split.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn observe_batch_parallel(&mut self, updates: &[Update], threads: usize) {
-        assert!(threads >= 1, "need at least one ingest worker");
-        // Small batches (or one worker): threading overhead dominates.
-        if threads == 1 || updates.len() < 4096 {
-            self.observe_batch(updates);
-            return;
-        }
-        let shard_len = updates.len().div_ceil(threads);
-        let family = self.family;
-        let partials = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = updates
-                .chunks(shard_len)
-                .map(|shard| {
-                    scope.spawn(move |_| {
-                        let mut site = Site::new(0, family);
-                        site.observe_batch(shard);
-                        site.streams
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // analyze: allow(panic) — join fails only if a worker panicked; propagate it
-                .map(|h| h.join().expect("ingest worker"))
-                .collect::<Vec<_>>()
-        })
-        // analyze: allow(panic) — scope fails only if a worker panicked; propagate it
-        .expect("ingest scope");
-        for partial in partials {
-            for (stream, part) in partial {
-                match self.streams.entry(stream) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(part);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        e.get_mut()
-                            .merge_from(&part)
-                            // analyze: allow(panic) — all partials are minted from this site's one family
-                            .expect("partials minted from the site family");
-                    }
-                }
-            }
         }
     }
 
@@ -391,14 +319,7 @@ impl Site {
 
     /// The hello frame for this site, announcing its resume epoch.
     pub fn hello_frame(&self) -> Result<Bytes, WireError> {
-        encode_frame(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-        )
+        self.writer.hello(None)
     }
 
     /// Close the current epoch: advance the epoch counter, emit one
@@ -422,62 +343,25 @@ impl Site {
         let trace = self.trace.clone();
         let mut span = trace.span("site.cut_epoch");
         if span.is_recording() {
-            span.track(format!("site-{}", self.id));
+            span.track(format!("site-{}", self.id()));
         }
         let ctx = span.is_recording().then(|| FrameContext {
             trace: span.context(),
             cut_ns: clock::now_ns(),
         });
-        let ctx = ctx.as_ref();
-        self.epoch += 1;
-        let mut frames = vec![encode_frame_traced(
-            FrameKind::Hello,
-            &Hello {
-                site: self.id,
-                family: self.family,
-                resume_epoch: self.epoch,
-            },
-            ctx,
-        )?];
-        let mut seq = 0u32;
-        for (&stream, live) in &self.streams {
-            let (delta, prev) = match self.baselines.get(&stream) {
-                Some(base) => {
-                    let delta = live
-                        .delta_since(base)
-                        // analyze: allow(panic) — the baseline was cloned from this very synopsis
-                        .expect("baseline minted from the site family");
-                    if delta.is_null() {
-                        continue; // unchanged since last cut — nothing to ship
-                    }
-                    (delta, self.shipped.get(&stream).copied().unwrap_or(0))
-                }
-                None => (live.clone(), 0),
+        // One stream's delta at a time: live − baseline, or the whole
+        // synopsis for a stream first seen in this epoch.
+        let changes = self.streams.iter().map(|(&stream, live)| {
+            let change = match self.baselines.get(&stream) {
+                Some(base) => live
+                    .delta_since(base)
+                    // analyze: allow(panic) — the baseline was cloned from this very synopsis
+                    .expect("baseline minted from the site family"),
+                None => live.clone(),
             };
-            frames.push(encode_frame_traced(
-                FrameKind::Delta,
-                &DeltaMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    prev_epoch: prev,
-                    seq,
-                    vector: delta,
-                },
-                ctx,
-            )?);
-            self.shipped.insert(stream, self.epoch);
-            seq += 1;
-        }
-        frames.push(encode_frame_traced(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: seq,
-            },
-            ctx,
-        )?);
+            (stream, change, ctx)
+        });
+        let frames = self.writer.cut(changes, ctx)?;
         for (&stream, live) in &self.streams {
             self.baselines.insert(stream, live.clone());
         }
@@ -485,13 +369,13 @@ impl Site {
         if span.is_recording() {
             span.detail(format!(
                 "epoch={} frames={} checkpoint_bytes={}",
-                self.epoch,
+                self.epoch(),
                 frames.len(),
                 checkpoint.len()
             ));
         }
         Ok(EpochCut {
-            epoch: self.epoch,
+            epoch: self.epoch(),
             frames,
             checkpoint,
         })
@@ -507,33 +391,11 @@ impl Site {
     /// the last cut belongs to the *next* epoch's delta and must not leak
     /// into the resync, or it would be counted twice.
     pub fn resync_frames(&mut self) -> Result<Vec<Bytes>, WireError> {
-        let mut frames = vec![self.hello_frame()?];
-        let mut count = 0u32;
-        for (&stream, vector) in &self.baselines {
-            frames.push(encode_frame(
-                FrameKind::Synopsis,
-                &SynopsisMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    vector: vector.clone(),
-                },
-            )?);
-            // The snapshot carries everything up to the current epoch, so
-            // the next delta for this stream chains from here.
-            self.shipped.insert(stream, self.epoch);
-            count += 1;
-        }
-        frames.push(encode_frame(
-            FrameKind::Commit,
-            &EpochCommit {
-                site: self.id,
-                epoch: self.epoch,
-                deltas: count,
-            },
-        )?);
-        self.recovering = false;
-        Ok(frames)
+        let store = self
+            .baselines
+            .iter()
+            .map(|(&stream, v)| (stream, v.clone(), None));
+        self.writer.resync(store)
     }
 
     /// The site's durable state at the last epoch boundary — a
@@ -561,14 +423,16 @@ impl Site {
             }
             streams.insert(stream, vector);
         }
-        Ok(Site {
-            id: checkpoint.site,
-            family: checkpoint.family,
-            baselines: streams.clone(),
-            streams,
+        let writer = EpochWriter {
             epoch: checkpoint.epoch,
             shipped: checkpoint.shipped.into_iter().collect(),
-            recovering: true,
+            owes_resync: true,
+            ..EpochWriter::new(checkpoint.site, checkpoint.family)
+        };
+        Ok(Site {
+            writer,
+            baselines: streams.clone(),
+            streams,
             trace: TraceHandle::noop(),
         })
     }
@@ -580,36 +444,12 @@ impl Site {
         let checkpoint: SiteCheckpoint = codec::from_bytes(payload)?;
         Self::restore(checkpoint)
     }
-
-    /// Serialize every stream's **cumulative** synopsis as a frame batch,
-    /// terminated by a `Flush` frame — the legacy one-shot collection
-    /// path. Snapshotting does not disturb the live synopses or the epoch
-    /// state. Safe to call repeatedly: the coordinator replaces (never
-    /// re-merges) cumulative contributions. Do not interleave with
-    /// [`Self::cut_epoch`] on the same site.
-    pub fn snapshot_frames(&self) -> Result<Vec<Bytes>, WireError> {
-        let mut frames = Vec::with_capacity(self.streams.len() + 2);
-        frames.push(self.hello_frame()?);
-        for (&stream, vector) in &self.streams {
-            frames.push(encode_frame(
-                FrameKind::Synopsis,
-                &SynopsisMessage {
-                    site: self.id,
-                    stream,
-                    epoch: self.epoch,
-                    vector: vector.clone(),
-                },
-            )?);
-        }
-        frames.push(encode_frame(FrameKind::Flush, &self.id)?);
-        Ok(frames)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::decode_payload;
+    use crate::wire::{decode_payload, FrameKind};
 
     fn family() -> SketchFamily {
         SketchFamily::builder()
@@ -635,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_parallel_observation_match_scalar() {
+    fn batch_observation_matches_scalar() {
         let updates: Vec<Update> = (0..12_000u64)
             .map(|i| Update {
                 stream: StreamId((i % 4) as u32),
@@ -649,53 +489,59 @@ mod tests {
         }
         let mut batched = Site::new(1, family());
         batched.observe_batch(&updates);
-        let mut parallel = Site::new(1, family());
-        parallel.observe_batch_parallel(&updates, 4);
-        for site in [&batched, &parallel] {
-            for stream in scalar.streams() {
-                let want = scalar.synopsis(stream).unwrap();
-                let got = site.synopsis(stream).unwrap();
-                for (a, b) in want.sketches().iter().zip(got.sketches()) {
-                    assert_eq!(a.counters(), b.counters(), "stream {stream}");
-                }
+        for stream in scalar.streams() {
+            let want = scalar.synopsis(stream).unwrap();
+            let got = batched.synopsis(stream).unwrap();
+            for (a, b) in want.sketches().iter().zip(got.sketches()) {
+                assert_eq!(a.counters(), b.counters(), "stream {stream}");
             }
         }
     }
 
     #[test]
-    fn snapshot_contains_hello_synopses_flush() {
+    fn resync_contains_hello_synopses_commit() {
         let mut site = Site::new(3, family());
         site.observe(&Update::insert(StreamId(0), 1, 1));
         site.observe(&Update::insert(StreamId(5), 2, 1));
-        let frames = site.snapshot_frames().unwrap();
-        assert_eq!(frames.len(), 4); // hello + 2 synopses + flush
+        let _ = site.cut_epoch().unwrap();
+        let frames = site.resync_frames().unwrap();
+        assert_eq!(frames.len(), 4); // hello + 2 synopses + commit
 
         let (kind, hello): (_, Hello) = decode_payload(frames[0].clone()).unwrap();
         assert_eq!(kind, FrameKind::Hello);
         assert_eq!(hello.site, 3);
         assert_eq!(&hello.family, site.family());
-        assert_eq!(hello.resume_epoch, 0);
+        assert_eq!(hello.resume_epoch, 1);
 
         let (kind, syn): (_, SynopsisMessage) = decode_payload(frames[1].clone()).unwrap();
         assert_eq!(kind, FrameKind::Synopsis);
         assert_eq!(syn.stream, StreamId(0));
-        assert_eq!(syn.epoch, 0);
+        assert_eq!(syn.epoch, 1);
 
-        let (kind, site_id): (_, SiteId) = decode_payload(frames[3].clone()).unwrap();
-        assert_eq!(kind, FrameKind::Flush);
-        assert_eq!(site_id, 3);
+        let (kind, commit): (_, EpochCommit) = decode_payload(frames[3].clone()).unwrap();
+        assert_eq!(kind, FrameKind::Commit);
+        assert_eq!(
+            commit,
+            EpochCommit {
+                site: 3,
+                epoch: 1,
+                deltas: 2
+            }
+        );
     }
 
     #[test]
     fn snapshot_is_nondestructive() {
         let mut site = Site::new(1, family());
         site.observe(&Update::insert(StreamId(0), 9, 2));
-        let _ = site.snapshot_frames().unwrap();
+        let _ = site.cut_epoch().unwrap();
+        let _ = site.resync_frames().unwrap();
         site.observe(&Update::insert(StreamId(0), 10, 1));
         assert_eq!(
             site.synopsis(StreamId(0)).unwrap().sketches()[0].total_count(),
             3
         );
+        assert_eq!(site.epoch(), 1, "a resync cuts no epoch");
     }
 
     /// Decode the delta frames of a cut into (stream, message) pairs.
@@ -802,11 +648,11 @@ mod tests {
         }
         let cut = site.cut_epoch().unwrap();
         let owned = SiteCheckpoint {
-            site: site.id,
-            family: site.family,
-            epoch: site.epoch,
+            site: site.id(),
+            family: *site.family(),
+            epoch: site.epoch(),
             streams: site.baselines.iter().map(|(&s, v)| (s, v.clone())).collect(),
-            shipped: site.shipped.iter().map(|(&s, &e)| (s, e)).collect(),
+            shipped: site.writer.shipped.iter().map(|(&s, &e)| (s, e)).collect(),
         };
         let payload = durable::unseal(&cut.checkpoint, DurableKind::SiteCheckpoint).unwrap();
         assert_eq!(payload, codec::to_bytes(&owned).unwrap());
@@ -894,6 +740,25 @@ mod tests {
         let cut = site.cut_epoch().unwrap();
         for frame in &cut.frames {
             assert_eq!(frame[4] & EXT_FLAG, 0, "no-op trace must not emit extensions");
+            assert_eq!(decode_frame_parts(frame.clone()).unwrap().2, None);
+        }
+    }
+
+    #[test]
+    fn traced_resyncs_ship_extension_free_frames() {
+        use crate::wire::{decode_frame_parts, EXT_FLAG};
+        use setstream_obs::RingRecorder;
+        use std::sync::Arc;
+
+        let mut site = Site::new(4, family());
+        site.set_trace(TraceHandle::new(Arc::new(RingRecorder::new(8))));
+        site.observe(&Update::insert(StreamId(0), 1, 1));
+        site.observe(&Update::insert(StreamId(1), 2, 1));
+        let _ = site.cut_epoch().unwrap();
+        let frames = site.resync_frames().unwrap();
+        assert_eq!(frames.len(), 4); // hello + 2 synopses + commit
+        for frame in &frames {
+            assert_eq!(frame[4] & EXT_FLAG, 0, "a site resync carries no context");
             assert_eq!(decode_frame_parts(frame.clone()).unwrap().2, None);
         }
     }

@@ -940,9 +940,9 @@ impl FrameHandler for CoordinatorHandler {
             Message::Delta(d) => (d.site, Some((d.epoch, (d.stream.0, d.seq), None))),
             Message::Synopsis(s) => (s.site, Some((s.epoch, (s.stream.0, u32::MAX), None))),
             Message::Commit(c) => (c.site, Some((c.epoch, (u32::MAX, u32::MAX), Some(c.deltas)))),
-            // Legacy flush markers and stray acks carry no mergeable
-            // payload; acks flowing upstream are a peer bug we ignore.
-            Message::Flush | Message::Ack(_) => return Vec::new(),
+            // Acks flowing upstream carry no mergeable payload; they are
+            // a peer bug we ignore.
+            Message::Ack(_) => return Vec::new(),
         };
         self.sites.insert(conn, site);
 
@@ -1022,7 +1022,7 @@ impl FrameHandler for CoordinatorHandler {
             }
             // Already handled by the early return above; spelled out (no
             // wildcard) so adding a frame kind forces a decision here.
-            FrameKind::Hello | FrameKind::Flush | FrameKind::Ack => Vec::new(),
+            FrameKind::Hello | FrameKind::Ack => Vec::new(),
         }
     }
 
@@ -1321,11 +1321,26 @@ mod tests {
         let mut reader = FrameReader::new(1 << 20);
         reader.extend(b"definitely not a frame at all!!!");
         assert!(matches!(reader.next_frame(), Err(WireError::BadMagic(_))));
+        // The retired kind byte 3 desynchronizes the stream like any
+        // unknown kind, so the server drops the connection.
+        let mut reader = FrameReader::new(1 << 20);
+        reader.extend(&retired_kind_frame());
+        assert_eq!(reader.next_frame(), Err(WireError::BadKind(3)));
+    }
+
+    /// A CRC-valid frame whose kind byte is the retired 3.
+    fn retired_kind_frame() -> Bytes {
+        let mut bytes = encode_frame(FrameKind::Commit, &0u8).unwrap().to_vec();
+        bytes[4] = 3;
+        let end = bytes.len() - 4;
+        let crc = crate::wire::crc32(&bytes[4..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        Bytes::from(bytes)
     }
 
     /// Regression pin for the reply-dispatch match in `on_frame`: the
-    /// kinds with no reply path (Hello binds the connection, Flush is a
-    /// legacy marker, an upstream Ack is a peer bug) must stay silent,
+    /// kinds with no reply path (Hello binds the connection, an upstream
+    /// Ack is a peer bug) and the retired kind byte 3 must stay silent,
     /// while Commit must answer with exactly one Ack. Guards the
     /// explicit no-wildcard arm that replaced `_ => Vec::new()`.
     #[test]
@@ -1334,7 +1349,7 @@ mod tests {
         let coord = Arc::new(Coordinator::new(fam));
         let metrics = Arc::new(TransportMetrics::new());
         let mut handler = CoordinatorHandler::new(
-            coord,
+            Arc::clone(&coord),
             Arc::clone(&metrics),
             ServerRole::Coordinator,
             &quick_opts(),
@@ -1351,11 +1366,14 @@ mod tests {
         .unwrap();
         assert!(handler.on_frame(1, hello).is_empty());
 
-        // Flush and a stray upstream Ack carry no mergeable payload; a
-        // Flush payload is never decoded, and an Ack whose payload does
-        // not decode is a wire failure. Neither gets a reply.
-        let flush = encode_frame(FrameKind::Flush, &0u8).unwrap();
-        assert!(handler.on_frame(1, flush).is_empty());
+        // Kind byte 3 no longer decodes: on a connection bound to site 7
+        // it is that site's wire failure, counted toward quarantine. A
+        // stray upstream Ack carries no mergeable payload, and one whose
+        // payload does not decode is a wire failure too. Neither gets a
+        // reply.
+        assert!(handler.on_frame(1, retired_kind_frame()).is_empty());
+        assert_eq!(coord.site_status(7).unwrap().wire_failures, 1);
+        assert_eq!(coord.metrics().rejections_for("wire"), 1);
         let stray_ack = encode_frame(FrameKind::Ack, &0u8).unwrap();
         assert!(handler.on_frame(1, stray_ack).is_empty());
 

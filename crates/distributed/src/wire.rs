@@ -109,12 +109,10 @@ pub enum FrameKind {
     /// A site announcing itself, its sketch family, and (on restart) the
     /// epoch it resumes from.
     Hello,
-    /// A per-stream **cumulative** synopsis snapshot. Replaces the
-    /// sender's previous contribution for that stream at the coordinator
-    /// (never re-merged), so periodic re-snapshots and resyncs are safe.
+    /// A per-stream **cumulative** synopsis, shipped by a resync.
+    /// Replaces the sender's previous contribution for that stream at the
+    /// coordinator (never re-merged), so repeated resyncs are safe.
     Synopsis,
-    /// End of a snapshot batch.
-    Flush,
     /// A per-stream **delta**: counter changes since the stream's last
     /// shipped epoch. Merged additively, guarded by epoch watermarks.
     Delta,
@@ -131,18 +129,19 @@ impl FrameKind {
         match self {
             FrameKind::Hello => 1,
             FrameKind::Synopsis => 2,
-            FrameKind::Flush => 3,
             FrameKind::Delta => 4,
             FrameKind::Commit => 5,
             FrameKind::Ack => 6,
         }
     }
 
+    /// Byte 3 is retired: it ended the removed one-shot snapshot batch.
+    /// It decodes as an unknown kind, so do not reuse it while older
+    /// peers may still send it.
     fn from_byte(b: u8) -> Result<Self, WireError> {
         match b {
             1 => Ok(FrameKind::Hello),
             2 => Ok(FrameKind::Synopsis),
-            3 => Ok(FrameKind::Flush),
             4 => Ok(FrameKind::Delta),
             5 => Ok(FrameKind::Commit),
             6 => Ok(FrameKind::Ack),
@@ -379,11 +378,8 @@ pub fn decode_payload<T: DeserializeOwned>(frame: Bytes) -> Result<(FrameKind, T
 pub enum Message {
     /// A site announcing itself ([`FrameKind::Hello`]).
     Hello(Hello),
-    /// A cumulative per-stream snapshot ([`FrameKind::Synopsis`]).
+    /// A cumulative per-stream synopsis ([`FrameKind::Synopsis`]).
     Synopsis(SynopsisMessage),
-    /// End of a legacy snapshot batch ([`FrameKind::Flush`]); its payload
-    /// is not interpreted.
-    Flush,
     /// A per-stream epoch delta ([`FrameKind::Delta`]).
     Delta(DeltaMessage),
     /// An epoch commit marker ([`FrameKind::Commit`]).
@@ -398,7 +394,6 @@ impl Message {
         match self {
             Message::Hello(_) => FrameKind::Hello,
             Message::Synopsis(_) => FrameKind::Synopsis,
-            Message::Flush => FrameKind::Flush,
             Message::Delta(_) => FrameKind::Delta,
             Message::Commit(_) => FrameKind::Commit,
             Message::Ack(_) => FrameKind::Ack,
@@ -425,7 +420,6 @@ pub fn decode_message(frame: Bytes) -> Result<DecodedFrame, WireError> {
     let message = match kind {
         FrameKind::Hello => Message::Hello(codec::from_bytes(&payload)?),
         FrameKind::Synopsis => Message::Synopsis(codec::from_bytes(&payload)?),
-        FrameKind::Flush => Message::Flush,
         FrameKind::Delta => Message::Delta(codec::from_bytes(&payload)?),
         FrameKind::Commit => Message::Commit(codec::from_bytes(&payload)?),
         FrameKind::Ack => Message::Ack(codec::from_bytes(&payload)?),
@@ -462,7 +456,6 @@ mod tests {
         for kind in [
             FrameKind::Hello,
             FrameKind::Synopsis,
-            FrameKind::Flush,
             FrameKind::Delta,
             FrameKind::Commit,
             FrameKind::Ack,
@@ -470,6 +463,25 @@ mod tests {
             let frame = encode_frame(kind, &1u8).unwrap();
             let (k, _payload) = decode_frame(frame).unwrap();
             assert_eq!(k, kind);
+        }
+    }
+
+    #[test]
+    fn retired_kind_byte_is_unknown() {
+        // Byte 3 ended the legacy snapshot batch. It is no kind now, with
+        // or without the extension flag; the error reports the raw byte.
+        for (kind_byte, ext) in [(3u8, None), (3 | EXT_FLAG, Some(ctx(1, 2, 3)))] {
+            let frame = encode_frame_traced(FrameKind::Commit, &0u8, ext.as_ref()).unwrap();
+            let mut bytes = frame.to_vec();
+            bytes[4] = kind_byte;
+            let end = bytes.len() - 4;
+            let crc = crc32(&bytes[4..end]);
+            bytes[end..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(frame_size_hint(&bytes), Err(WireError::BadKind(kind_byte)));
+            assert!(matches!(
+                decode_message(Bytes::from(bytes)),
+                Err(WireError::BadKind(k)) if k == kind_byte
+            ));
         }
     }
 

@@ -14,7 +14,6 @@ use setstream_expr::intern::NodeId;
 use setstream_expr::{SetExpr, SubscribeError};
 use setstream_hash::clock;
 use setstream_obs::{TraceContext, TraceHandle};
-use setstream_stream::cdc::CdcEvent;
 use setstream_stream::{StreamId, Update};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -180,22 +179,6 @@ impl StreamEngine {
             self.deletions += 1;
             self.metrics.ingest_deletions.inc();
         }
-    }
-
-    /// Ingest a CDC row event, decomposing row `UPDATE`s into
-    /// delete+insert pairs (the pg-stream U → D+I split) so OLTP change
-    /// feeds drive the synopses natively. See
-    /// [`setstream_stream::cdc`].
-    pub fn process_cdc(&mut self, event: &CdcEvent) {
-        for update in event.decompose() {
-            self.process(&update);
-        }
-    }
-
-    /// Ingest a batch of CDC row events via the batch update path.
-    pub fn process_cdc_batch<'a>(&mut self, events: impl IntoIterator<Item = &'a CdcEvent>) {
-        let updates: Vec<Update> = events.into_iter().flat_map(CdcEvent::decompose).collect();
-        self.process_batch(updates.iter());
     }
 
     /// Process a batch of updates.

@@ -149,19 +149,6 @@ impl ShardedIngestor {
         let _ = self.ingest_into(&mut v, updates);
         v
     }
-
-    /// Build one synopsis per stream appearing in the slice.
-    ///
-    /// Updates are grouped by stream once, then each group runs the same
-    /// staged pipeline as [`ingest_into`](Self::ingest_into), so the
-    /// output is identical to routing every update through its stream's
-    /// synopsis one at a time.
-    pub fn ingest_streams(&self, updates: &[Update]) -> BTreeMap<StreamId, SketchVector> {
-        group_by_stream(updates)
-            .into_iter()
-            .map(|(stream, group)| (stream, self.ingest_vector(&group)))
-            .collect()
-    }
 }
 
 /// Partition a slice of updates by stream id, preserving arrival order
@@ -243,22 +230,6 @@ mod tests {
         let mut par = family().new_vector();
         let got = ShardedIngestor::new(family(), 3).ingest_into(&mut par, &updates);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn parallel_streams_match_sequential_routing() {
-        let updates = workload(10_000);
-        let by_stream = ShardedIngestor::new(family(), 4).ingest_streams(&updates);
-        assert_eq!(by_stream.len(), 3);
-        for (stream, got) in &by_stream {
-            let mut want = family().new_vector();
-            for u in updates.iter().filter(|u| u.stream == *stream) {
-                want.process(u);
-            }
-            for (a, b) in want.sketches().iter().zip(got.sketches()) {
-                assert_eq!(a.counters(), b.counters(), "stream {stream}");
-            }
-        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! once per round. Each epoch, [`crate::StreamEngine::publish_epoch`]:
 //!
 //! 1. drains the set of atomic streams that changed since the last epoch
-//!    (fed by the ingest paths, CDC adapters, and distributed delta
-//!    frames),
+//!    (fed by the ingest paths and distributed delta frames),
 //! 2. dirty-propagates from those streams' leaves up the DAG
 //!    ([`ExprDag::taint`]),
 //! 3. re-estimates only the tainted subscription roots, serving every

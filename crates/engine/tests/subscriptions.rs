@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use setstream_core::SketchFamily;
 use setstream_engine::{ChangeCause, StreamEngine, SubscriptionOptions, Tolerance};
 use setstream_expr::SetExpr;
-use setstream_stream::{CdcEvent, StreamId, Update};
+use setstream_stream::{StreamId, Update};
 
 fn family(copies: usize, seed: u64) -> SketchFamily {
     SketchFamily::builder()
@@ -241,46 +241,52 @@ fn unsubscribe_silences_only_that_subscription() {
     assert!(engine.unsubscribe(drop).is_err());
 }
 
-/// CDC ingestion drives subscriptions: an update event decomposes into
-/// delete+insert, lands in the dirty set, and the next epoch notifies.
+/// Row-change batches drive subscriptions: a row update is a delete plus
+/// an insert, lands in the dirty set, and the next epoch notifies.
 #[test]
 fn cdc_events_feed_the_dirty_set() {
     let mut engine = StreamEngine::new(family(32, 17));
     let sub = engine
         .subscribe("A".parse::<SetExpr>().unwrap(), SubscriptionOptions::default())
         .unwrap();
-    let inserts: Vec<CdcEvent> = (0..800u64)
-        .map(|e| CdcEvent::insert(StreamId(0), e))
+    let inserts: Vec<Update> = (0..800u64)
+        .map(|e| Update::insert(StreamId(0), e, 1))
         .collect();
-    engine.process_cdc_batch(&inserts);
+    engine.process_batch(&inserts);
     let initial = engine.publish_epoch();
     assert_eq!(initial.len(), 1);
     let before = initial[0].new;
 
-    // A no-op update (old == new) decomposes to nothing: no taint, no
-    // notification, no re-estimation.
+    // An empty batch (a no-op row update): no taint, no notification, no
+    // re-estimation.
     let evaluated = engine.subscription_metrics().nodes_evaluated.get();
-    engine.process_cdc(&CdcEvent::update(StreamId(0), 5, 5));
+    let empty: [Update; 0] = [];
+    engine.process_batch(&empty);
     assert!(engine.publish_epoch().is_empty());
     assert_eq!(engine.subscription_metrics().nodes_evaluated.get(), evaluated);
 
-    // A real update replaces elements 0..200 with fresh ones → the set
+    // Row updates replace elements 0..200 with fresh ones → the set
     // keeps its size but churns; deletes alone shrink it.
-    let churn: Vec<CdcEvent> = (0..200u64)
-        .map(|e| CdcEvent::update(StreamId(0), e, e + 10_000))
+    let churn: Vec<Update> = (0..200u64)
+        .flat_map(|e| {
+            [
+                Update::delete(StreamId(0), e, 1),
+                Update::insert(StreamId(0), e + 10_000, 1),
+            ]
+        })
         .collect();
-    engine.process_cdc_batch(&churn);
+    engine.process_batch(&churn);
     let _ = engine.publish_epoch();
-    let deletes: Vec<CdcEvent> = (200..800u64)
-        .map(|e| CdcEvent::delete(StreamId(0), e))
+    let deletes: Vec<Update> = (200..800u64)
+        .map(|e| Update::delete(StreamId(0), e, 1))
         .collect();
-    engine.process_cdc_batch(&deletes);
+    engine.process_batch(&deletes);
     let events = engine.publish_epoch();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].sub_id, sub);
     assert!(
         events[0].new < before,
-        "600 CDC deletes must shrink |A|: {} vs {}",
+        "600 row deletes must shrink |A|: {} vs {}",
         events[0].new,
         before
     );

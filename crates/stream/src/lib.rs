@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod cdc;
 pub mod exact;
 pub mod gen;
 pub mod multiset;
@@ -41,6 +40,5 @@ pub mod source;
 pub mod trace;
 pub mod update;
 
-pub use cdc::{decompose_batch, CdcEvent, CdcOp};
 pub use multiset::{Multiset, StreamSet};
 pub use update::{Element, StreamError, StreamId, Update};

@@ -62,8 +62,8 @@ fn distributed_equals_centralized_exactly() {
         }
     }
     let coord = Coordinator::new(fam);
-    for site in &sites {
-        for frame in site.snapshot_frames().unwrap() {
+    for site in &mut sites {
+        for frame in site.cut_epoch().unwrap().frames {
             coord.ingest_frame(&frame).unwrap();
         }
     }
@@ -111,8 +111,8 @@ fn frames_survive_reordering_and_duplication_is_detected_by_value() {
         }
     }
     let mut frames: Vec<Bytes> = Vec::new();
-    for site in &sites {
-        frames.extend(site.snapshot_frames().unwrap());
+    for site in &mut sites {
+        frames.extend(site.cut_epoch().unwrap().frames);
     }
 
     let forward = Coordinator::new(fam);
@@ -137,26 +137,26 @@ fn corrupted_and_truncated_frames_never_reach_the_merger() {
     for e in 0..200u64 {
         site.observe(&Update::insert(StreamId(0), e, 1));
     }
-    let frames = site.snapshot_frames().unwrap();
+    let frames = site.cut_epoch().unwrap().frames;
     let coord = Coordinator::new(fam);
 
-    // Bit flips across the synopsis frame.
-    let synopsis = &frames[1];
+    // Bit flips across the delta frame.
+    let delta = &frames[1];
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..32 {
-        let mut bad = synopsis.to_vec();
+        let mut bad = delta.to_vec();
         let i = rng.gen_range(0..bad.len());
         bad[i] ^= 1 << rng.gen_range(0..8);
         assert!(coord.ingest_frame(&Bytes::from(bad)).is_err());
     }
     // Truncations.
-    for cut in [0, 5, synopsis.len() / 2, synopsis.len() - 1] {
-        assert!(coord.ingest_frame(&synopsis.slice(..cut)).is_err());
+    for cut in [0, 5, delta.len() / 2, delta.len() - 1] {
+        assert!(coord.ingest_frame(&delta.slice(..cut)).is_err());
     }
     // Nothing was merged.
     assert!(coord.streams().is_empty());
     // The pristine frame still works afterwards.
-    coord.ingest_frame(synopsis).unwrap();
+    coord.ingest_frame(delta).unwrap();
     assert_eq!(coord.streams(), vec![StreamId(0)]);
 }
 
@@ -173,27 +173,27 @@ fn wire_overhead_is_small() {
 fn late_site_with_wrong_coins_is_quarantined() {
     let fam = family();
     let coord = Coordinator::new(fam);
-    let good = {
+    let mut good = {
         let mut s = Site::new(1, fam);
         s.observe(&Update::insert(StreamId(0), 7, 1));
         s
     };
-    let bad = {
+    let mut bad = {
         let other = SketchFamily::builder().copies(128).second_level(16).seed(1).build();
         let mut s = Site::new(2, other);
         s.observe(&Update::insert(StreamId(0), 7, 1));
         s
     };
-    for f in good.snapshot_frames().unwrap() {
+    for f in good.cut_epoch().unwrap().frames {
         coord.ingest_frame(&f).unwrap();
     }
     let mut rejections = 0;
-    for f in bad.snapshot_frames().unwrap() {
+    for f in bad.cut_epoch().unwrap().frames {
         if coord.ingest_frame(&f).is_err() {
             rejections += 1;
         }
     }
-    assert!(rejections >= 2, "hello and synopsis frames must be rejected");
+    assert!(rejections >= 2, "hello and delta frames must be rejected");
     assert_eq!(coord.sites(), vec![1]);
 }
 

@@ -101,7 +101,7 @@ fn quarantined_site_raises_stale_sites_alarm_until_released() {
     let coordinator = Coordinator::new(family).with_quarantine_after(1);
     let mut site = Site::new(7, family);
     site.observe(&Update::insert(StreamId(0), 1, 1));
-    let frames = site.snapshot_frames().expect("snapshot");
+    let frames = site.cut_epoch().expect("epoch cut").frames;
     for f in &frames {
         coordinator.ingest_frame(f).expect("clean frames land");
     }
