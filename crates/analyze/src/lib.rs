@@ -114,12 +114,12 @@ impl Config {
             cell_modules: vec!["crates/core/src/sketch/two_level.rs".to_string()],
             feature_dispatch_fns: vec!["backend".to_string()],
             hot_roots: [
-                ("crates/hash/src/simd.rs", "accumulate_uniform"),
-                ("crates/hash/src/simd.rs", "accumulate_weighted"),
+                ("crates/hash/src/simd.rs", "affine_uniform"),
+                ("crates/hash/src/simd.rs", "affine_weighted"),
                 ("crates/hash/src/simd.rs", "horner_many"),
                 ("crates/core/src/sketch/two_level.rs", "update"),
                 ("crates/core/src/sketch/two_level.rs", "update_batch"),
-                ("crates/core/src/sketch/two_level.rs", "update_chunk_prepared"),
+                ("crates/core/src/sketch/two_level.rs", "update_chunk"),
                 ("crates/core/src/sketch/two_level.rs", "apply_prepared"),
                 ("crates/engine/src/runqueue.rs", "publish"),
                 ("crates/engine/src/runqueue.rs", "wait"),

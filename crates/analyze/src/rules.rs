@@ -136,7 +136,7 @@ fn rule_a02_field(files: &[AnalyzedFile], out: &mut Vec<Diagnostic>) {
                     line,
                     "raw mod-p61 field arithmetic (Mersenne-prime 2^61-1 constant) outside \
                      `setstream-hash`'s field module — call `setstream_hash::field`'s audited \
-                     routines (P, reduce64/reduce128, mul_add_lazy, parity128) instead; \
+                     routines (P, reduce64/reduce128, mul_add_lazy) instead; \
                      escape hatch: // analyze: allow(field) — <reason>"
                         .to_string(),
                     out,

@@ -40,8 +40,9 @@ pub struct FnSym {
     pub body_end: usize,
     /// `::`-joined enclosing module path within the file (may be empty).
     pub module_path: String,
-    /// Self type of the enclosing `impl` block, if any (`ParityBank` for a
-    /// fn inside `impl ParityBank { .. }` or `impl Trait for ParityBank`).
+    /// Self type of the enclosing `impl` block, if any
+    /// (`PairwiseHashBank` for a fn inside `impl PairwiseHashBank { .. }`
+    /// or `impl Trait for PairwiseHashBank`).
     /// Qualified calls `Type::name(..)` only resolve to fns whose
     /// `impl_type` matches the qualifier.
     pub impl_type: Option<String>,

@@ -13,6 +13,8 @@
 //! cargo run --release -p setstream-bench --bin ingest_bench -- --out results/BENCH_ingest.json
 //! ```
 
+use setstream_bench::host::write_json;
+use setstream_bench::PAPER_S;
 use setstream_core::{SketchFamily, SketchVector};
 use setstream_distributed::{Coordinator, Site};
 use setstream_engine::{QualityConfig, QualityMonitor, ShardedIngestor, StreamEngine};
@@ -21,8 +23,6 @@ use setstream_stream::{StreamId, Update};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-const PAPER_S: u32 = 32;
 
 struct Args {
     quick: bool,
@@ -103,21 +103,68 @@ fn family(r: usize) -> SketchFamily {
     SketchFamily::builder().copies(r).second_level(PAPER_S).seed(1).build()
 }
 
+/// Wall-clock seconds `f` takes. Its result passes through `black_box`
+/// after the clock stops, defeating dead-code elimination (mixed50 nets
+/// to zero counts, so an emptiness check would reject that shape) without
+/// timing the result's drop.
+fn secs<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    let out = f();
+    let dt = t.elapsed().as_secs_f64();
+    std::hint::black_box(out);
+    dt
+}
+
 /// Best-of-`reps` wall-clock nanoseconds per update for `f` applied to the
 /// whole slice (minimum filters scheduler noise; each rep re-runs the
 /// full ingestion).
 fn time_ns_per_update(updates: &[Update], reps: usize, mut f: impl FnMut(&[Update]) -> SketchVector) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let v = f(updates);
-        let dt = t.elapsed().as_secs_f64();
-        // Defeat dead-code elimination (mixed50 nets to zero counts, so
-        // an emptiness check would reject that shape).
-        std::hint::black_box(&v);
-        best = best.min(dt * 1e9 / updates.len() as f64);
+    (0..reps).map(|_| secs(|| f(updates))).fold(f64::INFINITY, f64::min) * 1e9 / updates.len() as f64
+}
+
+/// Quantile `q` of `xs` (nearest rank).
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[(q * (sorted.len() - 1) as f64).round() as usize]
+}
+
+/// Time side `a` against side `b` over `n` updates as `pairs` interleaved
+/// pairs, each closure returning the seconds one rep took. The sides
+/// alternate rep by rep and swap which runs first every pair, so host
+/// drift lands on both alike, and each ratio `b / a` compares two
+/// neighbouring reps. Prints the result under `label` and returns the
+/// ratios' quartiles `[q1, median, q3]` (the gate reads the median) with
+/// the JSON fields of the result row, the sides named `na` and `nb`.
+fn paired(label: &str, [na, nb]: [&str; 2], pairs: usize, n: usize,
+    mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> ([f64; 3], String) {
+    let mut t = [Vec::new(), Vec::new()];
+    for i in 0..pairs {
+        for side in [i % 2, 1 - i % 2] {
+            t[side].push(if side == 0 { a() } else { b() });
+        }
     }
-    best
+    let ratios: Vec<f64> = t[1].iter().zip(&t[0]).map(|(y, x)| y / x).collect();
+    let [a_ns, b_ns] = t.map(|t| quantile(&t, 0.5) * 1e9 / n as f64);
+    let [q1, median, q3] = [0.25, 0.5, 0.75].map(|q| quantile(&ratios, q));
+    println!("  {label}: {na} {a_ns:.1} ns/update   {nb} {b_ns:.1} ns/update   ratio {median:.3}x [{q1:.3}, {q3:.3}]");
+    let fields = format!(
+        "\"pairs\":{pairs},\"{na}_ns_per_update\":{a_ns:.1},\"{nb}_ns_per_update\":{b_ns:.1},\
+         \"overhead\":{median:.3},\"overhead_q1\":{q1:.3},\"overhead_q3\":{q3:.3}"
+    );
+    ([q1, median, q3], fields)
+}
+
+/// Seconds one engine ingest of `updates` takes, plus whatever `after`
+/// adds inside the timed region.
+fn engine_secs(r: usize, updates: &[Update], after: impl FnOnce()) -> f64 {
+    let mut engine = StreamEngine::new(family(r));
+    let dt = secs(|| {
+        engine.process_batch(updates);
+        after()
+    });
+    assert!(engine.stats().updates > 0, "engine must have ingested");
+    dt
 }
 
 fn main() {
@@ -127,15 +174,15 @@ fn main() {
     } else {
         (20_000, 131_072, 3)
     };
-    // The overhead ratios (metrics, quality, tracing) gate at ≤5% in
-    // tier1.sh, so they need enough work per timing for the ratio to be
-    // signal rather than scheduler noise: at 2k updates the quick ratios
-    // routinely landed below 1.0. They get their own larger sample and
-    // more min-of-N reps than the throughput sweeps.
-    let (n_obs, obs_reps) = if args.quick {
-        (20_000usize, 5usize)
+    // The overhead ratios (metrics, quality, tracing) gate in tier1.sh,
+    // so they need enough work per timing for the ratio to be signal
+    // rather than scheduler noise: at 2k updates the quick ratios
+    // routinely landed below 1.0. They get their own larger sample, timed
+    // as interleaved pairs (see `paired`).
+    let (n_obs, obs_pairs) = if args.quick {
+        (20_000usize, 9usize)
     } else {
-        (60_000, 7)
+        (60_000, 15)
     };
 
     let mut rows = String::new();
@@ -215,32 +262,21 @@ fn main() {
     // price of leaving metrics on; the budget is 5% (see tier1.sh).
     let r_obs = 512usize;
     let updates = workload(n_obs, Shape::InsertOnly);
-    let raw = time_ns_per_update(&updates, obs_reps, |us| {
-        let mut v = family(r_obs).new_vector();
-        v.update_batch(us);
-        v
-    });
-    let engine_ns = {
-        let mut best = f64::INFINITY;
-        for _ in 0..obs_reps {
-            let mut engine = StreamEngine::new(family(r_obs));
-            let t = Instant::now();
-            engine.process_batch(&updates);
-            let dt = t.elapsed().as_secs_f64();
-            assert!(engine.stats().updates > 0, "engine must have ingested");
-            best = best.min(dt * 1e9 / updates.len() as f64);
-        }
-        best
-    };
-    let metrics_overhead = engine_ns / raw;
-    println!(
-        "  metrics overhead r={r_obs}: raw {raw:.1} ns/update   engine(metrics on) {engine_ns:.1} ns/update   ratio {metrics_overhead:.3}x"
+    let ([metrics_q1, metrics_overhead, metrics_q3], fields) = paired(
+        &format!("metrics overhead r={r_obs}"),
+        ["raw", "engine"],
+        obs_pairs,
+        updates.len(),
+        || secs(|| {
+            let mut v = family(r_obs).new_vector();
+            v.update_batch(&updates);
+            v
+        }),
+        || engine_secs(r_obs, &updates, || ()),
     );
     let _ = write!(
         rows,
-        ",\n    {{\"mode\":\"metrics_overhead\",\"r\":{r_obs},\"s\":{PAPER_S},\"updates\":{n_obs},\
-         \"raw_ns_per_update\":{raw:.1},\"engine_ns_per_update\":{engine_ns:.1},\
-         \"overhead\":{metrics_overhead:.3}}}"
+        ",\n    {{\"mode\":\"metrics_overhead\",\"r\":{r_obs},\"s\":{PAPER_S},\"updates\":{n_obs},{fields}}}"
     );
 
     let json = format!(
@@ -249,15 +285,13 @@ fn main() {
          \"speedup_batch_mixed10_r512\": {speedup_mixed10_r512:.3},\n  \
          \"speedup_batch_mixed50_r512\": {speedup_mixed50_r512:.3},\n  \
          \"parallel_scaling_4t\": {scaling_4t:.3},\n  \
-         \"metrics_overhead\": {metrics_overhead:.3},\n  \"results\": [\n    {rows}\n  ]\n}}\n",
+         \"metrics_overhead\": {metrics_overhead:.3},\n  \
+         \"metrics_overhead_quartiles\": [{metrics_q1:.3}, {metrics_q3:.3}],\n  \
+         \"results\": [\n    {rows}\n  ]\n}}\n",
         args.quick,
         setstream_bench::host::host_json()
     );
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", args.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", args.out);
+    write_json(&args.out, &json);
 
     // Quality-plane overhead: the instrumented engine path alone vs the
     // same path with a QualityMonitor shadow-sampling the batch. Rate 0.0
@@ -265,43 +299,25 @@ fn main() {
     // operating point (hash + ~1% shadow multiset maintenance) and is the
     // number tier1.sh gates at ≤5% (+ quick-bench noise margin).
     let mut obs_rows = String::new();
-    let mut quality_overhead = 0.0;
-    for rate in [0.0f64, 0.01] {
-        let monitor = QualityMonitor::new(QualityConfig {
-            sampling_rate: rate,
-            ..QualityConfig::default()
-        })
-        .expect("valid bench config");
-        let monitored_ns = {
-            let mut best = f64::INFINITY;
-            for _ in 0..obs_reps {
-                let mut engine = StreamEngine::new(family(r_obs));
-                let t = Instant::now();
-                engine.process_batch(&updates);
-                monitor.observe_batch(&updates);
-                let dt = t.elapsed().as_secs_f64();
-                assert!(engine.stats().updates > 0, "engine must have ingested");
-                best = best.min(dt * 1e9 / updates.len() as f64);
-            }
-            best
-        };
-        let overhead = monitored_ns / engine_ns;
-        if rate > 0.0 {
-            quality_overhead = overhead;
-        }
-        println!(
-            "  quality overhead rate={rate}: engine {engine_ns:.1} ns/update   +monitor {monitored_ns:.1} ns/update   ratio {overhead:.3}x"
+    let [_, quality] = [0.0f64, 0.01].map(|rate| {
+        let config = QualityConfig { sampling_rate: rate, ..QualityConfig::default() };
+        let monitor = QualityMonitor::new(config).expect("valid bench config");
+        let (ratio, fields) = paired(
+            &format!("quality overhead rate={rate}"),
+            ["engine", "engine_plus_monitor"],
+            obs_pairs,
+            updates.len(),
+            || engine_secs(r_obs, &updates, || ()),
+            || engine_secs(r_obs, &updates, || monitor.observe_batch(&updates)),
         );
         let _ = write!(
             obs_rows,
             "{}{{\"mode\":\"quality_overhead\",\"sampling_rate\":{rate},\"r\":{r_obs},\
-             \"s\":{PAPER_S},\"updates\":{n_obs},\
-             \"engine_ns_per_update\":{engine_ns:.1},\
-             \"engine_plus_monitor_ns_per_update\":{monitored_ns:.1},\
-             \"overhead\":{overhead:.3}}}",
+             \"s\":{PAPER_S},\"updates\":{n_obs},{fields}}}",
             if obs_rows.is_empty() { "" } else { ",\n    " }
         );
-    }
+        ratio
+    });
     // Tracing & lineage overhead: a continuous-collection cycle —
     // observe a 512-update slice, cut an epoch (Hello/Delta/Commit
     // frames), ingest them at a coordinator — run with a noop
@@ -313,14 +329,11 @@ fn main() {
     // default) — at r = 512 a first-epoch delta overflows the frame cap.
     const EPOCH_LEN: usize = 512;
     let r_cycle = 64usize;
-    let cycle_ns = |trace: &TraceHandle| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..obs_reps {
-            let mut site = Site::new(1, family(r_cycle));
-            site.set_trace(trace.clone());
-            let coordinator =
-                Coordinator::new(family(r_cycle)).with_trace(trace.clone(), "coordinator");
-            let t = Instant::now();
+    let cycle_secs = |trace: &TraceHandle| -> f64 {
+        let mut site = Site::new(1, family(r_cycle));
+        site.set_trace(trace.clone());
+        let coordinator = Coordinator::new(family(r_cycle)).with_trace(trace.clone(), "coordinator");
+        secs(|| {
             for slice in updates.chunks(EPOCH_LEN) {
                 site.observe_batch(slice);
                 let cut = site.cut_epoch().expect("epoch cut");
@@ -328,37 +341,33 @@ fn main() {
                     coordinator.ingest_frame(frame).expect("coordinator ingest");
                 }
             }
-            let dt = t.elapsed().as_secs_f64();
-            std::hint::black_box(&coordinator);
-            best = best.min(dt * 1e9 / updates.len() as f64);
-        }
-        best
+        })
     };
-    let noop_ns = cycle_ns(&TraceHandle::noop());
     let recording = TraceHandle::new(Arc::new(RingRecorder::new(4096)));
-    let traced_ns = cycle_ns(&recording);
-    let tracing_overhead = traced_ns / noop_ns;
-    println!(
-        "  tracing overhead r={r_cycle} epoch={EPOCH_LEN}: noop {noop_ns:.1} ns/update   traced {traced_ns:.1} ns/update   ratio {tracing_overhead:.3}x"
+    let ([tracing_q1, tracing_overhead, tracing_q3], fields) = paired(
+        &format!("tracing overhead r={r_cycle} epoch={EPOCH_LEN}"),
+        ["noop", "traced"],
+        obs_pairs,
+        updates.len(),
+        || cycle_secs(&TraceHandle::noop()),
+        || cycle_secs(&recording),
     );
     let _ = write!(
         obs_rows,
         ",\n    {{\"mode\":\"tracing_overhead\",\"r\":{r_cycle},\"s\":{PAPER_S},\"updates\":{n_obs},\
-         \"epoch_len\":{EPOCH_LEN},\
-         \"noop_ns_per_update\":{noop_ns:.1},\"traced_ns_per_update\":{traced_ns:.1},\
-         \"overhead\":{tracing_overhead:.3}}}"
+         \"epoch_len\":{EPOCH_LEN},{fields}}}"
     );
 
+    let [quality_q1, quality_overhead, quality_q3] = quality;
     let obs_json = format!(
         "{{\n  \"bench\": \"obs\",\n  \"quick\": {},\n  \"host\": {},\n  \
          \"quality_overhead\": {quality_overhead:.3},\n  \
-         \"tracing_overhead\": {tracing_overhead:.3},\n  \"results\": [\n    {obs_rows}\n  ]\n}}\n",
+         \"quality_overhead_quartiles\": [{quality_q1:.3}, {quality_q3:.3}],\n  \
+         \"tracing_overhead\": {tracing_overhead:.3},\n  \
+         \"tracing_overhead_quartiles\": [{tracing_q1:.3}, {tracing_q3:.3}],\n  \
+         \"results\": [\n    {obs_rows}\n  ]\n}}\n",
         args.quick,
         setstream_bench::host::host_json()
     );
-    std::fs::write(&args.obs_out, &obs_json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", args.obs_out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", args.obs_out);
+    write_json(&args.obs_out, &obs_json);
 }

@@ -188,9 +188,5 @@ fn main() {
         args.quick,
         setstream_bench::host::host_json()
     );
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", args.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", args.out);
+    setstream_bench::host::write_json(&args.out, &json);
 }

@@ -38,3 +38,13 @@ pub fn git_rev() -> String {
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
 }
+
+/// Write a `BENCH_*.json` document to `path` and say so, exiting with
+/// status 1 if it cannot be written.
+pub fn write_json(path: &str, json: &str) {
+    std::fs::write(path, json).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+    println!("wrote {path}");
+}

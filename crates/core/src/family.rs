@@ -14,7 +14,7 @@ use crate::sketch::two_level::{SketchSeed, BATCH_CHUNK};
 use crate::sketch::TwoLevelSketch;
 use serde::de::{self, DeserializeSeed, SeqAccess, Visitor};
 use serde::{Deserialize, Deserializer, Serialize};
-use setstream_hash::{field, SeedSequence};
+use setstream_hash::SeedSequence;
 use setstream_stream::{Element, Update};
 use std::fmt;
 
@@ -61,32 +61,25 @@ impl IngestStats {
 /// A batch of updates unpacked **once** into structure-of-arrays form,
 /// shareable across sketch copies and parallel shards.
 ///
-/// The ingest pipeline's hash/partition stage: raw elements, their
-/// canonical field representatives (`reduce64(e)`, the second-level
-/// kernel's input), and the signed deltas, in parallel arrays. All of it
-/// is copy-independent — every one of the `r` sketch copies (and every
-/// shard of a parallel ingest) consumes the same prepared arrays, so the
-/// per-element unpack and field reduction are paid once per batch instead
-/// of once per copy.
+/// The ingest pipeline's unpack stage: raw elements and signed deltas in
+/// parallel arrays, plus the batch's ingest stats. All of it is
+/// copy-independent — every one of the `r` sketch copies (and every shard
+/// of a parallel ingest) consumes the same prepared arrays, so the
+/// per-update unpack is paid once per batch instead of once per copy.
 #[derive(Debug, Clone)]
 pub struct PreparedBatch {
     elems: Vec<u64>,
-    xrs: Vec<u64>,
     deltas: Vec<i64>,
     stats: IngestStats,
 }
 
 impl PreparedBatch {
-    /// Unpack and reduce a batch (stream ids are ignored, as in
+    /// Unpack a batch (stream ids are ignored, as in
     /// [`SketchVector::update_batch`]).
     pub fn from_updates(updates: &[Update]) -> Self {
-        let elems: Vec<u64> = updates.iter().map(|u| u.element).collect();
-        let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
-        let deltas: Vec<i64> = updates.iter().map(|u| u.delta).collect();
         PreparedBatch {
-            elems,
-            xrs,
-            deltas,
+            elems: updates.iter().map(|u| u.element).collect(),
+            deltas: updates.iter().map(|u| u.delta).collect(),
             stats: IngestStats::for_batch(updates),
         }
     }
@@ -112,7 +105,7 @@ impl PreparedBatch {
 /// stage of the ingest pipeline, allocation-free.
 fn apply_prepared_to(sketches: &mut [TwoLevelSketch], batch: &PreparedBatch) {
     for sk in sketches.iter_mut() {
-        sk.apply_prepared(&batch.elems, &batch.xrs, &batch.deltas);
+        sk.apply_prepared(&batch.elems, &batch.deltas);
     }
 }
 
@@ -354,7 +347,7 @@ impl SketchVector {
     }
 
     /// Apply an already-prepared batch to every copy (the batch-prepare
-    /// work — struct unpack, field reductions, stats — was paid by
+    /// work — struct unpack and stats — was paid by
     /// [`PreparedBatch::from_updates`], possibly on another thread or
     /// shared with other vectors). Bit-for-bit identical to
     /// [`Self::update_batch`] over the source updates.

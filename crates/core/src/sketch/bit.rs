@@ -14,7 +14,7 @@ use crate::config::SketchConfig;
 use crate::error::EstimateError;
 use serde::{Deserialize, Serialize};
 use super::coins;
-use setstream_hash::{bucket_of, AnyHash, Hash64, PairwiseHash};
+use setstream_hash::{bucket_of, AnyHash, Hash64, PairwiseHashBank};
 use setstream_stream::Element;
 
 /// Insert-only 2-level hash sketch with one bit per cell.
@@ -28,7 +28,7 @@ pub struct BitSketch {
     config: SketchConfig,
     seed: u64,
     first: AnyHash,
-    second: Vec<PairwiseHash>,
+    second: PairwiseHashBank,
     /// Packed bits, cell order identical to the counter sketch.
     words: Box<[u64]>,
 }
@@ -38,7 +38,7 @@ impl BitSketch {
     pub fn new(config: SketchConfig, seed: u64) -> Self {
         config.validate();
         let first = coins::first_hash(&config, seed);
-        let second = coins::second_hashes(&config, seed);
+        let second = coins::second_bank(&config, seed);
         let n_bits = config.n_counters();
         BitSketch {
             config,
@@ -59,20 +59,10 @@ impl BitSketch {
         self.seed
     }
 
-    #[inline]
-    fn bit_index(&self, level: u32, j: u32, b: usize) -> usize {
-        ((level * self.config.second_level + j) as usize) << 1 | b
-    }
-
-    #[inline]
-    fn set_bit(&mut self, idx: usize) {
-        self.words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
     /// Value of cell `(level, j, bit)` — `true` if any element has hit it.
     #[inline]
     pub fn cell(&self, level: u32, j: u32, bit: usize) -> bool {
-        let idx = self.bit_index(level, j, bit);
+        let idx = bit_index(&self.config, level, j, bit);
         self.words[idx / 64] >> (idx % 64) & 1 == 1
     }
 
@@ -91,10 +81,9 @@ impl BitSketch {
     /// Insert one occurrence of `e`. (Multiplicity is irrelevant for bits.)
     pub fn insert(&mut self, e: Element) {
         let level = self.bucket_of(e);
-        for j in 0..self.config.second_level {
-            let bit = self.second[j as usize].hash_bit(e);
-            let idx = self.bit_index(level, j, bit);
-            self.set_bit(idx);
+        for (j, bit) in self.second.bits(e).enumerate() {
+            let idx = bit_index(&self.config, level, j as u32, bit);
+            self.words[idx / 64] |= 1u64 << (idx % 64);
         }
     }
 
@@ -142,6 +131,12 @@ impl BitSketch {
     pub fn storage_bytes(&self) -> usize {
         self.words.len() * 8
     }
+}
+
+/// Bit position of cell `(level, j, b)`: the counter sketch's cell order.
+#[inline]
+fn bit_index(config: &SketchConfig, level: u32, j: u32, b: usize) -> usize {
+    ((level * config.second_level + j) as usize) << 1 | b
 }
 
 #[derive(Serialize, Deserialize)]

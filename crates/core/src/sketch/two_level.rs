@@ -10,7 +10,7 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use super::coins;
 use setstream_hash::{
-    bucket_of, field, hash_many, positive_bits, prefetch, AnyHash, Hash64, PairwiseHashBank,
+    bucket_of, hash_many, positive_bits, prefetch, AnyHash, Hash64, PairwiseHashBank,
 };
 use setstream_stream::{Element, Update};
 
@@ -66,8 +66,8 @@ pub struct TwoLevelSketch {
     seed: u64,
     first: AnyHash,
     /// The `s` second-level functions, coefficients stored contiguously
-    /// (structure-of-arrays) so one element's bits come from one tight
-    /// multiply-add loop.
+    /// (structure-of-arrays) so a group's bits come from one tight
+    /// AND-and-POPCNT loop per function.
     second: PairwiseHashBank,
     /// Row-major `[level][j][bit]` counters.
     counters: Box<[i64]>,
@@ -93,7 +93,7 @@ impl TwoLevelSketch {
     pub fn new(config: SketchConfig, seed: u64) -> Self {
         config.validate();
         let first = coins::first_hash(&config, seed);
-        let second = PairwiseHashBank::from_functions(&coins::second_hashes(&config, seed));
+        let second = coins::second_bank(&config, seed);
         let sign_words = config.levels as usize * sign_width(&config);
         TwoLevelSketch {
             config,
@@ -262,7 +262,7 @@ impl TwoLevelSketch {
         // overlaps the kernel instead of stalling the refresh's store.
         prefetch(&self.sign_words(level)[0]);
         let row = &mut self.counters[base..base + 2 * s];
-        self.second.accumulate_group_uniform(&[field::reduce64(e)], delta, row);
+        self.second.accumulate_group_uniform(&[e], delta, row);
         self.total = self.total.wrapping_add(delta);
         self.refresh_rows(1 << level);
     }
@@ -293,30 +293,27 @@ impl TwoLevelSketch {
             return;
         }
         let mut elems = [0u64; BATCH_CHUNK];
-        let mut xrs = [0u64; BATCH_CHUNK];
         let mut deltas = [0i64; BATCH_CHUNK];
         let mut touched = 0u64;
         for chunk in updates.chunks(BATCH_CHUNK) {
             let n = chunk.len();
             for (i, u) in chunk.iter().enumerate() {
                 elems[i] = u.element;
-                xrs[i] = field::reduce64(u.element);
                 deltas[i] = u.delta;
             }
-            touched |= self.update_chunk_prepared(&elems[..n], &xrs[..n], &deltas[..n]);
+            touched |= self.update_chunk(&elems[..n], &deltas[..n]);
         }
         self.refresh_rows(touched);
     }
 
-    /// Apply a prepared batch — raw elements, their canonical field
-    /// representatives `reduce64(e)`, and deltas, in parallel slices — in
-    /// `BATCH_CHUNK` rounds, then refresh the summary of each touched
+    /// Apply a prepared batch — elements and deltas in parallel slices —
+    /// in `BATCH_CHUNK` rounds, then refresh the summary of each touched
     /// row once. Bit-for-bit identical to [`Self::update_batch`] over the
     /// same updates.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
-    pub(crate) fn apply_prepared(&mut self, elems: &[u64], xrs: &[u64], deltas: &[i64]) {
+    pub(crate) fn apply_prepared(&mut self, elems: &[u64], deltas: &[i64]) {
         if elems.len() < 32 {
             // Grouping overhead outweighs locality on tiny batches.
             for (&e, &d) in elems.iter().zip(deltas) {
@@ -325,43 +322,26 @@ impl TwoLevelSketch {
             return;
         }
         let mut touched = 0u64;
-        let chunks = elems
-            .chunks(BATCH_CHUNK)
-            .zip(xrs.chunks(BATCH_CHUNK))
-            .zip(deltas.chunks(BATCH_CHUNK));
-        for ((ec, xc), dc) in chunks {
-            touched |= self.update_chunk_prepared(ec, xc, dc);
+        for (ec, dc) in elems.chunks(BATCH_CHUNK).zip(deltas.chunks(BATCH_CHUNK)) {
+            touched |= self.update_chunk(ec, dc);
         }
         self.refresh_rows(touched);
     }
 
     /// One batch round over parallel `(element, delta)` slices of length
-    /// `≤ BATCH_CHUNK`, with the canonical field representatives
-    /// `xrs[i] = reduce64(elems[i])` already computed: first-level hashes
-    /// evaluated together, the chunk counting-sorted by bucket into
-    /// linear scratch arrays (so the group kernel walks plain slices — no
-    /// index indirection), then each bucket's group applied against its
-    /// row in one register-resident pass per second-level function. The
-    /// net delta is folded into `total` once per chunk. Returns the levels
-    /// it wrote, whose summary the caller refreshes once the whole batch
-    /// is in.
-    ///
-    /// The reductions are element-wise and copy-independent, so a
-    /// prepared batch computes them **once** and shares them across all
-    /// `r` copies (and all parallel shards) instead of re-deriving them
-    /// per copy. `elems` (the raw values) still feed the first-level hash:
-    /// the Carter–Wegman families reduce their input anyway, but
-    /// tabulation/mixer families hash raw 64-bit values, and feeding them
-    /// `xrs` would silently change their buckets.
+    /// `≤ BATCH_CHUNK`: first-level hashes evaluated together, the chunk
+    /// counting-sorted by bucket into linear scratch arrays (so the group
+    /// kernel walks plain slices — no index indirection), then each
+    /// bucket's group applied against its row in one register-resident
+    /// pass per second-level function. The net delta is folded into
+    /// `total` once per chunk. Returns the levels it wrote, whose summary
+    /// the caller refreshes once the whole batch is in.
     ///
     /// # Panics
     /// Panics if the slices differ in length or exceed [`BATCH_CHUNK`].
-    fn update_chunk_prepared(&mut self, elems: &[u64], xrs: &[u64], deltas: &[i64]) -> u64 {
+    fn update_chunk(&mut self, elems: &[u64], deltas: &[i64]) -> u64 {
         let n = elems.len();
-        assert!(
-            n <= BATCH_CHUNK && n == deltas.len() && n == xrs.len(),
-            "chunk shape"
-        );
+        assert!(n <= BATCH_CHUNK && n == deltas.len(), "chunk shape");
         let levels = self.config.levels as usize;
         let s = self.config.second_level as usize;
         // Hashing hoisted out of the counter loop.
@@ -385,21 +365,20 @@ impl TwoLevelSketch {
         // here, so the delta scatter below and the per-group uniformity
         // scan inside `accumulate_group` both disappear from the hot path.
         let uniform = n > 0 && deltas.windows(2).all(|w| w[0] == w[1]);
-        // Scatter the *canonical field representatives* — the grouped
-        // second-level kernel consumes per-bucket runs of `reduce64(e)`
-        // directly.
+        // Scatter the elements into per-bucket runs, which the grouped
+        // second-level kernel consumes directly.
         let mut selems = [0u64; BATCH_CHUNK];
         let mut sdeltas = [0i64; BATCH_CHUNK];
         if uniform {
             for i in 0..n {
                 let pos = cursor[buckets[i]] as usize;
-                selems[pos] = xrs[i];
+                selems[pos] = elems[i];
                 cursor[buckets[i]] += 1;
             }
         } else {
             for i in 0..n {
                 let pos = cursor[buckets[i]] as usize;
-                selems[pos] = xrs[i];
+                selems[pos] = elems[i];
                 sdeltas[pos] = deltas[i];
                 cursor[buckets[i]] += 1;
             }
@@ -1042,6 +1021,23 @@ mod tests {
             TwoLevelSketch::from_counter_block(*s.config(), s.seed(), &s.counter_block(), -4)
                 .unwrap();
         assert_eq!(back.counters(), s.counters());
+    }
+
+    #[test]
+    fn field_aliases_land_in_different_cells() {
+        // The first-level k-wise hash reduces its input mod 2⁶¹ − 1, so e
+        // and e + p share a bucket; the second level hashes the raw 64-bit
+        // element, and for this seed some gⱼ tells the two apart.
+        let config = SketchConfig::default();
+        for e in [0u64, 1, 5, 12_345] {
+            let twin = e + setstream_hash::field::P;
+            let mut one = TwoLevelSketch::new(config, 7);
+            let mut other = TwoLevelSketch::new(config, 7);
+            one.insert(e);
+            other.insert(twin);
+            assert_eq!(one.bucket_of(e), other.bucket_of(twin), "e={e}");
+            assert_ne!(one.counters(), other.counters(), "e={e}");
+        }
     }
 
     #[test]

@@ -42,8 +42,14 @@ use serde::Serialize;
 use setstream_obs::TraceContext;
 use std::fmt;
 
-/// Frame magic: "2LHS".
-const MAGIC: u32 = 0x324c_4853;
+/// Frame magic: "2LHA".
+///
+/// Frames carry sketch cells, and cells mean something only under the
+/// coins that filled them. The magic changed from "2LHS" when the
+/// second-level functions became the GF(2)-affine family: a peer running
+/// the older mod-(2⁶¹−1) family then fails every frame with
+/// [`WireError::BadMagic`] instead of merging cells from other coins.
+const MAGIC: u32 = 0x324c_4841;
 
 /// Bytes of framing around a payload: magic + kind + len + crc.
 pub const FRAME_OVERHEAD: usize = 13;
@@ -546,6 +552,23 @@ mod tests {
             let r = decode_frame(frame.slice(..cut));
             assert!(r.is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn frames_with_the_mod_p_magic_are_refused() {
+        // "2LHS" stamped the frames of releases whose second-level
+        // functions were the mod-(2⁶¹−1) family.
+        const RETIRED_MAGIC: u32 = 0x324c_4853;
+        let mut frame = encode_frame(FrameKind::Commit, &5u32).unwrap().to_vec();
+        frame[..4].copy_from_slice(&RETIRED_MAGIC.to_le_bytes());
+        assert_eq!(
+            frame_size_hint(&frame),
+            Err(WireError::BadMagic(RETIRED_MAGIC))
+        );
+        assert!(matches!(
+            decode_frame(Bytes::from(frame)),
+            Err(WireError::BadMagic(RETIRED_MAGIC))
+        ));
     }
 
     #[test]

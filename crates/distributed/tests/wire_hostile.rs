@@ -57,7 +57,7 @@ fn declared_oversize_length_is_rejected_before_allocation() {
     // trusted, reading would demand 4 GiB. The cap must reject it from
     // the header alone.
     let mut hostile = Vec::new();
-    hostile.extend_from_slice(&0x324c_4853u32.to_le_bytes()); // magic "2LHS"
+    hostile.extend_from_slice(&0x324c_4841u32.to_le_bytes()); // magic "2LHA"
     hostile.push(2); // Synopsis
     hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd length
     hostile.extend_from_slice(&[0u8; 4]); // fake crc

@@ -40,8 +40,12 @@ const OVERHEAD: usize = 4 + 2 + 1 + 4 + 4;
 /// Version 3 drops the registered queries, threshold watches and their id
 /// counters from the engine snapshot, since subscriptions became the
 /// engine's only standing-query registry; a version-2 engine snapshot
-/// would otherwise be misread field by field.
-pub const FORMAT_VERSION: u16 = 3;
+/// would otherwise be misread field by field. Version 4 changes what the
+/// counters mean, not how they are laid out: the second-level functions
+/// became the GF(2)-affine family `parity(aⱼ & x) ⊕ bⱼ`, so a version-3
+/// sketch's cells, merged with version-4 ones, would silently mix two
+/// sets of coins.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// What kind of state a durable blob carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -358,9 +362,29 @@ mod tests {
             unseal(&blob, DurableKind::EngineSnapshot),
             Err(DurableError::RetiredVersion {
                 found: 2,
-                supported: 3
+                supported: 4
             })
         );
+    }
+
+    #[test]
+    fn version_three_blobs_are_a_typed_refusal() {
+        // A blob sealed by a release whose second-level functions were
+        // the mod-(2⁶¹−1) family: same bytes, cells from other coins.
+        for kind in [DurableKind::EngineSnapshot, DurableKind::SiteCheckpoint] {
+            let mut blob = seal(kind, b"v3 mod-p cells");
+            blob[4..6].copy_from_slice(&3u16.to_le_bytes());
+            let total = blob.len();
+            let crc = crc32(&blob[4..total - 4]).to_le_bytes();
+            blob[total - 4..].copy_from_slice(&crc);
+            assert_eq!(
+                unseal(&blob, kind),
+                Err(DurableError::RetiredVersion {
+                    found: 3,
+                    supported: 4
+                })
+            );
+        }
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //! ```text
 //! caller thread            RunQueue             worker threads
 //! ─────────────            ────────             ──────────────
-//! hash/partition chunk ──► publish(i) ──┬─► shard 0: apply to copies 0..c
+//! unpack chunk         ──► publish(i) ──┬─► shard 0: apply to copies 0..c
 //! (PreparedBatch:          (watermark   ├─► shard 1: apply to copies c..2c
-//!  unpack + reduce64       broadcast)   └─► shard k: apply to its run
+//!  elements, deltas        broadcast)   └─► shard k: apply to its run
 //!  + stats)
 //! ```
 //!
-//! The batch-prepare work (struct-of-arrays unpack, field reductions,
-//! instrumentation) is paid **once** per chunk by the producer and shared
-//! by every shard, instead of once per shard as the old partial-vector
-//! scheme did; the apply stage is allocation-free. Chunks overlap: shard
-//! workers apply chunk `i` while the producer prepares chunk `i+1`.
+//! The batch-prepare work (struct-of-arrays unpack, instrumentation) is
+//! paid **once** per chunk by the producer and shared by every shard,
+//! instead of once per shard as the old partial-vector scheme did; the
+//! apply stage is allocation-free. Chunks overlap: shard workers apply
+//! chunk `i` while the producer prepares chunk `i+1`.
 
 use crate::runqueue::RunQueue;
 use setstream_core::{IngestStats, PreparedBatch, SketchFamily, SketchVector};

@@ -1,55 +1,62 @@
 //! Batch hashing kernels for high-throughput sketch maintenance.
 //!
-//! The scalar update path pays one virtual-ish call and one pointer chase
-//! per second-level hash evaluation (`Vec<PairwiseHash>` → struct → field).
-//! At the paper's `r = 512`, `s = 32` that is ~16k scattered hash calls per
-//! stream item. The kernels here restructure that work:
+//! The scalar update path pays one hash evaluation per second-level
+//! function per copy: at the paper's `r = 512`, `s = 32` that is ~16k bit
+//! evaluations per stream item. The kernels here restructure that work:
 //!
-//! * [`PairwiseHashBank`] stores the coefficients of `s` pairwise
-//!   functions as flat arrays (structure-of-arrays) and applies a whole
-//!   group of updates to a counter row function by function — the
-//!   coefficients stay resident in L1 and the inner loop has no dependent
-//!   chain, so it saturates the multiplier.
+//! * [`PairwiseHashBank`] holds the `s` second-level functions of one
+//!   sketch copy as flat coefficient arrays (structure-of-arrays) and
+//!   applies a whole group of updates to a counter row function by
+//!   function. A bit is `parity(aⱼ & x) ⊕ bⱼ`, one AND and one POPCNT,
+//!   so the inner loop is independent 64-bit lanes with no carried chain
+//!   beyond one add.
 //! * [`hash_many`] evaluates a first-level hash over a slice of elements.
 //!   A single Carter–Wegman evaluation is a latency-bound Horner chain;
 //!   hashing a batch exposes independent chains the CPU can overlap.
 
-use crate::field;
-use crate::pairwise::PairwiseHash;
+use crate::seed::SeedSequence;
 use crate::simd;
 use crate::Hash64;
 
-/// Structure-of-arrays bank of pairwise hash functions
-/// `hⱼ(x) = (aⱼ·x + bⱼ) mod p`, evaluated together.
+/// Structure-of-arrays bank of `s` GF(2)-affine functions
+/// `hⱼ(x) = parity(aⱼ & x) ⊕ bⱼ`, with `aⱼ` uniform over `{0,1}⁶⁴` and
+/// `bⱼ` a uniform bit: the second-level functions of Lemma 3.1.
 ///
-/// The bit the bank applies for function `j` is identical to
-/// `PairwiseHash::hash_bit` of the j-th source function: same
-/// coefficients, same field arithmetic, so scalar and batched sketch
-/// maintenance agree bit-for-bit. The kernels are the lane-parallel forms
-/// in [`crate::simd`], which hold split pre-scaled copies of the
-/// coefficients, derived from `(a, b)` at construction and proven (by the
-/// simd module's tests and `tests/simd_equivalence.rs`) to evaluate the
-/// identical bit.
+/// This is Carter and Wegman's H₃ class, and each function is exactly
+/// pairwise independent over 64-bit elements: `hⱼ(x)` is a fair coin
+/// through `bⱼ`, and for `x ≠ y` the difference
+/// `hⱼ(x) ⊕ hⱼ(y) = parity(aⱼ & (x ⊕ y))` is a fair coin independent of
+/// `bⱼ`, because `x ⊕ y` has a set bit. Elements are hashed raw: no
+/// field reduction, so no two distinct `u64`s are identified.
+///
+/// Every kernel ([`Self::accumulate_group`], its uniform form, and
+/// [`Self::bits`]) evaluates the same bits; `tests/simd_equivalence.rs`
+/// pins them to a reference computed one bit at a time.
 #[derive(Debug, Clone)]
 pub struct PairwiseHashBank {
-    split: simd::ParityBank,
+    /// `aⱼ`: the function's 64-bit mask.
+    a: Box<[u64]>,
+    /// `bⱼ ∈ {0, 1}`: the function's constant term.
+    b: Box<[u64]>,
 }
 
 impl PairwiseHashBank {
-    /// Build a bank from individual functions (flattening their
-    /// coefficients into contiguous storage).
-    pub fn from_functions(fns: &[PairwiseHash]) -> Self {
-        let a: Vec<u64> = fns.iter().map(|h| h.coefficients().0).collect();
-        let b: Vec<u64> = fns.iter().map(|h| h.coefficients().1).collect();
+    /// Draw `s` functions deterministically from `seed` — the stored
+    /// coins: equal `(seed, s)` give equal banks on every machine.
+    pub fn from_seed(seed: u64, s: usize) -> Self {
+        let mut coins = SeedSequence::new(seed);
+        let (a, b): (Vec<u64>, Vec<u64>) =
+            (0..s).map(|_| (coins.next_seed(), coins.next_seed() >> 63)).unzip();
         PairwiseHashBank {
-            split: simd::ParityBank::new(&a, &b),
+            a: a.into_boxed_slice(),
+            b: b.into_boxed_slice(),
         }
     }
 
     /// Number of hash functions in the bank.
     #[inline]
     pub fn len(&self) -> usize {
-        self.split.len()
+        self.a.len()
     }
 
     /// `true` if the bank holds no functions.
@@ -58,48 +65,56 @@ impl PairwiseHashBank {
         self.len() == 0
     }
 
+    /// The coefficients `(aⱼ, bⱼ)` of every function in order, for tests
+    /// and diagnostics.
+    pub fn coefficients(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.a.iter().copied().zip(self.b.iter().copied())
+    }
+
+    /// The bits `hⱼ(x)` of every function in order: the cell of pair `j`
+    /// an update of `x` lands in.
+    #[inline]
+    pub fn bits(&self, x: u64) -> impl Iterator<Item = usize> + '_ {
+        self.coefficients()
+            .map(move |(a, b)| ((a & x).count_ones() as usize & 1) ^ b as usize)
+    }
+
     /// Group sketch-maintenance kernel: apply a whole batch of updates
     /// that all target the same counter row.
     ///
-    /// For every function `j`, adds `deltas[i]` to `row[2j + bitⱼ(xrs[i])]`
+    /// For every function `j`, adds `deltas[i]` to `row[2j + hⱼ(xs[i])]`
     /// for all `i` — the same counter state as bumping one cell per
     /// function for each element in turn, but with the loop nest inverted:
     /// the outer loop walks functions, the inner loop streams the
-    /// elements, so `(aⱼ, bⱼ)` and the accumulator live in registers and each counter cell is touched
-    /// **once per group** instead of once per element. Because the two
-    /// cells of a pair split the group's delta total (`cell₀ + cell₁ =
-    /// Σdeltas`), a single branchless accumulator of the `bit = 1` mass
-    /// suffices; the inner loop has no cross-iteration dependency beyond
-    /// one add, so the out-of-order core overlaps the field multiplies.
-    ///
-    /// `xrs` must hold **canonical field representatives** (`< p`, i.e.
-    /// already passed through [`field::reduce64`]) — hoisting the
-    /// reduction out of the `s`-fold loop is the caller's half of the
-    /// bargain.
+    /// elements, so `aⱼ` and the accumulator live in registers and each
+    /// counter cell is touched **once per group** instead of once per
+    /// element. Because the two cells of a pair split the group's delta
+    /// total (`cell₀ + cell₁ = Σdeltas`), a single branchless accumulator
+    /// of the odd-parity mass suffices, and `bⱼ` only decides which cell
+    /// receives it.
     ///
     /// # Panics
     /// Panics if `row.len() != 2 * self.len()` or the element and delta
     /// slices disagree in length.
     #[inline]
-    pub fn accumulate_group(&self, xrs: &[u64], deltas: &[i64], row: &mut [i64]) {
+    pub fn accumulate_group(&self, xs: &[u64], deltas: &[i64], row: &mut [i64]) {
         assert_eq!(row.len(), 2 * self.len(), "row holds one cell pair per function");
-        assert_eq!(xrs.len(), deltas.len(), "one delta per element");
-        debug_assert!(xrs.iter().all(|&x| x < field::P));
+        assert_eq!(xs.len(), deltas.len(), "one delta per element");
         // Insert-only (or otherwise uniform-delta) groups are the common
         // stream shape; for them the inner loop only needs to *count*
-        // odd-cell landings, dropping the per-element delta load and
+        // odd-parity elements, dropping the per-element delta load and
         // mask-select from the hot loop. Mixed-delta groups take the
         // weighted kernel, which folds the sign into a branch-free mask —
         // the two differ by one vector op per lane, so deletions no
         // longer fall off a fast-path cliff.
         if let Some(&d0) = deltas.first() {
             if deltas.iter().all(|&d| d == d0) {
-                simd::accumulate_uniform(&self.split, xrs, d0, row);
+                simd::affine_uniform(&self.a, &self.b, xs, d0, row);
                 return;
             }
         }
-        let total: i64 = deltas.iter().sum();
-        simd::accumulate_weighted(&self.split, xrs, deltas, total, row);
+        let total = deltas.iter().fold(0i64, |t, &d| t.wrapping_add(d));
+        simd::affine_weighted(&self.a, &self.b, xs, deltas, total, row);
     }
 
     /// [`accumulate_group`] for a group whose every element carries the
@@ -114,11 +129,10 @@ impl PairwiseHashBank {
     /// # Panics
     /// Panics if `row.len() != 2 * self.len()`.
     #[inline]
-    pub fn accumulate_group_uniform(&self, xrs: &[u64], d0: i64, row: &mut [i64]) {
+    pub fn accumulate_group_uniform(&self, xs: &[u64], d0: i64, row: &mut [i64]) {
         assert_eq!(row.len(), 2 * self.len(), "row holds one cell pair per function");
-        debug_assert!(xrs.iter().all(|&x| x < field::P));
-        if !xrs.is_empty() {
-            simd::accumulate_uniform(&self.split, xrs, d0, row);
+        if !xs.is_empty() {
+            simd::affine_uniform(&self.a, &self.b, xs, d0, row);
         }
     }
 }
@@ -140,7 +154,30 @@ pub fn hash_many<H: Hash64 + ?Sized>(h: &H, xs: &[u64], out: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field;
+    use crate::stats::chi_square_uniform;
     use crate::{AnyHash, HashFamily};
+
+    #[test]
+    fn bank_bits_are_pairwise_independent_over_draws() {
+        // Lemma 3.1's requirement, across 40 000 seeds: for fixed x ≠ y
+        // the four outcomes of (hⱼ(x), hⱼ(y)) are uniform — also for
+        // pairs that differ only in the top bit, only in the lowest bit,
+        // or by the field modulus 2⁶¹ − 1 (which the mod-p family, reducing
+        // its input first, sent to the same cell).
+        let x = 0x9e37_79b9_7f4a_7c15u64;
+        for (x, y) in [(1, 2), (0, 1 << 63), (x, x ^ 1), (5, 5 + field::P)] {
+            for j in [0, 7] {
+                let mut cells = [0u64; 4];
+                for seed in 0..40_000u64 {
+                    let bank = PairwiseHashBank::from_seed(seed, 8);
+                    let bit = |e| bank.bits(e).nth(j).unwrap();
+                    cells[bit(x) * 2 + bit(y)] += 1;
+                }
+                assert!(chi_square_uniform(&cells), "({x}, {y}) j={j}: {cells:?}");
+            }
+        }
+    }
 
     #[test]
     fn hash_many_matches_scalar() {
@@ -155,7 +192,7 @@ mod tests {
 
     #[test]
     fn empty_bank_is_fine() {
-        let bank = PairwiseHashBank::from_functions(&[]);
+        let bank = PairwiseHashBank::from_seed(9, 0);
         assert!(bank.is_empty());
         assert_eq!(bank.len(), 0);
         bank.accumulate_group(&[123], &[1], &mut []);

@@ -24,26 +24,6 @@ pub fn reduce128(x: u128) -> u64 {
     reduce64((lo & P) + (lo >> 61) + (hi << 3))
 }
 
-/// Low bit of `x mod P`, for `x < 2¹²²` (any product-plus-addend of field
-/// elements), without computing the canonical representative.
-///
-/// Folds the machine-word halves with weights 1 and 8 (`2⁶⁴ ≡ 2³ mod P`)
-/// into a sum `s < 2⁶² ≡ x`, then corrects the parity of `s` by the number
-/// of subtractions of the (odd) modulus needed to canonicalize it — the
-/// subtractions themselves never happen. Agrees with `reduce128(x) & 1`
-/// exactly; this is the bit evaluation of the sketch maintenance kernel.
-#[inline]
-pub fn parity128(x: u128) -> u64 {
-    let lo = x as u64;
-    let hi = (x >> 64) as u64;
-    debug_assert!(hi < 1 << 58);
-    let s = (lo & P) + (lo >> 61) + (hi << 3);
-    // s < 2⁶² < 3P, so canonicalizing subtracts P at most twice, and each
-    // subtraction of the odd P flips the parity.
-    let q = (s >= P) as u64 ^ (s >= 2 * P) as u64;
-    (s ^ q) & 1
-}
-
 /// Horner step `a·b + c` with *lazy* reduction: the result is congruent —
 /// but not necessarily canonical — modulo `P`, and kept below `2⁶²`.
 ///
@@ -142,27 +122,6 @@ mod tests {
         // Extremes of the valid input range.
         let max_prod = (P as u128 - 1) * (P as u128 - 1);
         assert_eq!(reduce128(max_prod), (max_prod % P as u128) as u64);
-    }
-
-    #[test]
-    fn parity_matches_full_reduction() {
-        // Structured sweep plus the boundary cases of the limb-sum trick.
-        for i in 0..4000u128 {
-            let x = i * 0x9e37_79b9_7f4a_7c15u128 + (i << 77) + i * i;
-            assert_eq!(parity128(x), reduce128(x) & 1, "x={x}");
-        }
-        for x in [
-            0u128,
-            P as u128 - 1,
-            P as u128,
-            P as u128 + 1,
-            2 * (P as u128),
-            2 * (P as u128) + 1,
-            (P as u128 - 1) * (P as u128 - 1),
-            (1u128 << 122) - 1, // top of the valid input range
-        ] {
-            assert_eq!(parity128(x), ((x % P as u128) & 1) as u64, "x={x}");
-        }
     }
 
     #[test]

@@ -122,8 +122,8 @@ mod tests {
         let mut cells = [0u64; 8];
         for seed in 0..32_000u64 {
             let h = KWiseHash::from_seed(4, seed);
-            let idx = h.hash_bit(1) * 4 + h.hash_bit(2) * 2 + h.hash_bit(3);
-            cells[idx] += 1;
+            let idx = (h.hash(1) & 1) * 4 + (h.hash(2) & 1) * 2 + (h.hash(3) & 1);
+            cells[idx as usize] += 1;
         }
         assert!(chi_square_uniform(&cells), "triple bits skewed: {cells:?}");
     }

@@ -1,9 +1,10 @@
 //! Pairwise-independent linear hashing `h(x) = (a·x + b) mod p`.
 //!
-//! The classic Carter–Wegman family. Pairwise independence is exactly the
-//! strength Lemma 3.1 of the paper requires of second-level hash functions,
-//! and is the weakest family offered for the first level (the independence
-//! ablation shows where it starts to hurt).
+//! The classic Carter–Wegman family, and the weakest offered for the first
+//! level (`HashFamily::Pairwise`; the independence ablation shows where it
+//! starts to hurt). The second-level functions, which Lemma 3.1 asks
+//! only to be pairwise independent, come from the cheaper GF(2)-affine
+//! bank in [`crate::batch`] instead.
 
 use crate::field;
 #[cfg(test)]
@@ -111,9 +112,9 @@ mod tests {
         let mut cells = [0u64; 4];
         for seed in 0..40_000u64 {
             let h = PairwiseHash::from_seed(seed);
-            let bx = h.hash_bit(1);
-            let by = h.hash_bit(2);
-            cells[bx * 2 + by] += 1;
+            let bx = h.hash(1) & 1;
+            let by = h.hash(2) & 1;
+            cells[(bx * 2 + by) as usize] += 1;
         }
         assert!(
             chi_square_uniform(&cells),

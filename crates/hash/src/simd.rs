@@ -1,37 +1,42 @@
-//! Lane-parallel kernels for the mod-2⁶¹−1 sketch hot path.
+//! Lane-parallel kernels for the sketch hot path.
 //!
 //! The per-update cost of 2-level-sketch maintenance is dominated by the
-//! pairwise inner product `(aⱼ·x + bⱼ) mod p` evaluated across all `s`
-//! second-level functions of all `r` copies — independent-lane field
-//! arithmetic that vectorizes. This module restructures that arithmetic so
-//! LLVM can keep it in 64-bit SIMD lanes:
+//! `s` second-level bits of every element in every one of the `r` copies.
+//! Each bit is a GF(2)-affine function `hⱼ(x) = parity(aⱼ & x) ⊕ bⱼ`
+//! (see [`crate::PairwiseHashBank`]), so a bit costs one AND and one
+//! POPCNT: independent 64-bit lanes that vectorize as written.
 //!
-//! * A 64×64→128 product does not exist as a vector instruction, so each
-//!   coefficient is pre-scaled and **split into 32-bit halves** once per
-//!   function (`a`, and `a·2³¹ mod p`), and each element is split into
-//!   31-bit halves on the fly. All four cross products then fit
-//!   `vpmuludq`-shaped 32×32→64 multiplies, and Mersenne folding
-//!   (`2⁶¹ ≡ 1`, `2⁶⁴ ≡ 8 mod p`) collapses the partial products without
-//!   ever leaving `u64` lanes. See `parity_eval` for the bounds chain.
-//! * The same limb decomposition drives a vector Horner step for the
-//!   first-level polynomial hashes (`horner_many`), preserving the
-//!   scalar path's lazy `< 2⁶²` accumulator invariant.
+//! * The grouped accumulate kernels apply a run of updates that share a
+//!   counter row. Per function they stream the elements in **element
+//!   lanes** and count (or weigh) the odd inner products; `bⱼ` then only
+//!   decides which of the pair's two cells gets that mass. Group
+//!   remainders switch to **function lanes**: one element against every
+//!   function at once.
+//! * The first-level polynomial hashes over GF(2⁶¹−1) (`horner_many`)
+//!   split each 64-bit operand into 32-bit halves, so every partial
+//!   product of a Horner step is a `vpmuludq`-shaped 32×32→64 multiply,
+//!   and Mersenne folds (`2⁶¹ ≡ 1`, `2⁶⁴ ≡ 8 mod p`) keep the scalar
+//!   path's lazy `< 2⁶²` accumulator invariant without leaving `u64`
+//!   lanes.
 //!
-//! Every kernel is **bit-identical** to the scalar reference
-//! ([`field::parity128`] / [`field::mul_add_lazy`] chains): the lane math
-//! computes the same canonical field values, only the instruction schedule
-//! differs. The property tests assert this across backends.
+//! Every kernel is **bit-identical** to its scalar reference (one bit at
+//! a time for the affine bits, [`field::mul_add_lazy`] chains for the
+//! polynomials): cell updates are exact wrapping integer adds, so only
+//! the instruction schedule differs. The tests assert this for every
+//! tier the CPU can run.
 //!
 //! # Backend selection
 //!
 //! One generic, `#[inline(always)]` kernel is instantiated inside
-//! `#[target_feature]` wrappers (AVX-512 with 16-lane unrolling, AVX2 with
-//! 4), which LLVM auto-vectorizes; a portable instantiation (`LANES = 1`)
-//! is the scalar fallback and the only code path on non-x86_64 targets or
-//! when the `simd` cargo feature is disabled. The backend is detected once
-//! per process and can be pinned to scalar at runtime with
-//! `SETSTREAM_FORCE_SCALAR=1` (any value but `0`), which is how the test
-//! suite exercises the fallback on SIMD-capable hosts.
+//! `#[target_feature]` wrappers (AVX-512 with VPOPCNTDQ and 16-lane
+//! unrolling, AVX2 with POPCNT and 4), which LLVM auto-vectorizes; a
+//! portable instantiation (`LANES = 1`) is the scalar fallback and the
+//! only code path on non-x86_64 targets or when the `simd` cargo feature
+//! is disabled. The backend is detected once per process and can be
+//! pinned to scalar at runtime with `SETSTREAM_FORCE_SCALAR=1` (any value
+//! but `0`), which is how the test suite exercises the fallback on
+//! SIMD-capable hosts. An AVX-512 CPU without VPOPCNTDQ (Skylake-SP,
+//! Cascade Lake) runs every kernel on the AVX2 tier.
 //!
 //! This module is the one place the crate permits `unsafe`: calling a
 //! `#[target_feature]` function requires it, and every call site is
@@ -46,15 +51,15 @@ use crate::field::{self, P};
 use std::sync::OnceLock;
 
 const M32: u64 = 0xffff_ffff;
-const M31: u64 = (1 << 31) - 1;
 const M29: u64 = (1 << 29) - 1;
 
 /// The instruction-set tier the process-wide kernel dispatch selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// 8×u64 lanes (`avx512f/dq/bw/vl`), 16-lane unrolled kernels.
+    /// 8×u64 lanes (`avx512f/dq/bw/vl/vpopcntdq`), 16-lane unrolled
+    /// kernels.
     Avx512,
-    /// 4×u64 lanes (`avx2`).
+    /// 4×u64 lanes (`avx2`, `popcnt`).
     Avx2,
     /// Portable scalar instantiation of the same lane math.
     Scalar,
@@ -95,9 +100,10 @@ fn detect() -> Backend {
         && is_x86_feature_detected!("avx512dq")
         && is_x86_feature_detected!("avx512bw")
         && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512vpopcntdq")
     {
         Backend::Avx512
-    } else if is_x86_feature_detected!("avx2") {
+    } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
         Backend::Avx2
     } else {
         Backend::Scalar
@@ -112,100 +118,10 @@ fn detect() -> Backend {
     Backend::Scalar
 }
 
-/// Split, pre-scaled coefficients of a bank of pairwise functions
-/// `hⱼ(x) = (aⱼ·x + bⱼ) mod p`, structure-of-arrays.
-///
-/// For each function the kernels need `aⱼ` and `A1ⱼ = aⱼ·2³¹ mod p`, each
-/// split into 32-bit halves, so that with the element split as
-/// `x = x₀ + x₁·2³¹` (`x₀ < 2³¹`, `x₁ < 2³⁰`) every partial product of
-/// `aⱼ·x` is a 32×32→64 multiply. Built once at bank construction; ~40
-/// bytes per function.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ParityBank {
-    a0l: Box<[u64]>,
-    a0h: Box<[u64]>,
-    a1l: Box<[u64]>,
-    a1h: Box<[u64]>,
-    b: Box<[u64]>,
-}
-
-/// One function's split coefficients, broadcast across element lanes.
-#[derive(Debug, Clone, Copy)]
-struct Coef {
-    a0l: u64,
-    a0h: u64,
-    a1l: u64,
-    a1h: u64,
-    b: u64,
-}
-
-impl ParityBank {
-    /// Split and pre-scale canonical coefficient arrays (`a[j], b[j] < p`).
-    pub(crate) fn new(a: &[u64], b: &[u64]) -> Self {
-        debug_assert_eq!(a.len(), b.len());
-        debug_assert!(a.iter().chain(b).all(|&c| c < P));
-        let a1: Vec<u64> = a.iter().map(|&a| field::reduce128((a as u128) << 31)).collect();
-        ParityBank {
-            a0l: a.iter().map(|&a| a & M32).collect(),
-            a0h: a.iter().map(|&a| a >> 32).collect(),
-            a1l: a1.iter().map(|&a| a & M32).collect(),
-            a1h: a1.iter().map(|&a| a >> 32).collect(),
-            b: b.to_vec().into_boxed_slice(),
-        }
-    }
-
-    /// Number of functions in the bank.
-    pub(crate) fn len(&self) -> usize {
-        self.b.len()
-    }
-
-    #[inline]
-    fn coef(&self, j: usize) -> Coef {
-        Coef {
-            a0l: self.a0l[j],
-            a0h: self.a0h[j],
-            a1l: self.a1l[j],
-            a1h: self.a1h[j],
-            b: self.b[j],
-        }
-    }
-}
-
-/// Low bit of `(a·x + b) mod p` from split operands, vectorizable form.
-///
-/// Inputs: coefficient split as `a = a0`, `A1 = a·2³¹ mod p`, both in
-/// 32-bit halves (`a0 = a0l + a0h·2³², A1 = a1l + a1h·2³²`); element split
-/// as `x = x0 + x1·2³¹` with `x0 < 2³¹`, `x1 < 2³⁰` (x canonical). Then
-///
-/// ```text
-/// a·x = a0·x0 + (A1 mod-equivalent)·x1
-///     ≡ a0l·x0 + a1l·x1              (s_lo < 2⁶³ + 2⁶² — fits u64)
-///     + (a0h·x0 + a1h·x1)·2³²        (s_hi < 2⁶⁰ + 2⁵⁹ < 2⁶¹)
-/// ```
-///
-/// and the Mersenne folds `2⁶¹ ≡ 1`, `s_hi·2³² = (s_hi mod 2²⁹)·2³² +
-/// (s_hi ≫ 29)·2⁶¹ ≡ (s_hi & M29)·2³² + (s_hi ≫ 29)` bring the sum with
-/// `b` below `2⁶³`. One more fold yields `f < 2⁶¹ + 4 < 2p`, whose parity
-/// after canonicalization is `(f ^ [f ≥ p]) & 1` — `[f ≥ p]` computed
-/// branch-free as `(f + 1) ≫ 61`. Proven equal to
-/// `field::parity128(a·x + b)` for all canonical inputs (see the
-/// exhaustive-edge and property tests).
-///
-/// Both multiply operands carry an explicit `& M32`: the masks are
-/// value-preserving (the halves already fit 32 bits) but let LLVM prove
-/// the range and select the 1-µop `vpmuludq` form instead of the 3-µop
-/// general `vpmullq`.
+/// `parity(a & x)`: the GF(2) inner product of two 64-bit vectors.
 #[inline(always)]
-fn parity_eval(c: Coef, x0: u64, x1: u64) -> u64 {
-    let m1 = (c.a0l & M32) * (x0 & M32);
-    let m2 = (c.a1l & M32) * (x1 & M32);
-    let m3 = (c.a0h & M32) * (x0 & M32);
-    let m4 = (c.a1h & M32) * (x1 & M32);
-    let s_lo = m1.wrapping_add(m2); // < 2⁶³ + 2⁶² < 2⁶⁴: no wrap
-    let s_hi = m3 + m4; // < 2⁶¹
-    let s = (s_lo & P) + (s_lo >> 61) + ((s_hi & M29) << 32) + (s_hi >> 29) + c.b;
-    let f = (s & P) + (s >> 61);
-    (f ^ ((f + 1) >> 61)) & 1
+fn parity(a: u64, x: u64) -> u64 {
+    u64::from((a & x).count_ones()) & 1
 }
 
 /// Branch-free canonical reduction of an arbitrary `u64` (lane form of
@@ -224,6 +140,11 @@ fn reduce64_lane(x: u64) -> u64 {
 /// folds (`2⁶⁴ ≡ 8`, `mid·2³² ≡ (mid & M29)·2³² + (mid ≫ 29)`) keep every
 /// intermediate inside `u64`: the folded sum is below `2⁶² + 3·2⁶¹ + c`,
 /// and the final fold restores `< 2⁶¹ + 4 < 2⁶²`.
+///
+/// Both multiply operands carry an explicit `& M32`: the masks are
+/// value-preserving (the halves already fit 32 bits) but let LLVM prove
+/// the range and select the 1-µop `vpmuludq` form instead of the 3-µop
+/// general `vpmullq`.
 #[inline(always)]
 fn horner_step_lane(acc: u64, xl: u64, xh: u64, c: u64) -> u64 {
     let al = acc & M32;
@@ -243,78 +164,69 @@ fn horner_step_lane(acc: u64, xl: u64, xh: u64, c: u64) -> u64 {
 // scalar path, the `#[target_feature]` wrappers below instantiate wider
 // widths that LLVM turns into zmm/ymm code.
 
-/// Count elements whose second-level bit is 1, for one function.
+/// How many elements of `xs` have an odd inner product with `a`.
 #[inline(always)]
-fn count_ones_lanes<const LANES: usize>(c: Coef, xrs: &[u64]) -> i64 {
+fn odd_count_lanes<const LANES: usize>(a: u64, xs: &[u64]) -> u64 {
     let mut acc = [0u64; LANES];
-    let mut chunks = xrs.chunks_exact(LANES);
+    let mut chunks = xs.chunks_exact(LANES);
     for chunk in &mut chunks {
         for i in 0..LANES {
-            let xr = chunk[i];
-            acc[i] += parity_eval(c, xr & M31, xr >> 31);
+            acc[i] += parity(a, chunk[i]);
         }
     }
-    let mut ones: u64 = acc.iter().sum();
-    for &xr in chunks.remainder() {
-        ones += parity_eval(c, xr & M31, xr >> 31);
+    let mut odd: u64 = acc.iter().sum();
+    for &x in chunks.remainder() {
+        odd += parity(a, x);
     }
-    ones as i64
+    odd
 }
 
-/// Sum of `deltas[i]` over elements whose bit is 1, for one function
-/// (signed mixed-workload form; mask-select instead of branching).
+/// Sum of `deltas[i]` over the elements with an odd inner product with
+/// `a` (signed mixed-workload form; mask-select instead of branching).
 #[inline(always)]
-fn weighted_ones_lanes<const LANES: usize>(c: Coef, xrs: &[u64], deltas: &[i64]) -> i64 {
-    debug_assert_eq!(xrs.len(), deltas.len());
+fn odd_mass_lanes<const LANES: usize>(a: u64, xs: &[u64], deltas: &[i64]) -> i64 {
+    debug_assert_eq!(xs.len(), deltas.len());
     let mut acc = [0i64; LANES];
-    let mut xs = xrs.chunks_exact(LANES);
-    let mut ds = deltas.chunks_exact(LANES);
-    for (xc, dc) in (&mut xs).zip(&mut ds) {
+    let mut xc = xs.chunks_exact(LANES);
+    let mut dc = deltas.chunks_exact(LANES);
+    for (x, d) in (&mut xc).zip(&mut dc) {
         for i in 0..LANES {
-            let xr = xc[i];
-            let bit = parity_eval(c, xr & M31, xr >> 31);
-            acc[i] = acc[i].wrapping_add(dc[i] & (bit as i64).wrapping_neg());
+            acc[i] = acc[i].wrapping_add(d[i] & (parity(a, x[i]) as i64).wrapping_neg());
         }
     }
-    let mut ones: i64 = acc.iter().sum();
-    for (&xr, &d) in xs.remainder().iter().zip(ds.remainder()) {
-        let bit = parity_eval(c, xr & M31, xr >> 31);
-        ones = ones.wrapping_add(d & (bit as i64).wrapping_neg());
+    let mut odd = acc.iter().fold(0i64, |s, &v| s.wrapping_add(v));
+    for (&x, &d) in xc.remainder().iter().zip(dc.remainder()) {
+        odd = odd.wrapping_add(d & (parity(a, x) as i64).wrapping_neg());
     }
-    ones
+    odd
 }
 
 /// One element against every function, lanes across the *function* axis
-/// (the coefficient SoA supplies per-lane operands, the element is
+/// (the coefficient arrays supply per-lane operands, the element is
 /// broadcast). This is the tail kernel: element-lane kernels need a full
 /// chunk of `LANES` elements per step, so group remainders and whole
 /// small groups — the deep first-level buckets of a geometric level
-/// distribution — would otherwise fall back to scalar parity math. Cell
+/// distribution — would otherwise fall back to one bit at a time. Cell
 /// updates are exact integer adds, so routing an element through this
 /// axis instead of the element-lane axis is bit-identical.
 ///
-/// Every cell add in the three accumulate kernels wraps, like the
-/// sketch's merge and subtract: a decoded peer synopsis may hold any
-/// `i64`, and maintenance stays linear modulo 2⁶⁴ instead of panicking
-/// where overflow checks are on.
+/// Every cell add in the accumulate kernels wraps, like the sketch's
+/// merge and subtract: a decoded peer synopsis may hold any `i64`, and
+/// maintenance stays linear modulo 2⁶⁴ instead of panicking where
+/// overflow checks are on.
 #[inline(always)]
-fn accumulate_one_lanes<const LANES: usize>(bank: &ParityBank, xr: u64, d: i64, row: &mut [i64]) {
-    let (x0, x1) = (xr & M31, xr >> 31);
-    let s = bank.len();
+fn affine_one_lanes<const LANES: usize>(a: &[u64], b: &[u64], x: u64, d: i64, row: &mut [i64]) {
+    let s = a.len();
     let mut j = 0;
     while j + LANES <= s {
         // Constant-length subslices: the lane loops below index `0..LANES`
         // into length-`LANES` views, so LLVM drops every bounds check and
         // keeps the whole step in vector registers.
-        let c0l = &bank.a0l[j..j + LANES];
-        let c0h = &bank.a0h[j..j + LANES];
-        let c1l = &bank.a1l[j..j + LANES];
-        let c1h = &bank.a1h[j..j + LANES];
-        let cb = &bank.b[j..j + LANES];
+        let aj = &a[j..j + LANES];
+        let bj = &b[j..j + LANES];
         let mut bits = [0u64; LANES];
-        for (i, b) in bits.iter_mut().enumerate() {
-            let c = Coef { a0l: c0l[i], a0h: c0h[i], a1l: c1l[i], a1h: c1h[i], b: cb[i] };
-            *b = parity_eval(c, x0, x1);
+        for (i, bit) in bits.iter_mut().enumerate() {
+            *bit = parity(aj[i], x) ^ bj[i];
         }
         // Branchless cell bump: touch both cells of every pair with the
         // delta masked by the bit, instead of a data-dependent index.
@@ -327,7 +239,7 @@ fn accumulate_one_lanes<const LANES: usize>(bank: &ParityBank, xr: u64, d: i64, 
         j += LANES;
     }
     while j < s {
-        let bit = parity_eval(bank.coef(j), x0, x1) as usize;
+        let bit = (parity(a[j], x) ^ b[j]) as usize;
         row[2 * j + bit] = row[2 * j + bit].wrapping_add(d);
         j += 1;
     }
@@ -346,56 +258,63 @@ fn lane_cut<const LANES: usize>(len: usize) -> usize {
     }
 }
 
-/// Uniform-delta grouped accumulate: for every function `j`, add
-/// `d0·(n − onesⱼ)` to `row[2j]` and `d0·onesⱼ` to `row[2j+1]`.
+/// Uniform-delta grouped accumulate: for every function `j`, add `d0` to
+/// `row[2j + hⱼ(x)]` for each `x` in `xs`, as `d0·(n − onesⱼ)` and
+/// `d0·onesⱼ`.
 #[inline(always)]
-fn accumulate_uniform_lanes<const LANES: usize>(
-    bank: &ParityBank,
-    xrs: &[u64],
+fn affine_uniform_lanes<const LANES: usize>(
+    a: &[u64],
+    b: &[u64],
+    xs: &[u64],
     d0: i64,
     row: &mut [i64],
 ) {
-    let (main, tail) = xrs.split_at(lane_cut::<LANES>(xrs.len()));
+    let (main, tail) = xs.split_at(lane_cut::<LANES>(xs.len()));
     if !main.is_empty() {
-        let n = main.len() as i64;
-        for (j, pair) in row.chunks_exact_mut(2).enumerate() {
-            let ones = count_ones_lanes::<LANES>(bank.coef(j), main);
-            pair[0] = pair[0].wrapping_add(d0.wrapping_mul(n - ones));
-            pair[1] = pair[1].wrapping_add(d0.wrapping_mul(ones));
+        let n = main.len() as u64;
+        for ((pair, &aj), &bj) in row.chunks_exact_mut(2).zip(a).zip(b) {
+            let odd = odd_count_lanes::<LANES>(aj, main);
+            // `bⱼ = 1` flips every bit of function j.
+            let ones = if bj == 0 { odd } else { n - odd };
+            pair[0] = pair[0].wrapping_add(d0.wrapping_mul((n - ones) as i64));
+            pair[1] = pair[1].wrapping_add(d0.wrapping_mul(ones as i64));
         }
     }
-    for &xr in tail {
-        accumulate_one_lanes::<LANES>(bank, xr, d0, row);
+    for &x in tail {
+        affine_one_lanes::<LANES>(a, b, x, d0, row);
     }
 }
 
 /// Mixed-delta grouped accumulate: for every function `j`, add
-/// `total − onesⱼ` to `row[2j]` and `onesⱼ` to `row[2j+1]`, where `onesⱼ`
-/// is the delta mass landing in the odd cell.
+/// `deltas[i]` to `row[2j + hⱼ(xs[i])]`, as `total − onesⱼ` and `onesⱼ`,
+/// where `onesⱼ` is the delta mass landing in the odd cell.
 #[inline(always)]
-fn accumulate_weighted_lanes<const LANES: usize>(
-    bank: &ParityBank,
-    xrs: &[u64],
+fn affine_weighted_lanes<const LANES: usize>(
+    a: &[u64],
+    b: &[u64],
+    xs: &[u64],
     deltas: &[i64],
     total: i64,
     row: &mut [i64],
 ) {
-    debug_assert_eq!(xrs.len(), deltas.len());
-    let cut = lane_cut::<LANES>(xrs.len());
-    let (main, tail) = xrs.split_at(cut);
+    debug_assert_eq!(xs.len(), deltas.len());
+    let cut = lane_cut::<LANES>(xs.len());
+    let (main, tail) = xs.split_at(cut);
     let (dmain, dtail) = deltas.split_at(cut);
     if !main.is_empty() {
         // The tail is at most `2·LANES` elements: cheaper to subtract its
-        // mass from the caller's chunk total than to re-scan `dmain`.
-        let main_total = total - dtail.iter().sum::<i64>();
-        for (j, pair) in row.chunks_exact_mut(2).enumerate() {
-            let ones = weighted_ones_lanes::<LANES>(bank.coef(j), main, dmain);
-            pair[0] = pair[0].wrapping_add(main_total.wrapping_sub(ones));
-            pair[1] = pair[1].wrapping_add(ones);
+        // mass from the caller's group total than to re-scan `dmain`.
+        let main_total = dtail.iter().fold(total, |t, &d| t.wrapping_sub(d));
+        for ((pair, &aj), &bj) in row.chunks_exact_mut(2).zip(a).zip(b) {
+            let odd = odd_mass_lanes::<LANES>(aj, main, dmain);
+            let even = main_total.wrapping_sub(odd);
+            let (zero, one) = if bj == 0 { (even, odd) } else { (odd, even) };
+            pair[0] = pair[0].wrapping_add(zero);
+            pair[1] = pair[1].wrapping_add(one);
         }
     }
-    for (&xr, &d) in tail.iter().zip(dtail) {
-        accumulate_one_lanes::<LANES>(bank, xr, d, row);
+    for (&x, &d) in tail.iter().zip(dtail) {
+        affine_one_lanes::<LANES>(a, b, x, d, row);
     }
 }
 
@@ -520,29 +439,31 @@ mod x86 {
     //! so feature presence is the *entire* obligation.
     use super::*;
 
-    // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; the body is
-    // safe code over chunked slices.
-    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
-    pub unsafe fn accumulate_uniform_avx512(
-        bank: &ParityBank,
-        xrs: &[u64],
+    // SAFETY: to call, the CPU must support avx512f/dq/bw/vl/vpopcntdq;
+    // the body is safe code over chunked slices.
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512vpopcntdq")]
+    pub unsafe fn affine_uniform_avx512(
+        a: &[u64],
+        b: &[u64],
+        xs: &[u64],
         d0: i64,
         row: &mut [i64],
     ) {
-        accumulate_uniform_lanes::<16>(bank, xrs, d0, row);
+        affine_uniform_lanes::<16>(a, b, xs, d0, row);
     }
 
-    // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; `xrs`/`deltas`
-    // must be equal-length and `row.len() == 2 * bank.len()`.
-    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
-    pub unsafe fn accumulate_weighted_avx512(
-        bank: &ParityBank,
-        xrs: &[u64],
+    // SAFETY: to call, the CPU must support avx512f/dq/bw/vl/vpopcntdq;
+    // `xs` and `deltas` must be equal-length and `row.len() == 2 * a.len()`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512vpopcntdq")]
+    pub unsafe fn affine_weighted_avx512(
+        a: &[u64],
+        b: &[u64],
+        xs: &[u64],
         deltas: &[i64],
         total: i64,
         row: &mut [i64],
     ) {
-        accumulate_weighted_lanes::<16>(bank, xrs, deltas, total, row);
+        affine_weighted_lanes::<16>(a, b, xs, deltas, total, row);
     }
 
     // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; `xs` and `out`
@@ -559,29 +480,25 @@ mod x86 {
         positive_bits_kernel(cells, out)
     }
 
-    // SAFETY: to call, the CPU must support avx2; the body is safe code over
-    // chunked slices.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_uniform_avx2(
-        bank: &ParityBank,
-        xrs: &[u64],
-        d0: i64,
-        row: &mut [i64],
-    ) {
-        accumulate_uniform_lanes::<4>(bank, xrs, d0, row);
+    // SAFETY: to call, the CPU must support avx2 and popcnt; the body is
+    // safe code over chunked slices.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub unsafe fn affine_uniform_avx2(a: &[u64], b: &[u64], xs: &[u64], d0: i64, row: &mut [i64]) {
+        affine_uniform_lanes::<4>(a, b, xs, d0, row);
     }
 
-    // SAFETY: to call, the CPU must support avx2; `xrs` and `deltas` must be
-    // equal-length and `row.len() == 2 * bank.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_weighted_avx2(
-        bank: &ParityBank,
-        xrs: &[u64],
+    // SAFETY: to call, the CPU must support avx2 and popcnt; `xs` and
+    // `deltas` must be equal-length and `row.len() == 2 * a.len()`.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub unsafe fn affine_weighted_avx2(
+        a: &[u64],
+        b: &[u64],
+        xs: &[u64],
         deltas: &[i64],
         total: i64,
         row: &mut [i64],
     ) {
-        accumulate_weighted_lanes::<4>(bank, xrs, deltas, total, row);
+        affine_weighted_lanes::<4>(a, b, xs, deltas, total, row);
     }
 
     // SAFETY: to call, the CPU must support avx2; `xs` and `out` must be
@@ -601,44 +518,43 @@ mod x86 {
 
 // ----------------------------------------------------------- entry points
 
-/// Grouped uniform-delta accumulate (see [`accumulate_uniform_lanes`]),
-/// dispatched to the detected backend.
+/// Grouped uniform-delta accumulate of the affine bank `(a, b)` (see
+/// [`affine_uniform_lanes`]), dispatched to the detected backend.
 #[inline]
-pub(crate) fn accumulate_uniform(bank: &ParityBank, xrs: &[u64], d0: i64, row: &mut [i64]) {
-    debug_assert_eq!(row.len(), 2 * bank.len());
+pub(crate) fn affine_uniform(a: &[u64], b: &[u64], xs: &[u64], d0: i64, row: &mut [i64]) {
+    debug_assert!(a.len() == b.len() && row.len() == 2 * a.len());
     match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all four features.
+        // SAFETY: `backend()` returns Avx512 only after detecting all five features.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx512 => unsafe { x86::accumulate_uniform_avx512(bank, xrs, d0, row) },
-        // SAFETY: `backend()` returns Avx2 only after detecting avx2.
+        Backend::Avx512 => unsafe { x86::affine_uniform_avx512(a, b, xs, d0, row) },
+        // SAFETY: `backend()` returns Avx2 only after detecting avx2 and popcnt.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx2 => unsafe { x86::accumulate_uniform_avx2(bank, xrs, d0, row) },
-        _ => accumulate_uniform_lanes::<1>(bank, xrs, d0, row),
+        Backend::Avx2 => unsafe { x86::affine_uniform_avx2(a, b, xs, d0, row) },
+        _ => affine_uniform_lanes::<1>(a, b, xs, d0, row),
     }
 }
 
-/// Grouped mixed-delta accumulate (see [`accumulate_weighted_lanes`]),
-/// dispatched to the detected backend.
+/// Grouped mixed-delta accumulate of the affine bank `(a, b)` (see
+/// [`affine_weighted_lanes`]), dispatched to the detected backend.
 #[inline]
-pub(crate) fn accumulate_weighted(
-    bank: &ParityBank,
-    xrs: &[u64],
+pub(crate) fn affine_weighted(
+    a: &[u64],
+    b: &[u64],
+    xs: &[u64],
     deltas: &[i64],
     total: i64,
     row: &mut [i64],
 ) {
-    debug_assert_eq!(row.len(), 2 * bank.len());
+    debug_assert!(a.len() == b.len() && row.len() == 2 * a.len());
     match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all four
+        // SAFETY: `backend()` returns Avx512 only after detecting all five
         // features; the caller-facing signature takes equal-length slices.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx512 => unsafe {
-            x86::accumulate_weighted_avx512(bank, xrs, deltas, total, row)
-        },
-        // SAFETY: `backend()` returns Avx2 only after detecting avx2.
+        Backend::Avx512 => unsafe { x86::affine_weighted_avx512(a, b, xs, deltas, total, row) },
+        // SAFETY: `backend()` returns Avx2 only after detecting avx2 and popcnt.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx2 => unsafe { x86::accumulate_weighted_avx2(bank, xrs, deltas, total, row) },
-        _ => accumulate_weighted_lanes::<1>(bank, xrs, deltas, total, row),
+        Backend::Avx2 => unsafe { x86::affine_weighted_avx2(a, b, xs, deltas, total, row) },
+        _ => affine_weighted_lanes::<1>(a, b, xs, deltas, total, row),
     }
 }
 
@@ -649,7 +565,7 @@ pub(crate) fn accumulate_weighted(
 pub(crate) fn horner_many(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
     debug_assert_eq!(xs.len(), out.len());
     match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all four features.
+        // SAFETY: `backend()` returns Avx512 only after detecting all five features.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
         Backend::Avx512 => unsafe { x86::horner_many_avx512(coeffs, xs, out) },
         // SAFETY: `backend()` returns Avx2 only after detecting avx2.
@@ -668,7 +584,7 @@ pub(crate) fn horner_many(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
 pub fn positive_bits(cells: &[i64], out: &mut [u64]) -> bool {
     debug_assert!(out.len() >= cells.len().div_ceil(64));
     match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all four features.
+        // SAFETY: `backend()` returns Avx512 only after detecting all five features.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
         Backend::Avx512 => unsafe { x86::positive_bits_avx512(cells, out) },
         // SAFETY: `backend()` returns Avx2 only after detecting avx2.
@@ -709,87 +625,220 @@ mod tests {
             .collect()
     }
 
-    fn canonical(seed: u64, n: usize) -> Vec<u64> {
-        rngs(seed, n).into_iter().map(field::reduce64).collect()
+    /// `s` affine functions: uniform `a`, a fair bit `b`.
+    fn bank(s: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
+        let a = rngs(seed, s);
+        let b = rngs(seed ^ 0xabcd, s).into_iter().map(|v| v >> 63).collect();
+        (a, b)
     }
 
-    fn bank(s: usize, seed: u64) -> (ParityBank, Vec<u64>, Vec<u64>) {
-        let a = canonical(seed, s);
-        let b = canonical(seed ^ 0xabcd, s);
-        (ParityBank::new(&a, &b), a, b)
+    /// The ground truth the whole module must agree with, one bit at a
+    /// time: `b ⊕ (⊕ᵢ aᵢ ∧ xᵢ)`.
+    fn ref_bit(a: u64, b: u64, x: u64) -> usize {
+        let dot = (0..64).fold(0, |acc, i| acc ^ (a >> i & x >> i & 1));
+        (dot ^ b) as usize
     }
 
-    /// The scalar ground truth the whole module must agree with.
-    fn ref_bit(a: u64, b: u64, xr: u64) -> u64 {
-        field::parity128(a as u128 * xr as u128 + b as u128)
+    /// Element inputs for a group of `n`: random words, with the edge
+    /// elements (0, all ones, every single bit) woven in.
+    fn elements(n: usize) -> Vec<u64> {
+        let edges = [0u64, u64::MAX].into_iter().chain((0..64).map(|i| 1u64 << i));
+        let mut xs: Vec<u64> = edges.chain(rngs(n as u64 + 1, n)).collect();
+        xs.truncate(n);
+        xs
     }
 
-    #[test]
-    fn parity_eval_matches_parity128_on_edges() {
-        let edge = [0u64, 1, 2, M31, M31 + 1, M32, M32 + 1, 1 << 60, P - 2, P - 1];
-        for &a in &edge {
-            for &b in &edge {
-                let bank = ParityBank::new(&[a], &[b]);
-                for &x in &edge {
-                    let got = parity_eval(bank.coef(0), x & M31, x >> 31);
-                    assert_eq!(got, ref_bit(a, b, x), "a={a} b={b} x={x}");
-                }
+    /// Reference rows for the uniform (`d0 = 5`) and weighted forms.
+    fn reference_rows(a: &[u64], b: &[u64], xs: &[u64], deltas: &[i64]) -> (Vec<i64>, Vec<i64>) {
+        let mut uniform = vec![0i64; 2 * a.len()];
+        let mut weighted = vec![0i64; 2 * a.len()];
+        for (j, (&aj, &bj)) in a.iter().zip(b).enumerate() {
+            for (&x, &d) in xs.iter().zip(deltas) {
+                let bit = ref_bit(aj, bj, x);
+                uniform[2 * j + bit] += 5;
+                weighted[2 * j + bit] += d;
             }
         }
+        (uniform, weighted)
+    }
+
+    /// Bank widths and group lengths straddling every lane boundary.
+    const WIDTHS: [usize; 6] = [1, 4, 15, 16, 32, 33];
+    const LENGTHS: [usize; 11] = [0, 1, 3, 15, 16, 17, 63, 64, 65, 130, 200];
+
+    fn deltas(n: usize) -> Vec<i64> {
+        (0..n as i64).map(|i| (i % 7) - 3).collect()
     }
 
     #[test]
-    fn parity_eval_matches_parity128_randomized() {
-        let mut s = 42u64;
-        let mut draw = || {
-            s = splitmix64(s.wrapping_add(0x9e37_79b9_7f4a_7c15));
-            field::reduce64(s)
-        };
-        for _ in 0..20_000 {
-            let (a, b, x) = (draw(), draw(), draw());
-            let bank = ParityBank::new(&[a], &[b]);
-            assert_eq!(
-                parity_eval(bank.coef(0), x & M31, x >> 31),
-                ref_bit(a, b, x),
-                "a={a} b={b} x={x}"
-            );
+    fn parity_matches_the_bitwise_reference() {
+        let edges = [0u64, 1, 2, M32, M32 + 1, 1 << 63, P, u64::MAX];
+        for &a in &edges {
+            for &x in &edges {
+                assert_eq!(parity(a, x) as usize, ref_bit(a, 0, x), "a={a:#x} x={x:#x}");
+            }
+        }
+        for pair in rngs(42, 20_000).chunks_exact(2) {
+            let (a, x) = (pair[0], pair[1]);
+            assert_eq!(parity(a, x) as usize, ref_bit(a, 0, x), "a={a:#x} x={x:#x}");
         }
     }
 
     #[test]
     fn lane_kernels_match_scalar_instantiation_all_backends() {
-        // The generic kernel at any width must equal the LANES = 1 form,
-        // including when routed through the target_feature wrappers.
-        let (bank, a, b) = bank(33, 7);
-        for n in [0usize, 1, 3, 15, 16, 17, 63, 64, 65, 200] {
-            let xrs = canonical(n as u64 + 1, n);
-            let deltas: Vec<i64> = (0..n as i64).map(|i| (i % 7) - 3).collect();
-            let total: i64 = deltas.iter().sum();
+        // The dispatched kernel (whatever tier this process runs) and the
+        // portable LANES = 1 instantiation both equal the reference.
+        for s in WIDTHS {
+            let (a, b) = bank(s, 7 + s as u64);
+            for n in LENGTHS {
+                let xs = elements(n);
+                let deltas = deltas(n);
+                let total: i64 = deltas.iter().sum();
+                let (want_u, want_w) = reference_rows(&a, &b, &xs, &deltas);
 
-            let mut want_u = vec![0i64; 2 * bank.len()];
-            let mut want_w = vec![0i64; 2 * bank.len()];
-            for (j, (&aj, &bj)) in a.iter().zip(&b).enumerate() {
-                for (i, &xr) in xrs.iter().enumerate() {
-                    let bit = ref_bit(aj, bj, xr) as usize;
-                    want_u[2 * j + bit] += 5;
-                    want_w[2 * j + bit] += deltas[i];
+                let mut got = vec![0i64; 2 * s];
+                affine_uniform(&a, &b, &xs, 5, &mut got);
+                assert_eq!(got, want_u, "uniform s={s} n={n} backend={:?}", backend());
+                let mut got = vec![0i64; 2 * s];
+                affine_uniform_lanes::<1>(&a, &b, &xs, 5, &mut got);
+                assert_eq!(got, want_u, "uniform s={s} n={n} LANES=1");
+
+                let mut got = vec![0i64; 2 * s];
+                affine_weighted(&a, &b, &xs, &deltas, total, &mut got);
+                assert_eq!(got, want_w, "weighted s={s} n={n} backend={:?}", backend());
+                let mut got = vec![0i64; 2 * s];
+                affine_weighted_lanes::<1>(&a, &b, &xs, &deltas, total, &mut got);
+                assert_eq!(got, want_w, "weighted s={s} n={n} LANES=1");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_wrap_instead_of_overflowing() {
+        // Hostile cells and deltas near i64::MAX: linear modulo 2⁶⁴.
+        let (a, b) = bank(8, 3);
+        let xs = elements(40);
+        let deltas: Vec<i64> = (0..40).map(|i| if i % 2 == 0 { i64::MAX } else { i64::MIN + 1 }).collect();
+        let total = deltas.iter().fold(0i64, |t, &d| t.wrapping_add(d));
+        let mut row = vec![i64::MAX; 16];
+        affine_weighted(&a, &b, &xs, &deltas, total, &mut row);
+        let mut want = vec![i64::MAX; 16];
+        for (j, (&aj, &bj)) in a.iter().zip(&b).enumerate() {
+            for (&x, &d) in xs.iter().zip(&deltas) {
+                let cell = &mut want[2 * j + ref_bit(aj, bj, x)];
+                *cell = cell.wrapping_add(d);
+            }
+        }
+        assert_eq!(row, want);
+        affine_uniform(&a, &b, &xs, i64::MAX, &mut row);
+    }
+
+    /// Each x86 tier the CPU has, called directly: the dispatch runs one
+    /// tier per process, so without this the tiers below the host's best
+    /// would never execute on it.
+    #[cfg(all(target_arch = "x86_64", feature = "simd"))]
+    #[test]
+    fn every_compiled_x86_tier_matches_lanes_one_and_the_reference() {
+        let avx512 = is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vl");
+        let vpopcnt = avx512 && is_x86_feature_detected!("avx512vpopcntdq");
+        let avx2 = is_x86_feature_detected!("avx2");
+        let popcnt = avx2 && is_x86_feature_detected!("popcnt");
+
+        for s in WIDTHS {
+            let (a, b) = bank(s, 11 + s as u64);
+            for n in LENGTHS {
+                let xs = elements(n);
+                let deltas = deltas(n);
+                let total: i64 = deltas.iter().sum();
+                let (want_u, want_w) = reference_rows(&a, &b, &xs, &deltas);
+                let mut lanes1 = vec![0i64; 2 * s];
+                affine_uniform_lanes::<1>(&a, &b, &xs, 5, &mut lanes1);
+                assert_eq!(lanes1, want_u, "s={s} n={n}");
+                let mut lanes1 = vec![0i64; 2 * s];
+                affine_weighted_lanes::<1>(&a, &b, &xs, &deltas, total, &mut lanes1);
+                assert_eq!(lanes1, want_w, "s={s} n={n}");
+
+                if vpopcnt {
+                    let mut got = vec![0i64; 2 * s];
+                    // SAFETY: avx512f/dq/bw/vl/vpopcntdq detected above.
+                    unsafe { x86::affine_uniform_avx512(&a, &b, &xs, 5, &mut got) };
+                    assert_eq!(got, want_u, "avx512 uniform s={s} n={n}");
+                    let mut got = vec![0i64; 2 * s];
+                    // SAFETY: avx512f/dq/bw/vl/vpopcntdq detected above.
+                    unsafe { x86::affine_weighted_avx512(&a, &b, &xs, &deltas, total, &mut got) };
+                    assert_eq!(got, want_w, "avx512 weighted s={s} n={n}");
+                }
+                if popcnt {
+                    let mut got = vec![0i64; 2 * s];
+                    // SAFETY: avx2 and popcnt detected above.
+                    unsafe { x86::affine_uniform_avx2(&a, &b, &xs, 5, &mut got) };
+                    assert_eq!(got, want_u, "avx2 uniform s={s} n={n}");
+                    let mut got = vec![0i64; 2 * s];
+                    // SAFETY: avx2 and popcnt detected above.
+                    unsafe { x86::affine_weighted_avx2(&a, &b, &xs, &deltas, total, &mut got) };
+                    assert_eq!(got, want_w, "avx2 weighted s={s} n={n}");
                 }
             }
+        }
 
-            let mut got_u = vec![0i64; 2 * bank.len()];
-            accumulate_uniform(&bank, &xrs, 5, &mut got_u);
-            assert_eq!(got_u, want_u, "uniform n={n} backend={:?}", backend());
+        for t in [1usize, 2, 8] {
+            let coeffs: Vec<u64> = rngs(t as u64, t).into_iter().map(field::reduce64).collect();
+            for n in [0usize, 1, 4, 15, 16, 17, 33, 100] {
+                let xs = rngs(n as u64 + 77, n);
+                let mut want = vec![0u64; n];
+                horner_many_lanes::<1>(&coeffs, &xs, &mut want);
+                for (&x, &w) in xs.iter().zip(&want) {
+                    let xr = field::reduce64(x);
+                    let acc = coeffs.iter().fold(0, |acc, &c| field::mul_add_lazy(acc, xr, c));
+                    assert_eq!(w, field::reduce64(acc), "t={t} x={x}");
+                }
+                if avx512 {
+                    let mut got = vec![0u64; n];
+                    // SAFETY: avx512f/dq/bw/vl detected above.
+                    unsafe { x86::horner_many_avx512(&coeffs, &xs, &mut got) };
+                    assert_eq!(got, want, "avx512 horner t={t} n={n}");
+                }
+                if avx2 {
+                    let mut got = vec![0u64; n];
+                    // SAFETY: avx2 detected above.
+                    unsafe { x86::horner_many_avx2(&coeffs, &xs, &mut got) };
+                    assert_eq!(got, want, "avx2 horner t={t} n={n}");
+                }
+            }
+        }
 
-            let mut got_w = vec![0i64; 2 * bank.len()];
-            accumulate_weighted(&bank, &xrs, &deltas, total, &mut got_w);
-            assert_eq!(got_w, want_w, "weighted n={n} backend={:?}", backend());
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            let cells: Vec<i64> = rngs(len as u64, len).into_iter().map(|v| v as i64 % 3).collect();
+            let words = len.div_ceil(64);
+            let mut want = vec![0u64; words];
+            let want_any = positive_bits_kernel(&cells, &mut want);
+            for (i, &c) in cells.iter().enumerate() {
+                assert_eq!(want[i / 64] >> (i % 64) & 1 == 1, c > 0, "cell {i}");
+            }
+            assert_eq!(want_any, cells.iter().any(|&c| c != 0));
+            if avx512 {
+                let mut got = vec![0u64; words];
+                // SAFETY: avx512f/dq/bw/vl detected above.
+                let any = unsafe { x86::positive_bits_avx512(&cells, &mut got) };
+                assert_eq!((got, any), (want.clone(), want_any), "avx512 len={len}");
+            }
+            if avx2 {
+                let mut got = vec![0u64; words];
+                // SAFETY: avx2 detected above.
+                let any = unsafe { x86::positive_bits_avx2(&cells, &mut got) };
+                assert_eq!((got, any), (want.clone(), want_any), "avx2 len={len}");
+            }
         }
     }
 
     #[test]
     fn horner_many_matches_lazy_scalar_chain() {
         for t in [1usize, 2, 5, 8] {
-            let coeffs = canonical(t as u64 ^ 0x5555, t);
+            let coeffs: Vec<u64> =
+                rngs(t as u64 ^ 0x5555, t).into_iter().map(field::reduce64).collect();
             for n in [0usize, 1, 4, 15, 16, 17, 100] {
                 let xs = rngs(n as u64 + 77, n);
                 let mut out = vec![0u64; n];

@@ -1,11 +1,12 @@
-//! SIMD ≡ scalar equivalence, property-tested through the public API.
+//! SIMD ≡ reference equivalence, property-tested through the public API.
 //!
 //! The dispatched lane kernels behind [`PairwiseHashBank::accumulate_group`],
 //! [`setstream_hash::positive_bits`] and the `hash_slice` overrides must
-//! be **bit-identical** to the per-element scalar references that predate
-//! them (`accumulate_row` below / `c > 0` / `Hash64::hash`), for every
-//! input shape: arbitrary bank widths and batch lengths (including odd
-//! lane remainders), insert-only, mixed, and delete-heavy deltas.
+//! be **bit-identical** to per-element references computed without them
+//! (`accumulate_row` below, which derives every second-level bit one
+//! element bit at a time / `c > 0` / `Hash64::hash`), for every input
+//! shape: arbitrary bank widths and batch lengths (including odd lane
+//! remainders), insert-only, mixed, and delete-heavy deltas.
 //!
 //! The same suite runs in all three backend configurations: the default
 //! build dispatches to the widest kernel the CPU has, the
@@ -18,35 +19,34 @@ use proptest::prelude::*;
 use setstream_hash::field;
 use setstream_hash::{hash_many, Hash64, KWiseHash, PairwiseHash, PairwiseHashBank};
 
-fn bank(seed: u64, s: usize) -> (PairwiseHashBank, Vec<PairwiseHash>) {
-    let fns: Vec<PairwiseHash> = (0..s as u64)
-        .map(|j| PairwiseHash::from_seed(seed ^ (j.wrapping_mul(0x9e37_79b9))))
-        .collect();
-    (PairwiseHashBank::from_functions(&fns), fns)
+/// The second-level bit of `x` under `(a, b)`, one element bit at a time:
+/// `b ⊕ (⊕ᵢ aᵢ ∧ xᵢ)`.
+fn reference_bit(a: u64, b: u64, x: u64) -> usize {
+    let mut bit = b;
+    for i in 0..64 {
+        bit ^= (a >> i) & (x >> i) & 1;
+    }
+    bit as usize
 }
 
 /// The scalar reference the grouped kernels are pinned to: for every
-/// function `j`, add `delta` to `row[2j + bitⱼ(x)]`, where the bit is the
-/// parity of `(aⱼ·x + bⱼ) mod p` computed from the function's own
-/// coefficients with 128-bit field arithmetic.
-fn accumulate_row(fns: &[PairwiseHash], x: u64, delta: i64, row: &mut [i64]) {
+/// function `j`, add `delta` to `row[2j + hⱼ(x)]`, with the bit computed
+/// by [`reference_bit`] from the function's own coefficients.
+fn accumulate_row(bank: &PairwiseHashBank, x: u64, delta: i64, row: &mut [i64]) {
     assert_eq!(
         row.len(),
-        2 * fns.len(),
+        2 * bank.len(),
         "row holds one cell pair per function"
     );
-    let xr = field::reduce64(x) as u128;
-    for (pair, h) in row.chunks_exact_mut(2).zip(fns) {
-        let (a, b) = h.coefficients();
-        let bit = field::parity128(a as u128 * xr + b as u128) as usize;
-        pair[bit] += delta;
+    for (pair, (a, b)) in row.chunks_exact_mut(2).zip(bank.coefficients()) {
+        pair[reference_bit(a, b, x)] += delta;
     }
 }
 
 #[test]
 fn accumulate_row_bumps_the_scalar_cells() {
     for s in [1usize, 8, 32, 33] {
-        let (_, fns) = bank(11, s);
+        let bank = PairwiseHashBank::from_seed(11, s);
         let mut row = vec![0i64; 2 * s];
         let mut expect = vec![0i64; 2 * s];
         for (i, x) in [0u64, 3, 999, u64::MAX, 0x1234_5678]
@@ -54,9 +54,9 @@ fn accumulate_row_bumps_the_scalar_cells() {
             .enumerate()
         {
             let delta = (i as i64 + 1) * if i % 2 == 0 { 1 } else { -1 };
-            accumulate_row(&fns, x, delta, &mut row);
-            for (j, f) in fns.iter().enumerate() {
-                expect[2 * j + f.hash_bit(x)] += delta;
+            accumulate_row(&bank, x, delta, &mut row);
+            for (j, bit) in bank.bits(x).enumerate() {
+                expect[2 * j + bit] += delta;
             }
             assert_eq!(row, expect, "s={s} x={x}");
         }
@@ -66,22 +66,21 @@ fn accumulate_row_bumps_the_scalar_cells() {
 #[test]
 fn accumulate_group_matches_per_element_rows() {
     for s in [1usize, 8, 32, 33] {
-        let (bank, fns) = bank(13, s);
+        let bank = PairwiseHashBank::from_seed(13, s);
         for n in [0usize, 1, 2, 7, 64] {
             let elems: Vec<u64> = (0..n as u64)
                 .map(|i| i.wrapping_mul(0x9e37) ^ 0xabc)
                 .collect();
-            let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
             // Mixed deltas (general path) and uniform deltas (count-only
             // fast path) must both match per-element application.
             let mixed: Vec<i64> = (0..n as i64).map(|i| (i % 5) - 2).collect();
             let uniform = vec![-3i64; n];
             for deltas in [&mixed, &uniform] {
                 let mut grouped = vec![0i64; 2 * s];
-                bank.accumulate_group(&xrs, deltas, &mut grouped);
+                bank.accumulate_group(&elems, deltas, &mut grouped);
                 let mut scalar = vec![0i64; 2 * s];
                 for (&e, &d) in elems.iter().zip(deltas.iter()) {
-                    accumulate_row(&fns, e, d, &mut scalar);
+                    accumulate_row(&bank, e, d, &mut scalar);
                 }
                 assert_eq!(grouped, scalar, "s={s} n={n}");
             }
@@ -123,7 +122,7 @@ proptest! {
         // 0 = insert-only, 1 = ~10% deletes, 2 = delete-heavy (~90%).
         mix in 0u8..3,
     ) {
-        let (bank, fns) = bank(seed, s);
+        let bank = PairwiseHashBank::from_seed(seed, s);
         let deltas: Vec<i64> = elems
             .iter()
             .enumerate()
@@ -135,14 +134,13 @@ proptest! {
                 _ => -1,
             })
             .collect();
-        let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
 
         let mut grouped = vec![0i64; 2 * s];
-        bank.accumulate_group(&xrs, &deltas, &mut grouped);
+        bank.accumulate_group(&elems, &deltas, &mut grouped);
 
         let mut reference = vec![0i64; 2 * s];
         for (&e, &d) in elems.iter().zip(&deltas) {
-            accumulate_row(&fns, e, d, &mut reference);
+            accumulate_row(&bank, e, d, &mut reference);
         }
         prop_assert_eq!(grouped, reference);
     }
@@ -175,34 +173,32 @@ proptest! {
     }
 }
 
-/// Field-edge elements (0, 1, P−1, P, P+1, 2⁶¹, u64::MAX, …) hit the
-/// reduction seams the random strategy rarely lands on.
+/// Edge elements the random strategy rarely lands on: 0, all ones, every
+/// single-bit word, and pairs `(e, e + 2⁶¹ − 1)` that a field-reducing
+/// family would identify. Both kernel forms must match the reference.
 #[test]
 fn accumulate_group_field_edges() {
-    const P: u64 = (1 << 61) - 1;
-    let elems: Vec<u64> = vec![
-        0,
-        1,
-        2,
-        P - 1,
-        P,
-        P + 1,
-        1 << 61,
-        (1 << 62) + 12345,
-        u64::MAX - 1,
-        u64::MAX,
-        0x9e37_79b9_7f4a_7c15,
-    ];
-    let deltas: Vec<i64> = elems.iter().enumerate().map(|(i, _)| if i % 2 == 0 { 3 } else { -2 }).collect();
-    let xrs: Vec<u64> = elems.iter().map(|&e| field::reduce64(e)).collect();
+    let mut elems: Vec<u64> = vec![0, u64::MAX];
+    elems.extend((0..64).map(|i| 1u64 << i));
+    for e in [0u64, 1, 2, 5, 12_345, 1 << 61, field::P] {
+        elems.extend([e, e + field::P]);
+    }
+    let deltas: Vec<i64> = (0..elems.len())
+        .map(|i| if i % 2 == 0 { 3 } else { -2 })
+        .collect();
     for s in [1usize, 7, 16, 17, 32] {
-        let (bank, fns) = bank(0xdead_beef ^ s as u64, s);
+        let bank = PairwiseHashBank::from_seed(0xdead_beef ^ s as u64, s);
         let mut grouped = vec![0i64; 2 * s];
-        bank.accumulate_group(&xrs, &deltas, &mut grouped);
+        bank.accumulate_group(&elems, &deltas, &mut grouped);
+        let mut uniform = vec![0i64; 2 * s];
+        bank.accumulate_group_uniform(&elems, 4, &mut uniform);
         let mut reference = vec![0i64; 2 * s];
+        let mut reference_uniform = vec![0i64; 2 * s];
         for (&e, &d) in elems.iter().zip(&deltas) {
-            accumulate_row(&fns, e, d, &mut reference);
+            accumulate_row(&bank, e, d, &mut reference);
+            accumulate_row(&bank, e, 4, &mut reference_uniform);
         }
         assert_eq!(grouped, reference, "s={s}");
+        assert_eq!(uniform, reference_uniform, "s={s}");
     }
 }

@@ -58,7 +58,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2282 apps=1173 baselines=331 bench=1360 core=2087 distributed=3596 engine=1864 expr=825 hash=949 obs=1627 stream=760"
+LOC_BUDGET="analyze=2282 apps=1173 baselines=331 bench=1360 core=2067 distributed=3596 engine=1864 expr=825 hash=886 obs=1627 stream=760"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }
