@@ -808,9 +808,9 @@ fn cmd_subscribe(rest: &[&String]) -> Result<(), String> {
         println!("sub {id}: {} (tolerance {:?})", sub.expr(), sub.options().tolerance());
     }
     println!(
-        "{} subscription(s) share {} interned DAG node(s)",
+        "{} subscription(s) share {} expression class(es)",
         positional.len(),
-        engine.interned_nodes()
+        engine.subscription_classes()
     );
 
     let chunk = updates.len().div_ceil(epochs).max(1);

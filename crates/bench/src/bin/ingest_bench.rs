@@ -135,8 +135,9 @@ fn quantile(xs: &[f64], q: f64) -> f64 {
 /// drift lands on both alike, and each ratio `b / a` compares two
 /// neighbouring reps. Prints the result under `label` and returns the
 /// ratios' quartiles `[q1, median, q3]` (the gate reads the median) with
-/// the JSON fields of the result row, the sides named `na` and `nb`.
-fn paired(label: &str, [na, nb]: [&str; 2], pairs: usize, n: usize,
+/// the JSON fields of the result row: the sides named `na` and `nb`, the
+/// ratio `nr`.
+fn paired(label: &str, [na, nb, nr]: [&str; 3], pairs: usize, n: usize,
     mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> ([f64; 3], String) {
     let mut t = [Vec::new(), Vec::new()];
     for i in 0..pairs {
@@ -150,7 +151,7 @@ fn paired(label: &str, [na, nb]: [&str; 2], pairs: usize, n: usize,
     println!("  {label}: {na} {a_ns:.1} ns/update   {nb} {b_ns:.1} ns/update   ratio {median:.3}x [{q1:.3}, {q3:.3}]");
     let fields = format!(
         "\"pairs\":{pairs},\"{na}_ns_per_update\":{a_ns:.1},\"{nb}_ns_per_update\":{b_ns:.1},\
-         \"overhead\":{median:.3},\"overhead_q1\":{q1:.3},\"overhead_q3\":{q3:.3}"
+         \"{nr}\":{median:.3},\"{nr}_q1\":{q1:.3},\"{nr}_q3\":{q3:.3}"
     );
     ([q1, median, q3], fields)
 }
@@ -177,9 +178,10 @@ fn main() {
     // The overhead ratios (metrics, quality, tracing) gate in tier1.sh,
     // so they need enough work per timing for the ratio to be signal
     // rather than scheduler noise: at 2k updates the quick ratios
-    // routinely landed below 1.0. They get their own larger sample, timed
-    // as interleaved pairs (see `paired`).
-    let (n_obs, obs_pairs) = if args.quick {
+    // routinely landed below 1.0. They get their own larger sample. They
+    // and the thread-scaling ratios are timed as interleaved pairs (see
+    // `paired`).
+    let (n_obs, pairs) = if args.quick {
         (20_000usize, 9usize)
     } else {
         (60_000, 15)
@@ -231,30 +233,31 @@ fn main() {
         }
     }
 
-    // Staged-pipeline thread scaling at a mid-size r. Meaningful only
-    // when the recorded host `cores` covers the thread count — on
+    // Staged-pipeline thread scaling at a mid-size r, each thread count
+    // timed against 1 thread as interleaved pairs (see `paired`), so the
+    // base moves with the host alongside the row it divides. Meaningful
+    // only when the recorded host `cores` covers the thread count — on
     // smaller hosts the extra rows measure oversubscription.
     let r_par = 128usize;
     let updates = workload(n_parallel, Shape::Mixed10);
-    let mut base_1t = 0.0;
-    let mut scaling_4t = 0.0;
-    for threads in [1usize, 2, 4, 8] {
-        let ingestor = ShardedIngestor::new(family(r_par), threads);
-        let ns = time_ns_per_update(&updates, reps, |us| ingestor.ingest_vector(us));
-        if threads == 1 {
-            base_1t = ns;
-        }
-        let scaling = base_1t / ns;
-        if threads == 4 {
-            scaling_4t = scaling;
-        }
-        println!("  parallel r={r_par} threads={threads}  {ns:>10.1} ns/update   scaling {scaling:.2}x");
+    let one = ShardedIngestor::new(family(r_par), 1);
+    let [_, [scaling_4t_q1, scaling_4t, scaling_4t_q3], _] = [2usize, 4, 8].map(|threads| {
+        let many = ShardedIngestor::new(family(r_par), threads);
+        let (scaling, fields) = paired(
+            &format!("parallel r={r_par} threads={threads}"),
+            ["threads", "one_thread", "scaling_vs_1_thread"],
+            pairs,
+            n_parallel,
+            || secs(|| many.ingest_vector(&updates)),
+            || secs(|| one.ingest_vector(&updates)),
+        );
         let _ = write!(
             rows,
             ",\n    {{\"mode\":\"parallel\",\"r\":{r_par},\"s\":{PAPER_S},\"updates\":{n_parallel},\
-             \"threads\":{threads},\"ns_per_update\":{ns:.1},\"scaling_vs_1_thread\":{scaling:.3}}}"
+             \"threads\":{threads},{fields}}}"
         );
-    }
+        scaling
+    });
 
     // Observability overhead: the raw batched kernel against the
     // instrumented engine path (always-on atomic counters + per-batch
@@ -264,8 +267,8 @@ fn main() {
     let updates = workload(n_obs, Shape::InsertOnly);
     let ([metrics_q1, metrics_overhead, metrics_q3], fields) = paired(
         &format!("metrics overhead r={r_obs}"),
-        ["raw", "engine"],
-        obs_pairs,
+        ["raw", "engine", "overhead"],
+        pairs,
         updates.len(),
         || secs(|| {
             let mut v = family(r_obs).new_vector();
@@ -285,6 +288,7 @@ fn main() {
          \"speedup_batch_mixed10_r512\": {speedup_mixed10_r512:.3},\n  \
          \"speedup_batch_mixed50_r512\": {speedup_mixed50_r512:.3},\n  \
          \"parallel_scaling_4t\": {scaling_4t:.3},\n  \
+         \"parallel_scaling_4t_quartiles\": [{scaling_4t_q1:.3}, {scaling_4t_q3:.3}],\n  \
          \"metrics_overhead\": {metrics_overhead:.3},\n  \
          \"metrics_overhead_quartiles\": [{metrics_q1:.3}, {metrics_q3:.3}],\n  \
          \"results\": [\n    {rows}\n  ]\n}}\n",
@@ -304,8 +308,8 @@ fn main() {
         let monitor = QualityMonitor::new(config).expect("valid bench config");
         let (ratio, fields) = paired(
             &format!("quality overhead rate={rate}"),
-            ["engine", "engine_plus_monitor"],
-            obs_pairs,
+            ["engine", "engine_plus_monitor", "overhead"],
+            pairs,
             updates.len(),
             || engine_secs(r_obs, &updates, || ()),
             || engine_secs(r_obs, &updates, || monitor.observe_batch(&updates)),
@@ -346,8 +350,8 @@ fn main() {
     let recording = TraceHandle::new(Arc::new(RingRecorder::new(4096)));
     let ([tracing_q1, tracing_overhead, tracing_q3], fields) = paired(
         &format!("tracing overhead r={r_cycle} epoch={EPOCH_LEN}"),
-        ["noop", "traced"],
-        obs_pairs,
+        ["noop", "traced", "overhead"],
+        pairs,
         updates.len(),
         || cycle_secs(&TraceHandle::noop()),
         || cycle_secs(&recording),

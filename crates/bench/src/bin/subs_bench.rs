@@ -1,13 +1,14 @@
 //! Standing-query subscription benchmark with machine-readable output.
 //!
-//! Pits the interned-DAG incremental path (`StreamEngine::publish_epoch`
-//! over a dirty-stream taint set) against the from-scratch baseline
+//! Pits the incremental path (`StreamEngine::publish_epoch`, which keeps
+//! one cached estimate per expression class and re-estimates a class only
+//! when a stream it reads changed) against the from-scratch baseline
 //! (evaluating every subscription's expression with
 //! `StreamEngine::evaluate`) on a subscription family with ~90% sharing:
 //! `n` subscriptions drawn from a pool of `n/10` distinct expressions, so
-//! interning collapses the family to a handful of DAG roots. Each round
-//! touches 2 of the 8 streams; the incremental path re-estimates only the
-//! tainted roots, once each, while the baseline re-estimates all `n`.
+//! the family collapses to a handful of classes. Each round touches 2 of
+//! the 8 streams; the incremental path re-estimates only the classes that
+//! read them, once each, while the baseline re-estimates all `n`.
 //! Results go to `BENCH_subs.json` so later changes have a perf
 //! trajectory to compare against.
 //!
@@ -62,9 +63,9 @@ fn usage(err: &str) -> ! {
 }
 
 /// The distinct-expression pool: `N_SUBS / 10` expressions over 8
-/// streams, each registered 10 times (90% of registrations are interning
-/// hits). The first three touch streams A/B so the per-round deltas
-/// taint them; the last one doesn't, so dirty tracking skips it.
+/// streams, each registered 10 times (90% of registrations join an
+/// existing class). The first three read streams A/B, which the per-round
+/// deltas change; the last one doesn't, so it serves its cached estimate.
 fn expr_pool() -> Vec<SetExpr> {
     ["(A & B) | (C - D)", "(A | B) & (E - F)", "(B - C) | (G & H)", "(C & D) | (E - G)"]
         .iter()
@@ -134,7 +135,7 @@ fn main() {
                 .subscribe(expr.clone(), options)
                 .expect("subscription registers");
         }
-        let dag_nodes = engine.interned_nodes();
+        let classes = engine.subscription_classes();
         // Warm epoch: absorb the Initial notifications so measured rounds
         // exercise the steady state.
         let _ = engine.publish_epoch();
@@ -154,8 +155,8 @@ fn main() {
             }
             best_full = best_full.min(t.elapsed().as_secs_f64() * 1e9);
 
-            // Incremental: taint from the ingested deltas, re-estimate
-            // only dirty roots, once per distinct root.
+            // Incremental: re-estimate only the classes that read a
+            // changed stream, once per class.
             let before = engine.subscription_metrics().nodes_evaluated.get();
             let t = Instant::now();
             let events = engine.publish_epoch();
@@ -169,13 +170,13 @@ fn main() {
             speedup_100k = speedup;
         }
         println!(
-            "  size={size:<8} full {best_full:>12.0} ns/round   incremental {best_inc:>12.0} ns/round   speedup {speedup:.1}x   ({evaluated_per_round} of {dag_nodes} DAG nodes re-estimated)"
+            "  size={size:<8} full {best_full:>12.0} ns/round   incremental {best_inc:>12.0} ns/round   speedup {speedup:.1}x   ({evaluated_per_round} of {classes} classes re-estimated)"
         );
         let _ = write!(
             rows,
-            "{}{{\"size\":{size},\"subs\":{N_SUBS},\"distinct_exprs\":{},\"dag_nodes\":{dag_nodes},\
+            "{}{{\"size\":{size},\"subs\":{N_SUBS},\"distinct_exprs\":{},\"classes\":{classes},\
              \"full_ns_per_round\":{best_full:.0},\"incremental_ns_per_round\":{best_inc:.0},\
-             \"speedup\":{speedup:.3},\"roots_reestimated_per_round\":{evaluated_per_round}}}",
+             \"speedup\":{speedup:.3},\"classes_reestimated_per_round\":{evaluated_per_round}}}",
             if rows.is_empty() { "" } else { ",\n    " },
             pool.len()
         );

@@ -56,13 +56,11 @@ pub mod config;
 pub mod error;
 pub mod estimate;
 pub mod family;
-pub mod incremental;
 pub mod plan;
 pub mod sketch;
 
 pub use config::SketchConfig;
 pub use error::EstimateError;
-pub use incremental::EvalCache;
 pub use estimate::{
     EpochWitness, Estimate, EstimateMethod, EstimatorOptions, UnionMode, WitnessMode,
     WitnessSummary,

@@ -10,12 +10,11 @@ use crate::subscribe::{
 use setstream_core::{
     estimate, Estimate, EstimateError, EstimatorOptions, IngestStats, SketchFamily, SketchVector,
 };
-use setstream_expr::intern::NodeId;
 use setstream_expr::{SetExpr, SubscribeError};
 use setstream_hash::clock;
 use setstream_obs::{TraceContext, TraceHandle};
 use setstream_stream::{StreamId, Update};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -211,38 +210,6 @@ impl StreamEngine {
         self.metrics.record_batch(stats, deletions);
     }
 
-    /// Process a batch using `threads` worker threads.
-    ///
-    /// Each per-stream group runs the staged ingest pipeline directly
-    /// into that stream's **live** synopsis (see
-    /// [`ShardedIngestor::ingest_into`](crate::ShardedIngestor::ingest_into)):
-    /// workers own disjoint runs of sketch copies, so no partial vectors
-    /// are allocated and no merge happens. Identical counters to
-    /// [`Self::process_batch`] for any thread count.
-    pub fn process_batch_parallel(&mut self, updates: &[Update], threads: usize) {
-        let mut deletions = 0u64;
-        for u in updates {
-            self.updates += 1;
-            if u.is_deletion() {
-                self.deletions += 1;
-                deletions += 1;
-            }
-        }
-        self.metrics
-            .record_batch(IngestStats::for_batch(updates), deletions);
-        let ingestor = crate::ingest::ShardedIngestor::new(self.family, threads)
-            .with_trace(self.trace.clone());
-        let family = self.family;
-        for (stream, group) in crate::ingest::group_by_stream(updates) {
-            self.subs.dirty.insert(stream);
-            let synopsis = self
-                .synopses
-                .entry(stream)
-                .or_insert_with(|| family.new_vector());
-            let _ = ingestor.ingest_into(synopsis, &group);
-        }
-    }
-
     /// Add a committed change to stream `id`'s synopsis (created lazily) and
     /// mark the stream dirty for the next subscription round — the entry
     /// point for synopses maintained elsewhere. A distributed coordinator
@@ -315,9 +282,10 @@ impl StreamEngine {
     // ----------------------------------------------------- subscriptions
 
     /// Register a standing query — the engine's one registry of
-    /// continuously answered expressions. The expression is simplified,
-    /// interned into the shared DAG (so equivalent subscriptions share one
-    /// evaluation per round) and evaluated incrementally from then on.
+    /// continuously answered expressions. The expression is simplified and
+    /// filed under its class (same streams, same Venn cells over them), so
+    /// subscriptions the estimator cannot tell apart share one estimate
+    /// per round, re-estimated only when a stream it reads changed.
     /// Notifications arrive from [`Self::publish_epoch`] whenever the
     /// estimate breaks the subscriber's [`Tolerance`](crate::Tolerance)
     /// rule: a drift band, or a threshold alarm's trip and release.
@@ -340,8 +308,8 @@ impl StreamEngine {
         self.subscribe(stmt.expr, options)
     }
 
-    /// Remove a subscription. Its DAG node stays interned (other
-    /// subscribers may share it); orphaned nodes cost one cache slot.
+    /// Remove a subscription. Its class, and the cached estimate with it,
+    /// goes with its last subscriber.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), EngineError> {
         self.subs
             .remove(id)
@@ -365,9 +333,10 @@ impl StreamEngine {
         &self.subs.metrics
     }
 
-    /// Distinct interned DAG nodes backing subscriptions.
-    pub fn interned_nodes(&self) -> usize {
-        self.subs.dag.len()
+    /// Expression classes backing subscriptions: each holds one cached
+    /// estimate shared by every subscription filed under it.
+    pub fn subscription_classes(&self) -> usize {
+        self.subs.classes.len()
     }
 
     /// The number of epochs published so far.
@@ -375,117 +344,70 @@ impl StreamEngine {
         self.subs.epoch
     }
 
-    /// Close the current epoch: dirty-propagate the changed streams up
-    /// the interned DAG, re-estimate only the tainted subscription roots
-    /// (clean roots serve their cached estimate), and return a
+    /// Close the current epoch: re-estimate the expression classes that
+    /// read a stream changed since the last epoch, or that hold no
+    /// estimate yet (the rest serve their cached estimate), and return a
     /// [`ChangeEvent`] for every subscription whose estimate broke its
     /// tolerance rule.
     pub fn publish_epoch(&mut self) -> Vec<ChangeEvent> {
-        self.run_subscription_round(false)
-    }
-
-    /// Force a full re-evaluation of every subscription root, ignoring
-    /// the cache (the from-scratch baseline; also useful after restoring
-    /// synopses out-of-band). Notification semantics are identical to
-    /// [`Self::publish_epoch`], with [`ChangeCause::Full`].
-    pub fn refresh_subscriptions(&mut self) -> Vec<ChangeEvent> {
-        self.run_subscription_round(true)
-    }
-
-    /// One notification round: drain the dirty-stream set, taint the
-    /// affected DAG nodes (every node on a full round), re-estimate the
-    /// dirty subscription roots, then apply each subscription's rule to
-    /// its root's cached estimate.
-    fn run_subscription_round(&mut self, full: bool) -> Vec<ChangeEvent> {
         let trace = self.trace.clone();
         let mut span = trace.span("engine.publish_epoch");
         let start = clock::now_ns();
         let empty = self.empty.get_or_init(|| self.family.new_vector());
         let hub = &mut self.subs;
-        let roots: BTreeSet<NodeId> = hub.subs.values().map(|s| s.node()).collect();
-        hub.cache.ensure(hub.dag.len());
-        let dirty: Vec<StreamId> = std::mem::take(&mut hub.dirty).into_iter().collect();
-        for id in hub.dag.taint(&dirty) {
-            hub.cache.taint(id.index());
-            hub.pending.insert(id, ChangeCause::Delta);
-        }
-        if full {
-            hub.cache.taint_all();
-            for &root in &roots {
-                hub.pending.insert(root, ChangeCause::Full);
-            }
-        }
+        let dirty = std::mem::take(&mut hub.dirty);
+        let touched = |streams: &[StreamId]| streams.iter().any(|s| dirty.contains(s));
         let mut evaluated = 0u64;
-        let mut served = 0u64;
-        for &node in &roots {
-            if hub.cache.is_dirty(node.index()) {
-                if let Ok(e) = estimate_expr_over(
-                    &self.synopses,
-                    empty,
-                    &self.options,
-                    hub.dag.node(node).expr(),
-                ) {
-                    hub.cache.store(node.index(), e);
-                }
-                // On error the slot stays dirty; affected subscribers are
-                // skipped this round and retried next epoch.
+        for class in hub.classes.values_mut() {
+            if class.estimate.is_none() || touched(&class.streams) {
+                // On error the class holds no estimate; its subscribers
+                // are skipped this round and it is retried next epoch.
+                class.estimate =
+                    estimate_expr_over(&self.synopses, empty, &self.options, &class.expr).ok();
                 evaluated += 1;
-            } else {
-                served += 1;
             }
         }
+        let served = hub.classes.len() as u64 - evaluated;
         hub.epoch += 1;
         let epoch = hub.epoch;
         let mut events = Vec::new();
         for sub in hub.subs.values_mut() {
-            let Some(est) = hub.cache.peek(sub.node.index()) else {
+            let Some(class) = hub.classes.get(&sub.class) else {
+                continue;
+            };
+            let Some(est) = class.estimate else {
                 continue; // estimation failed; retried next epoch
             };
             let value = est.value;
-            match sub.last_notified {
-                None => {
-                    if sub.options.notify_initial {
-                        events.push(ChangeEvent {
-                            sub_id: sub.id,
-                            old: None,
-                            new: value,
-                            cause: ChangeCause::Initial,
-                            epoch,
-                        });
-                    }
-                    sub.last_notified = Some(value);
+            let (old, cause) = match sub.last_notified {
+                None => (None, ChangeCause::Initial),
+                Some(last) if sub.options.tolerance.exceeded(last, value) => {
+                    let cause = if touched(&class.streams) {
+                        ChangeCause::Delta
+                    } else {
+                        ChangeCause::Full
+                    };
+                    (Some(last), cause)
                 }
-                Some(last) => {
-                    if sub.options.tolerance.exceeded(last, value) {
-                        let cause = hub
-                            .pending
-                            .get(&sub.node)
-                            .copied()
-                            .unwrap_or(ChangeCause::Full);
-                        events.push(ChangeEvent {
-                            sub_id: sub.id,
-                            old: Some(last),
-                            new: value,
-                            cause,
-                            epoch,
-                        });
-                        sub.last_notified = Some(value);
-                    }
-                }
+                Some(_) => continue,
+            };
+            sub.last_notified = Some(value);
+            if old.is_some() || sub.options.notify_initial {
+                events.push(ChangeEvent {
+                    sub_id: sub.id,
+                    old,
+                    new: value,
+                    cause,
+                    epoch,
+                });
             }
         }
-        hub.pending.clear();
         hub.metrics.rounds.inc();
         hub.metrics.nodes_evaluated.add(evaluated);
         hub.metrics.nodes_cached.add(served);
         hub.metrics.notifications.add(events.len() as u64);
-        hub.metrics.dag_nodes.set(hub.dag.len() as i64);
         let elapsed = clock::now_ns().saturating_sub(start);
-        if full {
-            hub.metrics.full_round_ns.observe(elapsed);
-        } else {
-            hub.metrics.incremental_round_ns.observe(elapsed);
-        }
+        hub.metrics.round_ns.observe(elapsed);
         if span.is_recording() {
             span.detail(format!(
                 "epoch {epoch}: {evaluated} evaluated, {served} cached, {} notified",

@@ -29,8 +29,7 @@
 use crate::runqueue::RunQueue;
 use setstream_core::{IngestStats, PreparedBatch, SketchFamily, SketchVector};
 use setstream_obs::TraceHandle;
-use setstream_stream::{StreamId, Update};
-use std::collections::BTreeMap;
+use setstream_stream::Update;
 
 /// Below this batch size threading overhead dominates; ingest inline.
 const MIN_PARALLEL: usize = 4096;
@@ -82,8 +81,8 @@ impl ShardedIngestor {
     }
 
     /// Apply the whole slice to an existing synopsis in place (stream ids
-    /// are ignored, as in [`SketchVector::process`]). This is the engine's
-    /// live-synopsis path: no scratch vector, no merge.
+    /// are ignored, as in [`SketchVector::process`]): no scratch vector,
+    /// no merge.
     ///
     /// Small batches (or `threads == 1`) take the sequential batch path;
     /// larger ones run the staged pipeline over `target.par_slices`.
@@ -151,19 +150,10 @@ impl ShardedIngestor {
     }
 }
 
-/// Partition a slice of updates by stream id, preserving arrival order
-/// within each stream.
-pub(crate) fn group_by_stream(updates: &[Update]) -> BTreeMap<StreamId, Vec<Update>> {
-    let mut groups: BTreeMap<StreamId, Vec<Update>> = BTreeMap::new();
-    for u in updates {
-        groups.entry(u.stream).or_default().push(*u);
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setstream_stream::StreamId;
 
     fn family() -> SketchFamily {
         SketchFamily::builder().copies(4).levels(16).second_level(8).seed(21).build()
@@ -277,6 +267,7 @@ mod tests {
 mod loom_tests {
     use super::*;
     use loom::thread;
+    use setstream_stream::StreamId;
 
     #[test]
     fn loom_shard_handoff_merges_exactly() {

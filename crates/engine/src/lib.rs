@@ -17,9 +17,10 @@
 //!   expression (set-algebra rewrites shrink the participating stream set
 //!   and the hardness ratio) and answers it on demand;
 //! * standing queries — [`StreamEngine::subscribe`] is the one registry of
-//!   continuously answered expressions: equivalent expressions are interned
-//!   into one DAG node, each epoch re-estimates only the nodes whose
-//!   streams changed, and a [`Tolerance`] rule decides who hears about it —
+//!   continuously answered expressions: subscriptions the estimator cannot
+//!   tell apart (same streams, same Venn cells over them) share one cached
+//!   estimate, each epoch re-estimates only the classes whose streams
+//!   changed, and a [`Tolerance`] rule decides who hears about it —
 //!   a drift band, or a threshold alarm such as "alert when
 //!   `|(A ∩ B) − C|` exceeds 1000" (the paper's denial-of-service
 //!   motivating scenario), which notifies once on trip and once on release.

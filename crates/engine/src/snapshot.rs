@@ -14,8 +14,8 @@ use setstream_core::{EstimatorOptions, SketchFamily, SketchVector};
 use setstream_expr::SetExpr;
 use setstream_stream::StreamId;
 
-/// A registered subscription in snapshot form. The expression is
-/// re-interned on restore (interning is deterministic).
+/// A registered subscription in snapshot form. The expression is filed
+/// under its class again on restore.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SubscriptionSnapshot {
     /// Subscription id.

@@ -1,35 +1,35 @@
-//! Standing-query subscriptions: interned expression DAG, incremental
-//! delta evaluation, and typed change notifications.
+//! Standing-query subscriptions: one cached estimate per expression
+//! class, incremental re-estimation, and typed change notifications.
 //!
 //! The paper's deployment model registers set-expression cardinality
-//! queries once and watches them forever. [`crate::StreamEngine::subscribe`]
-//! hash-conses each (simplified) expression into a shared
-//! [`ExprDag`], so structurally- or semantically-identical subexpressions
-//! — and their Boolean mappings B(E) — are planned and evaluated exactly
-//! once per round. Each epoch, [`crate::StreamEngine::publish_epoch`]:
+//! queries once and watches them forever. The §4 estimator reads an
+//! expression only through the streams it names (they fix the union
+//! estimate û) and its Boolean mapping B(E) over them, so
+//! [`crate::StreamEngine::subscribe`] files each (simplified) expression
+//! under its *class*: its sorted streams and the Venn cells over them
+//! that it contains. Subscriptions in one class share one estimate per
+//! round. Each epoch, [`crate::StreamEngine::publish_epoch`]:
 //!
 //! 1. drains the set of atomic streams that changed since the last epoch
 //!    (fed by the ingest paths and distributed delta frames),
-//! 2. dirty-propagates from those streams' leaves up the DAG
-//!    ([`ExprDag::taint`]),
-//! 3. re-estimates only the tainted subscription roots, serving every
-//!    other subscriber from the per-node [`setstream_core::EvalCache`],
-//! 4. emits a typed [`ChangeEvent`] for each subscription whose estimate
+//! 2. re-estimates only the classes that read a changed stream, or that
+//!    hold no estimate yet, serving every other class from its cache,
+//! 3. emits a typed [`ChangeEvent`] for each subscription whose estimate
 //!    broke its [`Tolerance`] rule.
 //!
 //! Threshold alarms are subscriptions too: [`Tolerance::Above`] and
 //! [`Tolerance::Below`] notify once when the estimate crosses the
 //! threshold and once when it falls back past the hysteresis band, so
-//! alarms and drift subscriptions share one DAG, one cache and one
-//! evaluation per distinct expression class per round.
+//! alarms and drift subscriptions share one class map and one estimate
+//! per class per round.
 
 use serde::{Deserialize, Serialize};
-use setstream_core::EvalCache;
-use setstream_expr::intern::{ExprDag, NodeId};
+use setstream_core::Estimate;
 use setstream_expr::{SetExpr, ToleranceSpec};
 use setstream_obs::{Counter, Gauge, Histogram, MetricSource, Sample};
 use setstream_stream::StreamId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -244,11 +244,11 @@ impl SubscriptionOptionsBuilder {
 pub enum ChangeCause {
     /// The subscription's first evaluated estimate.
     Initial,
-    /// An epoch delta tainted the expression's DAG node.
+    /// A stream the expression reads changed during the epoch.
     Delta,
-    /// A full refresh re-evaluated the node (explicit
-    /// [`crate::StreamEngine::refresh_subscriptions`] or a cold cache
-    /// after restore).
+    /// The expression's class held no estimate, though none of its
+    /// streams changed: the first epoch after a restore, or a retry after
+    /// a failed estimate.
     Full,
 }
 
@@ -290,7 +290,8 @@ pub struct ChangeEvent {
 pub struct Subscription {
     pub(crate) id: SubscriptionId,
     pub(crate) expr: SetExpr,
-    pub(crate) node: NodeId,
+    /// The id of the class it reads in the hub's class map.
+    pub(crate) class: u64,
     pub(crate) options: SubscriptionOptions,
     pub(crate) last_notified: Option<f64>,
 }
@@ -304,12 +305,6 @@ impl Subscription {
     /// The simplified expression being watched.
     pub fn expr(&self) -> &SetExpr {
         &self.expr
-    }
-
-    /// The interned DAG node serving this subscription (shared with every
-    /// equivalent subscription).
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// The options it registered with.
@@ -333,20 +328,19 @@ pub struct SubscriptionMetrics {
     pub unsubscribed: Counter,
     /// Currently registered subscriptions.
     pub registered: Gauge,
-    /// Distinct interned DAG nodes backing subscriptions.
-    pub dag_nodes: Gauge,
-    /// Notification rounds run (incremental + full).
+    /// Expression classes backing subscriptions.
+    pub classes: Gauge,
+    /// Notification rounds run.
     pub rounds: Counter,
-    /// DAG roots re-estimated because a delta tainted them.
+    /// Classes re-estimated because a stream they read changed or they
+    /// held no estimate.
     pub nodes_evaluated: Counter,
-    /// DAG roots served straight from the clean estimate cache.
+    /// Classes served from their cached estimate.
     pub nodes_cached: Counter,
     /// Change events emitted to subscribers.
     pub notifications: Counter,
-    /// Wall-clock latency of incremental rounds, nanoseconds.
-    pub incremental_round_ns: Histogram,
-    /// Wall-clock latency of full-refresh rounds, nanoseconds.
-    pub full_round_ns: Histogram,
+    /// Wall-clock latency of notification rounds, nanoseconds.
+    pub round_ns: Histogram,
 }
 
 impl Default for SubscriptionMetrics {
@@ -362,13 +356,12 @@ impl SubscriptionMetrics {
             subscribed: Counter::new(),
             unsubscribed: Counter::new(),
             registered: Gauge::new(),
-            dag_nodes: Gauge::new(),
+            classes: Gauge::new(),
             rounds: Counter::new(),
             nodes_evaluated: Counter::new(),
             nodes_cached: Counter::new(),
             notifications: Counter::new(),
-            incremental_round_ns: Histogram::latency_ns(),
-            full_round_ns: Histogram::latency_ns(),
+            round_ns: Histogram::latency_ns(),
         }
     }
 }
@@ -394,8 +387,8 @@ impl MetricSource for SubscriptionMetrics {
                 .with_help("Currently registered subscriptions"),
         );
         out.push(
-            Sample::gauge("setstream_engine_subs_dag_nodes", self.dag_nodes.get())
-                .with_help("Distinct interned expression-DAG nodes"),
+            Sample::gauge("setstream_engine_subs_classes", self.classes.get())
+                .with_help("Expression classes backing subscriptions"),
         );
         out.push(
             Sample::counter("setstream_engine_subs_rounds_total", self.rounds.get())
@@ -406,14 +399,14 @@ impl MetricSource for SubscriptionMetrics {
                 "setstream_engine_subs_nodes_evaluated_total",
                 self.nodes_evaluated.get(),
             )
-            .with_help("DAG roots re-estimated after delta tainting"),
+            .with_help("Expression classes re-estimated"),
         );
         out.push(
             Sample::counter(
                 "setstream_engine_subs_nodes_cached_total",
                 self.nodes_cached.get(),
             )
-            .with_help("DAG roots served from the clean estimate cache"),
+            .with_help("Expression classes served from their cached estimate"),
         );
         out.push(
             Sample::counter(
@@ -425,35 +418,70 @@ impl MetricSource for SubscriptionMetrics {
         out.push(
             Sample::histogram(
                 "setstream_engine_subs_round_latency_ns",
-                self.incremental_round_ns.snapshot(),
+                self.round_ns.snapshot(),
             )
-            .with_label("mode", "incremental")
-            .with_help("Wall-clock latency of subscription rounds in nanoseconds"),
-        );
-        out.push(
-            Sample::histogram(
-                "setstream_engine_subs_round_latency_ns",
-                self.full_round_ns.snapshot(),
-            )
-            .with_label("mode", "full")
             .with_help("Wall-clock latency of subscription rounds in nanoseconds"),
         );
     }
 }
 
-/// Engine-internal state of the subscription layer: the shared DAG, the
-/// per-node estimate cache, the registered subscribers, and the set of
-/// streams dirtied since the last epoch.
+/// Cell keys are enumerated for at most this many streams: a key costs
+/// `2^k` evaluations of B(E).
+const CELL_KEY_MAX_STREAMS: usize = 12;
+
+/// What the estimator can tell of an expression: the sorted streams it
+/// names and the Venn cells over them that it contains (bit `i` of a cell
+/// is the `i`-th stream). Equal keys estimate to the same bits. Past
+/// [`CELL_KEY_MAX_STREAMS`] streams the key is the expression itself, so
+/// only identical expressions share a class there.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ClassKey {
+    Cells(Vec<StreamId>, Vec<u32>),
+    Expr(SetExpr),
+}
+
+impl ClassKey {
+    fn of(expr: &SetExpr, streams: &[StreamId]) -> Self {
+        if streams.len() > CELL_KEY_MAX_STREAMS {
+            return ClassKey::Expr(expr.clone());
+        }
+        let cells = (1u32..1 << streams.len())
+            .filter(|&mask| {
+                expr.eval_bool(
+                    &|sid| matches!(streams.binary_search(&sid), Ok(bit) if mask >> bit & 1 == 1),
+                )
+            })
+            .collect();
+        ClassKey::Cells(streams.to_vec(), cells)
+    }
+}
+
+/// One expression class: every subscription filed under its key reads
+/// this one cached estimate.
+#[derive(Debug)]
+pub(crate) struct Class {
+    /// The expression of the subscription that opened the class.
+    pub(crate) expr: SetExpr,
+    /// Sorted streams the class reads.
+    pub(crate) streams: Vec<StreamId>,
+    subscribers: usize,
+    /// `None` until the first round estimates the class, and after a
+    /// failed estimate.
+    pub(crate) estimate: Option<Estimate>,
+}
+
+/// Engine-internal state of the subscription layer: the registered
+/// subscribers, the expression classes they share, and the set of streams
+/// dirtied since the last epoch.
 #[derive(Debug, Default)]
 pub(crate) struct SubscriptionHub {
-    pub(crate) dag: ExprDag,
-    pub(crate) cache: EvalCache,
     pub(crate) subs: BTreeMap<SubscriptionId, Subscription>,
+    pub(crate) classes: BTreeMap<u64, Class>,
+    class_ids: HashMap<ClassKey, u64>,
+    next_class: u64,
     pub(crate) next_sub: u64,
     pub(crate) dirty: BTreeSet<StreamId>,
     pub(crate) epoch: u64,
-    /// Per-node cause of pending (not-yet-published) re-evaluations.
-    pub(crate) pending: BTreeMap<NodeId, ChangeCause>,
     pub(crate) metrics: Arc<SubscriptionMetrics>,
 }
 
@@ -466,8 +494,7 @@ impl SubscriptionHub {
         }
     }
 
-    /// Intern `expr` (already simplified) and register a subscriber on the
-    /// resulting node.
+    /// Register a subscriber on `expr` (already simplified).
     pub(crate) fn register(
         &mut self,
         expr: SetExpr,
@@ -479,7 +506,8 @@ impl SubscriptionHub {
         id
     }
 
-    /// Install a subscription under a caller-chosen id (snapshot restore).
+    /// Install a subscription under a caller-chosen id (snapshot restore),
+    /// joining its expression's class or opening one.
     pub(crate) fn install(
         &mut self,
         id: SubscriptionId,
@@ -487,31 +515,59 @@ impl SubscriptionHub {
         options: SubscriptionOptions,
         last_notified: Option<f64>,
     ) {
-        let node = self.dag.intern(&expr);
-        self.cache.ensure(self.dag.len());
+        let streams = expr.streams();
+        let class = match self.class_ids.entry(ClassKey::of(&expr, &streams)) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let class = *slot.insert(self.next_class);
+                self.next_class += 1;
+                let opened = Class {
+                    expr: expr.clone(),
+                    streams,
+                    subscribers: 0,
+                    estimate: None,
+                };
+                self.classes.insert(class, opened);
+                class
+            }
+        };
+        if let Some(joined) = self.classes.get_mut(&class) {
+            joined.subscribers += 1;
+        }
         self.subs.insert(
             id,
             Subscription {
                 id,
                 expr,
-                node,
+                class,
                 options,
                 last_notified,
             },
         );
         self.next_sub = self.next_sub.max(id.value() + 1);
         self.metrics.subscribed.inc();
-        self.metrics.registered.set(self.subs.len() as i64);
-        self.metrics.dag_nodes.set(self.dag.len() as i64);
+        self.record_sizes();
     }
 
+    /// Remove a subscription; its class goes with its last subscriber.
     pub(crate) fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
-        let removed = self.subs.remove(&id);
-        if removed.is_some() {
-            self.metrics.unsubscribed.inc();
-            self.metrics.registered.set(self.subs.len() as i64);
+        let removed = self.subs.remove(&id)?;
+        if let Some(class) = self.classes.get_mut(&removed.class) {
+            class.subscribers -= 1;
+            if class.subscribers == 0 {
+                // The opener's expression has the key the class is filed under.
+                self.class_ids.remove(&ClassKey::of(&class.expr, &class.streams));
+                self.classes.remove(&removed.class);
+            }
         }
-        removed
+        self.metrics.unsubscribed.inc();
+        self.record_sizes();
+        Some(removed)
+    }
+
+    fn record_sizes(&self) {
+        self.metrics.registered.set(self.subs.len() as i64);
+        self.metrics.classes.set(self.classes.len() as i64);
     }
 }
 
@@ -677,14 +733,69 @@ mod tests {
         let s1 = hub.register(e1, SubscriptionOptions::default());
         let s2 = hub.register(e2, SubscriptionOptions::default());
         assert_ne!(s1, s2);
-        // Distinct subscriptions, one shared DAG node.
-        let n1 = hub.subs[&s1].node();
-        let n2 = hub.subs[&s2].node();
-        assert_eq!(n1, n2);
+        // Distinct subscriptions, one shared class.
+        assert_eq!(hub.classes.len(), 1);
         assert_eq!(hub.metrics.registered.get(), 2);
+        assert_eq!(hub.metrics.classes.get(), 1);
         hub.remove(s1).unwrap();
         assert_eq!(hub.metrics.registered.get(), 1);
+        assert_eq!(hub.classes.len(), 1, "the twin still reads the class");
         assert!(hub.remove(s1).is_none());
+        hub.remove(s2).unwrap();
+        assert!(hub.classes.is_empty() && hub.class_ids.is_empty());
+        assert_eq!(hub.metrics.classes.get(), 0);
+    }
+
+    /// Members of one class name the same streams, denote the same set,
+    /// and estimate to the same bits, so one cached estimate serves all.
+    #[test]
+    fn class_members_are_estimator_identical() {
+        let mut hub = SubscriptionHub::new();
+        let mut engine = small_engine();
+        for e in 0..400u64 {
+            let stream = StreamId((e % 5) as u32);
+            engine.process(&setstream_stream::Update::insert(stream, e % 97, 1));
+        }
+        let mut members: BTreeMap<u64, Vec<SetExpr>> = BTreeMap::new();
+        for seed in 0..200u64 {
+            let expr = setstream_expr::simplify(&setstream_expr::random_expr(seed, 5, 4));
+            let id = hub.register(expr.clone(), SubscriptionOptions::default());
+            members.entry(hub.subs[&id].class).or_default().push(expr);
+        }
+        assert_eq!(members.len(), hub.classes.len());
+        assert!(members.len() < 200, "some random expressions share a class");
+        for (class, exprs) in &members {
+            let first = &hub.classes[class].expr;
+            let value = engine.evaluate(first).unwrap().value;
+            for expr in exprs {
+                assert_eq!(expr.streams(), hub.classes[class].streams);
+                assert!(setstream_expr::equivalent(expr, first), "{expr} vs {first}");
+                assert_eq!(
+                    engine.evaluate(expr).unwrap().value.to_bits(),
+                    value.to_bits()
+                );
+            }
+        }
+    }
+
+    /// Past the cell-key cap the key is the expression itself: a repeat
+    /// registration shares the class without enumerating `2^13` cells,
+    /// and a commuted twin gets a class of its own.
+    #[test]
+    fn wide_expressions_key_on_the_expression() {
+        let wide = (1..=CELL_KEY_MAX_STREAMS as u32)
+            .fold(SetExpr::stream(0), |acc, s| acc.union(SetExpr::stream(s)));
+        assert_eq!(wide.streams().len(), CELL_KEY_MAX_STREAMS + 1);
+        let mut hub = SubscriptionHub::new();
+        hub.register(wide.clone(), SubscriptionOptions::default());
+        hub.register(wide.clone(), SubscriptionOptions::default());
+        assert_eq!(hub.classes.len(), 1);
+        assert!(hub.class_ids.keys().all(|k| matches!(k, ClassKey::Expr(_))));
+        let SetExpr::Union(left, right) = wide else {
+            unreachable!("built as a union")
+        };
+        hub.register(right.union(*left), SubscriptionOptions::default());
+        assert_eq!(hub.classes.len(), 2);
     }
 
     fn small_engine() -> crate::StreamEngine {

@@ -1,17 +1,20 @@
 //! Integration tests for the standing-query subscription surface.
 //!
-//! The two contracts pinned here are the heart of the tentpole:
+//! Three contracts are pinned here:
 //!
-//! 1. **Bit-identity** — the interned-DAG incremental path serves, at
-//!    every epoch, exactly the estimate the from-scratch `evaluate` path
-//!    would compute. Not approximately: the same `f64`, because both
-//!    routes run the identical witness estimator over the identical
-//!    synopses.
+//! 1. **Bit-identity** — the per-class estimate cache serves, at every
+//!    epoch, exactly the estimate the from-scratch `evaluate` path would
+//!    compute. Not approximately: the same `f64`, because both routes run
+//!    the identical witness estimator over the identical synopses.
 //! 2. **Notification completeness** — the published change log equals a
 //!    brute-force diff of from-scratch evaluations filtered through the
 //!    tolerance band (or, for a threshold rule, through the latch-and-
 //!    hysteresis state machine). Nothing extra, nothing missing, values
 //!    bitwise.
+//! 3. **The class rule** — subscriptions share a class exactly when the
+//!    estimator cannot tell their expressions apart (same streams, same
+//!    Venn cells over them); a round re-estimates only the classes that
+//!    read a changed stream; a class goes with its last subscriber.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -28,8 +31,8 @@ fn family(copies: usize, seed: u64) -> SketchFamily {
         .build()
 }
 
-/// Random expression trees over 4 streams, depth ≤ 3 — deep enough to
-/// produce shared subtrees across the registered family once interned.
+/// Random expression trees over 4 streams, depth ≤ 3 — deep enough that
+/// distinct trees in one registered family often fall into one class.
 fn arb_expr() -> impl Strategy<Value = SetExpr> {
     let leaf = (0u32..4).prop_map(SetExpr::stream);
     leaf.prop_recursive(3, 24, 2, |inner| {
@@ -44,8 +47,8 @@ fn arb_expr() -> impl Strategy<Value = SetExpr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For any subscription family (duplicates included — interning
-    /// collapses them) and any epoch-sliced workload, the cached value a
+    /// For any subscription family (duplicates included — they share a
+    /// class) and any epoch-sliced workload, the cached value a
     /// subscription holds after `publish_epoch` is **bit-identical** to
     /// a from-scratch `evaluate` of the same expression.
     #[test]
@@ -388,4 +391,286 @@ fn sql_subscriptions_survive_snapshot_restore() {
         .subscribe_sql("SUBSCRIBE A TOLERANCE 1")
         .unwrap();
     assert!(next > id);
+}
+
+fn sub(engine: &mut StreamEngine, text: &str) -> setstream_engine::SubscriptionId {
+    engine
+        .subscribe(text.parse().unwrap(), SubscriptionOptions::default())
+        .unwrap()
+}
+
+/// Insert `n` elements into each of streams A, B and C, overlapping
+/// pairwise so every Venn cell over them is non-empty.
+fn ingest_abc(engine: &mut StreamEngine, n: u64) {
+    for e in 0..n {
+        engine.process(&Update::insert(StreamId(0), e, 1));
+        engine.process(&Update::insert(StreamId(1), e + n / 3, 1));
+        engine.process(&Update::insert(StreamId(2), e + 2 * n / 3, 1));
+    }
+}
+
+/// The value a subscription was last notified about. Under the default
+/// zero tolerance that is its class's current estimate.
+fn value_bits(engine: &StreamEngine, id: setstream_engine::SubscriptionId) -> u64 {
+    engine
+        .subscription(id)
+        .unwrap()
+        .last_notified()
+        .unwrap()
+        .to_bits()
+}
+
+/// Commuted operands name the same streams and the same cells, so the
+/// estimator cannot tell them apart: one class, one estimate per round.
+#[test]
+fn commuted_operands_share_one_class() {
+    let mut engine = StreamEngine::new(family(8, 1));
+    sub(&mut engine, "A & B");
+    sub(&mut engine, "B & A");
+    assert_eq!(engine.subscription_classes(), 1);
+    assert_eq!(engine.subscriptions().count(), 2);
+}
+
+/// The commuted core may sit under another operator: `(A & B) - C` and
+/// `(B & A) - C` share one class, and a change to `C` re-estimates that
+/// one class for both subscribers.
+#[test]
+fn commuted_operands_under_a_difference_share_one_class() {
+    let mut engine = StreamEngine::new(family(16, 1));
+    let ids = [
+        sub(&mut engine, "(A & B) - C"),
+        sub(&mut engine, "(B & A) - C"),
+    ];
+    assert_eq!(engine.subscription_classes(), 1);
+    ingest_abc(&mut engine, 300);
+    assert_eq!(engine.publish_epoch().len(), 2);
+    let metrics = engine.subscription_metrics().clone();
+    assert_eq!(metrics.nodes_evaluated.get(), 1);
+
+    engine.process(&Update::insert(StreamId(2), 10_000, 1));
+    let _ = engine.publish_epoch();
+    assert_eq!(metrics.nodes_evaluated.get(), 2);
+    assert_eq!(value_bits(&engine, ids[0]), value_bits(&engine, ids[1]));
+}
+
+/// The same expression registered twice is one class: a round estimates
+/// it once, and both subscribers are notified of that one estimate.
+#[test]
+fn duplicate_registrations_share_one_class() {
+    let mut engine = StreamEngine::new(family(16, 2));
+    let first = sub(&mut engine, "(A & B) - C");
+    let second = sub(&mut engine, "(A & B) - C");
+    assert_ne!(first, second);
+    assert_eq!(engine.subscription_classes(), 1);
+    ingest_abc(&mut engine, 300);
+    let events = engine.publish_epoch();
+    assert_eq!(engine.subscription_metrics().nodes_evaluated.get(), 1);
+    assert_eq!(events.len(), 2);
+    assert_eq!(events[0].new.to_bits(), events[1].new.to_bits());
+}
+
+/// `(A − B) ∪ (A ∩ B)` is the set `A`, but it names `B` too: its witness
+/// estimate scales by û over `{A, B}`, not over `{A}`, so the two must not
+/// share a cached estimate.
+#[test]
+fn equal_sets_over_different_streams_stay_two_classes() {
+    let mut engine = StreamEngine::new(family(64, 2));
+    let wide = sub(&mut engine, "(A - B) | (A & B)");
+    let narrow = sub(&mut engine, "A");
+    assert_eq!(engine.subscription_classes(), 2);
+    let (wide, narrow) = (
+        engine.subscription(wide).unwrap().expr().clone(),
+        engine.subscription(narrow).unwrap().expr().clone(),
+    );
+    assert!(setstream_expr::equivalent(&wide, &narrow));
+    assert_ne!(wide.streams(), narrow.streams());
+}
+
+/// 100 registrations of one shared core wrapped four ways make four
+/// classes.
+#[test]
+fn registrations_collapse_into_one_class_per_distinct_root() {
+    let mut engine = StreamEngine::new(family(8, 3));
+    let base: SetExpr = "(A & B) - C".parse().unwrap();
+    for i in 0..100u32 {
+        let wrapped = base.clone().union(SetExpr::stream(3 + i % 4));
+        engine
+            .subscribe(wrapped, SubscriptionOptions::default())
+            .unwrap();
+    }
+    assert_eq!(engine.subscriptions().count(), 100);
+    assert_eq!(engine.subscription_classes(), 4);
+}
+
+/// A round re-estimates exactly the classes that read a changed stream;
+/// the others serve their cached estimate.
+#[test]
+fn a_round_reestimates_only_the_classes_reading_changed_streams() {
+    let mut engine = StreamEngine::new(family(16, 4));
+    for text in ["A & B", "(A & B) - C", "(A & B) | D", "C | D", "E", "B & A"] {
+        sub(&mut engine, text);
+    }
+    assert_eq!(engine.subscription_classes(), 5);
+    for e in 0..300u64 {
+        for s in 0..5u32 {
+            engine.process(&Update::insert(StreamId(s), e * 5 + u64::from(s), 1));
+        }
+    }
+    let _ = engine.publish_epoch(); // every class is estimated once
+    let metrics = engine.subscription_metrics().clone();
+    let (evaluated, cached) = (metrics.nodes_evaluated.get(), metrics.nodes_cached.get());
+    assert_eq!((evaluated, cached), (5, 0));
+
+    // Only C changes: `(A & B) - C` and `C | D` read it.
+    engine.process(&Update::insert(StreamId(2), 10_000, 1));
+    let _ = engine.publish_epoch();
+    assert_eq!(metrics.nodes_evaluated.get(), evaluated + 2);
+    assert_eq!(metrics.nodes_cached.get(), cached + 3);
+
+    // Only A changes: the three classes over `A & B` read it, `C | D` and
+    // `E` do not.
+    engine.process(&Update::insert(StreamId(0), 10_001, 1));
+    let _ = engine.publish_epoch();
+    assert_eq!(metrics.nodes_evaluated.get(), evaluated + 5);
+    assert_eq!(metrics.nodes_cached.get(), cached + 5);
+
+    // A stream no class reads changes: nothing is re-estimated.
+    engine.process(&Update::insert(StreamId(99), 10_002, 1));
+    let _ = engine.publish_epoch();
+    assert_eq!(metrics.nodes_evaluated.get(), evaluated + 5);
+    assert_eq!(metrics.nodes_cached.get(), cached + 10);
+}
+
+/// A class registered after a round holds no estimate, so the next round
+/// estimates it although none of its streams changed, and its subscriber
+/// gets an initial notification; the class estimated before serves its
+/// cache.
+#[test]
+fn a_new_class_is_estimated_on_its_first_round() {
+    let mut engine = StreamEngine::new(family(16, 7));
+    sub(&mut engine, "A & B");
+    ingest_abc(&mut engine, 300);
+    let _ = engine.publish_epoch();
+    let metrics = engine.subscription_metrics().clone();
+    assert_eq!(metrics.nodes_evaluated.get(), 1);
+
+    let late = sub(&mut engine, "A | B");
+    assert_eq!(engine.subscription_classes(), 2);
+    let events = engine.publish_epoch();
+    assert_eq!(metrics.nodes_evaluated.get(), 2);
+    assert_eq!(metrics.nodes_cached.get(), 1);
+    assert_eq!(events.len(), 1);
+    assert_eq!((events[0].sub_id, events[0].cause), (late, ChangeCause::Initial));
+    let scratch = engine.evaluate(&"A | B".parse().unwrap()).unwrap().value;
+    assert_eq!(events[0].new.to_bits(), scratch.to_bits());
+}
+
+/// A round with no changed stream re-estimates nothing: every class
+/// serves the estimate it stored, which is bit-identical to a
+/// from-scratch `evaluate`, and no subscriber is notified.
+#[test]
+fn an_unchanged_class_serves_its_cached_estimate() {
+    let mut engine = StreamEngine::new(family(16, 8));
+    let ids = [sub(&mut engine, "A & B"), sub(&mut engine, "A - C")];
+    ingest_abc(&mut engine, 300);
+    assert_eq!(engine.publish_epoch().len(), 2);
+    let stored = ids.map(|id| value_bits(&engine, id));
+    let metrics = engine.subscription_metrics().clone();
+    assert_eq!(metrics.nodes_evaluated.get(), 2);
+
+    for round in 1..=3u64 {
+        assert!(engine.publish_epoch().is_empty());
+        assert_eq!(metrics.nodes_evaluated.get(), 2);
+        assert_eq!(metrics.nodes_cached.get(), 2 * round);
+    }
+    for (id, bits) in ids.iter().zip(stored) {
+        assert_eq!(value_bits(&engine, *id), bits);
+        let expr = engine.subscription(*id).unwrap().expr().clone();
+        assert_eq!(engine.evaluate(&expr).unwrap().value.to_bits(), bits);
+    }
+}
+
+/// A change to a stream makes the cached estimates of the classes that
+/// read it stale. The next round re-estimates each such class once,
+/// however many updates the stream took, and serves the fresh estimate,
+/// bit-identical to a from-scratch `evaluate`, never the stale one.
+#[test]
+fn a_changed_stream_replaces_the_stale_estimate() {
+    let mut engine = StreamEngine::new(family(32, 9));
+    let id = sub(&mut engine, "A - B");
+    ingest_abc(&mut engine, 300);
+    let _ = engine.publish_epoch();
+    let stale = engine.subscription(id).unwrap().last_notified().unwrap();
+    let metrics = engine.subscription_metrics().clone();
+    assert_eq!(metrics.nodes_evaluated.get(), 1);
+
+    // A grows by 1000 elements that B lacks.
+    for e in 0..1000u64 {
+        engine.process(&Update::insert(StreamId(0), 100_000 + e, 1));
+    }
+    let events = engine.publish_epoch();
+    assert_eq!(metrics.nodes_evaluated.get(), 2);
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].old, Some(stale));
+    assert_eq!(events[0].cause, ChangeCause::Delta);
+    let fresh = engine.evaluate(&"A - B".parse().unwrap()).unwrap().value;
+    assert_eq!(events[0].new.to_bits(), fresh.to_bits());
+    assert_ne!(fresh.to_bits(), stale.to_bits());
+}
+
+/// A class goes with its last subscriber, so subscribing and then
+/// unsubscribing many distinct expressions leaves nothing behind.
+#[test]
+fn unsubscribing_every_expression_frees_every_class() {
+    let mut engine = StreamEngine::new(family(8, 5));
+    let ids: Vec<_> = (0..1000u64)
+        .map(|seed| {
+            let expr = setstream_expr::random_expr(seed, 8, 6);
+            engine
+                .subscribe(expr, SubscriptionOptions::default())
+                .unwrap()
+        })
+        .collect();
+    assert!(engine.subscription_classes() > 1);
+    let _ = engine.publish_epoch();
+    for id in ids {
+        engine.unsubscribe(id).unwrap();
+    }
+    assert_eq!(engine.subscriptions().count(), 0);
+    assert_eq!(engine.subscription_classes(), 0);
+    assert_eq!(engine.subscription_metrics().classes.get(), 0);
+}
+
+/// The snapshot carries no dirty set and no cached estimate. A restore
+/// taken between ingest and `publish_epoch` therefore re-estimates every
+/// class on its first round with no changed stream to blame: the events
+/// that round carry `ChangeCause::Full`, where the original engine reports
+/// the same values as `ChangeCause::Delta`.
+#[test]
+fn restore_between_ingest_and_publish_reports_full_cause() {
+    let mut engine = StreamEngine::new(family(32, 6));
+    let ids = [sub(&mut engine, "A & B"), sub(&mut engine, "A - B")];
+    for e in 0..400u64 {
+        engine.process(&Update::insert(StreamId(0), e, 1));
+        engine.process(&Update::insert(StreamId(1), e + 200, 1));
+    }
+    assert_eq!(engine.publish_epoch().len(), 2);
+    for e in 400..900u64 {
+        engine.process(&Update::insert(StreamId(0), e, 1));
+        engine.process(&Update::insert(StreamId(1), e + 200, 1));
+    }
+    let mut restored = StreamEngine::restore(engine.snapshot());
+    let live = engine.publish_epoch();
+    let replayed = restored.publish_epoch();
+    assert_eq!(live.len(), 2);
+    for (live, replayed) in live.iter().zip(&replayed) {
+        assert!(ids.contains(&live.sub_id));
+        assert_eq!(live.cause, ChangeCause::Delta);
+        assert_eq!(replayed.cause, ChangeCause::Full);
+        assert_eq!(
+            (replayed.sub_id, replayed.old, replayed.new.to_bits()),
+            (live.sub_id, live.old, live.new.to_bits())
+        );
+    }
+    assert_eq!(replayed.len(), live.len());
 }

@@ -29,20 +29,16 @@
 #![deny(unsafe_code)]
 
 pub mod ast;
-pub mod canonical;
 pub mod cells;
 pub mod eval;
-pub mod intern;
 pub mod parser;
 pub mod random;
 pub mod simplify;
 pub mod sql;
 
 pub use ast::SetExpr;
-pub use canonical::{canonicalize, from_cells};
 pub use cells::{equivalent, expression_cells, venn_spec_for};
-pub use intern::{DagNode, DagOp, ExprDag, NodeId};
 pub use parser::ParseError;
 pub use random::random_expr;
 pub use simplify::simplify;
-pub use sql::{parse_subscribe, to_sql, to_sql_default, SubscribeError, SubscribeStatement, ToleranceSpec};
+pub use sql::{parse_subscribe, SubscribeError, SubscribeStatement, ToleranceSpec};

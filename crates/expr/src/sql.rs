@@ -1,87 +1,11 @@
-//! Rendering set expressions as SQL.
-//!
-//! The paper's database motivation: SQL's `UNION` / `INTERSECT` / `EXCEPT`
-//! are exactly the three operators, so an expression over streams maps
-//! directly onto a query over tables with compatible schemas. This module
-//! renders that query — useful for logging what a sketch-based selectivity
-//! estimate refers to, and for handing estimated plans to a real DBMS.
-//!
-//! The reverse direction is the standing-query surface:
-//! [`parse_subscribe`] reads a `SUBSCRIBE <expr> TOLERANCE <n>[%]`
-//! statement so command-line and wire clients can register continuous
-//! queries against the engine's subscription layer.
+//! The standing-query statement: [`parse_subscribe`] reads a
+//! `SUBSCRIBE <expr> TOLERANCE <n>[%]` statement so command-line and wire
+//! clients can register continuous queries against the engine's
+//! subscription layer.
 
 use crate::ast::SetExpr;
 use crate::parser::ParseError;
-use setstream_stream::StreamId;
 use std::fmt;
-
-/// Render `expr` as a SQL set query. `table_name(stream)` supplies table
-/// names; `column` is the projected column.
-///
-/// SQL set operators are left-associative with `INTERSECT` binding
-/// tighter than `UNION`/`EXCEPT` (SQL:1999), matching this crate's parser
-/// precedence, so parentheses are emitted exactly where the tree needs
-/// them.
-pub fn to_sql(
-    expr: &SetExpr,
-    table_name: &impl Fn(StreamId) -> String,
-    column: &str,
-) -> String {
-    let mut out = String::new();
-    render(expr, table_name, column, &mut out, 0);
-    out
-}
-
-/// Convenience: tables named after the streams' display form, prefixed.
-pub fn to_sql_default(expr: &SetExpr, column: &str) -> String {
-    to_sql(expr, &|s| format!("t_{s}").to_lowercase(), column)
-}
-
-fn precedence(e: &SetExpr) -> u8 {
-    match e {
-        SetExpr::Stream(_) => 3,
-        SetExpr::Intersect(..) => 2,
-        SetExpr::Union(..) | SetExpr::Diff(..) => 1,
-    }
-}
-
-fn render(
-    e: &SetExpr,
-    table_name: &impl Fn(StreamId) -> String,
-    column: &str,
-    out: &mut String,
-    parent_prec: u8,
-) {
-    let prec = precedence(e);
-    let wrap = prec < parent_prec;
-    if wrap {
-        out.push('(');
-    }
-    match e {
-        SetExpr::Stream(id) => {
-            out.push_str(&format!("SELECT {column} FROM {}", table_name(*id)));
-        }
-        SetExpr::Union(l, r) => {
-            render(l, table_name, column, out, prec);
-            out.push_str(" UNION ");
-            render(r, table_name, column, out, prec + 1);
-        }
-        SetExpr::Intersect(l, r) => {
-            render(l, table_name, column, out, prec);
-            out.push_str(" INTERSECT ");
-            render(r, table_name, column, out, prec + 1);
-        }
-        SetExpr::Diff(l, r) => {
-            render(l, table_name, column, out, prec);
-            out.push_str(" EXCEPT ");
-            render(r, table_name, column, out, prec + 1);
-        }
-    }
-    if wrap {
-        out.push(')');
-    }
-}
 
 /// `Relative` tolerances are written as percentages in the statement
 /// syntax; this converts them to fractions.
@@ -225,70 +149,6 @@ mod tests {
 
     fn e(text: &str) -> SetExpr {
         text.parse().unwrap()
-    }
-
-    #[test]
-    fn leaf_renders_select() {
-        assert_eq!(
-            to_sql_default(&e("A"), "src_ip"),
-            "SELECT src_ip FROM t_a"
-        );
-    }
-
-    #[test]
-    fn binary_operators_render() {
-        assert_eq!(
-            to_sql_default(&e("A & B"), "k"),
-            "SELECT k FROM t_a INTERSECT SELECT k FROM t_b"
-        );
-        assert_eq!(
-            to_sql_default(&e("A - B"), "k"),
-            "SELECT k FROM t_a EXCEPT SELECT k FROM t_b"
-        );
-        assert_eq!(
-            to_sql_default(&e("A | B"), "k"),
-            "SELECT k FROM t_a UNION SELECT k FROM t_b"
-        );
-    }
-
-    #[test]
-    fn precedence_parenthesization() {
-        // INTERSECT binds tighter: (A & B) | C needs no parens in SQL,
-        // A & (B | C) does.
-        assert_eq!(
-            to_sql_default(&e("(A & B) | C"), "k"),
-            "SELECT k FROM t_a INTERSECT SELECT k FROM t_b UNION SELECT k FROM t_c"
-        );
-        assert_eq!(
-            to_sql_default(&e("A & (B | C)"), "k"),
-            "SELECT k FROM t_a INTERSECT (SELECT k FROM t_b UNION SELECT k FROM t_c)"
-        );
-        // Left-assoc EXCEPT: A - B - C flat, A - (B - C) parenthesized.
-        assert_eq!(
-            to_sql_default(&e("A - B - C"), "k"),
-            "SELECT k FROM t_a EXCEPT SELECT k FROM t_b EXCEPT SELECT k FROM t_c"
-        );
-        assert_eq!(
-            to_sql_default(&e("A - (B - C)"), "k"),
-            "SELECT k FROM t_a EXCEPT (SELECT k FROM t_b EXCEPT SELECT k FROM t_c)"
-        );
-    }
-
-    #[test]
-    fn custom_table_names() {
-        let sql = to_sql(&e("(A & B) - C"), &|s| format!("router_{}", s.0 + 1), "src");
-        assert_eq!(
-            sql,
-            "SELECT src FROM router_1 INTERSECT SELECT src FROM router_2 \
-             EXCEPT SELECT src FROM router_3"
-        );
-    }
-
-    #[test]
-    fn motivating_query_renders() {
-        // The paper's example: sources at R1 and R2 but not R3.
-        let sql = to_sql_default(&e("(A & B) - C"), "src_addr");
-        assert!(sql.contains("INTERSECT") && sql.contains("EXCEPT"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
 
     // Subscribe the detector query twice, once per alarm. Note the
     // deliberately clumsy query text: the engine simplifies it, and both
-    // subscriptions share one interned DAG node.
+    // subscriptions share one expression class, so one estimate per round.
     let text = "((A - B) - C) | ((A - B) - C)";
     let query: SetExpr = text.parse().unwrap();
     let rules = [
@@ -76,9 +76,9 @@ fn main() {
         )
     });
     println!(
-        "subscribed: {text}   (simplified to: {}; {} interned DAG nodes for both)",
+        "subscribed: {text}   (simplified to: {}; {} expression class for both)",
         engine.subscription(alarms[0].2).unwrap().expr(),
-        engine.interned_nodes()
+        engine.subscription_classes()
     );
 
     // The allow-list is a slowly-changing stream.

@@ -45,7 +45,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=41
+WAIVER_BUDGET=34
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
@@ -58,7 +58,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2282 apps=1173 baselines=331 bench=1360 core=2067 distributed=3596 engine=1864 expr=825 hash=886 obs=1627 stream=760"
+LOC_BUDGET="analyze=2282 apps=1173 baselines=331 bench=1359 core=1976 distributed=3596 engine=1834 expr=555 hash=886 obs=1627 stream=760"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }
@@ -169,9 +169,11 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
         --quick --out target/BENCH_subs.quick.json
     echo "    wrote target/BENCH_subs.quick.json"
 
-    # The interned-DAG incremental path must beat from-scratch
-    # re-evaluation of a 90%-shared subscription family by ≥5x at 100k
-    # elements (the full bench records ~15x; 5 is the contract floor).
+    # The incremental path (one cached estimate per expression class,
+    # re-estimated only when a stream it reads changed) must beat
+    # from-scratch re-evaluation of a 90%-shared subscription family by
+    # ≥5x at 100k elements (the full bench records ~14x; 5 is the
+    # contract floor).
     subs_speedup=$(sed -n 's/.*"speedup_100k": \([0-9.]*\).*/\1/p' \
         target/BENCH_subs.quick.json)
     echo "    incremental vs full at 100k: ${subs_speedup}x"
