@@ -112,15 +112,16 @@ impl Config {
             ],
             field_modules: vec!["crates/hash/src/field.rs".to_string()],
             cell_modules: vec!["crates/core/src/sketch/two_level.rs".to_string()],
-            feature_dispatch_fns: vec!["backend".to_string()],
+            feature_dispatch_fns: vec!["backend".to_string(), "is_runnable".to_string()],
             hot_roots: [
-                ("crates/hash/src/simd.rs", "affine_uniform"),
-                ("crates/hash/src/simd.rs", "affine_weighted"),
+                ("crates/hash/src/simd.rs", "sliced_apply"),
+                ("crates/hash/src/simd.rs", "affine_one"),
                 ("crates/hash/src/simd.rs", "horner_many"),
+                ("crates/hash/src/simd.rs", "load"),
                 ("crates/core/src/sketch/two_level.rs", "update"),
                 ("crates/core/src/sketch/two_level.rs", "update_batch"),
-                ("crates/core/src/sketch/two_level.rs", "update_chunk"),
-                ("crates/core/src/sketch/two_level.rs", "apply_prepared"),
+                ("crates/core/src/sketch/two_level.rs", "apply_chunks"),
+                ("crates/core/src/sketch/two_level.rs", "apply_chunk"),
                 ("crates/engine/src/runqueue.rs", "publish"),
                 ("crates/engine/src/runqueue.rs", "wait"),
             ]
@@ -138,17 +139,24 @@ impl Config {
     /// A fixture configuration: `root` is one mini-crate whose `src/` is
     /// library code, with `src/clock.rs` / `src/field.rs` allow-listed.
     pub fn fixture(root: impl Into<PathBuf>) -> Self {
+        let root = root.into();
         Config {
-            root: root.into(),
             scan_dirs: vec!["src".to_string()],
             lib_crates: vec!["fixture".to_string()],
             atomic_modules: vec!["src/clock.rs".to_string()],
             field_modules: vec!["src/field.rs".to_string()],
             cell_modules: vec!["src/sketch.rs".to_string()],
             feature_dispatch_fns: vec!["backend".to_string()],
-            hot_roots: vec![("src/kernel.rs".to_string(), "hot_root".to_string())],
+            // Only a fixture with a kernel module audits one, so the
+            // others do not report an unresolved root.
+            hot_roots: if root.join("src/kernel.rs").is_file() {
+                vec![("src/kernel.rs".to_string(), "hot_root".to_string())]
+            } else {
+                Vec::new()
+            },
             wire_enums: vec!["WireKind".to_string()],
             io_guard_modules: vec!["src/transport.rs".to_string()],
+            root,
         }
     }
 

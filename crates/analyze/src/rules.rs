@@ -769,6 +769,7 @@ fn rule_a11_hot_path(
     let mut root_of: BTreeMap<usize, String> = BTreeMap::new();
     let mut stack: Vec<usize> = Vec::new();
     for (suffix, fn_name) in &config.hot_roots {
+        let before = stack.len();
         for (i, s) in symbols.fns.iter().enumerate() {
             if s.name == *fn_name
                 && files[s.file].scrubbed.rel_path.ends_with(suffix)
@@ -777,6 +778,21 @@ fn rule_a11_hot_path(
                 root_of.insert(i, fn_name.clone());
                 stack.push(i);
             }
+        }
+        // A root that names nothing audits nothing: a kernel renamed or
+        // deleted would otherwise leave the audit without a finding.
+        if stack.len() == before {
+            out.push(Diagnostic {
+                code: "A11",
+                path: suffix.clone(),
+                line: 1,
+                message: format!(
+                    "audited hot root `{fn_name}` matches no non-test fn in a file \
+                     ending `{suffix}` — the kernel was renamed, moved or deleted, so \
+                     the allocation and panic audit no longer reaches it; point the \
+                     `hot_roots` entry at the kernel that replaced it"
+                ),
+            });
         }
     }
     while let Some(i) = stack.pop() {

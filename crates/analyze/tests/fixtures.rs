@@ -90,6 +90,11 @@ fn a11_allocation_reached_from_hot_root() {
 }
 
 #[test]
+fn a11_unresolved_hot_root_is_reported() {
+    check_fixture("a11_unresolved");
+}
+
+#[test]
 fn a12_wildcard_arm_over_wire_enum() {
     check_fixture("a12_wire");
 }
@@ -132,6 +137,7 @@ fn every_fixture_directory_has_a_test() {
         "a09_locks",
         "a10_atomics",
         "a11_hotpath",
+        "a11_unresolved",
         "a12_wire",
         "allowed",
         "loc",

@@ -15,7 +15,7 @@
 
 use setstream_bench::host::write_json;
 use setstream_bench::PAPER_S;
-use setstream_core::{SketchFamily, SketchVector};
+use setstream_core::SketchFamily;
 use setstream_distributed::{Coordinator, Site};
 use setstream_engine::{QualityConfig, QualityMonitor, ShardedIngestor, StreamEngine};
 use setstream_obs::{RingRecorder, TraceHandle};
@@ -62,11 +62,10 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Workload shapes by deletion density. `insert_only` hits the
-/// uniform-delta group kernel (like the criterion `vector_update_batch`
-/// workload); `mixed10`/`mixed50` interleave 10%/50% deletions so every
-/// 512-update chunk carries mixed signs and ingest runs the weighted
-/// (signed-delta) kernel throughout.
+/// Workload shapes by deletion density. `insert_only` (like the criterion
+/// `vector_update_batch` workload) gives every 512-update chunk one delta
+/// plane; `mixed10`/`mixed50` interleave 10%/50% deletions, so every
+/// chunk carries mixed signs and two planes (two's complement `±1`).
 #[derive(Clone, Copy, PartialEq)]
 enum Shape {
     InsertOnly,
@@ -113,13 +112,6 @@ fn secs<T>(f: impl FnOnce() -> T) -> f64 {
     let dt = t.elapsed().as_secs_f64();
     std::hint::black_box(out);
     dt
-}
-
-/// Best-of-`reps` wall-clock nanoseconds per update for `f` applied to the
-/// whole slice (minimum filters scheduler noise; each rep re-runs the
-/// full ingestion).
-fn time_ns_per_update(updates: &[Update], reps: usize, mut f: impl FnMut(&[Update]) -> SketchVector) -> f64 {
-    (0..reps).map(|_| secs(|| f(updates))).fold(f64::INFINITY, f64::min) * 1e9 / updates.len() as f64
 }
 
 /// Quantile `q` of `xs` (nearest rank).
@@ -170,17 +162,20 @@ fn engine_secs(r: usize, updates: &[Update], after: impl FnOnce()) -> f64 {
 
 fn main() {
     let args = parse_args();
-    let (n_scalar, n_parallel, reps) = if args.quick {
-        (2_000usize, 8_192usize, 2usize)
+    // The quick parallel rows need bursts long enough to get a second
+    // core: at 8 192 updates (20–90 ms a rep) the 2-vCPU bench host read
+    // 0.91–1.03× at every thread count, at 65 536 it read 1.82×.
+    let (n_scalar, n_parallel) = if args.quick {
+        (2_000usize, 65_536usize)
     } else {
-        (20_000, 131_072, 3)
+        (20_000, 131_072)
     };
     // The overhead ratios (metrics, quality, tracing) gate in tier1.sh,
     // so they need enough work per timing for the ratio to be signal
     // rather than scheduler noise: at 2k updates the quick ratios
-    // routinely landed below 1.0. They get their own larger sample. They
-    // and the thread-scaling ratios are timed as interleaved pairs (see
-    // `paired`).
+    // routinely landed below 1.0. They get their own larger sample. They,
+    // the batch speedups and the thread-scaling ratios are timed as
+    // interleaved pairs (see `paired`).
     let (n_obs, pairs) = if args.quick {
         (20_000usize, 9usize)
     } else {
@@ -191,28 +186,38 @@ fn main() {
     println!("ingest_bench: s = {PAPER_S}, scalar/batch over {n_scalar} updates, parallel over {n_parallel}");
 
     // Scalar vs batched, across the paper's r sweep, on all three
-    // workload shapes. `speedup_batch_r512` reports the insert-only
-    // shape — the common stream case and the one the criterion bench
-    // measures; the mixed shapes pin the signed-delta kernel.
+    // workload shapes, each row timed as interleaved pairs (see `paired`).
+    // `speedup_batch_r512` reports the insert-only shape — the common
+    // stream case and the one the criterion bench measures; the mixed
+    // shapes pin the signed-delta planes.
     let mut speedup_r512 = 0.0;
     let mut speedup_mixed10_r512 = 0.0;
     let mut speedup_mixed50_r512 = 0.0;
     for shape in [Shape::InsertOnly, Shape::Mixed10, Shape::Mixed50] {
         for r in [64usize, 256, 512] {
             let updates = workload(n_scalar, shape);
-            let scalar = time_ns_per_update(&updates, reps, |us| {
-                let mut v = family(r).new_vector();
-                for u in us {
-                    v.process(u);
-                }
-                v
-            });
-            let batch = time_ns_per_update(&updates, reps, |us| {
-                let mut v = family(r).new_vector();
-                v.update_batch(us);
-                v
-            });
-            let speedup = scalar / batch;
+            let ([_, speedup, _], fields) = paired(
+                &format!("[{}] r={r}", shape.name()),
+                ["batch", "scalar", "speedup"],
+                pairs,
+                n_scalar,
+                || {
+                    secs(|| {
+                        let mut v = family(r).new_vector();
+                        v.update_batch(&updates);
+                        v
+                    })
+                },
+                || {
+                    secs(|| {
+                        let mut v = family(r).new_vector();
+                        for u in &updates {
+                            v.process(u);
+                        }
+                        v
+                    })
+                },
+            );
             if r == 512 {
                 match shape {
                     Shape::InsertOnly => speedup_r512 = speedup,
@@ -220,13 +225,10 @@ fn main() {
                     Shape::Mixed50 => speedup_mixed50_r512 = speedup,
                 }
             }
-            println!("  [{}] r={r:<4} scalar {scalar:>10.1} ns/update   batch {batch:>10.1} ns/update   speedup {speedup:.2}x", shape.name());
             let _ = write!(
                 rows,
                 "{}{{\"mode\":\"scalar_vs_batch\",\"workload\":\"{}\",\"r\":{r},\"s\":{PAPER_S},\
-                 \"updates\":{n_scalar},\
-                 \"scalar_ns_per_update\":{scalar:.1},\"batch_ns_per_update\":{batch:.1},\
-                 \"speedup\":{speedup:.3}}}",
+                 \"updates\":{n_scalar},{fields}}}",
                 if rows.is_empty() { "" } else { ",\n    " },
                 shape.name()
             );

@@ -10,37 +10,41 @@
 
 use crate::config::SketchConfig;
 use crate::error::EstimateError;
-use crate::sketch::two_level::{SketchSeed, BATCH_CHUNK};
+use crate::sketch::two_level::SketchSeed;
 use crate::sketch::TwoLevelSketch;
 use serde::de::{self, DeserializeSeed, SeqAccess, Visitor};
 use serde::{Deserialize, Deserializer, Serialize};
 use setstream_hash::SeedSequence;
+use setstream_hash::{SlicedChunk, CHUNK};
 use setstream_stream::{Element, Update};
 use std::fmt;
 
 /// Instrumentation record returned by [`SketchVector::update_batch`].
 ///
-/// `fast_path_updates` counts updates that arrived in uniform-delta chunks
-/// (all deltas equal — the insert-only common case), for which the hash
-/// bank's grouped accumulate path skips per-element delta gathers. It is a
-/// conservative proxy: mixed chunks may still hit the fast path for
-/// individual bucket groups.
+/// `fast_path_updates` counts updates that arrived in uniform-delta
+/// chunks (all deltas of a [`CHUNK`]-update chunk equal — the insert-only
+/// shape). The bit-sliced kernel has no separate path for them: a chunk
+/// costs one popcount round per bit of its deltas' narrowest two's
+/// complement, equal or not. So the count now describes the workload,
+/// not a code path; it is kept because the engine's
+/// `setstream_engine_ingest_fastpath_updates_total` counter and the
+/// benchmarks' `fastpath_ratio` read it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Updates applied by this call.
     pub updates: usize,
-    /// Updates that rode a uniform-delta (insert-only fast path) chunk.
+    /// Updates that arrived in a uniform-delta chunk.
     pub fast_path_updates: usize,
 }
 
 impl IngestStats {
-    /// Chunk-by-chunk fast-path accounting for a batch, mirroring the
-    /// `BATCH_CHUNK`-sized chunking of the ingest loop. Exposed so
-    /// alternative ingest drivers (e.g. sharded-parallel) can account the
-    /// same way without running the batch through a single vector.
+    /// Chunk-by-chunk accounting for a batch, on the [`CHUNK`]-sized
+    /// chunk boundaries of the ingest loop. Exposed so alternative ingest
+    /// drivers (e.g. sharded-parallel) can account the same way without
+    /// running the batch through a single vector.
     pub fn for_batch(updates: &[Update]) -> Self {
         let mut fast = 0usize;
-        for chunk in updates.chunks(BATCH_CHUNK) {
+        for chunk in updates.chunks(CHUNK) {
             if chunk.windows(2).all(|w| matches!(w, [a, b] if a.delta == b.delta)) {
                 fast += chunk.len();
             }
@@ -58,40 +62,54 @@ impl IngestStats {
     }
 }
 
-/// A batch of updates unpacked **once** into structure-of-arrays form,
-/// shareable across sketch copies and parallel shards.
+/// A batch of updates bit-sliced **once**, shareable across sketch copies
+/// and parallel shards.
 ///
-/// The ingest pipeline's unpack stage: raw elements and signed deltas in
-/// parallel arrays, plus the batch's ingest stats. All of it is
+/// The ingest pipeline's prepare stage: each [`CHUNK`] updates become one
+/// [`SlicedChunk`] (elements, deltas, the element nibble tables and the
+/// delta bit-planes), plus the batch's ingest stats. All of it is
 /// copy-independent — every one of the `r` sketch copies (and every shard
-/// of a parallel ingest) consumes the same prepared arrays, so the
-/// per-update unpack is paid once per batch instead of once per copy.
+/// of a parallel ingest) reads the same chunks, so the transpose is paid
+/// once per batch instead of once per copy. A chunk takes about 28 KiB,
+/// 56 bytes per update, so [`SketchVector::update_batch`] prepares a long
+/// batch a window of [`WINDOW`] updates at a time.
 #[derive(Debug, Clone)]
 pub struct PreparedBatch {
-    elems: Vec<u64>,
-    deltas: Vec<i64>,
+    chunks: Vec<SlicedChunk>,
     stats: IngestStats,
 }
 
+/// Updates [`SketchVector::update_batch`] prepares at once: eight chunks,
+/// about 224 KiB of sliced form. Every copy applies a window before the
+/// next copy starts, so a copy's rows stay cache-resident across it.
+pub const WINDOW: usize = 8 * CHUNK;
+
 impl PreparedBatch {
-    /// Unpack a batch (stream ids are ignored, as in
+    /// Slice a batch (stream ids are ignored, as in
     /// [`SketchVector::update_batch`]).
     pub fn from_updates(updates: &[Update]) -> Self {
+        let chunks = updates
+            .chunks(CHUNK)
+            .map(|part| {
+                let mut chunk = SlicedChunk::EMPTY;
+                chunk.load(part.iter().map(|u| (u.element, u.delta)));
+                chunk
+            })
+            .collect();
         PreparedBatch {
-            elems: updates.iter().map(|u| u.element).collect(),
-            deltas: updates.iter().map(|u| u.delta).collect(),
+            chunks,
             stats: IngestStats::for_batch(updates),
         }
     }
 
     /// Number of updates in the batch.
     pub fn len(&self) -> usize {
-        self.elems.len()
+        self.stats.updates
     }
 
     /// `true` if the batch holds no updates.
     pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
+        self.chunks.is_empty()
     }
 
     /// The ingest instrumentation record for this batch (computed at
@@ -105,7 +123,7 @@ impl PreparedBatch {
 /// stage of the ingest pipeline, allocation-free.
 fn apply_prepared_to(sketches: &mut [TwoLevelSketch], batch: &PreparedBatch) {
     for sk in sketches.iter_mut() {
-        sk.apply_prepared(&batch.elems, &batch.deltas);
+        sk.apply_chunks(&batch.chunks);
     }
 }
 
@@ -325,29 +343,30 @@ impl SketchVector {
     /// Apply a slice of updates to every copy (stream ids are ignored, as
     /// in [`Self::process`]).
     ///
-    /// The loop is **copy-major**: each sketch copy consumes the entire
-    /// batch before the next copy is touched, so one copy's counters
-    /// (~`levels·s·16` bytes) and hash coefficients stay cache-resident
-    /// across the whole batch. The element-major scalar path instead walks
-    /// all `r` copies per element — at `r = 512` that is a ~16 MiB working
-    /// set per item. Counter increments commute, so the result is
-    /// bit-for-bit identical to per-update [`Self::update`] calls.
-    ///
-    /// The update structs are unpacked into parallel `(element, delta)`
-    /// arrays once, up front, so the per-copy inner loops see plain `u64`/
-    /// `i64` slices instead of re-gathering struct fields `r` times.
+    /// The batch is bit-sliced once per window of [`WINDOW`] updates
+    /// ([`PreparedBatch`]) and every copy reads the same sliced chunks, so
+    /// the per-copy work is the first-level hash and the bank's
+    /// bit-sliced kernel. Within a window the loop is **copy-major**:
+    /// each copy consumes the whole window before the next copy is
+    /// touched, so one copy's rows and hash coefficients stay
+    /// cache-resident across it, where an element-major walk over all `r`
+    /// copies per update would cycle a ~16 MiB working set at `r = 512`.
+    /// Counter increments commute, so the result is bit-for-bit identical
+    /// to per-update [`Self::update`] calls; the window bounds the sliced
+    /// form a long batch holds at once.
     ///
     /// Returns [`IngestStats`] for instrumentation: how many updates were
-    /// applied and how many rode in uniform-delta (insert-only) chunks,
-    /// where the per-group fast path in the hash bank is guaranteed to
-    /// fire. The accounting is one extra comparison per update — noise
-    /// next to the `r` copies of hashing each update pays for.
+    /// applied and how many arrived in uniform-delta chunks.
     pub fn update_batch(&mut self, updates: &[Update]) -> IngestStats {
-        self.apply_prepared(&PreparedBatch::from_updates(updates))
+        let mut stats = IngestStats::default();
+        for window in updates.chunks(WINDOW) {
+            stats.absorb(self.apply_prepared(&PreparedBatch::from_updates(window)));
+        }
+        stats
     }
 
     /// Apply an already-prepared batch to every copy (the batch-prepare
-    /// work — struct unpack and stats — was paid by
+    /// work — slicing and stats — was paid by
     /// [`PreparedBatch::from_updates`], possibly on another thread or
     /// shared with other vectors). Bit-for-bit identical to
     /// [`Self::update_batch`] over the source updates.

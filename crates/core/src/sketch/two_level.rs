@@ -11,14 +11,9 @@ use std::fmt;
 use super::coins;
 use setstream_hash::{
     bucket_of, hash_many, positive_bits, prefetch, AnyHash, Hash64, PairwiseHashBank,
+    SlicedChunk, CHUNK,
 };
 use setstream_stream::{Element, Update};
-
-/// Elements hashed per inner batch round: large enough to amortize the
-/// per-chunk grouping pass and give the per-bucket group kernel long
-/// runs (a chunk of 512 puts ~256 elements in the level-0 group), small
-/// enough that the ~16 KiB of scratch arrays live on the stack.
-pub(crate) const BATCH_CHUNK: usize = 512;
 
 /// The `b = 0` bit of every cell pair in a sign word (bits `2j`, `2j+1`
 /// hold function `j`'s two cells, so pairs never straddle a word).
@@ -66,8 +61,8 @@ pub struct TwoLevelSketch {
     seed: u64,
     first: AnyHash,
     /// The `s` second-level functions, coefficients stored contiguously
-    /// (structure-of-arrays) so a group's bits come from one tight
-    /// AND-and-POPCNT loop per function.
+    /// (structure-of-arrays), applied by the bank's function-lane and
+    /// bit-sliced chunk kernels.
     second: PairwiseHashBank,
     /// Row-major `[level][j][bit]` counters.
     counters: Box<[i64]>,
@@ -248,12 +243,13 @@ impl TwoLevelSketch {
 
     /// Apply a net frequency change of `delta` to element `e`.
     ///
-    /// This is the batch kernel applied to a batch of one: one first-level
-    /// hash, then the grouped second-level kernel on a group of one
-    /// element (all `s` bits and counter bumps, lane-parallel across the
-    /// functions) — `O(s)` with no allocation, and bit-for-bit identical
-    /// to routing the same update through [`Self::update_batch`]. The
-    /// written row's summary is then refreshed.
+    /// One first-level hash, then the bank's function-lane kernel (all
+    /// `s` bits and counter bumps, lane-parallel across the functions) —
+    /// `O(s)` with no allocation, and the same kernel the batch path uses
+    /// for updates on sparsely filled levels, so the cells are
+    /// bit-for-bit those of routing the update through
+    /// [`Self::update_batch`]. The written row's summary is then
+    /// refreshed.
     pub fn update(&mut self, e: Element, delta: i64) {
         let level = self.bucket_of(e);
         let base = self.row_base(level);
@@ -262,7 +258,7 @@ impl TwoLevelSketch {
         // overlaps the kernel instead of stalling the refresh's store.
         prefetch(&self.sign_words(level)[0]);
         let row = &mut self.counters[base..base + 2 * s];
-        self.second.accumulate_group_uniform(&[e], delta, row);
+        self.second.accumulate(e, delta, row);
         self.total = self.total.wrapping_add(delta);
         self.refresh_rows(1 << level);
     }
@@ -271,137 +267,58 @@ impl TwoLevelSketch {
     /// [`Self::process`]).
     ///
     /// Same cell arithmetic as [`Self::update`], restructured for
-    /// throughput: per chunk of `BATCH_CHUNK` updates the first-level
-    /// hashes are evaluated together ([`hash_many`], exposing
-    /// instruction-level parallelism across the latency-bound Horner
-    /// chains), the chunk is counting-sorted by first-level bucket so all
-    /// writes against one `2·s`-cell row happen back-to-back, and each
-    /// bucket's group of updates is applied in one pass per second-level
-    /// function (`PairwiseHashBank::accumulate_group`), touching every
-    /// counter cell once per group. Because cell increments commute, the
-    /// resulting counters are bit-for-bit identical to applying the
-    /// updates one at a time, in any order.
+    /// throughput: each chunk of [`CHUNK`] updates is bit-sliced into a
+    /// [`SlicedChunk`] on the stack and applied by the bank's chunk kernel
+    /// ([`PairwiseHashBank::apply_chunk`]), and the summary of every
+    /// touched row is refreshed once at the end. Because cell increments commute, the counters are bit-for-bit
+    /// identical to applying the updates one at a time, in any order.
+    /// Batches under 32 updates go one at a time: slicing them costs more
+    /// than it saves for a single copy.
     ///
-    /// The whole path is allocation-free: scratch arrays are stack-sized
-    /// by `BATCH_CHUNK`.
+    /// The whole path is allocation-free.
     pub fn update_batch(&mut self, updates: &[Update]) {
         if updates.len() < 32 {
-            // Grouping overhead outweighs locality on tiny batches.
             for u in updates {
                 self.update(u.element, u.delta);
             }
             return;
         }
-        let mut elems = [0u64; BATCH_CHUNK];
-        let mut deltas = [0i64; BATCH_CHUNK];
+        let mut chunk = SlicedChunk::EMPTY;
         let mut touched = 0u64;
-        for chunk in updates.chunks(BATCH_CHUNK) {
-            let n = chunk.len();
-            for (i, u) in chunk.iter().enumerate() {
-                elems[i] = u.element;
-                deltas[i] = u.delta;
-            }
-            touched |= self.update_chunk(&elems[..n], &deltas[..n]);
+        for part in updates.chunks(CHUNK) {
+            chunk.load(part.iter().map(|u| (u.element, u.delta)));
+            touched |= self.apply_chunk(&chunk);
         }
         self.refresh_rows(touched);
     }
 
-    /// Apply a prepared batch — elements and deltas in parallel slices —
-    /// in `BATCH_CHUNK` rounds, then refresh the summary of each touched
-    /// row once. Bit-for-bit identical to [`Self::update_batch`] over the
-    /// same updates.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub(crate) fn apply_prepared(&mut self, elems: &[u64], deltas: &[i64]) {
-        if elems.len() < 32 {
-            // Grouping overhead outweighs locality on tiny batches.
-            for (&e, &d) in elems.iter().zip(deltas) {
-                self.update(e, d);
-            }
-            return;
-        }
+    /// Apply already-sliced chunks — the form a [`crate::PreparedBatch`]
+    /// shares across every copy — then refresh the summary of each
+    /// touched row once. Bit-for-bit identical to [`Self::update_batch`]
+    /// over the same updates.
+    pub(crate) fn apply_chunks(&mut self, chunks: &[SlicedChunk]) {
         let mut touched = 0u64;
-        for (ec, dc) in elems.chunks(BATCH_CHUNK).zip(deltas.chunks(BATCH_CHUNK)) {
-            touched |= self.update_chunk(ec, dc);
+        for chunk in chunks {
+            touched |= self.apply_chunk(chunk);
         }
         self.refresh_rows(touched);
     }
 
-    /// One batch round over parallel `(element, delta)` slices of length
-    /// `≤ BATCH_CHUNK`: first-level hashes evaluated together, the chunk
-    /// counting-sorted by bucket into linear scratch arrays (so the group
-    /// kernel walks plain slices — no index indirection), then each
-    /// bucket's group applied against its row in one register-resident
-    /// pass per second-level function. The net delta is folded into
-    /// `total` once per chunk. Returns the levels it wrote, whose summary
-    /// the caller refreshes once the whole batch is in.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length or exceed [`BATCH_CHUNK`].
-    fn update_chunk(&mut self, elems: &[u64], deltas: &[i64]) -> u64 {
-        let n = elems.len();
-        assert!(n <= BATCH_CHUNK && n == deltas.len(), "chunk shape");
-        let levels = self.config.levels as usize;
-        let s = self.config.second_level as usize;
-        // Hashing hoisted out of the counter loop.
-        let mut hashes = [0u64; BATCH_CHUNK];
-        hash_many(&self.first, elems, &mut hashes[..n]);
-        let mut buckets = [0usize; BATCH_CHUNK];
-        for (bkt, &h) in buckets[..n].iter_mut().zip(&hashes[..n]) {
-            *bkt = bucket_of(h, self.config.levels) as usize;
-        }
-        // Counting-sort the chunk by bucket; `starts[b]` is then the group
-        // boundary of bucket `b` in the sorted scratch.
-        let mut starts = [0u32; 65];
-        for &b in &buckets[..n] {
-            starts[b + 1] += 1;
-        }
-        for l in 0..levels {
-            starts[l + 1] += starts[l];
-        }
-        let mut cursor = starts;
-        // Uniform-delta chunks (the insert-only shape) are detected once
-        // here, so the delta scatter below and the per-group uniformity
-        // scan inside `accumulate_group` both disappear from the hot path.
-        let uniform = n > 0 && deltas.windows(2).all(|w| w[0] == w[1]);
-        // Scatter the elements into per-bucket runs, which the grouped
-        // second-level kernel consumes directly.
-        let mut selems = [0u64; BATCH_CHUNK];
-        let mut sdeltas = [0i64; BATCH_CHUNK];
-        if uniform {
-            for i in 0..n {
-                let pos = cursor[buckets[i]] as usize;
-                selems[pos] = elems[i];
-                cursor[buckets[i]] += 1;
-            }
-        } else {
-            for i in 0..n {
-                let pos = cursor[buckets[i]] as usize;
-                selems[pos] = elems[i];
-                sdeltas[pos] = deltas[i];
-                cursor[buckets[i]] += 1;
-            }
-        }
-        // Grouped counter writes: one bucket's row at a time, all of the
-        // bucket's updates applied in a single pass per second-level
-        // function (coefficients and accumulator stay in registers).
-        let mut touched = 0u64;
-        for level in 0..levels {
-            let (lo, hi) = (starts[level] as usize, starts[level + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            touched |= 1 << level;
-            let base = self.row_base(level as u32);
-            let row = &mut self.counters[base..base + 2 * s];
-            if uniform {
-                self.second.accumulate_group_uniform(&selems[lo..hi], deltas[0], row);
-            } else {
-                self.second.accumulate_group(&selems[lo..hi], &sdeltas[lo..hi], row);
-            }
-        }
-        self.total = deltas.iter().fold(self.total, |t, &d| t.wrapping_add(d));
+    /// One chunk against this copy: the first-level hashes of its
+    /// elements evaluated together ([`hash_many`], exposing
+    /// instruction-level parallelism across the latency-bound Horner
+    /// chains), then the bank's bit-sliced kernel
+    /// ([`PairwiseHashBank::apply_chunk`]) writes every row the chunk
+    /// lands on. The chunk's net delta is folded into `total` once.
+    /// Returns the levels it wrote, whose summary the caller refreshes
+    /// once the whole batch is in.
+    fn apply_chunk(&mut self, chunk: &SlicedChunk) -> u64 {
+        let mut hashes = [0u64; CHUNK];
+        hash_many(&self.first, chunk.elems(), &mut hashes[..chunk.len()]);
+        let touched =
+            self.second
+                .apply_chunk(chunk, &hashes, self.config.levels, &mut self.counters);
+        self.total = self.total.wrapping_add(chunk.delta_sum());
         touched
     }
 

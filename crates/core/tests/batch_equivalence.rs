@@ -10,7 +10,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setstream_core::{PreparedBatch, SketchConfig, SketchFamily, TwoLevelSketch};
-use setstream_hash::HashFamily;
+use setstream_hash::{splitmix64, HashFamily};
 use setstream_stream::{StreamId, Update};
 
 fn updates_from(pairs: &[(u64, i64)]) -> Vec<Update> {
@@ -43,6 +43,40 @@ fn arb_config() -> impl Strategy<Value = SketchConfig> {
             second_level,
             first_family,
         })
+}
+
+/// Deltas across the whole `i64` range, so every magnitude bit-plane and
+/// both signs run: zero, unit steps, the extremes (`|i64::MIN|` needs the
+/// 64th plane), arbitrary words, and small mixed steps.
+fn arb_delta() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(0i64),
+        Just(1),
+        Just(-1),
+        Just(i64::MIN),
+        Just(i64::MAX),
+        any::<i64>(),
+        -3i64..4,
+    ]
+}
+
+/// Elements of every width: a few low bits (one nibble position in use),
+/// 17 bits (five), and full 64-bit words (all sixteen).
+fn arb_element() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..8, 0u64..1 << 17, any::<u64>()]
+}
+
+/// `(occupied, multi, rows, sign words of every level)`.
+fn summary(sk: &TwoLevelSketch) -> (u64, u64, u64, Vec<u64>) {
+    let signs = (0..sk.levels())
+        .flat_map(|l| sk.sign_words(l).to_vec())
+        .collect();
+    (
+        sk.occupied_levels(),
+        sk.multi_levels(),
+        sk.row_mask(),
+        signs,
+    )
 }
 
 /// Workloads spanning both batch regimes: below the scalar-fallback
@@ -103,7 +137,7 @@ proptest! {
         seed in any::<u64>(),
         elems in vec(any::<u64>(), 0..600),
     ) {
-        // All-insert batches exercise the uniform-delta group kernel.
+        // All-insert batches need a single unsigned delta plane.
         let pairs: Vec<(u64, i64)> = elems.iter().map(|&e| (e, 1)).collect();
         let mut scalar = TwoLevelSketch::new(config, seed);
         for &e in &elems {
@@ -122,9 +156,9 @@ proptest! {
         elems in vec(any::<u64>(), 0..600),
         insert_one_in in 2u64..12,
     ) {
-        // Mostly-deletion streams keep every chunk on the signed-delta
-        // (weighted) kernel and drive counters negative — the regime the
-        // paper's deletion-imperviousness argument lives in.
+        // Mostly-deletion streams give every chunk a signed delta plane
+        // and drive counters negative — the regime the paper's
+        // deletion-imperviousness argument lives in.
         let pairs: Vec<(u64, i64)> = elems
             .iter()
             .enumerate()
@@ -138,6 +172,58 @@ proptest! {
         batched.update_batch(&updates_from(&pairs));
         prop_assert_eq!(scalar.counters(), batched.counters());
         prop_assert_eq!(scalar.total_count(), batched.total_count());
+    }
+
+    #[test]
+    fn full_range_deltas_and_widths_match_scalar(
+        config in arb_config(),
+        seed in any::<u64>(),
+        // One to four chunks of 512, with ragged tails.
+        pairs in vec((arb_element(), arb_delta()), 0..2048),
+    ) {
+        let mut scalar = TwoLevelSketch::new(config, seed);
+        for &(e, d) in &pairs {
+            scalar.update(e, d);
+        }
+        let mut batched = TwoLevelSketch::new(config, seed);
+        batched.update_batch(&updates_from(&pairs));
+        prop_assert_eq!(scalar.counters(), batched.counters());
+        prop_assert_eq!(scalar.total_count(), batched.total_count());
+        prop_assert_eq!(summary(&scalar), summary(&batched));
+    }
+
+    #[test]
+    fn vector_paths_match_scalar_for_every_shape(
+        config in arb_config(),
+        seed in any::<u64>(),
+        copies in 1usize..4,
+        slices in 1usize..4,
+        pairs in vec((arb_element(), arb_delta()), 0..1200),
+    ) {
+        // The two vector-level batch paths — `SketchVector::update_batch`
+        // and a `PreparedBatch` applied through disjoint slices — against
+        // per-update `process`, copy by copy, summaries included.
+        let fam = SketchFamily::new(config, copies, seed);
+        let updates = updates_from(&pairs);
+        let mut scalar = fam.new_vector();
+        for u in &updates {
+            scalar.process(u);
+        }
+        let mut batched = fam.new_vector();
+        batched.update_batch(&updates);
+        let batch = PreparedBatch::from_updates(&updates);
+        let mut sliced = fam.new_vector();
+        for mut slice in sliced.par_slices(slices) {
+            slice.apply_prepared(&batch);
+        }
+        for ((a, b), c) in scalar.sketches().iter().zip(batched.sketches()).zip(sliced.sketches()) {
+            prop_assert_eq!(a.counters(), b.counters());
+            prop_assert_eq!(a.counters(), c.counters());
+            prop_assert_eq!(a.total_count(), b.total_count());
+            prop_assert_eq!(a.total_count(), c.total_count());
+            prop_assert_eq!(summary(a), summary(b));
+            prop_assert_eq!(summary(a), summary(c));
+        }
     }
 
     #[test]
@@ -198,4 +284,64 @@ proptest! {
             prop_assert_eq!(a.total_count(), b.total_count());
         }
     }
+}
+
+/// FNV-1a over every copy's cells and total.
+fn digest(v: &setstream_core::SketchVector) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for sk in v.sketches() {
+        for word in sk.counters().iter().chain([&sk.total_count()]) {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// A paper-shape vector (64 levels, s = 32, 8-wise first level) fed
+/// seeded updates of every element width and delta size, over five
+/// chunks with a ragged tail, pinned to the digest of its cells. The
+/// digest was captured from the grouped counting-sort kernel that the
+/// bit-sliced kernel replaced, so any change to what a cell holds shows
+/// here even if the per-update and batch paths changed together.
+#[test]
+fn paper_shape_cells_match_the_pinned_digest() {
+    let family = SketchFamily::builder().copies(16).seed(0x5eed).build();
+    let mut state = 0x0dd_ba11u64;
+    let mut next = || {
+        state = splitmix64(state);
+        state
+    };
+    let updates: Vec<Update> = (0..2300)
+        .map(|i| {
+            let r = next();
+            let element = match i % 3 {
+                0 => r & 7,
+                1 => r & 0x1_ffff,
+                _ => r,
+            };
+            let delta = match next() % 8 {
+                0 => 0,
+                1 => i64::MIN,
+                2 => i64::MAX,
+                3 => next() as i64,
+                4 | 5 => 1,
+                _ => -1,
+            };
+            Update {
+                stream: StreamId(0),
+                element,
+                delta,
+            }
+        })
+        .collect();
+    let mut batched = family.new_vector();
+    batched.update_batch(&updates);
+    let mut scalar = family.new_vector();
+    for u in &updates {
+        scalar.process(u);
+    }
+    assert_eq!(digest(&scalar), digest(&batched));
+    assert_eq!(digest(&batched), 669_283_509_870_777_791);
 }

@@ -14,17 +14,18 @@
 //! ```text
 //! caller thread            RunQueue             worker threads
 //! ─────────────            ────────             ──────────────
-//! unpack chunk         ──► publish(i) ──┬─► shard 0: apply to copies 0..c
+//! slice chunk          ──► publish(i) ──┬─► shard 0: apply to copies 0..c
 //! (PreparedBatch:          (watermark   ├─► shard 1: apply to copies c..2c
-//!  elements, deltas        broadcast)   └─► shard k: apply to its run
+//!  bit-sliced chunks       broadcast)   └─► shard k: apply to its run
 //!  + stats)
 //! ```
 //!
-//! The batch-prepare work (struct-of-arrays unpack, instrumentation) is
-//! paid **once** per chunk by the producer and shared by every shard,
-//! instead of once per shard as the old partial-vector scheme did; the
-//! apply stage is allocation-free. Chunks overlap: shard workers apply
-//! chunk `i` while the producer prepares chunk `i+1`.
+//! The batch-prepare work (bit-slicing, instrumentation) is paid **once**
+//! per chunk by the producer and shared by every shard, instead of once
+//! per shard as the old partial-vector scheme did; the apply stage is
+//! allocation-free. Chunks overlap: shard workers apply chunk `i` while
+//! the producer prepares chunk `i+1`. Every prepared chunk stays in the
+//! queue until the call returns, about 56 bytes per update.
 
 use crate::runqueue::RunQueue;
 use setstream_core::{IngestStats, PreparedBatch, SketchFamily, SketchVector};
@@ -35,7 +36,7 @@ use setstream_stream::Update;
 const MIN_PARALLEL: usize = 4096;
 
 /// Updates per pipelined chunk. A multiple of the core batch chunk (512),
-/// so per-chunk instrumentation and counting-sort runs land on the same
+/// so per-chunk instrumentation and the sliced chunks land on the same
 /// boundaries as a single sequential `update_batch` over the whole slice.
 const PIPELINE_CHUNK: usize = 8192;
 
@@ -118,8 +119,8 @@ impl ShardedIngestor {
                 })
                 .collect();
             {
-                // Stage 1 on the calling thread: unpack, reduce, and
-                // account each chunk, overlapping with the apply stage.
+                // Stage 1 on the calling thread: slice and account each
+                // chunk, overlapping with the apply stage.
                 let mut span = trace.span("ingest.prepare");
                 if span.is_recording() {
                     span.track("prepare".to_string());

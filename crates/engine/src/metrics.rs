@@ -40,7 +40,9 @@ pub struct EngineMetrics {
     pub ingest_deletions: Counter,
     /// Batch ingest calls.
     pub ingest_batches: Counter,
-    /// Updates that rode a uniform-delta (insert-only) fast-path chunk.
+    /// Updates that arrived in a uniform-delta (insert-only shape)
+    /// chunk. The bit-sliced kernel has no separate path for them, so
+    /// this describes the workload mix (see `IngestStats`).
     pub ingest_fastpath_updates: Counter,
     /// Estimates served, by estimator path (indexed like `METHODS`).
     estimates_by_method: [Counter; 5],
@@ -136,7 +138,7 @@ impl MetricSource for EngineMetrics {
                 "setstream_engine_ingest_fastpath_updates_total",
                 self.ingest_fastpath_updates.get(),
             )
-            .with_help("Updates that rode the uniform-delta fast path"),
+            .with_help("Updates in uniform-delta (insert-only shape) chunks"),
         );
         for (method, counter) in METHODS.iter().zip(&self.estimates_by_method) {
             out.push(

@@ -279,7 +279,8 @@ fn engine_metrics_track_ingest_and_estimates() {
     assert_eq!(m.ingest_updates.get(), 5001);
     assert_eq!(m.ingest_deletions.get(), 1);
     assert_eq!(m.ingest_batches.get(), 1);
-    // The all-insert batch rides the uniform-delta fast path end to end.
+    // Every chunk of the all-insert batch is uniform-delta, so every
+    // update counts.
     assert_eq!(m.ingest_fastpath_updates.get(), 5000);
 
     let q = expr("A & B");
@@ -340,8 +341,8 @@ fn traced_evaluate_joins_an_existing_trace() {
     let root = ring
         .events()
         .into_iter()
-        .filter(|e| e.name == "engine.query")
-        .last()
+        .rev()
+        .find(|e| e.name == "engine.query")
         .unwrap();
     assert_eq!(root.parent_id, 0);
     assert_eq!(root.trace_id, root.id);

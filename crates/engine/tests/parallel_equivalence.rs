@@ -5,8 +5,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use setstream_core::{SketchFamily, SketchVector};
+use setstream_core::{SketchConfig, SketchFamily, SketchVector, TwoLevelSketch};
 use setstream_engine::ShardedIngestor;
+use setstream_hash::HashFamily;
 use setstream_stream::{StreamId, Update};
 
 fn small_family(seed: u64) -> SketchFamily {
@@ -27,6 +28,12 @@ fn updates_from(pairs: &[(u64, i64)]) -> Vec<Update> {
             delta,
         })
         .collect()
+}
+
+/// `(occupied, multi, rows, sign words of every level)`.
+fn summary(sk: &TwoLevelSketch) -> (u64, u64, u64, Vec<u64>) {
+    let signs = (0..sk.levels()).flat_map(|l| sk.sign_words(l).to_vec()).collect();
+    (sk.occupied_levels(), sk.multi_levels(), sk.row_mask(), signs)
 }
 
 fn assert_identical(a: &SketchVector, b: &SketchVector) {
@@ -87,6 +94,42 @@ proptest! {
         let single = ShardedIngestor::new(fam, 1).ingest_vector(&updates);
         let sharded = ShardedIngestor::new(fam, threads).ingest_vector(&updates);
         assert_identical(&single, &sharded);
+    }
+
+    #[test]
+    fn sharded_ingestor_matches_scalar_for_every_shape(
+        levels in prop_oneof![Just(4u32), Just(16), Just(33), Just(64)],
+        second_level in prop_oneof![Just(1u32), Just(8), Just(32), Just(33)],
+        first_family in prop_oneof![
+            Just(HashFamily::Pairwise),
+            Just(HashFamily::KWise(4)),
+            Just(HashFamily::KWise(8)),
+            Just(HashFamily::Tabulation),
+            Just(HashFamily::Mix),
+        ],
+        seed in any::<u64>(),
+        base in vec((any::<u64>(), prop_oneof![-3i64..4, any::<i64>()]), 1..64),
+        threads in 2usize..5,
+    ) {
+        // The staged pipeline over every sketch shape and full-range
+        // deltas against per-update `process`: counters, totals and the
+        // occupancy summary of every copy.
+        let config = SketchConfig { levels, second_level, first_family };
+        let fam = SketchFamily::new(config, 3, seed);
+        let mut pairs = Vec::new();
+        while pairs.len() < 4500 {
+            pairs.extend(base.iter().copied());
+        }
+        let updates = updates_from(&pairs);
+        let mut scalar = fam.new_vector();
+        for u in &updates {
+            scalar.process(u);
+        }
+        let sharded = ShardedIngestor::new(fam, threads).ingest_vector(&updates);
+        assert_identical(&scalar, &sharded);
+        for (a, b) in scalar.sketches().iter().zip(sharded.sketches()) {
+            prop_assert_eq!(summary(a), summary(b));
+        }
     }
 
     #[test]

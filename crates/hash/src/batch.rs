@@ -4,18 +4,23 @@
 //! function per copy: at the paper's `r = 512`, `s = 32` that is ~16k bit
 //! evaluations per stream item. The kernels here restructure that work:
 //!
+//! * [`SlicedChunk`] holds up to [`CHUNK`] updates **bit-sliced**: for
+//!   every nibble position the elements use, the 16 XOR combinations of
+//!   that nibble's four element bit-planes, and the deltas as bit-planes
+//!   of their narrowest two's complement. It depends on the updates
+//!   only, so one form serves every sketch copy and every shard.
 //! * [`PairwiseHashBank`] holds the `s` second-level functions of one
-//!   sketch copy as flat coefficient arrays (structure-of-arrays) and
-//!   applies a whole group of updates to a counter row function by
-//!   function. A bit is `parity(aⱼ & x) ⊕ bⱼ`, one AND and one POPCNT,
-//!   so the inner loop is independent 64-bit lanes with no carried chain
-//!   beyond one add.
+//!   sketch copy as flat coefficient arrays and applies a sliced chunk to
+//!   the copy's counter rows ([`PairwiseHashBank::apply_chunk`]): a
+//!   function's parity over all 512 updates is one 512-bit mask, XORed
+//!   together from one table row per nibble of `aⱼ`, and a level's odd
+//!   mass is a few AND + POPCNT steps over it.
 //! * [`hash_many`] evaluates a first-level hash over a slice of elements.
 //!   A single Carter–Wegman evaluation is a latency-bound Horner chain;
 //!   hashing a batch exposes independent chains the CPU can overlap.
 
 use crate::seed::SeedSequence;
-use crate::simd;
+use crate::simd::{self, backend, Backend, SlicedChunk, CHUNK};
 use crate::Hash64;
 
 /// Structure-of-arrays bank of `s` GF(2)-affine functions
@@ -29,7 +34,7 @@ use crate::Hash64;
 /// `bⱼ`, because `x ⊕ y` has a set bit. Elements are hashed raw: no
 /// field reduction, so no two distinct `u64`s are identified.
 ///
-/// Every kernel ([`Self::accumulate_group`], its uniform form, and
+/// Every kernel ([`Self::accumulate`], [`Self::apply_chunk`] and
 /// [`Self::bits`]) evaluates the same bits; `tests/simd_equivalence.rs`
 /// pins them to a reference computed one bit at a time.
 #[derive(Debug, Clone)]
@@ -79,61 +84,82 @@ impl PairwiseHashBank {
             .map(move |(a, b)| ((a & x).count_ones() as usize & 1) ^ b as usize)
     }
 
-    /// Group sketch-maintenance kernel: apply a whole batch of updates
-    /// that all target the same counter row.
-    ///
-    /// For every function `j`, adds `deltas[i]` to `row[2j + hⱼ(xs[i])]`
-    /// for all `i` — the same counter state as bumping one cell per
-    /// function for each element in turn, but with the loop nest inverted:
-    /// the outer loop walks functions, the inner loop streams the
-    /// elements, so `aⱼ` and the accumulator live in registers and each
-    /// counter cell is touched **once per group** instead of once per
-    /// element. Because the two cells of a pair split the group's delta
-    /// total (`cell₀ + cell₁ = Σdeltas`), a single branchless accumulator
-    /// of the odd-parity mass suffices, and `bⱼ` only decides which cell
-    /// receives it.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != 2 * self.len()` or the element and delta
-    /// slices disagree in length.
-    #[inline]
-    pub fn accumulate_group(&self, xs: &[u64], deltas: &[i64], row: &mut [i64]) {
-        assert_eq!(row.len(), 2 * self.len(), "row holds one cell pair per function");
-        assert_eq!(xs.len(), deltas.len(), "one delta per element");
-        // Insert-only (or otherwise uniform-delta) groups are the common
-        // stream shape; for them the inner loop only needs to *count*
-        // odd-parity elements, dropping the per-element delta load and
-        // mask-select from the hot loop. Mixed-delta groups take the
-        // weighted kernel, which folds the sign into a branch-free mask —
-        // the two differ by one vector op per lane, so deletions no
-        // longer fall off a fast-path cliff.
-        if let Some(&d0) = deltas.first() {
-            if deltas.iter().all(|&d| d == d0) {
-                simd::affine_uniform(&self.a, &self.b, xs, d0, row);
-                return;
-            }
-        }
-        let total = deltas.iter().fold(0i64, |t, &d| t.wrapping_add(d));
-        simd::affine_weighted(&self.a, &self.b, xs, deltas, total, row);
-    }
-
-    /// [`accumulate_group`] for a group whose every element carries the
-    /// same `d0` — the insert-only stream shape. Callers that establish
-    /// uniformity once per *chunk* (e.g. the core batch path) use this to
-    /// skip both the per-group uniformity scan above and the delta
-    /// scatter that feeds it. Bit-identical to `accumulate_group` with a
-    /// constant delta slice.
-    ///
-    /// [`accumulate_group`]: PairwiseHashBank::accumulate_group
+    /// One update against one counter row: for every function `j`, add
+    /// `delta` to `row[2j + hⱼ(x)]`, with the functions in vector lanes.
+    /// Cells wrap, like every sketch cell add.
     ///
     /// # Panics
     /// Panics if `row.len() != 2 * self.len()`.
     #[inline]
-    pub fn accumulate_group_uniform(&self, xs: &[u64], d0: i64, row: &mut [i64]) {
+    pub fn accumulate(&self, x: u64, delta: i64, row: &mut [i64]) {
         assert_eq!(row.len(), 2 * self.len(), "row holds one cell pair per function");
-        if !xs.is_empty() {
-            simd::affine_uniform(&self.a, &self.b, xs, d0, row);
-        }
+        simd::affine_one(backend(), &self.a, &self.b, x, delta, row);
+    }
+
+    /// [`Self::accumulate`] on a given kernel tier, so equivalence tests
+    /// can hold every [`Backend::runnable`] tier to the same cells.
+    ///
+    /// # Panics
+    /// Panics if `row.len() != 2 * self.len()` or `tier` is not runnable.
+    #[inline]
+    pub fn accumulate_on(&self, tier: Backend, x: u64, delta: i64, row: &mut [i64]) {
+        assert_eq!(row.len(), 2 * self.len(), "row holds one cell pair per function");
+        assert!(tier.is_runnable(), "kernel tier runnable on this CPU");
+        simd::affine_one(tier, &self.a, &self.b, x, delta, row);
+    }
+
+    /// Apply a sliced chunk to one sketch copy's counter rows: update `i`
+    /// lands on level `ℓᵢ = bucket_of(hashes[i], levels)` and adds `δᵢ` to
+    /// `rows[2s·ℓᵢ + 2j + hⱼ(xᵢ)]` for every function `j`, where `rows`
+    /// is level-major with `2s` cells per level and `hashes` holds the
+    /// copy's first-level hashes of the chunk's elements (entries past
+    /// `chunk.len()` are ignored). Returns the set of levels written
+    /// (bit `ℓ` for level `ℓ`).
+    ///
+    /// Levels holding many of the chunk's updates take the bit-sliced
+    /// path: per function, the odd set `Wⱼ` from the chunk's tables, and
+    /// per level `ℓ` the odd mass `δ(Wⱼ ∩ Lℓ)` from the delta planes; the
+    /// mass goes to cell `(j, 1 ⊕ bⱼ)` and the level's total minus it to
+    /// `(j, bⱼ)`. The few updates on deeper levels go through
+    /// [`Self::accumulate`]'s function-lane kernel. Cell adds commute and
+    /// wrap, so the rows end bit-identical to applying the updates one
+    /// at a time.
+    ///
+    /// # Panics
+    /// Panics if `levels` is not in `1..=64`, or if `rows` holds fewer
+    /// than `levels` rows of `2s` cells.
+    #[inline]
+    pub fn apply_chunk(
+        &self,
+        chunk: &SlicedChunk,
+        hashes: &[u64; CHUNK],
+        levels: u32,
+        rows: &mut [i64],
+    ) -> u64 {
+        self.apply_chunk_on(backend(), chunk, hashes, levels, rows)
+    }
+
+    /// [`Self::apply_chunk`] on a given kernel tier, so equivalence tests
+    /// can hold every [`Backend::runnable`] tier to the same cells.
+    ///
+    /// # Panics
+    /// As [`Self::apply_chunk`], and if `tier` is not runnable.
+    #[inline]
+    pub fn apply_chunk_on(
+        &self,
+        tier: Backend,
+        chunk: &SlicedChunk,
+        hashes: &[u64; CHUNK],
+        levels: u32,
+        rows: &mut [i64],
+    ) -> u64 {
+        assert!((1..=64).contains(&levels), "levels in 1..=64");
+        assert!(
+            rows.len() >= levels as usize * 2 * self.len(),
+            "one row per level"
+        );
+        assert!(tier.is_runnable(), "kernel tier runnable on this CPU");
+        simd::sliced_apply(tier, &self.a, &self.b, chunk, hashes, levels, rows)
     }
 }
 
@@ -195,7 +221,9 @@ mod tests {
         let bank = PairwiseHashBank::from_seed(9, 0);
         assert!(bank.is_empty());
         assert_eq!(bank.len(), 0);
-        bank.accumulate_group(&[123], &[1], &mut []);
-        bank.accumulate_group_uniform(&[123], 1, &mut []);
+        bank.accumulate(123, 1, &mut []);
+        let mut chunk = Box::new(SlicedChunk::EMPTY);
+        chunk.load([(123, 1), (7, -2)]);
+        assert_eq!(bank.apply_chunk(&chunk, &[1; CHUNK], 4, &mut []), 1);
     }
 }

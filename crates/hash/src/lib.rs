@@ -51,7 +51,7 @@ pub mod stats;
 pub mod tabulation;
 
 pub use batch::{hash_many, PairwiseHashBank};
-pub use simd::{backend, positive_bits, prefetch, Backend};
+pub use simd::{backend, positive_bits, prefetch, Backend, SlicedChunk, CHUNK};
 pub use bit::{bucket_of, lsb64};
 pub use crc::crc32;
 pub use kwise::KWiseHash;

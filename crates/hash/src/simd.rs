@@ -6,12 +6,14 @@
 //! (see [`crate::PairwiseHashBank`]), so a bit costs one AND and one
 //! POPCNT: independent 64-bit lanes that vectorize as written.
 //!
-//! * The grouped accumulate kernels apply a run of updates that share a
-//!   counter row. Per function they stream the elements in **element
-//!   lanes** and count (or weigh) the odd inner products; `bⱼ` then only
-//!   decides which of the pair's two cells gets that mass. Group
-//!   remainders switch to **function lanes**: one element against every
-//!   function at once.
+//! * The bit-sliced chunk kernel (`sliced_apply`) applies up to 512
+//!   updates to one sketch copy. A 512-bit **chunk mask** (one bit per
+//!   update, eight words: one zmm register, two ymm) is the vector: a
+//!   function's odd set is one XOR per nibble of `aⱼ` over rows of the
+//!   chunk's [`SlicedChunk`] tables, and a level's odd mass is one AND and
+//!   one POPCNT per delta plane. Levels with few of the chunk's updates,
+//!   and single updates, switch to **function lanes**: one element
+//!   against every function at once (`affine_one`).
 //! * The first-level polynomial hashes over GF(2⁶¹−1) (`horner_many`)
 //!   split each 64-bit operand into 32-bit halves, so every partial
 //!   product of a Horner step is a `vpmuludq`-shaped 32×32→64 multiply,
@@ -40,13 +42,14 @@
 //!
 //! This module is the one place the crate permits `unsafe`: calling a
 //! `#[target_feature]` function requires it, and every call site is
-//! guarded by the corresponding `is_x86_feature_detected!` check cached in
-//! [`backend`] — except [`prefetch`]'s, whose SSE instruction every
-//! x86_64 CPU has.
+//! guarded by the corresponding `is_x86_feature_detected!` checks, cached
+//! in [`backend`] or made by [`Backend::is_runnable`] — except
+//! [`prefetch`]'s, whose SSE instruction every x86_64 CPU has.
 //!
-//! analyze: allow(indexing) — lane kernels index fixed `[u64; LANES]` arrays by `0..LANES` and slice chunks produced by `chunks_exact(LANES)`
+//! analyze: allow(indexing) — lane kernels index fixed `[u64; LANES]` arrays by `0..LANES`, slice chunks produced by `chunks_exact(LANES)`, per-level arrays by levels masked below 64, chunk arrays by update numbers below `CHUNK`, and counter rows by the levels the caller's `# Panics` contract bounds
 #![allow(unsafe_code)]
 
+use crate::bit::bucket_of;
 use crate::field::{self, P};
 use std::sync::OnceLock;
 
@@ -76,6 +79,48 @@ impl Backend {
     }
 }
 
+impl Backend {
+    /// `true` if this build compiled the tier and this CPU has its
+    /// features; the scalar tier always runs. Unlike [`backend`], this
+    /// ignores `SETSTREAM_FORCE_SCALAR`: it says what *can* run, so
+    /// equivalence tests can drive every tier. Detected once per process,
+    /// since the kernel entry points check it on every call.
+    pub fn is_runnable(self) -> bool {
+        match self {
+            Backend::Scalar => true,
+            #[cfg(all(target_arch = "x86_64", feature = "simd"))]
+            tier => {
+                static VECTOR: OnceLock<[bool; 2]> = OnceLock::new();
+                let [avx512, avx2] = *VECTOR.get_or_init(|| {
+                    [
+                        is_x86_feature_detected!("avx512f")
+                            && is_x86_feature_detected!("avx512dq")
+                            && is_x86_feature_detected!("avx512bw")
+                            && is_x86_feature_detected!("avx512vl")
+                            && is_x86_feature_detected!("avx512vpopcntdq"),
+                        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt"),
+                    ]
+                });
+                if tier == Backend::Avx512 {
+                    avx512
+                } else {
+                    avx2
+                }
+            }
+            #[cfg(not(all(target_arch = "x86_64", feature = "simd")))]
+            _ => false,
+        }
+    }
+
+    /// The runnable tiers, widest first: the dispatch runs the first one
+    /// unless `SETSTREAM_FORCE_SCALAR` pins it to the last.
+    pub fn runnable() -> impl Iterator<Item = Backend> {
+        [Backend::Avx512, Backend::Avx2, Backend::Scalar]
+            .into_iter()
+            .filter(|tier| tier.is_runnable())
+    }
+}
+
 /// `true` if the environment pins the dispatch to the scalar backend.
 fn force_scalar() -> bool {
     std::env::var_os("SETSTREAM_FORCE_SCALAR").is_some_and(|v| v != "0")
@@ -85,37 +130,16 @@ fn force_scalar() -> bool {
 ///
 /// Honors (in order): the `simd` cargo feature (compile-time), the
 /// `SETSTREAM_FORCE_SCALAR` environment variable (runtime), then CPU
-/// feature detection.
+/// feature detection ([`Backend::runnable`]).
 pub fn backend() -> Backend {
     static BACKEND: OnceLock<Backend> = OnceLock::new();
-    *BACKEND.get_or_init(detect)
-}
-
-#[cfg(all(target_arch = "x86_64", feature = "simd"))]
-fn detect() -> Backend {
-    if force_scalar() {
-        return Backend::Scalar;
-    }
-    if is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512dq")
-        && is_x86_feature_detected!("avx512bw")
-        && is_x86_feature_detected!("avx512vl")
-        && is_x86_feature_detected!("avx512vpopcntdq")
-    {
-        Backend::Avx512
-    } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
-        Backend::Avx2
-    } else {
-        Backend::Scalar
-    }
-}
-
-#[cfg(not(all(target_arch = "x86_64", feature = "simd")))]
-fn detect() -> Backend {
-    // Keep the env override observable so forced-scalar runs report the
-    // same backend name on every build configuration.
-    let _ = force_scalar();
-    Backend::Scalar
+    *BACKEND.get_or_init(|| {
+        if force_scalar() {
+            Backend::Scalar
+        } else {
+            Backend::runnable().next().unwrap_or(Backend::Scalar)
+        }
+    })
 }
 
 /// `parity(a & x)`: the GF(2) inner product of two 64-bit vectors.
@@ -158,62 +182,240 @@ fn horner_step_lane(acc: u64, xl: u64, xh: u64, c: u64) -> u64 {
     (t & P) + (t >> 61)
 }
 
+// ------------------------------------------------------------ chunk form
+
+/// Updates per bit-sliced chunk: a chunk mask (eight words) holds one bit
+/// per update.
+pub const CHUNK: usize = 512;
+
+/// A set of a chunk's updates: bit `i % 64` of word `i / 64` stands for
+/// update `i`.
+pub(crate) type ChunkMask = [u64; CHUNK / 64];
+
+/// Up to [`CHUNK`] updates together with their bit-sliced form — the
+/// copy-independent half of the batch kernel, built once per chunk and
+/// read by every sketch copy.
+///
+/// * `tables[k][v]` is the set of updates `i` with an odd
+///   `parity((v << 4k) & xᵢ)`: the XOR of the element bit-planes
+///   `4k + t` for the set bits `t` of `v`. A function's odd set is then
+///   `⊕ₖ tables[k][nibbleₖ(aⱼ)]` over the nibble positions `k` below the
+///   chunk's *span*, the highest position some element uses plus one
+///   (8 for 32-bit elements); the tables above the span are never read.
+/// * `planes[p]` is the set of updates whose `δᵢ` has bit `p` set, for
+///   the `k` planes the chunk's deltas need: the bit length of the
+///   largest `δ` if none is negative, else the width of the narrowest
+///   two's complement that holds them all (two planes for unit churn,
+///   four for `-3..=7`). The sum of `δ` over a set `M` is then
+///   `Σₚ 2ᵖ·|M ∩ planeₚ|`, with weight `-2ᵏ⁻¹` for the top plane of a
+///   signed chunk — exact modulo 2⁶⁴ like every cell add.
+///
+/// About 28 KiB: users keep one on the stack or a window of them on the
+/// heap.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+pub struct SlicedChunk {
+    pub(crate) tables: [[ChunkMask; 16]; 16],
+    pub(crate) planes: [ChunkMask; 64],
+    pub(crate) elems: [u64; CHUNK],
+    pub(crate) deltas: [i64; CHUNK],
+    sum: i64,
+    len: usize,
+    n_planes: usize,
+    /// Whether the top plane carries the two's complement sign.
+    signed: bool,
+    /// Nibble positions up to the highest one some element uses.
+    span: usize,
+}
+
+impl SlicedChunk {
+    /// An empty chunk, ready for [`Self::load`].
+    pub const EMPTY: SlicedChunk = SlicedChunk {
+        tables: [[[0; CHUNK / 64]; 16]; 16],
+        planes: [[0; CHUNK / 64]; 64],
+        elems: [0; CHUNK],
+        deltas: [0; CHUNK],
+        sum: 0,
+        len: 0,
+        n_planes: 0,
+        signed: false,
+        span: 0,
+    };
+
+    /// Replace the chunk's contents with `updates` (`(element, delta)`
+    /// pairs) and build their bit-sliced form.
+    ///
+    /// # Panics
+    /// Panics if `updates` yields more than [`CHUNK`] pairs.
+    pub fn load(&mut self, updates: impl IntoIterator<Item = (u64, i64)>) {
+        let mut n = 0;
+        for (e, d) in updates {
+            assert!(n < CHUNK, "a chunk holds at most {CHUNK} updates");
+            self.elems[n] = e;
+            self.deltas[n] = d;
+            n += 1;
+        }
+        self.elems[n..].fill(0);
+        self.deltas[n..].fill(0);
+        self.len = n;
+        self.sum = self.deltas[..n]
+            .iter()
+            .fold(0i64, |t, &d| t.wrapping_add(d));
+
+        // Element bit-planes land in the single-bit rows of the tables;
+        // every other row below the span is the XOR of two rows already
+        // built.
+        let used = self.elems[..n].iter().fold(0u64, |acc, &e| acc | e);
+        self.span = (u64::BITS - used.leading_zeros()).div_ceil(4) as usize;
+        let words = n.div_ceil(64);
+        for (w, block) in self.elems.chunks_exact(64).enumerate() {
+            let planes = transposed(block, w < words);
+            for (t, &bits) in planes.iter().enumerate() {
+                self.tables[t / 4][1 << (t % 4)][w] = bits;
+            }
+        }
+        for table in &mut self.tables[..self.span] {
+            table[0] = [0; CHUNK / 64];
+            for v in 3..16usize {
+                let low = v & v.wrapping_neg();
+                if low != v {
+                    table[v] = xor(&table[v ^ low], &table[low]);
+                }
+            }
+        }
+
+        // Delta planes: as many as the narrowest encoding needs.
+        let (min, max) = self.deltas[..n]
+            .iter()
+            .fold((0i64, 0i64), |(lo, hi), &d| (lo.min(d), hi.max(d)));
+        let bits = |v: i64| (u64::BITS - (v as u64).leading_zeros()) as usize;
+        self.signed = min < 0;
+        self.n_planes = if self.signed {
+            1 + bits(max).max(bits(!min))
+        } else {
+            bits(max)
+        };
+        let values = self.deltas.map(|d| d as u64);
+        if self.n_planes <= 8 {
+            for (p, plane) in self.planes.iter_mut().enumerate().take(self.n_planes) {
+                for (word, block) in plane.iter_mut().zip(values.chunks_exact(64)) {
+                    *word = block
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |acc, (i, &v)| acc | (v >> p & 1) << i);
+                }
+            }
+        } else {
+            for (w, block) in values.chunks_exact(64).enumerate() {
+                let planes = transposed(block, w < words);
+                for (p, &bits) in planes.iter().take(self.n_planes).enumerate() {
+                    self.planes[p][w] = bits;
+                }
+            }
+        }
+    }
+
+    /// Number of updates in the chunk.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if the chunk holds no updates.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The chunk's elements, in load order.
+    #[inline]
+    pub fn elems(&self) -> &[u64] {
+        &self.elems[..self.len]
+    }
+
+    /// `Σ δ` over the chunk, wrapping.
+    #[inline]
+    pub fn delta_sum(&self) -> i64 {
+        self.sum
+    }
+
+    /// The bit-planes the chunk's deltas need.
+    #[inline]
+    pub(crate) fn planes(&self) -> &[ChunkMask] {
+        &self.planes[..self.n_planes]
+    }
+
+    /// The nibble positions below the highest one some element uses
+    /// (inclusive): the table positions a function's odd set reads.
+    #[inline]
+    pub(crate) fn span(&self) -> usize {
+        self.span
+    }
+
+    /// Whether the top plane carries the two's complement sign (some
+    /// delta is negative).
+    #[inline]
+    pub(crate) fn signed(&self) -> bool {
+        self.signed
+    }
+}
+
+/// Word-wise XOR of two chunk masks.
+#[inline(always)]
+fn xor(x: &ChunkMask, y: &ChunkMask) -> ChunkMask {
+    let mut out = *x;
+    for (o, &v) in out.iter_mut().zip(y) {
+        *o ^= v;
+    }
+    out
+}
+
+/// The bit-planes of 64 values (a 64×64 bit-matrix transpose): bit `i`
+/// of plane `t` is bit `t` of `block[i]`. All zero unless `live`, which
+/// skips the work for the words past a short chunk's end.
+fn transposed(block: &[u64], live: bool) -> [u64; 64] {
+    let mut m = [0u64; 64];
+    if !live {
+        return m;
+    }
+    m.copy_from_slice(block);
+    // Swap the off-diagonal blocks of each 2w × 2w tile, halving w: the
+    // high `w` columns of row `i` trade places with the low `w` columns
+    // of row `i + w`.
+    let mut width = 32;
+    let mut low = 0x0000_0000_ffff_ffffu64;
+    while width != 0 {
+        for tile in (0..64).step_by(2 * width) {
+            for i in tile..tile + width {
+                let t = (m[i] >> width ^ m[i + width]) & low;
+                m[i] ^= t << width;
+                m[i + width] ^= t;
+            }
+        }
+        width >>= 1;
+        low ^= low << width;
+    }
+    m
+}
+
 // --------------------------------------------------------------- kernels
 //
 // Generic over the unroll width `LANES`; `LANES = 1` is the portable
 // scalar path, the `#[target_feature]` wrappers below instantiate wider
 // widths that LLVM turns into zmm/ymm code.
 
-/// How many elements of `xs` have an odd inner product with `a`.
-#[inline(always)]
-fn odd_count_lanes<const LANES: usize>(a: u64, xs: &[u64]) -> u64 {
-    let mut acc = [0u64; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for i in 0..LANES {
-            acc[i] += parity(a, chunk[i]);
-        }
-    }
-    let mut odd: u64 = acc.iter().sum();
-    for &x in chunks.remainder() {
-        odd += parity(a, x);
-    }
-    odd
-}
-
-/// Sum of `deltas[i]` over the elements with an odd inner product with
-/// `a` (signed mixed-workload form; mask-select instead of branching).
-#[inline(always)]
-fn odd_mass_lanes<const LANES: usize>(a: u64, xs: &[u64], deltas: &[i64]) -> i64 {
-    debug_assert_eq!(xs.len(), deltas.len());
-    let mut acc = [0i64; LANES];
-    let mut xc = xs.chunks_exact(LANES);
-    let mut dc = deltas.chunks_exact(LANES);
-    for (x, d) in (&mut xc).zip(&mut dc) {
-        for i in 0..LANES {
-            acc[i] = acc[i].wrapping_add(d[i] & (parity(a, x[i]) as i64).wrapping_neg());
-        }
-    }
-    let mut odd = acc.iter().fold(0i64, |s, &v| s.wrapping_add(v));
-    for (&x, &d) in xc.remainder().iter().zip(dc.remainder()) {
-        odd = odd.wrapping_add(d & (parity(a, x) as i64).wrapping_neg());
-    }
-    odd
-}
-
 /// One element against every function, lanes across the *function* axis
 /// (the coefficient arrays supply per-lane operands, the element is
-/// broadcast). This is the tail kernel: element-lane kernels need a full
-/// chunk of `LANES` elements per step, so group remainders and whole
-/// small groups — the deep first-level buckets of a geometric level
-/// distribution — would otherwise fall back to one bit at a time. Cell
-/// updates are exact integer adds, so routing an element through this
-/// axis instead of the element-lane axis is bit-identical.
+/// broadcast): the kernel for single updates and for the few updates on
+/// a chunk's deep levels, where a level's bit-sliced popcount rounds
+/// would cost more than the updates they carry. Cell updates are exact
+/// integer adds, so routing an update through either kernel is
+/// bit-identical.
 ///
-/// Every cell add in the accumulate kernels wraps, like the sketch's
-/// merge and subtract: a decoded peer synopsis may hold any `i64`, and
-/// maintenance stays linear modulo 2⁶⁴ instead of panicking where
-/// overflow checks are on.
+/// Every cell add in the kernels wraps, like the sketch's merge and
+/// subtract: a decoded peer synopsis may hold any `i64`, and maintenance
+/// stays linear modulo 2⁶⁴ instead of panicking where overflow checks
+/// are on.
 #[inline(always)]
 fn affine_one_lanes<const LANES: usize>(a: &[u64], b: &[u64], x: u64, d: i64, row: &mut [i64]) {
     let s = a.len();
@@ -245,76 +447,194 @@ fn affine_one_lanes<const LANES: usize>(a: &[u64], b: &[u64], x: u64, d: i64, ro
     }
 }
 
-/// Split a group for the element-lane kernels: groups shorter than one
-/// full lane step go entirely through the function-lane tail kernel,
-/// longer groups keep a lane-exact prefix and route only the
-/// `len % LANES` remainder sideways.
+/// A chunk mask with the first `n` updates set.
 #[inline(always)]
-fn lane_cut<const LANES: usize>(len: usize) -> usize {
-    if len < LANES {
-        0
-    } else {
-        len - len % LANES
+fn first_n(n: usize) -> ChunkMask {
+    let mut mask = [0u64; CHUNK / 64];
+    for (w, word) in mask.iter_mut().enumerate() {
+        let live = n.saturating_sub(64 * w).min(64);
+        *word = if live == 64 { !0 } else { (1u64 << live) - 1 };
     }
+    mask
 }
 
-/// Uniform-delta grouped accumulate: for every function `j`, add `d0` to
-/// `row[2j + hⱼ(x)]` for each `x` in `xs`, as `d0·(n − onesⱼ)` and
-/// `d0·onesⱼ`.
+/// Word-wise `x & y`.
 #[inline(always)]
-fn affine_uniform_lanes<const LANES: usize>(
-    a: &[u64],
-    b: &[u64],
-    xs: &[u64],
-    d0: i64,
-    row: &mut [i64],
-) {
-    let (main, tail) = xs.split_at(lane_cut::<LANES>(xs.len()));
-    if !main.is_empty() {
-        let n = main.len() as u64;
-        for ((pair, &aj), &bj) in row.chunks_exact_mut(2).zip(a).zip(b) {
-            let odd = odd_count_lanes::<LANES>(aj, main);
-            // `bⱼ = 1` flips every bit of function j.
-            let ones = if bj == 0 { odd } else { n - odd };
-            pair[0] = pair[0].wrapping_add(d0.wrapping_mul((n - ones) as i64));
-            pair[1] = pair[1].wrapping_add(d0.wrapping_mul(ones as i64));
-        }
+fn and(x: &ChunkMask, y: &ChunkMask) -> ChunkMask {
+    let mut out = *x;
+    for w in 0..CHUNK / 64 {
+        out[w] &= y[w];
     }
-    for &x in tail {
-        affine_one_lanes::<LANES>(a, b, x, d0, row);
-    }
+    out
 }
 
-/// Mixed-delta grouped accumulate: for every function `j`, add
-/// `deltas[i]` to `row[2j + hⱼ(xs[i])]`, as `total − onesⱼ` and `onesⱼ`,
-/// where `onesⱼ` is the delta mass landing in the odd cell.
+/// Word-wise `x & !y`.
 #[inline(always)]
-fn affine_weighted_lanes<const LANES: usize>(
-    a: &[u64],
-    b: &[u64],
-    xs: &[u64],
-    deltas: &[i64],
-    total: i64,
-    row: &mut [i64],
-) {
-    debug_assert_eq!(xs.len(), deltas.len());
-    let cut = lane_cut::<LANES>(xs.len());
-    let (main, tail) = xs.split_at(cut);
-    let (dmain, dtail) = deltas.split_at(cut);
-    if !main.is_empty() {
-        // The tail is at most `2·LANES` elements: cheaper to subtract its
-        // mass from the caller's group total than to re-scan `dmain`.
-        let main_total = dtail.iter().fold(total, |t, &d| t.wrapping_sub(d));
-        for ((pair, &aj), &bj) in row.chunks_exact_mut(2).zip(a).zip(b) {
-            let odd = odd_mass_lanes::<LANES>(aj, main, dmain);
-            let even = main_total.wrapping_sub(odd);
-            let (zero, one) = if bj == 0 { (even, odd) } else { (odd, even) };
-            pair[0] = pair[0].wrapping_add(zero);
-            pair[1] = pair[1].wrapping_add(one);
+fn and_not(x: &ChunkMask, y: &ChunkMask) -> ChunkMask {
+    let mut out = *x;
+    for w in 0..CHUNK / 64 {
+        out[w] &= !y[w];
+    }
+    out
+}
+
+/// `Σ δᵢ` over a set of a chunk's updates, from the delta planes:
+/// `Σₚ 2ᵖ·|set ∩ planeₚ|`, the top plane of a signed chunk weighing
+/// `-2ᵏ⁻¹`, all wrapping. The eight word lanes accumulate separately and
+/// meet once.
+///
+/// The planes fold in Horner order, top down (`acc = 2·acc + count`): a
+/// recurrence LLVM cannot vectorize across planes, with a gather per
+/// word, so it vectorizes across the words instead.
+#[inline(always)]
+fn plane_mass(set: &ChunkMask, planes: &[ChunkMask], signed: bool) -> i64 {
+    let Some((top, low)) = planes.split_last() else {
+        return 0;
+    };
+    let mut acc = [0u64; CHUNK / 64];
+    for w in 0..CHUNK / 64 {
+        let count = u64::from((set[w] & top[w]).count_ones());
+        acc[w] = if signed { count.wrapping_neg() } else { count };
+    }
+    for plane in low.iter().rev() {
+        for w in 0..CHUNK / 64 {
+            let count = u64::from((set[w] & plane[w]).count_ones());
+            acc[w] = (acc[w] << 1).wrapping_add(count);
         }
     }
-    for (&x, &d) in tail.iter().zip(dtail) {
-        affine_one_lanes::<LANES>(a, b, x, d, row);
+    acc.iter().fold(0u64, |t, &v| t.wrapping_add(v)) as i64
+}
+
+/// The updates of `chunk` whose element has an odd inner product with
+/// `a`: one table row per nibble position of the chunk's span.
+///
+/// The nibble is peeled off a running shift, a recurrence LLVM cannot
+/// vectorize: a loop it could vectorize goes across positions, with a
+/// gather per word, instead of across the eight words of a row.
+#[inline(always)]
+fn odd_set(chunk: &SlicedChunk, a: u64) -> ChunkMask {
+    let mut odd = [0u64; CHUNK / 64];
+    let mut nibbles = a;
+    for table in &chunk.tables[..chunk.span()] {
+        let row = &table[nibbles as usize & 15];
+        nibbles >>= 4;
+        for w in 0..CHUNK / 64 {
+            odd[w] ^= row[w];
+        }
+    }
+    odd
+}
+
+/// Levels `0..DENSE` of a chunk take the bit-sliced path; they hold 31/32
+/// of the updates. A bit-sliced level costs `s` popcount rounds however
+/// few updates it holds, so the deeper levels, about 16 updates of a full
+/// chunk, go one at a time through the function lanes. (On the bench
+/// host, at `s = 32`, 4 and 6 dense levels each cost 5–20% more per
+/// update than 5.)
+const DENSE: usize = 5;
+
+/// Functions whose odd masses are committed together: the commit loop
+/// then runs over a block of cell pairs, which vectorizes.
+const BLOCK: usize = 16;
+
+/// Bit `b` of every update's first-level hash, for `b < DENSE`: the
+/// planes that split the chunk into its dense levels.
+#[inline(always)]
+fn low_planes(hashes: &[u64; CHUNK]) -> [ChunkMask; DENSE] {
+    let mut planes = [[0u64; CHUNK / 64]; DENSE];
+    for (w, block) in hashes.chunks_exact(64).enumerate() {
+        for (i, &h) in block.iter().enumerate() {
+            for (b, plane) in planes.iter_mut().enumerate() {
+                plane[w] |= (h >> b & 1) << i;
+            }
+        }
+    }
+    planes
+}
+
+/// The bit-sliced chunk kernel behind
+/// [`crate::PairwiseHashBank::apply_chunk`]: apply `chunk` to the
+/// level-major rows (`2s` cells per level) of one sketch copy, update `i`
+/// landing on level `bucket_of(hashes[i], levels)`, and return the set
+/// of levels written.
+///
+/// The level of a hash is the position of its lowest set bit (capped at
+/// `levels - 1`), so the dense levels fall out of the hashes' low
+/// bit-planes: level `ℓ` is the updates whose bit `ℓ` is the first one
+/// set. Per function `j`, the odd set `Wⱼ` ([`odd_set`]) gives level
+/// `ℓ`'s odd mass `δ(Wⱼ ∩ Lₗ)` ([`plane_mass`]), which lands in cell
+/// `(j, 1 ⊕ bⱼ)` while the level's total minus it lands in `(j, bⱼ)`.
+#[inline(always)]
+fn sliced_apply_lanes<const LANES: usize>(
+    a: &[u64],
+    b: &[u64],
+    chunk: &SlicedChunk,
+    hashes: &[u64; CHUNK],
+    levels: u32,
+    rows: &mut [i64],
+) -> u64 {
+    let width = 2 * a.len();
+    let top = levels.clamp(1, 64) as usize - 1;
+    // Split off the dense levels below `top` by their planes; if `top`
+    // itself is below DENSE, the updates left over form level `top`.
+    let low = low_planes(hashes);
+    let mut rest = first_n(chunk.len());
+    let mut sets = [[0u64; CHUNK / 64]; DENSE];
+    let dense = (top + 1).min(DENSE);
+    for (level, set) in sets.iter_mut().enumerate().take(dense) {
+        if level == top {
+            *set = rest;
+            rest = [0; CHUNK / 64];
+        } else {
+            *set = and(&rest, &low[level]);
+            rest = and_not(&rest, &low[level]);
+        }
+    }
+    let (planes, signed) = (chunk.planes(), chunk.signed());
+    let mut touched = 0u64;
+    let mut totals = [0i64; DENSE];
+    for level in 0..dense {
+        touched |= u64::from(sets[level].iter().any(|&w| w != 0)) << level;
+        totals[level] = plane_mass(&sets[level], planes, signed);
+    }
+    let mut masses = [[0i64; BLOCK]; DENSE];
+    for (block, (ab, bb)) in a.chunks(BLOCK).zip(b.chunks(BLOCK)).enumerate() {
+        for (jj, &aj) in ab.iter().enumerate() {
+            let odd = odd_set(chunk, aj);
+            for level in 0..dense {
+                masses[level][jj] = plane_mass(&and(&odd, &sets[level]), planes, signed);
+            }
+        }
+        let start = 2 * BLOCK * block;
+        for level in (0..dense).filter(|&l| touched >> l & 1 == 1) {
+            let total = totals[level];
+            let cells = &mut rows[level * width + start..][..2 * ab.len()];
+            for ((pair, &mass), &bj) in cells.chunks_exact_mut(2).zip(&masses[level]).zip(bb) {
+                let rest = total.wrapping_sub(mass);
+                let (zero, one) = if bj == 0 { (rest, mass) } else { (mass, rest) };
+                pair[0] = pair[0].wrapping_add(zero);
+                pair[1] = pair[1].wrapping_add(one);
+            }
+        }
+    }
+    for_each(&rest, |i| {
+        let level = bucket_of(hashes[i], levels) as usize;
+        touched |= 1 << level;
+        let row = &mut rows[level * width..(level + 1) * width];
+        affine_one_lanes::<LANES>(a, b, chunk.elems[i], chunk.deltas[i], row);
+    });
+    touched
+}
+
+/// Call `f` with every update in `set`, ascending.
+#[inline(always)]
+fn for_each(set: &ChunkMask, mut f: impl FnMut(usize)) {
+    for (w, &word) in set.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(64 * w + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -432,38 +752,33 @@ mod x86 {
     //! are a documented blind spot of the lexical symbol pass.
     //!
     //! Safety contract of every function here: the caller has verified
-    //! the named CPU features are present; [`super::backend`] does that
-    //! once per process via `is_x86_feature_detected!`. The bodies only
+    //! the named CPU features are present; [`super::backend`] and
+    //! [`Backend::is_runnable`] do that once per process via
+    //! `is_x86_feature_detected!`. The bodies only
     //! call the safe generic `*_lanes` kernels, which chunk their slices
     //! (no length precondition beyond what those kernels debug-assert),
     //! so feature presence is the *entire* obligation.
     use super::*;
 
     // SAFETY: to call, the CPU must support avx512f/dq/bw/vl/vpopcntdq;
-    // the body is safe code over chunked slices.
+    // the body is safe code over fixed-size masks and bounds-checked rows.
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512vpopcntdq")]
-    pub unsafe fn affine_uniform_avx512(
+    pub unsafe fn sliced_apply_avx512(
         a: &[u64],
         b: &[u64],
-        xs: &[u64],
-        d0: i64,
-        row: &mut [i64],
-    ) {
-        affine_uniform_lanes::<16>(a, b, xs, d0, row);
+        chunk: &SlicedChunk,
+        hashes: &[u64; CHUNK],
+        levels: u32,
+        rows: &mut [i64],
+    ) -> u64 {
+        sliced_apply_lanes::<16>(a, b, chunk, hashes, levels, rows)
     }
 
     // SAFETY: to call, the CPU must support avx512f/dq/bw/vl/vpopcntdq;
-    // `xs` and `deltas` must be equal-length and `row.len() == 2 * a.len()`.
+    // `row.len() == 2 * a.len()` (the kernel slices by it).
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512vpopcntdq")]
-    pub unsafe fn affine_weighted_avx512(
-        a: &[u64],
-        b: &[u64],
-        xs: &[u64],
-        deltas: &[i64],
-        total: i64,
-        row: &mut [i64],
-    ) {
-        affine_weighted_lanes::<16>(a, b, xs, deltas, total, row);
+    pub unsafe fn affine_one_avx512(a: &[u64], b: &[u64], x: u64, d: i64, row: &mut [i64]) {
+        affine_one_lanes::<16>(a, b, x, d, row);
     }
 
     // SAFETY: to call, the CPU must support avx512f/dq/bw/vl; `xs` and `out`
@@ -481,24 +796,24 @@ mod x86 {
     }
 
     // SAFETY: to call, the CPU must support avx2 and popcnt; the body is
-    // safe code over chunked slices.
+    // safe code over fixed-size masks and bounds-checked rows.
     #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn affine_uniform_avx2(a: &[u64], b: &[u64], xs: &[u64], d0: i64, row: &mut [i64]) {
-        affine_uniform_lanes::<4>(a, b, xs, d0, row);
-    }
-
-    // SAFETY: to call, the CPU must support avx2 and popcnt; `xs` and
-    // `deltas` must be equal-length and `row.len() == 2 * a.len()`.
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn affine_weighted_avx2(
+    pub unsafe fn sliced_apply_avx2(
         a: &[u64],
         b: &[u64],
-        xs: &[u64],
-        deltas: &[i64],
-        total: i64,
-        row: &mut [i64],
-    ) {
-        affine_weighted_lanes::<4>(a, b, xs, deltas, total, row);
+        chunk: &SlicedChunk,
+        hashes: &[u64; CHUNK],
+        levels: u32,
+        rows: &mut [i64],
+    ) -> u64 {
+        sliced_apply_lanes::<4>(a, b, chunk, hashes, levels, rows)
+    }
+
+    // SAFETY: to call, the CPU must support avx2 and popcnt;
+    // `row.len() == 2 * a.len()` (the kernel slices by it).
+    #[target_feature(enable = "avx2,popcnt")]
+    pub unsafe fn affine_one_avx2(a: &[u64], b: &[u64], x: u64, d: i64, row: &mut [i64]) {
+        affine_one_lanes::<4>(a, b, x, d, row);
     }
 
     // SAFETY: to call, the CPU must support avx2; `xs` and `out` must be
@@ -518,43 +833,49 @@ mod x86 {
 
 // ----------------------------------------------------------- entry points
 
-/// Grouped uniform-delta accumulate of the affine bank `(a, b)` (see
-/// [`affine_uniform_lanes`]), dispatched to the detected backend.
+/// Apply a sliced chunk to one sketch copy's level-major rows (see
+/// [`sliced_apply_lanes`]) on `tier`, which the caller has checked is
+/// runnable (a tier that is not runs the scalar instantiation).
 #[inline]
-pub(crate) fn affine_uniform(a: &[u64], b: &[u64], xs: &[u64], d0: i64, row: &mut [i64]) {
-    debug_assert!(a.len() == b.len() && row.len() == 2 * a.len());
-    match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all five features.
+pub(crate) fn sliced_apply(
+    tier: Backend,
+    a: &[u64],
+    b: &[u64],
+    chunk: &SlicedChunk,
+    hashes: &[u64; CHUNK],
+    levels: u32,
+    rows: &mut [i64],
+) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    match tier {
+        // SAFETY: the guard detects all five features on this CPU.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx512 => unsafe { x86::affine_uniform_avx512(a, b, xs, d0, row) },
-        // SAFETY: `backend()` returns Avx2 only after detecting avx2 and popcnt.
+        Backend::Avx512 if tier.is_runnable() => unsafe {
+            x86::sliced_apply_avx512(a, b, chunk, hashes, levels, rows)
+        },
+        // SAFETY: the guard detects avx2 and popcnt on this CPU.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx2 => unsafe { x86::affine_uniform_avx2(a, b, xs, d0, row) },
-        _ => affine_uniform_lanes::<1>(a, b, xs, d0, row),
+        Backend::Avx2 if tier.is_runnable() => unsafe {
+            x86::sliced_apply_avx2(a, b, chunk, hashes, levels, rows)
+        },
+        _ => sliced_apply_lanes::<1>(a, b, chunk, hashes, levels, rows),
     }
 }
 
-/// Grouped mixed-delta accumulate of the affine bank `(a, b)` (see
-/// [`affine_weighted_lanes`]), dispatched to the detected backend.
+/// One update against one row of the affine bank `(a, b)` (see
+/// [`affine_one_lanes`]) on `tier`, which the caller has checked is
+/// runnable (a tier that is not runs the scalar instantiation).
 #[inline]
-pub(crate) fn affine_weighted(
-    a: &[u64],
-    b: &[u64],
-    xs: &[u64],
-    deltas: &[i64],
-    total: i64,
-    row: &mut [i64],
-) {
+pub(crate) fn affine_one(tier: Backend, a: &[u64], b: &[u64], x: u64, d: i64, row: &mut [i64]) {
     debug_assert!(a.len() == b.len() && row.len() == 2 * a.len());
-    match backend() {
-        // SAFETY: `backend()` returns Avx512 only after detecting all five
-        // features; the caller-facing signature takes equal-length slices.
+    match tier {
+        // SAFETY: the guard detects all five features on this CPU.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx512 => unsafe { x86::affine_weighted_avx512(a, b, xs, deltas, total, row) },
-        // SAFETY: `backend()` returns Avx2 only after detecting avx2 and popcnt.
+        Backend::Avx512 if tier.is_runnable() => unsafe { x86::affine_one_avx512(a, b, x, d, row) },
+        // SAFETY: the guard detects avx2 and popcnt on this CPU.
         #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-        Backend::Avx2 => unsafe { x86::affine_weighted_avx2(a, b, xs, deltas, total, row) },
-        _ => affine_weighted_lanes::<1>(a, b, xs, deltas, total, row),
+        Backend::Avx2 if tier.is_runnable() => unsafe { x86::affine_one_avx2(a, b, x, d, row) },
+        _ => affine_one_lanes::<1>(a, b, x, d, row),
     }
 }
 
@@ -615,6 +936,78 @@ mod tests {
     use super::*;
     use crate::mix::splitmix64;
 
+    #[test]
+    fn transpose_moves_bit_t_of_value_i_to_bit_i_of_plane_t() {
+        let block: Vec<u64> = (0..64u64).map(|i| splitmix64(i + 1)).collect();
+        let planes = transposed(&block, true);
+        for (i, &v) in block.iter().enumerate() {
+            for (t, &plane) in planes.iter().enumerate() {
+                assert_eq!(plane >> i & 1, v >> t & 1, "value {i} bit {t}");
+            }
+        }
+        assert_eq!(transposed(&block, false), [0; 64]);
+    }
+
+    #[test]
+    fn sliced_chunk_tables_and_planes_match_their_definitions() {
+        let pairs: Vec<(u64, i64)> = (0..300u64)
+            .map(|i| {
+                let e = splitmix64(i) & if i % 2 == 0 { 0x1_ffff } else { u64::MAX };
+                let d = match i % 5 {
+                    0 => i64::MIN,
+                    1 => -3,
+                    2 => 0,
+                    3 => 7,
+                    _ => i as i64 * 1000,
+                };
+                (e, d)
+            })
+            .collect();
+        let mut chunk = SlicedChunk::EMPTY;
+        chunk.load(pairs.iter().copied());
+        assert_eq!(chunk.len(), 300);
+        assert_eq!(chunk.span(), 16);
+        assert_eq!((chunk.planes().len(), chunk.signed()), (64, true));
+        let sum = pairs.iter().fold(0i64, |t, &(_, d)| t.wrapping_add(d));
+        assert_eq!(chunk.delta_sum(), sum);
+        let member = |m: &ChunkMask, i: usize| m[i / 64] >> (i % 64) & 1 == 1;
+        for (i, &(e, d)) in pairs.iter().enumerate() {
+            for k in 0..16 {
+                for v in 0..16u64 {
+                    let odd = ((v << (4 * k)) & e).count_ones() % 2 == 1;
+                    assert_eq!(
+                        member(&chunk.tables[k][v as usize], i),
+                        odd,
+                        "i={i} k={k} v={v}"
+                    );
+                }
+            }
+            for (p, plane) in chunk.planes().iter().enumerate() {
+                assert_eq!(member(plane, i), (d as u64) >> p & 1 == 1, "i={i} p={p}");
+            }
+        }
+        // Reloading a shorter, narrower chunk leaves nothing of the old one.
+        chunk.load([(5, 1), (2, -1)]);
+        assert_eq!((chunk.len(), chunk.span(), chunk.signed()), (2, 1, true));
+        assert_eq!(
+            chunk.planes(),
+            &[[0b11, 0, 0, 0, 0, 0, 0, 0], [0b10, 0, 0, 0, 0, 0, 0, 0]]
+        );
+        assert_eq!(chunk.elems(), &[5, 2]);
+        chunk.load([(1 << 40, 2), (3, 7)]);
+        assert_eq!((chunk.span(), chunk.signed()), (11, false));
+        assert_eq!(
+            chunk.planes(),
+            &[
+                [0b10, 0, 0, 0, 0, 0, 0, 0],
+                [0b11, 0, 0, 0, 0, 0, 0, 0],
+                [0b10, 0, 0, 0, 0, 0, 0, 0]
+            ]
+        );
+        chunk.load([(9, -3), (9, 7), (9, 0)]);
+        assert_eq!((chunk.planes().len(), chunk.signed()), (4, true));
+    }
+
     fn rngs(seed: u64, n: usize) -> Vec<u64> {
         let mut s = seed;
         (0..n)
@@ -639,35 +1032,105 @@ mod tests {
         (dot ^ b) as usize
     }
 
-    /// Element inputs for a group of `n`: random words, with the edge
-    /// elements (0, all ones, every single bit) woven in.
+    /// Element inputs for a chunk of `n`: random words of a few widths,
+    /// with the edge elements (0, all ones, every single bit) woven in.
     fn elements(n: usize) -> Vec<u64> {
-        let edges = [0u64, u64::MAX].into_iter().chain((0..64).map(|i| 1u64 << i));
-        let mut xs: Vec<u64> = edges.chain(rngs(n as u64 + 1, n)).collect();
+        let edges = [0u64, u64::MAX]
+            .into_iter()
+            .chain((0..64).map(|i| 1u64 << i));
+        let widths = [u64::MAX, 0x1_ffff, 7];
+        let random = rngs(n as u64 + 1, n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| v & widths[i % 3]);
+        let mut xs: Vec<u64> = edges.chain(random).collect();
         xs.truncate(n);
         xs
     }
 
-    /// Reference rows for the uniform (`d0 = 5`) and weighted forms.
-    fn reference_rows(a: &[u64], b: &[u64], xs: &[u64], deltas: &[i64]) -> (Vec<i64>, Vec<i64>) {
-        let mut uniform = vec![0i64; 2 * a.len()];
-        let mut weighted = vec![0i64; 2 * a.len()];
-        for (j, (&aj, &bj)) in a.iter().zip(b).enumerate() {
-            for (&x, &d) in xs.iter().zip(deltas) {
-                let bit = ref_bit(aj, bj, x);
-                uniform[2 * j + bit] += 5;
-                weighted[2 * j + bit] += d;
-            }
-        }
-        (uniform, weighted)
+    /// Deltas of every plane count: small mixed steps, unit churn, and
+    /// the `i64` extremes.
+    fn deltas(n: usize, kind: usize) -> Vec<i64> {
+        (0..n as i64)
+            .map(|i| match kind {
+                0 => (i % 7) - 3,
+                1 => {
+                    if i % 3 == 0 {
+                        -1
+                    } else {
+                        1
+                    }
+                }
+                _ => [i64::MIN, i64::MAX, 0, -1, i * 0x1234_5678_9abc][i as usize % 5],
+            })
+            .collect()
     }
 
-    /// Bank widths and group lengths straddling every lane boundary.
-    const WIDTHS: [usize; 6] = [1, 4, 15, 16, 32, 33];
-    const LENGTHS: [usize; 11] = [0, 1, 3, 15, 16, 17, 63, 64, 65, 130, 200];
+    /// First-level hashes for a chunk of `n` (random words, so their
+    /// levels are geometric), with garbage past `n` that the kernel must
+    /// ignore.
+    fn hashes_for(n: usize) -> [u64; CHUNK] {
+        let mut out = [0u64; CHUNK];
+        for (h, v) in out.iter_mut().zip(rngs(n as u64 ^ 0x77, CHUNK)) {
+            *h = v;
+        }
+        out
+    }
 
-    fn deltas(n: usize) -> Vec<i64> {
-        (0..n as i64).map(|i| (i % 7) - 3).collect()
+    /// The level of each of the first `n` hashes.
+    fn levels_of_hashes(hashes: &[u64; CHUNK], n: usize, levels: u32) -> Vec<u8> {
+        hashes[..n]
+            .iter()
+            .map(|&h| bucket_of(h, levels) as u8)
+            .collect()
+    }
+
+    /// The reference rows: every update applied one bit at a time.
+    fn reference_rows(
+        a: &[u64],
+        b: &[u64],
+        xs: &[u64],
+        ds: &[i64],
+        levels: &[u8],
+        rows: usize,
+    ) -> Vec<i64> {
+        let width = 2 * a.len();
+        let mut want = vec![0i64; rows * width];
+        for ((&x, &d), &l) in xs.iter().zip(ds).zip(levels) {
+            for (j, (&aj, &bj)) in a.iter().zip(b).enumerate() {
+                let cell = &mut want[usize::from(l) * width + 2 * j + ref_bit(aj, bj, x)];
+                *cell = cell.wrapping_add(d);
+            }
+        }
+        want
+    }
+
+    /// Bank widths and chunk lengths straddling every lane and word
+    /// boundary, and the dense-level threshold.
+    const WIDTHS: [usize; 6] = [1, 4, 15, 16, 32, 33];
+    const LENGTHS: [usize; 11] = [0, 1, 3, 15, 16, 17, 63, 64, 65, 300, 512];
+
+    /// One kernel case: the bank `(a, b)`, the loaded chunk, its hashes,
+    /// and the reference rows over 12 levels.
+    type Case = (Vec<u64>, Vec<u64>, Box<SlicedChunk>, [u64; CHUNK], Vec<i64>);
+
+    /// Every `(s, n, delta kind)` case.
+    fn cases(seed: u64) -> impl Iterator<Item = Case> {
+        WIDTHS.into_iter().flat_map(move |s| {
+            LENGTHS.into_iter().flat_map(move |n| {
+                (0..3).map(move |kind| {
+                    let (a, b) = bank(s, seed + s as u64);
+                    let xs = elements(n);
+                    let ds = deltas(n, kind);
+                    let hashes = hashes_for(n);
+                    let levels = levels_of_hashes(&hashes, n, 12);
+                    let mut chunk = Box::new(SlicedChunk::EMPTY);
+                    chunk.load(xs.iter().copied().zip(ds.iter().copied()));
+                    let want = reference_rows(&a, &b, &xs, &ds, &levels, 12);
+                    (a, b, chunk, hashes, want)
+                })
+            })
+        })
     }
 
     #[test]
@@ -686,51 +1149,66 @@ mod tests {
 
     #[test]
     fn lane_kernels_match_scalar_instantiation_all_backends() {
-        // The dispatched kernel (whatever tier this process runs) and the
+        // The dispatched kernels (whatever tier this process runs) and the
         // portable LANES = 1 instantiation both equal the reference.
-        for s in WIDTHS {
-            let (a, b) = bank(s, 7 + s as u64);
-            for n in LENGTHS {
-                let xs = elements(n);
-                let deltas = deltas(n);
-                let total: i64 = deltas.iter().sum();
-                let (want_u, want_w) = reference_rows(&a, &b, &xs, &deltas);
+        for (a, b, chunk, hashes, want) in cases(7) {
+            let n = chunk.len();
+            let mut got = vec![0i64; want.len()];
+            sliced_apply(backend(), &a, &b, &chunk, &hashes, 12, &mut got);
+            assert_eq!(
+                got,
+                want,
+                "sliced s={} n={n} backend={:?}",
+                a.len(),
+                backend()
+            );
+            let mut got = vec![0i64; want.len()];
+            sliced_apply_lanes::<1>(&a, &b, &chunk, &hashes, 12, &mut got);
+            assert_eq!(got, want, "sliced s={} n={n} LANES=1", a.len());
 
-                let mut got = vec![0i64; 2 * s];
-                affine_uniform(&a, &b, &xs, 5, &mut got);
-                assert_eq!(got, want_u, "uniform s={s} n={n} backend={:?}", backend());
-                let mut got = vec![0i64; 2 * s];
-                affine_uniform_lanes::<1>(&a, &b, &xs, 5, &mut got);
-                assert_eq!(got, want_u, "uniform s={s} n={n} LANES=1");
-
-                let mut got = vec![0i64; 2 * s];
-                affine_weighted(&a, &b, &xs, &deltas, total, &mut got);
-                assert_eq!(got, want_w, "weighted s={s} n={n} backend={:?}", backend());
-                let mut got = vec![0i64; 2 * s];
-                affine_weighted_lanes::<1>(&a, &b, &xs, &deltas, total, &mut got);
-                assert_eq!(got, want_w, "weighted s={s} n={n} LANES=1");
+            let width = 2 * a.len();
+            let levels = levels_of_hashes(&hashes, n, 12);
+            let mut got = vec![0i64; want.len()];
+            let mut lanes1 = vec![0i64; want.len()];
+            for ((&x, &d), &l) in chunk.elems().iter().zip(&chunk.deltas).zip(&levels) {
+                let at = usize::from(l) * width;
+                affine_one(backend(), &a, &b, x, d, &mut got[at..at + width]);
+                affine_one_lanes::<1>(&a, &b, x, d, &mut lanes1[at..at + width]);
             }
+            assert_eq!(
+                got,
+                want,
+                "one-by-one s={} n={n} backend={:?}",
+                a.len(),
+                backend()
+            );
+            assert_eq!(lanes1, want, "one-by-one s={} n={n} LANES=1", a.len());
         }
     }
 
     #[test]
     fn kernels_wrap_instead_of_overflowing() {
-        // Hostile cells and deltas near i64::MAX: linear modulo 2⁶⁴.
+        // Hostile cells and deltas near the i64 extremes: linear modulo
+        // 2⁶⁴, on the dense and the sparse path.
         let (a, b) = bank(8, 3);
-        let xs = elements(40);
-        let deltas: Vec<i64> = (0..40).map(|i| if i % 2 == 0 { i64::MAX } else { i64::MIN + 1 }).collect();
-        let total = deltas.iter().fold(0i64, |t, &d| t.wrapping_add(d));
-        let mut row = vec![i64::MAX; 16];
-        affine_weighted(&a, &b, &xs, &deltas, total, &mut row);
-        let mut want = vec![i64::MAX; 16];
-        for (j, (&aj, &bj)) in a.iter().zip(&b).enumerate() {
-            for (&x, &d) in xs.iter().zip(&deltas) {
-                let cell = &mut want[2 * j + ref_bit(aj, bj, x)];
-                *cell = cell.wrapping_add(d);
-            }
+        let xs = elements(300);
+        let ds: Vec<i64> = (0..300)
+            .map(|i| if i % 2 == 0 { i64::MAX } else { i64::MIN + 1 })
+            .collect();
+        let hashes = hashes_for(300);
+        let levels = levels_of_hashes(&hashes, 300, 16);
+        let mut chunk = Box::new(SlicedChunk::EMPTY);
+        chunk.load(xs.iter().copied().zip(ds.iter().copied()));
+        let mut rows = vec![i64::MAX; 16 * 16];
+        let written = sliced_apply(backend(), &a, &b, &chunk, &hashes, 16, &mut rows);
+        let mut want = reference_rows(&a, &b, &xs, &ds, &levels, 16);
+        for cell in &mut want {
+            *cell = cell.wrapping_add(i64::MAX);
         }
-        assert_eq!(row, want);
-        affine_uniform(&a, &b, &xs, i64::MAX, &mut row);
+        assert_eq!(rows, want);
+        let expect = levels.iter().fold(0u64, |acc, &l| acc | 1 << l);
+        assert_eq!(written, expect);
+        affine_one(backend(), &a, &b, u64::MAX, i64::MAX, &mut rows[..16]);
     }
 
     /// Each x86 tier the CPU has, called directly: the dispatch runs one
@@ -747,40 +1225,33 @@ mod tests {
         let avx2 = is_x86_feature_detected!("avx2");
         let popcnt = avx2 && is_x86_feature_detected!("popcnt");
 
-        for s in WIDTHS {
-            let (a, b) = bank(s, 11 + s as u64);
-            for n in LENGTHS {
-                let xs = elements(n);
-                let deltas = deltas(n);
-                let total: i64 = deltas.iter().sum();
-                let (want_u, want_w) = reference_rows(&a, &b, &xs, &deltas);
-                let mut lanes1 = vec![0i64; 2 * s];
-                affine_uniform_lanes::<1>(&a, &b, &xs, 5, &mut lanes1);
-                assert_eq!(lanes1, want_u, "s={s} n={n}");
-                let mut lanes1 = vec![0i64; 2 * s];
-                affine_weighted_lanes::<1>(&a, &b, &xs, &deltas, total, &mut lanes1);
-                assert_eq!(lanes1, want_w, "s={s} n={n}");
-
-                if vpopcnt {
-                    let mut got = vec![0i64; 2 * s];
-                    // SAFETY: avx512f/dq/bw/vl/vpopcntdq detected above.
-                    unsafe { x86::affine_uniform_avx512(&a, &b, &xs, 5, &mut got) };
-                    assert_eq!(got, want_u, "avx512 uniform s={s} n={n}");
-                    let mut got = vec![0i64; 2 * s];
-                    // SAFETY: avx512f/dq/bw/vl/vpopcntdq detected above.
-                    unsafe { x86::affine_weighted_avx512(&a, &b, &xs, &deltas, total, &mut got) };
-                    assert_eq!(got, want_w, "avx512 weighted s={s} n={n}");
-                }
-                if popcnt {
-                    let mut got = vec![0i64; 2 * s];
-                    // SAFETY: avx2 and popcnt detected above.
-                    unsafe { x86::affine_uniform_avx2(&a, &b, &xs, 5, &mut got) };
-                    assert_eq!(got, want_u, "avx2 uniform s={s} n={n}");
-                    let mut got = vec![0i64; 2 * s];
-                    // SAFETY: avx2 and popcnt detected above.
-                    unsafe { x86::affine_weighted_avx2(&a, &b, &xs, &deltas, total, &mut got) };
-                    assert_eq!(got, want_w, "avx2 weighted s={s} n={n}");
-                }
+        for (a, b, chunk, hashes, want) in cases(11) {
+            let (s, n) = (a.len(), chunk.len());
+            let mut lanes1 = vec![0i64; want.len()];
+            sliced_apply_lanes::<1>(&a, &b, &chunk, &hashes, 12, &mut lanes1);
+            assert_eq!(lanes1, want, "s={s} n={n}");
+            let x = chunk.elems().first().copied().unwrap_or(5);
+            let mut one = vec![0i64; 2 * s];
+            affine_one_lanes::<1>(&a, &b, x, -9, &mut one);
+            if vpopcnt {
+                let mut got = vec![0i64; want.len()];
+                // SAFETY: avx512f/dq/bw/vl/vpopcntdq detected above.
+                unsafe { x86::sliced_apply_avx512(&a, &b, &chunk, &hashes, 12, &mut got) };
+                assert_eq!(got, want, "avx512 sliced s={s} n={n}");
+                let mut got = vec![0i64; 2 * s];
+                // SAFETY: avx512f/dq/bw/vl/vpopcntdq detected above.
+                unsafe { x86::affine_one_avx512(&a, &b, x, -9, &mut got) };
+                assert_eq!(got, one, "avx512 one s={s}");
+            }
+            if popcnt {
+                let mut got = vec![0i64; want.len()];
+                // SAFETY: avx2 and popcnt detected above.
+                unsafe { x86::sliced_apply_avx2(&a, &b, &chunk, &hashes, 12, &mut got) };
+                assert_eq!(got, want, "avx2 sliced s={s} n={n}");
+                let mut got = vec![0i64; 2 * s];
+                // SAFETY: avx2 and popcnt detected above.
+                unsafe { x86::affine_one_avx2(&a, &b, x, -9, &mut got) };
+                assert_eq!(got, one, "avx2 one s={s}");
             }
         }
 

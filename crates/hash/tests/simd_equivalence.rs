@@ -1,12 +1,16 @@
 //! SIMD ≡ reference equivalence, property-tested through the public API.
 //!
-//! The dispatched lane kernels behind [`PairwiseHashBank::accumulate_group`],
-//! [`setstream_hash::positive_bits`] and the `hash_slice` overrides must
-//! be **bit-identical** to per-element references computed without them
-//! (`accumulate_row` below, which derives every second-level bit one
-//! element bit at a time / `c > 0` / `Hash64::hash`), for every input
-//! shape: arbitrary bank widths and batch lengths (including odd lane
-//! remainders), insert-only, mixed, and delete-heavy deltas.
+//! The lane kernels behind [`PairwiseHashBank::apply_chunk`] (the
+//! bit-sliced chunk kernel), [`PairwiseHashBank::accumulate`] (the
+//! function-lane kernel), [`setstream_hash::positive_bits`] and the
+//! `hash_slice` overrides must be **bit-identical** to per-element
+//! references computed without them (`accumulate_row` below, which
+//! derives every second-level bit one element bit at a time / `c > 0` /
+//! `Hash64::hash`), for every input shape: arbitrary bank widths, chunk
+//! lengths, element widths and level counts, and deltas from unit churn
+//! to the `i64` extremes. The bank kernels are checked on every tier
+//! this build compiled and this CPU runs ([`Backend::runnable`]), not only
+//! on the one the dispatch picks.
 //!
 //! The same suite runs in all three backend configurations: the default
 //! build dispatches to the widest kernel the CPU has, the
@@ -17,7 +21,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setstream_hash::field;
-use setstream_hash::{hash_many, Hash64, KWiseHash, PairwiseHash, PairwiseHashBank};
+use setstream_hash::{
+    bucket_of, hash_many, Backend, Hash64, KWiseHash, PairwiseHash, PairwiseHashBank,
+};
+use setstream_hash::{SlicedChunk, CHUNK};
 
 /// The second-level bit of `x` under `(a, b)`, one element bit at a time:
 /// `b ⊕ (⊕ᵢ aᵢ ∧ xᵢ)`.
@@ -29,9 +36,10 @@ fn reference_bit(a: u64, b: u64, x: u64) -> usize {
     bit as usize
 }
 
-/// The scalar reference the grouped kernels are pinned to: for every
-/// function `j`, add `delta` to `row[2j + hⱼ(x)]`, with the bit computed
-/// by [`reference_bit`] from the function's own coefficients.
+/// The scalar reference the kernels are pinned to: for every function
+/// `j`, add `delta` to `row[2j + hⱼ(x)]`, with the bit computed by
+/// [`reference_bit`] from the function's own coefficients. Cells wrap,
+/// like every sketch cell add, since the deltas reach the `i64` extremes.
 fn accumulate_row(bank: &PairwiseHashBank, x: u64, delta: i64, row: &mut [i64]) {
     assert_eq!(
         row.len(),
@@ -39,7 +47,8 @@ fn accumulate_row(bank: &PairwiseHashBank, x: u64, delta: i64, row: &mut [i64]) 
         "row holds one cell pair per function"
     );
     for (pair, (a, b)) in row.chunks_exact_mut(2).zip(bank.coefficients()) {
-        pair[reference_bit(a, b, x)] += delta;
+        let cell = &mut pair[reference_bit(a, b, x)];
+        *cell = cell.wrapping_add(delta);
     }
 }
 
@@ -63,26 +72,104 @@ fn accumulate_row_bumps_the_scalar_cells() {
     }
 }
 
+/// The reference for a whole chunk: every update applied one at a time
+/// with [`accumulate_row`] to its level's row of a level-major block.
+fn reference_rows(
+    bank: &PairwiseHashBank,
+    pairs: &[(u64, i64)],
+    hashes: &[u64; CHUNK],
+    levels: u32,
+) -> Vec<i64> {
+    let width = 2 * bank.len();
+    let mut rows = vec![0i64; levels as usize * width];
+    for (&(x, d), &h) in pairs.iter().zip(hashes) {
+        let at = bucket_of(h, levels) as usize * width;
+        accumulate_row(bank, x, d, &mut rows[at..at + width]);
+    }
+    rows
+}
+
+/// Every runnable tier's chunk kernel against the reference, and the
+/// set of levels it reports writing.
+fn check_chunk(bank: &PairwiseHashBank, pairs: &[(u64, i64)], hashes: &[u64; CHUNK], levels: u32) {
+    let mut chunk = Box::new(SlicedChunk::EMPTY);
+    chunk.load(pairs.iter().copied());
+    let want = reference_rows(bank, pairs, hashes, levels);
+    let written = hashes[..pairs.len()]
+        .iter()
+        .fold(0u64, |acc, &h| acc | 1 << bucket_of(h, levels));
+    for tier in Backend::runnable() {
+        let mut rows = vec![0i64; want.len()];
+        let got = bank.apply_chunk_on(tier, &chunk, hashes, levels, &mut rows);
+        assert_eq!(
+            rows,
+            want,
+            "tier {tier:?}, s={}, n={}",
+            bank.len(),
+            pairs.len()
+        );
+        assert_eq!(got, written, "tier {tier:?}");
+    }
+}
+
+/// Hashes whose levels cover every dense level, the deep ones, and 0
+/// (the top level), with garbage past `n`.
+fn hashes_for(seed: u64, n: usize) -> [u64; CHUNK] {
+    let mut out = [0u64; CHUNK];
+    let mut state = seed;
+    for (i, h) in out.iter_mut().enumerate() {
+        state = setstream_hash::splitmix64(state);
+        *h = match i % 97 {
+            0 if i < n => 0,
+            1 if i < n => 1 << 40,
+            _ => state,
+        };
+    }
+    out
+}
+
 #[test]
-fn accumulate_group_matches_per_element_rows() {
+fn apply_chunk_matches_per_element_rows() {
     for s in [1usize, 8, 32, 33] {
         let bank = PairwiseHashBank::from_seed(13, s);
-        for n in [0usize, 1, 2, 7, 64] {
+        for n in [0usize, 1, 2, 7, 64, 300, 512] {
             let elems: Vec<u64> = (0..n as u64)
                 .map(|i| i.wrapping_mul(0x9e37) ^ 0xabc)
                 .collect();
-            // Mixed deltas (general path) and uniform deltas (count-only
-            // fast path) must both match per-element application.
+            // Small mixed deltas (several planes), unit churn (one plane)
+            // and uniform deltas must all match per-element application.
             let mixed: Vec<i64> = (0..n as i64).map(|i| (i % 5) - 2).collect();
+            let churn: Vec<i64> = (0..n as i64)
+                .map(|i| if i % 3 == 0 { -1 } else { 1 })
+                .collect();
             let uniform = vec![-3i64; n];
-            for deltas in [&mixed, &uniform] {
-                let mut grouped = vec![0i64; 2 * s];
-                bank.accumulate_group(&elems, deltas, &mut grouped);
-                let mut scalar = vec![0i64; 2 * s];
-                for (&e, &d) in elems.iter().zip(deltas.iter()) {
-                    accumulate_row(&bank, e, d, &mut scalar);
+            for deltas in [&mixed, &churn, &uniform] {
+                let pairs: Vec<(u64, i64)> =
+                    elems.iter().copied().zip(deltas.iter().copied()).collect();
+                for levels in [1u32, 4, 16, 64] {
+                    check_chunk(&bank, &pairs, &hashes_for(n as u64, n), levels);
                 }
-                assert_eq!(grouped, scalar, "s={s} n={n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn accumulate_matches_the_row_reference_on_every_tier() {
+    for s in [1usize, 8, 15, 16, 17, 32, 33] {
+        let bank = PairwiseHashBank::from_seed(29, s);
+        for (x, d) in [
+            (0u64, 1i64),
+            (u64::MAX, -1),
+            (0x1234_5678, i64::MIN),
+            (7, i64::MAX),
+        ] {
+            let mut want = vec![5i64; 2 * s];
+            accumulate_row(&bank, x, d, &mut want);
+            for tier in Backend::runnable() {
+                let mut row = vec![5i64; 2 * s];
+                bank.accumulate_on(tier, x, d, &mut row);
+                assert_eq!(row, want, "tier {tier:?} s={s} x={x}");
             }
         }
     }
@@ -111,38 +198,39 @@ proptest! {
         }
     }
 
-    /// Grouped accumulation ≡ per-element `accumulate_row`, across
-    /// insert-only (uniform +1), mixed, and delete-heavy delta mixes and
-    /// group lengths that leave every possible lane remainder.
+    /// The chunk kernel ≡ per-element `accumulate_row`, across
+    /// insert-only, churn, delete-heavy and full-range deltas, elements
+    /// of every width, any level count, and chunk lengths that leave
+    /// every possible lane and word remainder.
     #[test]
-    fn accumulate_group_matches_row_loop(
+    fn apply_chunk_matches_row_loop(
         seed in any::<u64>(),
         s in 1usize..40,
-        elems in vec(any::<u64>(), 1..70),
-        // 0 = insert-only, 1 = ~10% deletes, 2 = delete-heavy (~90%).
-        mix in 0u8..3,
+        elems in vec(prop_oneof![0u64..8, 0u64..1 << 17, any::<u64>()], 1..CHUNK + 1),
+        // 0 = insert-only, 1 = ~10% deletes, 2 = delete-heavy (~90%),
+        // 3 = any i64.
+        mix in 0u8..4,
+        levels in 1u32..65,
     ) {
         let bank = PairwiseHashBank::from_seed(seed, s);
-        let deltas: Vec<i64> = elems
+        let mut state = seed;
+        let pairs: Vec<(u64, i64)> = elems
             .iter()
             .enumerate()
-            .map(|(i, _)| match mix {
-                0 => 1,
-                1 if i % 10 == 9 => -1,
-                1 => 1,
-                _ if i % 10 == 0 => 1,
-                _ => -1,
+            .map(|(i, &e)| {
+                state = setstream_hash::splitmix64(state);
+                let d = match mix {
+                    0 => 1,
+                    1 if i % 10 == 9 => -1,
+                    1 => 1,
+                    2 if i % 10 == 0 => 1,
+                    2 => -1,
+                    _ => state as i64,
+                };
+                (e, d)
             })
             .collect();
-
-        let mut grouped = vec![0i64; 2 * s];
-        bank.accumulate_group(&elems, &deltas, &mut grouped);
-
-        let mut reference = vec![0i64; 2 * s];
-        for (&e, &d) in elems.iter().zip(&deltas) {
-            accumulate_row(&bank, e, d, &mut reference);
-        }
-        prop_assert_eq!(grouped, reference);
+        check_chunk(&bank, &pairs, &hashes_for(seed, pairs.len()), levels);
     }
 
     /// The lane-parallel Horner chain behind `hash_slice` ≡ per-element
@@ -175,30 +263,24 @@ proptest! {
 
 /// Edge elements the random strategy rarely lands on: 0, all ones, every
 /// single-bit word, and pairs `(e, e + 2⁶¹ − 1)` that a field-reducing
-/// family would identify. Both kernel forms must match the reference.
+/// family would identify. The chunk kernel must match the reference on
+/// every tier, for deltas of one and of many planes.
 #[test]
-fn accumulate_group_field_edges() {
+fn apply_chunk_field_edges() {
     let mut elems: Vec<u64> = vec![0, u64::MAX];
     elems.extend((0..64).map(|i| 1u64 << i));
     for e in [0u64, 1, 2, 5, 12_345, 1 << 61, field::P] {
         elems.extend([e, e + field::P]);
     }
-    let deltas: Vec<i64> = (0..elems.len())
-        .map(|i| if i % 2 == 0 { 3 } else { -2 })
-        .collect();
-    for s in [1usize, 7, 16, 17, 32] {
-        let bank = PairwiseHashBank::from_seed(0xdead_beef ^ s as u64, s);
-        let mut grouped = vec![0i64; 2 * s];
-        bank.accumulate_group(&elems, &deltas, &mut grouped);
-        let mut uniform = vec![0i64; 2 * s];
-        bank.accumulate_group_uniform(&elems, 4, &mut uniform);
-        let mut reference = vec![0i64; 2 * s];
-        let mut reference_uniform = vec![0i64; 2 * s];
-        for (&e, &d) in elems.iter().zip(&deltas) {
-            accumulate_row(&bank, e, d, &mut reference);
-            accumulate_row(&bank, e, 4, &mut reference_uniform);
+    for deltas in [[3i64, -2], [1, -1], [i64::MIN, i64::MAX]] {
+        let pairs: Vec<(u64, i64)> = elems
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| (e, deltas[i % 2]))
+            .collect();
+        for s in [1usize, 7, 16, 17, 32] {
+            let bank = PairwiseHashBank::from_seed(0xdead_beef ^ s as u64, s);
+            check_chunk(&bank, &pairs, &hashes_for(s as u64, pairs.len()), 64);
         }
-        assert_eq!(grouped, reference, "s={s}");
-        assert_eq!(uniform, reference_uniform, "s={s}");
     }
 }

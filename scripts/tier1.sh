@@ -58,7 +58,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2282 apps=1173 baselines=331 bench=1359 core=1976 distributed=3596 engine=1834 expr=555 hash=886 obs=1627 stream=760"
+LOC_BUDGET="analyze=2298 apps=1173 baselines=331 bench=1364 core=1934 distributed=3596 engine=1834 expr=555 hash=1115 obs=1627 stream=760"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }
@@ -84,8 +84,8 @@ cargo test --release --offline -q --manifest-path setbench/Cargo.toml
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> cargo clippy -p setstream-distributed --all-targets -- -D warnings"
-cargo clippy -p setstream-distributed --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo '==> cargo doc --no-deps (warnings are errors)'
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
