@@ -108,7 +108,6 @@ impl Config {
                 "crates/obs/src/trace.rs".to_string(),
                 "crates/obs/src/lineage.rs".to_string(),
                 "crates/hash/src/clock.rs".to_string(),
-                "crates/engine/src/runqueue.rs".to_string(),
             ],
             field_modules: vec!["crates/hash/src/field.rs".to_string()],
             cell_modules: vec!["crates/core/src/sketch/two_level.rs".to_string()],
@@ -122,8 +121,6 @@ impl Config {
                 ("crates/core/src/sketch/two_level.rs", "update_batch"),
                 ("crates/core/src/sketch/two_level.rs", "apply_chunks"),
                 ("crates/core/src/sketch/two_level.rs", "apply_chunk"),
-                ("crates/engine/src/runqueue.rs", "publish"),
-                ("crates/engine/src/runqueue.rs", "wait"),
             ]
             .iter()
             .map(|(p, f)| ((*p).to_string(), (*f).to_string()))

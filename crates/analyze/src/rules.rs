@@ -97,7 +97,7 @@ fn rule_a01_atomics(files: &[AnalyzedFile], out: &mut Vec<Diagnostic>) {
                         line,
                         format!(
                             "atomic `{pat}` outside the audited lock-light modules \
-                             (obs::metrics, obs::trace, hash::clock, engine::runqueue) — \
+                             (obs::metrics, obs::trace, obs::lineage, hash::clock) — \
                              use the obs metric types instead of raw atomics, or move the \
                              code into an audited module; escape hatch: \
                              // analyze: allow(atomics) — <reason>"
@@ -415,9 +415,8 @@ fn rule_a07_cells(files: &[AnalyzedFile], out: &mut Vec<Diagnostic>) {
                     line,
                     "direct write to sketch counter cells outside the audited cell \
                      kernel (core::sketch::two_level) — every cell mutation must go \
-                     through `SketchVector::update`/`update_batch`/`apply_prepared`, a \
-                     `SketchVectorSlice`, or the hash-bank kernels, so the SIMD and \
-                     scalar paths stay bit-identical and slice ownership holds; \
+                     through `SketchVector::update`/`update_batch` or the hash-bank \
+                     kernels, so the SIMD and scalar paths stay bit-identical; \
                      escape hatch: // analyze: allow(cells) — <reason>"
                         .to_string(),
                     out,

@@ -24,6 +24,7 @@
 use setstream_apps::demo;
 use setstream_core::{estimate, EstimatorOptions, Plan, SketchFamily, SketchVector};
 use setstream_expr::SetExpr;
+use setstream_obs::export::MetricLine;
 use setstream_stream::{trace, StreamId, StreamSet, Update};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -562,7 +563,7 @@ fn cmd_scrape(rest: &[&String]) -> Result<(), String> {
             "scrape OK: {} families ({} with help), {} samples, {} bytes",
             summary.families.len(),
             summary.helped,
-            summary.samples,
+            summary.samples.len(),
             body.len()
         );
     }
@@ -589,7 +590,7 @@ fn fmt_ppm(ppm: f64) -> String {
 }
 
 /// Render one dashboard frame from a scraped exposition.
-fn render_top_frame(addr: std::net::SocketAddr, lines: &[demo::MetricLine], prev_updates: Option<f64>, interval: f64) -> f64 {
+fn render_top_frame(addr: std::net::SocketAddr, lines: &[MetricLine], prev_updates: Option<f64>, interval: f64) -> f64 {
     use demo::{histogram_quantile, labeled_value, sum_values};
 
     // The engine only takes committed changes, so the generated traffic
@@ -760,7 +761,9 @@ fn cmd_top(rest: &[&String]) -> Result<(), String> {
         if status != 200 {
             return Err(format!("GET {addr}/metrics: HTTP {status}"));
         }
-        let lines = demo::parse_metric_text(&body);
+        let lines = setstream_obs::export::parse_exposition(&body)
+            .map_err(|e| format!("invalid exposition from {addr}: {e}"))?
+            .samples;
         if clear {
             print!("\x1b[2J\x1b[H");
         }

@@ -14,9 +14,11 @@ use setstream_core::SketchFamily;
 use setstream_distributed::network::{FaultSpec, MemoryPipe};
 use setstream_distributed::{Coordinator, Site, TransportMetrics, TransportOptions};
 use setstream_engine::{
-    ChangeEvent, ExprReport, QualityConfig, QualityMonitor, SubscriptionOptions, Tolerance,
+    ChangeEvent, ExprReport, QualityConfig, QualityMonitor, SubscriptionId, SubscriptionOptions,
+    Tolerance,
 };
-use setstream_obs::{chrome, export, lineage, serve, Registry, RingRecorder, TraceHandle};
+use setstream_obs::export::{self, MetricLine};
+use setstream_obs::{chrome, lineage, serve, Registry, RingRecorder, TraceHandle};
 use setstream_stream::{StreamId, Update};
 use std::sync::Arc;
 
@@ -62,9 +64,9 @@ impl Default for DemoConfig {
 pub struct RoundSummary {
     /// Zero-based round index.
     pub round: usize,
-    /// Engine estimate of `|A ∪ B|`.
+    /// Estimate of `|A ∪ B|` held by its subscription's class.
     pub union_estimate: f64,
-    /// Engine estimate of `|A ∩ B|`.
+    /// Estimate of `|A ∩ B|` held by its subscription's class.
     pub intersection_estimate: f64,
     /// Estimator path that served the intersection.
     pub intersection_method: &'static str,
@@ -87,14 +89,14 @@ pub struct DemoStack {
     pipes: Vec<MemoryPipe>,
     recorder: Arc<RingRecorder>,
     registry: Registry,
-    union_q: setstream_expr::SetExpr,
-    inter_q: setstream_expr::SetExpr,
+    union_sub: SubscriptionId,
+    inter_sub: SubscriptionId,
     rounds_run: usize,
 }
 
 impl DemoStack {
     /// Build the stack: a traced coordinator holding three standing
-    /// queries, a quality monitor watching `A | B` and `A & B`,
+    /// queries, a quality monitor watching the `A | B` and `A & B` ones,
     /// `config.sites` sites behind (optionally lossy) in-memory pipes,
     /// and a registry holding every metric source.
     pub fn new(config: DemoConfig) -> Result<Self, String> {
@@ -109,28 +111,31 @@ impl DemoStack {
         // the trace context rides the frames' wire extension, and the
         // coordinator's merge/commit spans join them — `/trace` then
         // stitches each epoch across the site and coordinator tracks.
-        // The coordinator's engine records its query spans there too.
+        // The coordinator's engine records its subscription-round and
+        // query spans there too.
         let coordinator = Arc::new(
             Coordinator::new(family).with_trace(trace.clone(), "coordinator"),
         );
-        let union_q: setstream_expr::SetExpr = "A | B".parse().map_err(|e| format!("{e}"))?;
-        let inter_q: setstream_expr::SetExpr = "A & B".parse().map_err(|e| format!("{e}"))?;
-
         // Standing queries on committed state: notify when an estimate
         // drifts more than 5% from the last notified value. The demo
         // round publishes one subscription epoch per step, so `/metrics`
-        // shows the incremental-evaluation counters moving.
+        // shows the incremental-evaluation counters moving, and the
+        // round's report and the quality monitor read the estimates the
+        // `A | B` and `A & B` classes hold.
         const DEMO_TOLERANCE: Tolerance = Tolerance::Relative(0.05);
         let sub_options = SubscriptionOptions::builder()
             .tolerance(DEMO_TOLERANCE)
             .build()
             .map_err(|e| e.to_string())?;
-        for text in ["A | B", "A & B", "A - B"] {
+        let subscribe = |text: &str| -> Result<SubscriptionId, String> {
             let expr: setstream_expr::SetExpr = text.parse().map_err(|e| format!("{e}"))?;
             coordinator
                 .subscribe(expr, sub_options)
-                .map_err(|e| e.to_string())?;
-        }
+                .map_err(|e| e.to_string())
+        };
+        let union_sub = subscribe("A | B")?;
+        let inter_sub = subscribe("A & B")?;
+        subscribe("A - B")?;
 
         let monitor = Arc::new(
             QualityMonitor::new(QualityConfig {
@@ -139,10 +144,8 @@ impl DemoStack {
             })
             .map_err(|e| e.to_string())?,
         );
-        monitor.watch("union", "A | B").map_err(|e| e.to_string())?;
-        monitor
-            .watch("intersection", "A & B")
-            .map_err(|e| e.to_string())?;
+        monitor.watch("union", union_sub);
+        monitor.watch("intersection", inter_sub);
 
         let transport = Arc::new(TransportMetrics::new());
         let sites: Vec<Site> = (0..config.sites)
@@ -194,18 +197,18 @@ impl DemoStack {
             pipes,
             recorder,
             registry,
-            union_q,
-            inter_q,
+            union_sub,
+            inter_sub,
             rounds_run: 0,
         })
     }
 
     /// Run one round: generate a batch, show it to the shadow path, feed
     /// the sites, collect an epoch from each, then publish the
-    /// coordinator's subscription round, run a quality evaluation against
-    /// its engine, and refresh the stale-sites alarm from coordinator
-    /// health. Every answer reads committed state, so frames from remote
-    /// sites (`serve --listen`) count too.
+    /// coordinator's subscription round, run a quality evaluation of its
+    /// classes' estimates, and refresh the stale-sites alarm from
+    /// coordinator health. Every answer reads committed state, so frames
+    /// from remote sites (`serve --listen`) count too.
     pub fn step(&mut self) -> Result<RoundSummary, String> {
         let round = self.rounds_run;
         let events = self.config.events_per_round;
@@ -234,8 +237,11 @@ impl DemoStack {
         // re-estimates only the subscriptions over them.
         let notifications = self.coordinator.publish_epoch();
         let (reports, union, inter) = self.coordinator.with_engine(|engine| {
-            let reports = self.monitor.evaluate(engine);
-            (reports, engine.evaluate(&self.union_q), engine.evaluate(&self.inter_q))
+            (
+                self.monitor.evaluate(engine),
+                engine.subscription_estimate(self.union_sub),
+                engine.subscription_estimate(self.inter_sub),
+            )
         });
         let health = self.coordinator.health();
         self.monitor.note_collection_health(
@@ -244,8 +250,8 @@ impl DemoStack {
             health.lagging,
             health.resync_pending,
         );
-        let union = union.map_err(|e| e.to_string())?;
-        let inter = inter.map_err(|e| e.to_string())?;
+        let union = union.ok_or("the A | B class holds no estimate")?;
+        let inter = inter.ok_or("the A & B class holds no estimate")?;
         self.rounds_run += 1;
         Ok(RoundSummary {
             round,
@@ -406,106 +412,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// One parsed sample line from a Prometheus text exposition.
-///
-/// [`parse_metric_text`] is the scrape-side complement of
-/// [`setstream_obs::export::render`]; `setstream top` uses it to read a
-/// dashboard's worth of values back out of `/metrics`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricLine {
-    /// Metric (or series) name, e.g. `setstream_engine_ingest_updates_total`.
-    pub name: String,
-    /// Label pairs in exposition order.
-    pub labels: Vec<(String, String)>,
-    /// The sample value.
-    pub value: f64,
-}
-
-impl MetricLine {
-    /// The value of label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Parse the sample lines out of a Prometheus text exposition, skipping
-/// comments and anything malformed (the scrape CLI validates strictness
-/// separately via [`setstream_obs::export::parse_exposition`]).
-pub fn parse_metric_text(text: &str) -> Vec<MetricLine> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(parsed) = parse_sample_line(line) {
-            out.push(parsed);
-        }
-    }
-    out
-}
-
-fn parse_sample_line(line: &str) -> Option<MetricLine> {
-    let (series, value_text) = match line.find('{') {
-        Some(_) => {
-            let close = line.rfind('}')?;
-            (line.get(..close + 1)?, line.get(close + 1..)?.trim())
-        }
-        None => {
-            let mut parts = line.split_whitespace();
-            let name = parts.next()?;
-            let value = parts.next()?;
-            (name, value)
-        }
-    };
-    let value: f64 = match value_text {
-        "+Inf" => f64::INFINITY,
-        "-Inf" => f64::NEG_INFINITY,
-        v => v.parse().ok()?,
-    };
-    let (name, labels) = match series.find('{') {
-        None => (series.to_string(), Vec::new()),
-        Some(open) => {
-            let name = series.get(..open)?.to_string();
-            let body = series.get(open + 1..series.len() - 1)?;
-            (name, parse_labels(body)?)
-        }
-    };
-    Some(MetricLine { name, labels, value })
-}
-
-fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
-    let mut labels = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let eq = rest.find("=\"")?;
-        let key = rest.get(..eq)?.trim_start_matches(',').to_string();
-        let mut value = String::new();
-        let mut chars = rest.get(eq + 2..)?.char_indices();
-        let mut consumed = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => value.push('\n'),
-                    Some((_, other)) => value.push(other),
-                    None => return None,
-                },
-                '"' => {
-                    consumed = Some(eq + 2 + i + 1);
-                    break;
-                }
-                c => value.push(c),
-            }
-        }
-        labels.push((key, value));
-        rest = rest.get(consumed?..)?;
-    }
-    Some(labels)
-}
-
 /// Read quantile `q` out of the cumulative `_bucket` series of histogram
 /// `name` in `lines`. Returns the upper bound of the covering bucket, or
 /// `None` when no defensible answer exists: histogram absent, empty
@@ -600,7 +506,7 @@ mod tests {
         assert!(metrics.contains("setstream_engine_subs_registered 3"));
         assert!(metrics.contains("setstream_engine_subs_rounds_total 1"));
         // The one render path is also a valid exposition.
-        setstream_obs::export::parse_exposition(&metrics).expect("exposition parses");
+        export::parse_exposition(&metrics).expect("exposition parses");
 
         let health = stack.render_health();
         assert!(health.contains("\"rounds\": 1"));
@@ -609,7 +515,9 @@ mod tests {
 
         let trace = stack.render_trace();
         assert!(trace.contains("\"traceEvents\""));
-        assert!(trace.contains("engine.query"));
+        // A round estimates through the subscription round, not an
+        // ad-hoc query.
+        assert!(trace.contains("engine.publish_epoch"));
         // The collection loop is traced end to end: site cuts and the
         // coordinator's merge/commit spans land in the same export.
         assert!(trace.contains("site.cut_epoch"));
@@ -628,29 +536,34 @@ mod tests {
         assert!(!filtered.contains("\"stream\":1"));
     }
 
+    /// The samples of an exposition body, through the strict parser.
+    fn samples(text: &str) -> Vec<MetricLine> {
+        export::parse_exposition(text)
+            .expect("exposition parses")
+            .samples
+    }
+
     #[test]
-    fn metric_text_round_trips_through_the_line_parser() {
-        let text = "# HELP x_total help\n# TYPE x_total counter\nx_total 41\n\
-                    y{method=\"a b\",le=\"+Inf\"} 2.5\n";
-        let lines = parse_metric_text(text);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].name, "x_total");
-        assert_eq!(lines[0].value, 41.0);
-        assert_eq!(lines[1].label("method"), Some("a b"));
-        assert!(lines[1].value == 2.5);
+    fn sample_lookups_sum_and_match_labels() {
+        let lines = samples(
+            "# TYPE x_total counter\nx_total{site=\"0\"} 40\nx_total{site=\"1\"} 1\n\
+             # TYPE y gauge\ny{method=\"a b\",le=\"+Inf\"} 2.5\n",
+        );
         assert_eq!(sum_values(&lines, "x_total"), 41.0);
         assert_eq!(labeled_value(&lines, "y", "method", "a b"), Some(2.5));
+        assert_eq!(labeled_value(&lines, "y", "method", "c"), None);
     }
 
     #[test]
     fn histogram_quantiles_read_cumulative_buckets() {
         let text = "\
+# TYPE h histogram\n\
 h_bucket{le=\"10\"} 5\n\
 h_bucket{le=\"100\"} 9\n\
 h_bucket{le=\"+Inf\"} 10\n\
 h_sum 420\n\
 h_count 10\n";
-        let lines = parse_metric_text(text);
+        let lines = samples(text);
         assert_eq!(histogram_quantile(&lines, "h", 0.5), Some(10.0));
         assert_eq!(histogram_quantile(&lines, "h", 0.9), Some(100.0));
         assert_eq!(histogram_quantile(&lines, "h", 1.0), Some(f64::INFINITY));
@@ -660,26 +573,26 @@ h_count 10\n";
     #[test]
     fn histogram_quantiles_survive_empty_and_poisoned_scrapes() {
         // Empty histogram (all-zero buckets): no quantile, not +Inf.
-        let empty = parse_metric_text(
-            "h_bucket{le=\"10\"} 0\nh_bucket{le=\"+Inf\"} 0\nh_count 0\n",
+        let empty = samples(
+            "# TYPE h histogram\nh_bucket{le=\"10\"} 0\nh_bucket{le=\"+Inf\"} 0\nh_count 0\n",
         );
         assert_eq!(histogram_quantile(&empty, "h", 0.5), None);
 
         // NaN total (saturated/garbage scrape): previously fell through
         // every comparison and answered +Inf; now refuses.
-        let poisoned = parse_metric_text(
-            "h_bucket{le=\"10\"} NaN\nh_bucket{le=\"+Inf\"} NaN\n",
-        );
+        let poisoned =
+            samples("# TYPE h histogram\nh_bucket{le=\"10\"} NaN\nh_bucket{le=\"+Inf\"} NaN\n");
         assert_eq!(histogram_quantile(&poisoned, "h", 0.5), None);
 
         // A NaN mid-bucket is skipped, not treated as covering.
-        let partial = parse_metric_text(
-            "h_bucket{le=\"10\"} NaN\nh_bucket{le=\"100\"} 4\nh_bucket{le=\"+Inf\"} 4\n",
+        let partial = samples(
+            "# TYPE h histogram\n\
+             h_bucket{le=\"10\"} NaN\nh_bucket{le=\"100\"} 4\nh_bucket{le=\"+Inf\"} 4\n",
         );
         assert_eq!(histogram_quantile(&partial, "h", 0.5), Some(100.0));
 
         // Non-finite q is a caller bug, answered with None not a panic.
-        let lines = parse_metric_text("h_bucket{le=\"+Inf\"} 4\n");
+        let lines = samples("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 4\n");
         assert_eq!(histogram_quantile(&lines, "h", f64::NAN), None);
         assert_eq!(histogram_quantile(&lines, "h", f64::INFINITY), None);
     }

@@ -4,7 +4,6 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use setstream_baselines::{BottomKSketch, FmEstimator, MinwiseSignature};
 use setstream_core::{BitSketch, SketchConfig, SketchFamily, TwoLevelSketch};
-use setstream_engine::ShardedIngestor;
 use setstream_stream::{StreamId, Update};
 
 fn single_sketch_updates(c: &mut Criterion) {
@@ -82,26 +81,6 @@ fn vector_batch_updates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded crossbeam ingestion across worker counts; each iteration
-/// builds one synopsis of the whole batch from scratch.
-fn parallel_ingest(c: &mut Criterion) {
-    const N: usize = 16 * 1024;
-    let mut group = c.benchmark_group("parallel_ingest");
-    group.throughput(Throughput::Elements(N as u64));
-    group.sample_size(10);
-    let fam = SketchFamily::builder().copies(128).second_level(32).seed(1).build();
-    let updates: Vec<Update> = (0..N as u64)
-        .map(|i| Update::insert(StreamId(0), i.wrapping_mul(0x9e37_79b9), 1))
-        .collect();
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &threads| {
-            let ingestor = ShardedIngestor::new(fam, threads);
-            b.iter(|| ingestor.ingest_vector(black_box(&updates)));
-        });
-    }
-    group.finish();
-}
-
 fn baseline_updates(c: &mut Criterion) {
     let mut group = c.benchmark_group("baseline_update");
     group.throughput(Throughput::Elements(1));
@@ -137,7 +116,6 @@ criterion_group!(
     single_sketch_updates,
     vector_updates,
     vector_batch_updates,
-    parallel_ingest,
     baseline_updates
 );
 criterion_main!(benches);

@@ -1,11 +1,11 @@
 //! Ingestion-throughput benchmark with machine-readable output.
 //!
-//! Measures the three maintenance paths introduced by the batched
-//! ingestion work — scalar (element-major `SketchVector::update`),
-//! batched (copy-major `update_batch`), and sharded-parallel
-//! (`ShardedIngestor` over crossbeam workers) — and writes the results to
-//! `BENCH_ingest.json` so later changes have a perf trajectory to compare
-//! against.
+//! Measures the two maintenance paths — scalar (element-major
+//! `SketchVector::update`) and batched (copy-major `update_batch`) — and
+//! the metrics overhead of the engine's ingest path, and writes the
+//! results to `BENCH_ingest.json` so later changes have a perf trajectory
+//! to compare against. The quality and tracing overheads go to
+//! `BENCH_obs.json`.
 //!
 //! ```sh
 //! cargo run --release -p setstream-bench --bin ingest_bench             # full
@@ -17,7 +17,7 @@ use setstream_bench::host::write_json;
 use setstream_bench::PAPER_S;
 use setstream_core::SketchFamily;
 use setstream_distributed::{Coordinator, Site};
-use setstream_engine::{QualityConfig, QualityMonitor, ShardedIngestor, StreamEngine};
+use setstream_engine::{QualityConfig, QualityMonitor, StreamEngine};
 use setstream_obs::{RingRecorder, TraceHandle};
 use setstream_stream::{StreamId, Update};
 use std::fmt::Write as _;
@@ -162,20 +162,13 @@ fn engine_secs(r: usize, updates: &[Update], after: impl FnOnce()) -> f64 {
 
 fn main() {
     let args = parse_args();
-    // The quick parallel rows need bursts long enough to get a second
-    // core: at 8 192 updates (20–90 ms a rep) the 2-vCPU bench host read
-    // 0.91–1.03× at every thread count, at 65 536 it read 1.82×.
-    let (n_scalar, n_parallel) = if args.quick {
-        (2_000usize, 65_536usize)
-    } else {
-        (20_000, 131_072)
-    };
+    let n_scalar = if args.quick { 2_000usize } else { 20_000 };
     // The overhead ratios (metrics, quality, tracing) gate in tier1.sh,
     // so they need enough work per timing for the ratio to be signal
     // rather than scheduler noise: at 2k updates the quick ratios
-    // routinely landed below 1.0. They get their own larger sample. They,
-    // the batch speedups and the thread-scaling ratios are timed as
-    // interleaved pairs (see `paired`).
+    // routinely landed below 1.0. They get their own larger sample. They
+    // and the batch speedups are timed as interleaved pairs (see
+    // `paired`).
     let (n_obs, pairs) = if args.quick {
         (20_000usize, 9usize)
     } else {
@@ -183,7 +176,7 @@ fn main() {
     };
 
     let mut rows = String::new();
-    println!("ingest_bench: s = {PAPER_S}, scalar/batch over {n_scalar} updates, parallel over {n_parallel}");
+    println!("ingest_bench: s = {PAPER_S}, scalar/batch over {n_scalar} updates");
 
     // Scalar vs batched, across the paper's r sweep, on all three
     // workload shapes, each row timed as interleaved pairs (see `paired`).
@@ -235,32 +228,6 @@ fn main() {
         }
     }
 
-    // Staged-pipeline thread scaling at a mid-size r, each thread count
-    // timed against 1 thread as interleaved pairs (see `paired`), so the
-    // base moves with the host alongside the row it divides. Meaningful
-    // only when the recorded host `cores` covers the thread count — on
-    // smaller hosts the extra rows measure oversubscription.
-    let r_par = 128usize;
-    let updates = workload(n_parallel, Shape::Mixed10);
-    let one = ShardedIngestor::new(family(r_par), 1);
-    let [_, [scaling_4t_q1, scaling_4t, scaling_4t_q3], _] = [2usize, 4, 8].map(|threads| {
-        let many = ShardedIngestor::new(family(r_par), threads);
-        let (scaling, fields) = paired(
-            &format!("parallel r={r_par} threads={threads}"),
-            ["threads", "one_thread", "scaling_vs_1_thread"],
-            pairs,
-            n_parallel,
-            || secs(|| many.ingest_vector(&updates)),
-            || secs(|| one.ingest_vector(&updates)),
-        );
-        let _ = write!(
-            rows,
-            ",\n    {{\"mode\":\"parallel\",\"r\":{r_par},\"s\":{PAPER_S},\"updates\":{n_parallel},\
-             \"threads\":{threads},{fields}}}"
-        );
-        scaling
-    });
-
     // Observability overhead: the raw batched kernel against the
     // instrumented engine path (always-on atomic counters + per-batch
     // ingest stats) on the same insert-only workload. The ratio is the
@@ -289,8 +256,6 @@ fn main() {
          \"speedup_batch_r512\": {speedup_r512:.3},\n  \
          \"speedup_batch_mixed10_r512\": {speedup_mixed10_r512:.3},\n  \
          \"speedup_batch_mixed50_r512\": {speedup_mixed50_r512:.3},\n  \
-         \"parallel_scaling_4t\": {scaling_4t:.3},\n  \
-         \"parallel_scaling_4t_quartiles\": [{scaling_4t_q1:.3}, {scaling_4t_q3:.3}],\n  \
          \"metrics_overhead\": {metrics_overhead:.3},\n  \
          \"metrics_overhead_quartiles\": [{metrics_q1:.3}, {metrics_q3:.3}],\n  \
          \"results\": [\n    {rows}\n  ]\n}}\n",

@@ -1,8 +1,7 @@
 //! The host block every committed `BENCH_*.json` carries, so readers and
-//! the tier-1 gates can tell which numbers are comparable: thread-scaling
-//! rows only bind where `cores` allows real parallelism, speedups only
-//! compare within one `simd` backend, and `git_rev` names the tree that
-//! was measured.
+//! the tier-1 gates can tell which numbers are comparable: `cores` says
+//! how much parallelism the host offered, speedups only compare within
+//! one `simd` backend, and `git_rev` names the tree that was measured.
 
 /// The host block as a JSON object: cores, SIMD backend, CPU model and
 /// git revision.

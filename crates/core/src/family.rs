@@ -39,10 +39,8 @@ pub struct IngestStats {
 
 impl IngestStats {
     /// Chunk-by-chunk accounting for a batch, on the [`CHUNK`]-sized
-    /// chunk boundaries of the ingest loop. Exposed so alternative ingest
-    /// drivers (e.g. sharded-parallel) can account the same way without
-    /// running the batch through a single vector.
-    pub fn for_batch(updates: &[Update]) -> Self {
+    /// chunk boundaries of the ingest loop.
+    fn for_batch(updates: &[Update]) -> Self {
         let mut fast = 0usize;
         for chunk in updates.chunks(CHUNK) {
             if chunk.windows(2).all(|w| matches!(w, [a, b] if a.delta == b.delta)) {
@@ -62,102 +60,11 @@ impl IngestStats {
     }
 }
 
-/// A batch of updates bit-sliced **once**, shareable across sketch copies
-/// and parallel shards.
-///
-/// The ingest pipeline's prepare stage: each [`CHUNK`] updates become one
-/// [`SlicedChunk`] (elements, deltas, the element nibble tables and the
-/// delta bit-planes), plus the batch's ingest stats. All of it is
-/// copy-independent — every one of the `r` sketch copies (and every shard
-/// of a parallel ingest) reads the same chunks, so the transpose is paid
-/// once per batch instead of once per copy. A chunk takes about 28 KiB,
-/// 56 bytes per update, so [`SketchVector::update_batch`] prepares a long
-/// batch a window of [`WINDOW`] updates at a time.
-#[derive(Debug, Clone)]
-pub struct PreparedBatch {
-    chunks: Vec<SlicedChunk>,
-    stats: IngestStats,
-}
-
-/// Updates [`SketchVector::update_batch`] prepares at once: eight chunks,
-/// about 224 KiB of sliced form. Every copy applies a window before the
-/// next copy starts, so a copy's rows stay cache-resident across it.
+/// Updates [`SketchVector::update_batch`] bit-slices at once: eight
+/// chunks, about 224 KiB of sliced form. Every copy applies a window
+/// before the next copy starts, so a copy's rows stay cache-resident
+/// across it.
 pub const WINDOW: usize = 8 * CHUNK;
-
-impl PreparedBatch {
-    /// Slice a batch (stream ids are ignored, as in
-    /// [`SketchVector::update_batch`]).
-    pub fn from_updates(updates: &[Update]) -> Self {
-        let chunks = updates
-            .chunks(CHUNK)
-            .map(|part| {
-                let mut chunk = SlicedChunk::EMPTY;
-                chunk.load(part.iter().map(|u| (u.element, u.delta)));
-                chunk
-            })
-            .collect();
-        PreparedBatch {
-            chunks,
-            stats: IngestStats::for_batch(updates),
-        }
-    }
-
-    /// Number of updates in the batch.
-    pub fn len(&self) -> usize {
-        self.stats.updates
-    }
-
-    /// `true` if the batch holds no updates.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// The ingest instrumentation record for this batch (computed at
-    /// preparation time, chunk-aligned with the apply loop).
-    pub fn stats(&self) -> IngestStats {
-        self.stats
-    }
-}
-
-/// Drive a prepared batch through a run of sketch copies — the apply
-/// stage of the ingest pipeline, allocation-free.
-fn apply_prepared_to(sketches: &mut [TwoLevelSketch], batch: &PreparedBatch) {
-    for sk in sketches.iter_mut() {
-        sk.apply_chunks(&batch.chunks);
-    }
-}
-
-/// A borrowed run of consecutive copies of one [`SketchVector`], the unit
-/// of shard ownership in parallel ingest.
-///
-/// [`SketchVector::par_slices`] hands out *disjoint* runs, so each shard
-/// mutates a private region of the vector with no synchronization, and
-/// the combined result needs no merge step: the copies were updated in
-/// place, exactly as single-threaded ingest would have.
-#[derive(Debug)]
-pub struct SketchVectorSlice<'a> {
-    start: usize,
-    sketches: &'a mut [TwoLevelSketch],
-}
-
-impl SketchVectorSlice<'_> {
-    /// Index (within the parent vector) of the first copy in this run.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of copies in this run.
-    pub fn copies(&self) -> usize {
-        self.sketches.len()
-    }
-
-    /// Apply a prepared batch to every copy in this run. Identical cell
-    /// arithmetic to [`SketchVector::update_batch`] restricted to these
-    /// copies.
-    pub fn apply_prepared(&mut self, batch: &PreparedBatch) {
-        apply_prepared_to(self.sketches, batch);
-    }
-}
 
 /// Most counter cells (`r · levels · s · 2`) a decoded [`SketchVector`]
 /// may hold: 2²⁴, or 128 MiB of cells, eight times a paper-scale
@@ -343,62 +250,35 @@ impl SketchVector {
     /// Apply a slice of updates to every copy (stream ids are ignored, as
     /// in [`Self::process`]).
     ///
-    /// The batch is bit-sliced once per window of [`WINDOW`] updates
-    /// ([`PreparedBatch`]) and every copy reads the same sliced chunks, so
-    /// the per-copy work is the first-level hash and the bank's
-    /// bit-sliced kernel. Within a window the loop is **copy-major**:
-    /// each copy consumes the whole window before the next copy is
-    /// touched, so one copy's rows and hash coefficients stay
-    /// cache-resident across it, where an element-major walk over all `r`
-    /// copies per update would cycle a ~16 MiB working set at `r = 512`.
-    /// Counter increments commute, so the result is bit-for-bit identical
-    /// to per-update [`Self::update`] calls; the window bounds the sliced
-    /// form a long batch holds at once.
+    /// Each window of [`WINDOW`] updates is bit-sliced once, one
+    /// [`SlicedChunk`] per [`CHUNK`] updates, and every copy reads the
+    /// same sliced chunks, so the per-copy work is the first-level hash
+    /// and the bank's bit-sliced kernel. Within a window the loop is
+    /// **copy-major**: each copy consumes the whole window before the
+    /// next copy is touched, so one copy's rows and hash coefficients
+    /// stay cache-resident across it, where an element-major walk over
+    /// all `r` copies per update would cycle a ~16 MiB working set at
+    /// `r = 512`. Counter increments commute, so the result is
+    /// bit-for-bit identical to per-update [`Self::update`] calls; the
+    /// window bounds the sliced form a long batch holds at once.
     ///
     /// Returns [`IngestStats`] for instrumentation: how many updates were
     /// applied and how many arrived in uniform-delta chunks.
     pub fn update_batch(&mut self, updates: &[Update]) -> IngestStats {
-        let mut stats = IngestStats::default();
         for window in updates.chunks(WINDOW) {
-            stats.absorb(self.apply_prepared(&PreparedBatch::from_updates(window)));
+            let chunks: Vec<SlicedChunk> = window
+                .chunks(CHUNK)
+                .map(|part| {
+                    let mut chunk = SlicedChunk::EMPTY;
+                    chunk.load(part.iter().map(|u| (u.element, u.delta)));
+                    chunk
+                })
+                .collect();
+            for sk in &mut self.sketches {
+                sk.apply_chunks(&chunks);
+            }
         }
-        stats
-    }
-
-    /// Apply an already-prepared batch to every copy (the batch-prepare
-    /// work — slicing and stats — was paid by
-    /// [`PreparedBatch::from_updates`], possibly on another thread or
-    /// shared with other vectors). Bit-for-bit identical to
-    /// [`Self::update_batch`] over the source updates.
-    pub fn apply_prepared(&mut self, batch: &PreparedBatch) -> IngestStats {
-        apply_prepared_to(&mut self.sketches, batch);
-        batch.stats()
-    }
-
-    /// Split the vector into at most `n` disjoint runs of consecutive
-    /// copies, for shard-owned parallel ingest.
-    ///
-    /// Each returned [`SketchVectorSlice`] borrows a private, mutually
-    /// non-overlapping region of this vector's copies (the compiler
-    /// enforces the disjointness — the slices are `&mut` borrows split
-    /// out of one allocation). Workers apply the same [`PreparedBatch`]
-    /// to their own slice concurrently; because every copy sees the whole
-    /// batch, the vector afterwards equals single-threaded
-    /// [`Self::update_batch`] exactly — no merge, no synchronization.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn par_slices(&mut self, n: usize) -> Vec<SketchVectorSlice<'_>> {
-        assert!(n >= 1, "need at least one slice");
-        let chunk = self.sketches.len().div_ceil(n);
-        self.sketches
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, sketches)| SketchVectorSlice {
-                start: i * chunk,
-                sketches,
-            })
-            .collect()
+        IngestStats::for_batch(updates)
     }
 
     /// Insert one copy of `e`.
@@ -661,45 +541,6 @@ mod tests {
         for (a, b) in scalar.sketches().iter().zip(batched.sketches()) {
             assert_eq!(a.counters(), b.counters());
             assert_eq!(a.total_count(), b.total_count());
-        }
-    }
-
-    #[test]
-    fn par_slices_cover_all_copies_and_match_sequential() {
-        use setstream_stream::StreamId;
-        let f = family();
-        let updates: Vec<Update> = (0..600u64)
-            .map(|i| Update {
-                stream: StreamId(0),
-                element: i.wrapping_mul(0x9e37_79b9) % 2048,
-                delta: if i % 9 == 0 { -2 } else { 1 },
-            })
-            .collect();
-        let mut seq = f.new_vector();
-        seq.update_batch(&updates);
-
-        let batch = PreparedBatch::from_updates(&updates);
-        assert_eq!(batch.len(), updates.len());
-        assert_eq!(batch.stats(), IngestStats::for_batch(&updates));
-        for n in [1usize, 2, 3, 8, 20] {
-            let mut par = f.new_vector();
-            let mut slices = par.par_slices(n);
-            assert!(slices.len() <= n);
-            assert_eq!(slices.iter().map(SketchVectorSlice::copies).sum::<usize>(), 8);
-            // Runs are consecutive and non-overlapping.
-            let mut next = 0usize;
-            for s in &slices {
-                assert_eq!(s.start(), next);
-                next += s.copies();
-            }
-            for s in &mut slices {
-                s.apply_prepared(&batch);
-            }
-            drop(slices);
-            for (a, b) in seq.sketches().iter().zip(par.sketches()) {
-                assert_eq!(a.counters(), b.counters(), "n={n}");
-                assert_eq!(a.total_count(), b.total_count());
-            }
         }
     }
 

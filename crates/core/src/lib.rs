@@ -65,9 +65,6 @@ pub use estimate::{
     EpochWitness, Estimate, EstimateMethod, EstimatorOptions, UnionMode, WitnessMode,
     WitnessSummary,
 };
-pub use family::{
-    IngestStats, PreparedBatch, SketchFamily, SketchFamilyBuilder, SketchVector,
-    SketchVectorSlice,
-};
+pub use family::{IngestStats, SketchFamily, SketchFamilyBuilder, SketchVector};
 pub use plan::Plan;
 pub use sketch::{BitSketch, TwoLevelSketch};

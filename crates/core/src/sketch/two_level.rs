@@ -292,10 +292,10 @@ impl TwoLevelSketch {
         self.refresh_rows(touched);
     }
 
-    /// Apply already-sliced chunks — the form a [`crate::PreparedBatch`]
-    /// shares across every copy — then refresh the summary of each
-    /// touched row once. Bit-for-bit identical to [`Self::update_batch`]
-    /// over the same updates.
+    /// Apply already-sliced chunks — the form
+    /// [`crate::SketchVector::update_batch`] shares across every copy —
+    /// then refresh the summary of each touched row once. Bit-for-bit
+    /// identical to [`Self::update_batch`] over the same updates.
     pub(crate) fn apply_chunks(&mut self, chunks: &[SlicedChunk]) {
         let mut touched = 0u64;
         for chunk in chunks {

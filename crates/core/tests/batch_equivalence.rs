@@ -4,12 +4,12 @@
 //! applying the same updates one at a time with `update`.
 //!
 //! This is the contract that makes the batch kernels safe to substitute
-//! on the hot path (and, transitively, what makes sharded-parallel
-//! ingestion exact — see the engine's `parallel_equivalence` suite).
+//! on the hot path.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use setstream_core::{PreparedBatch, SketchConfig, SketchFamily, TwoLevelSketch};
+use setstream_core::family::WINDOW;
+use setstream_core::{SketchConfig, SketchFamily, TwoLevelSketch};
 use setstream_hash::{splitmix64, HashFamily};
 use setstream_stream::{StreamId, Update};
 
@@ -80,7 +80,7 @@ fn summary(sk: &TwoLevelSketch) -> (u64, u64, u64, Vec<u64>) {
 }
 
 /// Workloads spanning both batch regimes: below the scalar-fallback
-/// threshold (32) and above one full `BATCH_CHUNK` (512), with deltas
+/// threshold (32) and above one full 512-update chunk, with deltas
 /// mixing inserts, deletes, and zero.
 fn arb_workload() -> impl Strategy<Value = Vec<(u64, i64)>> {
     vec((any::<u64>(), -3i64..4), 0..600)
@@ -197,63 +197,66 @@ proptest! {
         config in arb_config(),
         seed in any::<u64>(),
         copies in 1usize..4,
-        slices in 1usize..4,
-        pairs in vec((arb_element(), arb_delta()), 0..1200),
+        pairs in vec((arb_element(), arb_delta()), 1..1200),
+        windows in 0usize..3,
+        tail in 0usize..1200,
     ) {
-        // The two vector-level batch paths — `SketchVector::update_batch`
-        // and a `PreparedBatch` applied through disjoint slices — against
-        // per-update `process`, copy by copy, summaries included.
+        // `SketchVector::update_batch` against per-update `process`, copy
+        // by copy, summaries included. The generated pairs are tiled
+        // over up to two whole windows plus a ragged tail, so a batch
+        // spans several windows and ends mid-chunk.
         let fam = SketchFamily::new(config, copies, seed);
-        let updates = updates_from(&pairs);
+        let updates: Vec<Update> = updates_from(&pairs)
+            .into_iter()
+            .cycle()
+            .take(windows * WINDOW + tail)
+            .collect();
         let mut scalar = fam.new_vector();
         for u in &updates {
             scalar.process(u);
         }
         let mut batched = fam.new_vector();
-        batched.update_batch(&updates);
-        let batch = PreparedBatch::from_updates(&updates);
-        let mut sliced = fam.new_vector();
-        for mut slice in sliced.par_slices(slices) {
-            slice.apply_prepared(&batch);
-        }
-        for ((a, b), c) in scalar.sketches().iter().zip(batched.sketches()).zip(sliced.sketches()) {
+        let stats = batched.update_batch(&updates);
+        prop_assert_eq!(stats.updates, updates.len());
+        for (a, b) in scalar.sketches().iter().zip(batched.sketches()) {
             prop_assert_eq!(a.counters(), b.counters());
-            prop_assert_eq!(a.counters(), c.counters());
             prop_assert_eq!(a.total_count(), b.total_count());
-            prop_assert_eq!(a.total_count(), c.total_count());
             prop_assert_eq!(summary(a), summary(b));
-            prop_assert_eq!(summary(a), summary(c));
         }
     }
 
     #[test]
-    fn slice_owned_apply_matches_whole_vector(
+    fn merged_shards_match_sequential_for_any_split(
         seed in any::<u64>(),
-        pairs in vec((any::<u64>(), -3i64..4), 0..700),
-        copies in 1usize..9,
-        slices in 1usize..6,
+        pairs in vec((any::<u64>(), -3i64..4), 0..400),
+        cuts in vec(0usize..400, 0..6),
     ) {
-        // The shard-owned ingest contract: preparing a batch once and
-        // applying it through disjoint `par_slices` runs must be
-        // bit-identical to one whole-vector `update_batch`, for any
-        // copies/slices split (including more slices than copies).
+        // Partition the stream at arbitrary boundaries (possibly empty
+        // shards, possibly one giant shard), build a partial synopsis
+        // per shard as separate sites do, and merge: linearity makes
+        // the sum equal one `update_batch` of the whole stream.
         let fam = SketchFamily::builder()
-            .copies(copies)
+            .copies(3)
             .levels(16)
             .second_level(8)
             .seed(seed)
             .build();
         let updates = updates_from(&pairs);
-        let mut whole = fam.new_vector();
-        let want_stats = whole.update_batch(&updates);
-        let batch = PreparedBatch::from_updates(&updates);
-        prop_assert_eq!(batch.stats(), want_stats);
-        let mut sliced = fam.new_vector();
-        for slice in sliced.par_slices(slices) {
-            let mut slice = slice;
-            slice.apply_prepared(&batch);
+        let mut seq = fam.new_vector();
+        seq.update_batch(&updates);
+
+        let mut bounds: Vec<usize> =
+            cuts.iter().map(|&c| c.min(updates.len())).collect();
+        bounds.push(0);
+        bounds.push(updates.len());
+        bounds.sort_unstable();
+        let mut merged = fam.new_vector();
+        for w in bounds.windows(2) {
+            let mut partial = fam.new_vector();
+            partial.update_batch(&updates[w[0]..w[1]]);
+            merged.merge_from(&partial).expect("same family");
         }
-        for (a, b) in whole.sketches().iter().zip(sliced.sketches()) {
+        for (a, b) in seq.sketches().iter().zip(merged.sketches()) {
             prop_assert_eq!(a.counters(), b.counters());
             prop_assert_eq!(a.total_count(), b.total_count());
         }

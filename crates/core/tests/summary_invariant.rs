@@ -2,14 +2,13 @@
 //! the `occupied`, `multi` and row masks and the per-level sign words —
 //! must equal one recomputed from `counters()` after every write, over
 //! random interleavings of every write path: scalar `update`,
-//! `update_batch`, sharded `par_slices` apply, `merge_from`,
-//! `subtract_from`, `delta_since`, `truncated` and the serde form's round
-//! trip (`counter_block` → `from_counter_block`), including cells with
-//! arbitrary `i64` values.
+//! `update_batch`, `merge_from`, `subtract_from`, `delta_since`,
+//! `truncated` and the serde form's round trip (`counter_block` →
+//! `from_counter_block`), including cells with arbitrary `i64` values.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use setstream_core::{PreparedBatch, SketchConfig, SketchFamily, SketchVector, TwoLevelSketch};
+use setstream_core::{SketchConfig, SketchFamily, SketchVector, TwoLevelSketch};
 use setstream_hash::HashFamily;
 use setstream_stream::{StreamId, Update};
 
@@ -104,7 +103,6 @@ fn arb_updates(max: usize) -> impl Strategy<Value = Vec<(u64, i64)>> {
 enum VectorOp {
     Update(usize, u64, i64),
     Batch(usize, Vec<(u64, i64)>),
-    Sharded(usize, usize, Vec<(u64, i64)>),
     Merge(usize, usize),
     Subtract(usize, usize),
     Delta(usize, usize),
@@ -116,8 +114,6 @@ fn arb_vector_op() -> impl Strategy<Value = VectorOp> {
     prop_oneof![
         (0usize..3, 0u64..300, -3i64..4).prop_map(|(v, e, d)| VectorOp::Update(v, e, d)),
         (0usize..3, arb_updates(700)).prop_map(|(v, u)| VectorOp::Batch(v, u)),
-        (0usize..3, 1usize..4, arb_updates(700))
-            .prop_map(|(v, n, u)| VectorOp::Sharded(v, n, u)),
         (0usize..3, 0usize..3).prop_map(|(a, b)| VectorOp::Merge(a, b)),
         (0usize..3, 0usize..3).prop_map(|(a, b)| VectorOp::Subtract(a, b)),
         (0usize..3, 0usize..3).prop_map(|(a, b)| VectorOp::Delta(a, b)),
@@ -214,12 +210,6 @@ proptest! {
                 VectorOp::Update(v, e, d) => pool[*v].update(*e, *d),
                 VectorOp::Batch(v, u) => {
                     pool[*v].update_batch(&updates(u));
-                }
-                VectorOp::Sharded(v, n, u) => {
-                    let batch = PreparedBatch::from_updates(&updates(u));
-                    for mut slice in pool[*v].par_slices(*n) {
-                        slice.apply_prepared(&batch);
-                    }
                 }
                 VectorOp::Merge(a, b) => {
                     let other = pool[*b].clone();

@@ -23,7 +23,7 @@
 //!   server's ledger counts refused-as-stale frames as applied.
 //! * **Bounded everything.** Every buffer has a hard cap: read buffers
 //!   via [`FrameReader`], server write queues via `send_buf`, the client
-//!   pipeline via `credit_window`, connection counts via `max_conns`. A
+//!   pipeline via `credit_window`, connection counts via `MAX_CONNS`. A
 //!   wedged peer (not reading its acks) overflows its write queue and is
 //!   disconnected + quarantined — siblings never stall and the
 //!   coordinator never grows memory.
@@ -85,6 +85,12 @@ pub struct AckMessage {
 // ---------------------------------------------------------------------
 // Options
 
+/// Server side: a peer silent this long is disconnected.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Server side: the most concurrent connections a server accepts.
+const MAX_CONNS: usize = 4096;
+
 /// Knobs for the TCP transport. Construct via
 /// [`TransportOptions::builder`]; the fields are private so every
 /// instance has passed validation.
@@ -92,11 +98,9 @@ pub struct AckMessage {
 pub struct TransportOptions {
     connect_timeout: Duration,
     io_timeout: Duration,
-    idle_timeout: Duration,
     max_frame: usize,
     send_buf: usize,
     credit_window: usize,
-    max_conns: usize,
     max_attempts: u32,
     backoff: Duration,
 }
@@ -106,11 +110,9 @@ impl Default for TransportOptions {
         TransportOptions {
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(60),
             max_frame: wire::MAX_PAYLOAD_LEN + FRAME_OVERHEAD,
             send_buf: 256 << 10,
             credit_window: 4,
-            max_conns: 4096,
             max_attempts: 4,
             backoff: Duration::from_millis(10),
         }
@@ -135,11 +137,6 @@ impl TransportOptions {
         self.io_timeout
     }
 
-    /// Server-side: disconnect peers silent for this long.
-    pub fn idle_timeout(&self) -> Duration {
-        self.idle_timeout
-    }
-
     /// Largest whole frame (header + payload + crc) either side will
     /// buffer.
     pub fn max_frame(&self) -> usize {
@@ -155,11 +152,6 @@ impl TransportOptions {
     /// Maximum unacked epochs a site keeps in flight.
     pub fn credit_window(&self) -> usize {
         self.credit_window
-    }
-
-    /// Maximum concurrent connections a server accepts.
-    pub fn max_conns(&self) -> usize {
-        self.max_conns
     }
 
     /// Connect/retransmit attempts before giving up.
@@ -219,12 +211,6 @@ impl TransportOptionsBuilder {
         self
     }
 
-    /// Server-side idle disconnect threshold.
-    pub fn idle_timeout(mut self, d: Duration) -> Self {
-        self.options.idle_timeout = d;
-        self
-    }
-
     /// Largest whole frame either side will buffer.
     pub fn max_frame(mut self, bytes: usize) -> Self {
         self.options.max_frame = bytes;
@@ -240,12 +226,6 @@ impl TransportOptionsBuilder {
     /// Maximum unacked epochs in flight per site.
     pub fn credit_window(mut self, epochs: usize) -> Self {
         self.options.credit_window = epochs;
-        self
-    }
-
-    /// Maximum concurrent connections a server accepts.
-    pub fn max_conns(mut self, conns: usize) -> Self {
-        self.options.max_conns = conns;
         self
     }
 
@@ -266,7 +246,6 @@ impl TransportOptionsBuilder {
         let o = &self.options;
         for (field, value) in [
             ("credit_window", o.credit_window as u64),
-            ("max_conns", o.max_conns as u64),
             ("max_attempts", o.max_attempts as u64),
             ("connect_timeout_ms", o.connect_timeout.as_millis() as u64),
             ("io_timeout_ms", o.io_timeout.as_millis() as u64),
@@ -676,7 +655,7 @@ fn serve_loop<H: FrameHandler>(
             match listener.accept() {
                 Ok((stream, _)) => {
                     progress = true;
-                    if conns.len() >= opts.max_conns() || stream.set_nonblocking(true).is_err() {
+                    if conns.len() >= MAX_CONNS || stream.set_nonblocking(true).is_err() {
                         continue; // refused: dropped on the floor
                     }
                     metrics.connects.inc();
@@ -794,7 +773,7 @@ fn serve_loop<H: FrameHandler>(
                 dead.push(*id);
                 continue;
             }
-            if now.duration_since(conn.last_activity) > opts.idle_timeout() {
+            if now.duration_since(conn.last_activity) > IDLE_TIMEOUT {
                 dead.push(*id);
             }
         }

@@ -322,6 +322,15 @@ impl StreamEngine {
         self.subs.subs.get(&id)
     }
 
+    /// The estimate a subscription's class holds since the last
+    /// [`Self::publish_epoch`]: `None` if the subscription is gone, or
+    /// its class has no estimate yet (never published, or the last
+    /// estimate failed).
+    pub fn subscription_estimate(&self, id: SubscriptionId) -> Option<Estimate> {
+        let sub = self.subs.subs.get(&id)?;
+        self.subs.classes.get(&sub.class)?.estimate
+    }
+
     /// All registered subscriptions.
     pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
         self.subs.subs.values()

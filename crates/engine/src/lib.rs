@@ -69,9 +69,7 @@
 pub mod config;
 pub mod durable;
 mod engine;
-mod ingest;
 mod metrics;
-mod runqueue;
 pub mod prelude;
 pub mod quality;
 mod snapshot;
@@ -80,7 +78,6 @@ mod subscribe;
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder};
 pub use durable::{DurableError, DurableKind};
 pub use engine::{EngineError, EngineStats, StreamEngine};
-pub use ingest::ShardedIngestor;
 pub use metrics::EngineMetrics;
 pub use quality::{ExprReport, QualityConfig, QualityError, QualityMonitor};
 pub use snapshot::EngineSnapshot;

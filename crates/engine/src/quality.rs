@@ -15,10 +15,13 @@
 //!   deletions. At rate 1.0 the shadow is bit-equal to the full exact
 //!   evaluation; at rate `p` the scaled estimate `exact/p` has binomial
 //!   error `≈ √(n(1−p)/p)` over `n` true distinct elements.
-//! * **Watched expressions** are re-evaluated against both paths each
-//!   [`QualityMonitor::evaluate`] round: relative error lands in a
-//!   rolling histogram, per-expression atomic-fraction and witness-count
-//!   gauges update, and the typed alarms
+//! * **Watched subscriptions** are compared against the shadow each
+//!   [`QualityMonitor::evaluate`] round. The sketch side is the estimate
+//!   the subscription's expression class holds since the engine's last
+//!   [`StreamEngine::publish_epoch`], so the monitor estimates nothing
+//!   itself. Relative error lands in a rolling histogram,
+//!   per-expression atomic-fraction and witness-count gauges update, and
+//!   the typed alarms
 //!   ([`AlarmKind::LowAtomicFraction`], [`AlarmKind::ErrorBudgetExceeded`],
 //!   [`AlarmKind::ShadowDivergence`]) raise/clear edge-triggered.
 //! * **[`AlarmKind::StaleSites`]** is fed from coordinator health via
@@ -32,9 +35,10 @@
 //! per update plus a per-batch lock — the bench `BENCH_obs.json` records
 //! it staying under the 5% budget at 1% sampling.
 
-use crate::engine::StreamEngine;
+use crate::engine::{EngineError, StreamEngine};
+use crate::subscribe::{Subscription, SubscriptionId};
 use setstream_expr::eval::exact_cardinality;
-use setstream_expr::{ParseError, SetExpr};
+use setstream_expr::SetExpr;
 use setstream_hash::mix::splitmix64;
 use setstream_obs::{AlarmKind, AlarmSet, Counter, Histogram, MetricSource, Sample};
 use setstream_stream::{StreamSet, Update};
@@ -75,7 +79,7 @@ impl Default for QualityConfig {
     }
 }
 
-/// Why a [`QualityMonitor`] could not be built or a watch registered.
+/// Why a [`QualityMonitor`] could not be built.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QualityError {
     /// `sampling_rate` outside `0.0..=1.0` (or not finite).
@@ -87,8 +91,6 @@ pub enum QualityError {
         /// The rejected value.
         value: f64,
     },
-    /// A watched expression failed to parse.
-    Parse(ParseError),
 }
 
 impl std::fmt::Display for QualityError {
@@ -100,25 +102,11 @@ impl std::fmt::Display for QualityError {
             QualityError::BadThreshold { field, value } => {
                 write!(f, "{field} must be finite and positive, got {value}")
             }
-            QualityError::Parse(e) => write!(f, "watch expression parse error: {e}"),
         }
     }
 }
 
-impl std::error::Error for QualityError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            QualityError::Parse(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ParseError> for QualityError {
-    fn from(e: ParseError) -> Self {
-        QualityError::Parse(e)
-    }
-}
+impl std::error::Error for QualityError {}
 
 /// One watched expression's outcome from an evaluation round.
 #[derive(Debug, Clone)]
@@ -142,14 +130,14 @@ pub struct ExprReport {
     pub witness_hits: u64,
 }
 
-struct WatchedExpr {
+struct Watch {
     name: String,
-    expr: SetExpr,
+    sub: SubscriptionId,
 }
 
 struct ShadowState {
     shadow: StreamSet,
-    watches: Vec<WatchedExpr>,
+    watches: Vec<Watch>,
     last_reports: Vec<ExprReport>,
 }
 
@@ -242,22 +230,13 @@ impl QualityMonitor {
         splitmix64(element ^ self.config.seed) <= self.threshold
     }
 
-    /// Register a watch expression under an operator-facing `name`.
-    ///
-    /// # Errors
-    /// [`QualityError::Parse`] if `text` is not a valid set expression.
-    pub fn watch(&self, name: &str, text: &str) -> Result<(), QualityError> {
-        let expr: SetExpr = text.parse()?;
-        self.watch_expr(name, expr);
-        Ok(())
-    }
-
-    /// Register a pre-built watch expression.
-    pub fn watch_expr(&self, name: &str, expr: SetExpr) {
-        let mut state = self.lock_state();
-        state.watches.push(WatchedExpr {
+    /// Watch an engine subscription under an operator-facing `name`:
+    /// each [`Self::evaluate`] round judges the estimate its expression
+    /// class holds against the shadow count of its expression.
+    pub fn watch(&self, name: &str, sub: SubscriptionId) {
+        self.lock_state().watches.push(Watch {
             name: name.to_string(),
-            expr: setstream_expr::simplify(&expr),
+            sub,
         });
     }
 
@@ -294,9 +273,12 @@ impl QualityMonitor {
         exact_cardinality(expr, &self.lock_state().shadow)
     }
 
-    /// Re-evaluate every watched expression against the engine's sketch
-    /// path and the shadow exact path; updates histograms, gauges, and
-    /// alarms, and returns the per-expression reports.
+    /// Compare every watched subscription's estimate, as its class holds
+    /// it since `engine`'s last [`StreamEngine::publish_epoch`], with the
+    /// shadow exact path; updates histograms, gauges, and alarms, and
+    /// returns the per-expression reports. A watch whose class holds no
+    /// estimate, or whose subscription is gone, counts as a failed
+    /// estimate.
     pub fn evaluate(&self, engine: &StreamEngine) -> Vec<ExprReport> {
         self.counters.eval_rounds.inc();
         let p = self.config.sampling_rate;
@@ -306,7 +288,8 @@ impl QualityMonitor {
         let mut worst_fraction: Option<(f64, &str)> = None;
         let mut estimator_failed: Option<String> = None;
         for w in &state.watches {
-            let shadow_raw = exact_cardinality(&w.expr, &state.shadow);
+            let expr = engine.subscription(w.sub).map(Subscription::expr);
+            let shadow_raw = expr.map_or(0, |e| exact_cardinality(e, &state.shadow));
             let shadow_scaled = if p > 0.0 { shadow_raw as f64 / p } else { 0.0 };
             let mut report = ExprReport {
                 name: w.name.clone(),
@@ -318,8 +301,8 @@ impl QualityMonitor {
                 witness_valid: 0,
                 witness_hits: 0,
             };
-            match engine.evaluate(&w.expr) {
-                Ok(est) => {
+            match engine.subscription_estimate(w.sub) {
+                Some(est) => {
                     let witnesses = est.witnesses();
                     report.estimate = Some(est.value);
                     report.atomic_fraction = est.atomic_fraction();
@@ -340,10 +323,14 @@ impl QualityMonitor {
                         }
                     }
                 }
-                Err(e) => {
+                None => {
                     self.counters.eval_errors.inc();
                     if estimator_failed.is_none() {
-                        estimator_failed = Some(format!("{}: {e}", w.name));
+                        let why = match expr {
+                            Some(_) => "its expression class holds no estimate".to_string(),
+                            None => EngineError::UnknownSubscription(w.sub).to_string(),
+                        };
+                        estimator_failed = Some(format!("{}: {why}", w.name));
                     }
                 }
             }
@@ -625,14 +612,19 @@ mod tests {
             ..QualityConfig::default()
         })
         .expect("valid config");
-        monitor.watch("main", "A & B").expect("parse");
         let mut engine = StreamEngine::new(family());
+        let expr: SetExpr = "A & B".parse().expect("parse");
+        let main = engine
+            .subscribe(expr, crate::SubscriptionOptions::default())
+            .expect("subscribe");
+        monitor.watch("main", main);
         let mut updates = Vec::new();
         for e in 0..3000u64 {
             updates.push(Update::insert(StreamId(0), e, 1));
             updates.push(Update::insert(StreamId(1), e + 1500, 1));
         }
         engine.process_batch(&updates);
+        engine.publish_epoch();
         monitor.observe_batch(&updates);
         let reports = monitor.evaluate(&engine);
         let r = reports.first().expect("one watch");

@@ -16,7 +16,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setstream_core::SketchFamily;
-use setstream_engine::{QualityConfig, QualityMonitor, StreamEngine};
+use setstream_engine::{
+    QualityConfig, QualityMonitor, StreamEngine, SubscriptionId, SubscriptionOptions,
+};
 use setstream_expr::eval::exact_cardinality;
 use setstream_expr::SetExpr;
 use setstream_obs::{AlarmKind, AlarmTransition};
@@ -137,21 +139,32 @@ fn low_atomic_fraction_alarm_raises_clears_and_reraises() {
         })
         .collect();
 
-    let evaluate_with = |workload: &[Update], monitor: &QualityMonitor| {
+    // Each phase runs a fresh engine whose one subscription is `A & B`.
+    // Engines number their subscriptions alike, so the watch registered
+    // on the first engine's id names it in every phase.
+    let engine_with = |workload: &[Update]| -> (StreamEngine, SubscriptionId) {
         let family = SketchFamily::builder()
             .copies(256)
             .second_level(64)
             .seed(3)
             .build();
         let mut engine = StreamEngine::new(family);
+        let expr: SetExpr = "A & B".parse().expect("parse");
+        let hot = engine
+            .subscribe(expr, SubscriptionOptions::default())
+            .expect("subscribe");
         engine.process_batch(workload);
-        monitor.evaluate(&engine);
+        engine.publish_epoch();
+        (engine, hot)
+    };
+    let evaluate_with = |workload: &[Update], monitor: &QualityMonitor| {
+        monitor.evaluate(&engine_with(workload).0);
     };
 
     // The shadow stays empty (below min_shadow_support), so only the
     // atomic-fraction signal drives alarms in this test.
     let monitor = monitor_at(1.0);
-    monitor.watch("hot", "A & B").expect("parse");
+    monitor.watch("hot", engine_with(&[]).1);
 
     evaluate_with(&hard, &monitor);
     assert!(

@@ -8,7 +8,7 @@
 //!   every nibble position the elements use, the 16 XOR combinations of
 //!   that nibble's four element bit-planes, and the deltas as bit-planes
 //!   of their narrowest two's complement. It depends on the updates
-//!   only, so one form serves every sketch copy and every shard.
+//!   only, so one form serves every sketch copy.
 //! * [`PairwiseHashBank`] holds the `s` second-level functions of one
 //!   sketch copy as flat coefficient arrays and applies a sliced chunk to
 //!   the copy's counter rows ([`PairwiseHashBank::apply_chunk`]): a

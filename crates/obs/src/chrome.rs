@@ -5,9 +5,9 @@
 //! every span becomes a `ph:"X"` *complete* event with microsecond
 //! `ts`/`dur`, and each distinct span track (see [`crate::Span::track`])
 //! becomes its own named timeline row via `ph:"M"` `thread_name` metadata.
-//! Sharded ingest and per-site collection rounds therefore render as
-//! parallel rows under one process, which is exactly the view that makes a
-//! whole `collect.epoch` legible as a timeline.
+//! Per-site collection rounds therefore render as parallel rows under one
+//! process, which is exactly the view that makes a whole `collect.epoch`
+//! legible as a timeline.
 //!
 //! The output is deliberately dependency-free: JSON is assembled by hand
 //! with local string escaping, mirroring how [`crate::export`] emits the

@@ -17,7 +17,8 @@
 //!
 //! [`parse_exposition`] is the inverse direction: a validating parser for
 //! scrape output, used by the CI smoke step and `setstream scrape` to
-//! prove that what the server emits actually parses.
+//! prove that what the server emits actually parses, and by `setstream
+//! top` to read the samples back out.
 
 use crate::registry::{Registry, Sample, SampleValue};
 use std::fmt::Write as _;
@@ -171,14 +172,37 @@ fn sanitize_label_name(name: &str) -> String {
 // ------------------------------------------------------------ validation
 
 /// What [`parse_exposition`] learned about a scrape body.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExpositionSummary {
     /// Metric family names, in the order their `# TYPE` headers appeared.
     pub families: Vec<String>,
-    /// Total sample lines (counting each histogram series line).
-    pub samples: usize,
+    /// Every sample line, in body order (each histogram series line is
+    /// one sample).
+    pub samples: Vec<MetricLine>,
     /// Families that carried a `# HELP` header.
     pub helped: usize,
+}
+
+/// One sample line of an exposition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricLine {
+    /// Series name, e.g. `setstream_engine_ingest_updates_total`; a
+    /// histogram's lines keep their `_bucket`/`_sum`/`_count` suffix.
+    pub name: String,
+    /// Label pairs in exposition order, escapes undone.
+    pub labels: Vec<(String, String)>,
+    /// The sample value.
+    pub value: f64,
+}
+
+impl MetricLine {
+    /// The value of label `key`, if present.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
 }
 
 /// Why a scrape body failed to parse as exposition text.
@@ -262,85 +286,77 @@ fn valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// Split a sample line into (metric name, rest-after-labels) and check the
-/// label block is well-formed (balanced quotes, `name="value"` pairs).
-fn check_sample_line(text: &str) -> Option<String> {
-    let (name, rest) = match text.find('{') {
+/// Parse one sample line: a legal metric name, an optional well-formed
+/// label block and a numeric value.
+fn parse_sample(text: &str) -> Option<MetricLine> {
+    let (name, labels, rest) = match text.find('{') {
         Some(brace) => {
-            let name = text.get(..brace)?;
-            let after = text.get(brace + 1..)?;
-            // Walk the label block respecting escapes inside quoted values.
-            let mut chars = after.char_indices();
-            let end;
-            'block: loop {
-                // label name up to '='
-                let mut saw_name = false;
-                for (i, c) in chars.by_ref() {
-                    match c {
-                        '}' if !saw_name => {
-                            end = Some(i);
-                            break 'block;
-                        }
-                        '=' => break,
-                        c if c.is_ascii_alphanumeric() || c == '_' => saw_name = true,
-                        _ => return None,
-                    }
-                }
-                // opening quote
-                match chars.next() {
-                    Some((_, '"')) => {}
-                    _ => return None,
-                }
-                // quoted value with escapes
-                let mut escaped = false;
-                let mut closed = false;
-                for (_, c) in chars.by_ref() {
-                    if escaped {
-                        escaped = false;
-                    } else if c == '\\' {
-                        escaped = true;
-                    } else if c == '"' {
-                        closed = true;
-                        break;
-                    }
-                }
-                if !closed {
-                    return None;
-                }
-                // separator or end of block
-                match chars.next() {
-                    Some((_, ',')) => {}
-                    Some((i, '}')) => {
-                        end = Some(i);
-                        break;
-                    }
-                    _ => return None,
-                }
-            }
-            let end = end?;
-            (name, after.get(end + 1..)?)
+            let (labels, rest) = parse_labels(text.get(brace + 1..)?)?;
+            (text.get(..brace)?, labels, rest)
         }
-        None => match text.find(' ') {
-            Some(space) => (text.get(..space)?, text.get(space..)?),
-            None => return None,
-        },
+        None => {
+            let space = text.find(' ')?;
+            (text.get(..space)?, Vec::new(), text.get(space..)?)
+        }
     };
-    let value = rest.trim();
     if !valid_metric_name(name) {
         return None;
     }
-    // Values are integers or floats (the renderer never emits NaN).
-    if value.is_empty() || value.parse::<f64>().is_err() {
-        return None;
+    // Integers or floats; `+Inf` and `NaN` parse too (the renderer never
+    // emits NaN).
+    let value = rest.trim().parse().ok()?;
+    Some(MetricLine {
+        name: name.to_string(),
+        labels,
+        value,
+    })
+}
+
+/// Read a label block up to its closing `}`: `name="value"` pairs split
+/// by commas, escapes inside the quoted values undone. Returns the pairs
+/// and the text after the block.
+fn parse_labels(block: &str) -> Option<(Vec<(String, String)>, &str)> {
+    let mut labels = Vec::new();
+    let mut chars = block.char_indices();
+    loop {
+        let mut key = String::new();
+        loop {
+            match chars.next()? {
+                (i, '}') if key.is_empty() => return Some((labels, block.get(i + 1..)?)),
+                (_, '=') => break,
+                (_, c) if c.is_ascii_alphanumeric() || c == '_' => key.push(c),
+                _ => return None,
+            }
+        }
+        if chars.next()?.1 != '"' {
+            return None;
+        }
+        let mut value = String::new();
+        loop {
+            match chars.next()?.1 {
+                '"' => break,
+                '\\' => value.push(match chars.next()?.1 {
+                    'n' => '\n',
+                    c => c,
+                }),
+                c => value.push(c),
+            }
+        }
+        labels.push((key, value));
+        match chars.next()? {
+            (_, ',') => {}
+            (i, '}') => return Some((labels, block.get(i + 1..)?)),
+            _ => return None,
+        }
     }
-    Some(name.to_string())
 }
 
 /// Validate a Prometheus text scrape body; returns a summary on success.
 ///
 /// Checks comment syntax, metric-kind tokens, family contiguity, label
 /// quoting, and that every sample line parses and belongs to a declared
-/// family (histogram `_bucket`/`_sum`/`_count` suffixes included).
+/// family (histogram `_bucket`/`_sum`/`_count` suffixes included). The
+/// summary keeps every sample it parsed.
 ///
 /// # Errors
 /// The first violation found, as a typed [`ExpositionError`].
@@ -407,12 +423,13 @@ pub fn parse_exposition(body: &str) -> Result<ExpositionSummary, ExpositionError
             // Other comments are free-form and ignored.
             continue;
         }
-        let Some(name) = check_sample_line(text) else {
+        let Some(sample) = parse_sample(text) else {
             return Err(ExpositionError::BadSample {
                 line,
                 text: text.to_string(),
             });
         };
+        let name = sample.name.as_str();
         let belongs = current.as_deref().is_some_and(|family| {
             name == family
                 || (name.strip_prefix(family).is_some_and(|suffix| {
@@ -420,9 +437,12 @@ pub fn parse_exposition(body: &str) -> Result<ExpositionSummary, ExpositionError
                 }))
         });
         if !belongs {
-            return Err(ExpositionError::OrphanSample { line, name });
+            return Err(ExpositionError::OrphanSample {
+                line,
+                name: sample.name,
+            });
         }
-        summary.samples += 1;
+        summary.samples.push(sample);
     }
     if summary.families.is_empty() {
         return Err(ExpositionError::Empty);
@@ -573,7 +593,22 @@ mod tests {
         assert_eq!(summary.families, vec!["g", "lat_ns", "r_total"]);
         assert_eq!(summary.helped, 2);
         // counter + gauge + 2 buckets + inf + sum + count
-        assert_eq!(summary.samples, 7);
+        assert_eq!(summary.samples.len(), 7);
+    }
+
+    #[test]
+    fn metric_text_round_trips_through_the_line_parser() {
+        let text = "# HELP x_total help\n# TYPE x_total counter\nx_total 41\n\
+                    # TYPE y gauge\ny{method=\"a b\",le=\"+Inf\"} 2.5\n";
+        let lines = parse_exposition(text).expect("valid exposition").samples;
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].name, "x_total");
+        assert_eq!(lines[0].value, 41.0);
+        assert_eq!(lines[1].label("method"), Some("a b"));
+        assert!(lines[1].value == 2.5);
+        let escaped = "# TYPE e counter\ne{msg=\"a\\\"b\\\\c\\nd\"} 1\n";
+        let lines = parse_exposition(escaped).expect("valid exposition").samples;
+        assert_eq!(lines[0].label("msg"), Some("a\"b\\c\nd"));
     }
 
     #[test]

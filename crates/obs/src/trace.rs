@@ -63,7 +63,7 @@ pub struct TraceEvent {
     pub name: &'static str,
     /// Free-form detail attached by the instrumented code (may be empty).
     pub detail: String,
-    /// Logical track (e.g. `"site-2"`, `"shard-0"`); empty means the
+    /// Logical track (e.g. `"site-2"`, `"relay-1"`); empty means the
     /// default track. Chrome trace export maps each distinct track to its
     /// own named timeline row.
     pub track: String,

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Loom lane: exhaustive interleaving exploration of the lock-free metrics
-# primitives (Counter, Gauge, Histogram, RingRecorder) and the sharded
-# ingest hand-off.
+# primitives (Counter, Gauge, Histogram, RingRecorder).
 #
 #   scripts/loom.sh                # run every loom_* model
 #   scripts/loom.sh histogram      # filter to matching model names
@@ -16,8 +15,8 @@ cd "$(dirname "$0")/.."
 
 FILTER="${1:-loom_}"
 
-echo "==> loom models: cargo test (--cfg loom) -p setstream-obs -p setstream-engine ${FILTER}"
+echo "==> loom models: cargo test (--cfg loom) -p setstream-obs ${FILTER}"
 RUSTFLAGS="--cfg loom ${RUSTFLAGS:-}" CARGO_TARGET_DIR=target/loom \
-    cargo test -q -p setstream-obs -p setstream-engine "${FILTER}"
+    cargo test -q -p setstream-obs "${FILTER}"
 
 echo "loom: OK"

@@ -45,7 +45,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=34
+WAIVER_BUDGET=29
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
@@ -58,7 +58,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2298 apps=1173 baselines=331 bench=1364 core=1934 distributed=3596 engine=1834 expr=555 hash=1115 obs=1627 stream=760"
+LOC_BUDGET="analyze=2295 apps=1097 baselines=331 bench=1342 core=1871 distributed=3579 engine=1693 expr=555 hash=1115 obs=1636 stream=760"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }
@@ -67,7 +67,7 @@ echo "$loc" | awk -v budget="$LOC_BUDGET" '
     { printf "    %s: %d code lines (budget %d)\n", $1, $2, max[$1] }
     END { exit bad }' || exit 1
 
-echo "==> loom concurrency models (obs metrics/trace, engine shard hand-off)"
+echo "==> loom concurrency models (obs metrics/trace)"
 scripts/loom.sh
 
 echo "==> distributed fault-injection suite (SOAK_ROUNDS=${SOAK_ROUNDS})"
@@ -139,10 +139,9 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
         exit 1
     }
 
-    # Perf gates keyed off the recorded host topology. The SIMD batch
-    # path must beat per-update scalar ingest by ≥2x even in the noisy
-    # quick bench (the full bench pins ≥4x insert-only / ≥2x mixed);
-    # thread scaling only binds where the host has the cores to scale.
+    # The SIMD batch path must beat per-update scalar ingest by ≥2x even
+    # in the noisy quick bench (the full bench pins ≥4x insert-only / ≥2x
+    # mixed).
     cores=$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' target/BENCH_ingest.quick.json)
     simd=$(sed -n 's/.*"simd": "\([a-z0-9]*\)".*/\1/p' target/BENCH_ingest.quick.json)
     speedup=$(sed -n 's/.*"speedup_batch_r512": \([0-9.]*\).*/\1/p' \
@@ -152,17 +151,6 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
         echo "tier-1: FAIL — batch speedup ${speedup}x below quick-bench floor 2.0x" >&2
         exit 1
     }
-    scaling=$(sed -n 's/.*"parallel_scaling_4t": \([0-9.]*\).*/\1/p' \
-        target/BENCH_ingest.quick.json)
-    if [[ -n "$cores" && "$cores" -ge 4 ]]; then
-        echo "    staged-pipeline scaling at 4 threads: ${scaling}x"
-        awk -v s="$scaling" 'BEGIN { exit !(s != "" && s >= 2.0) }' || {
-            echo "tier-1: FAIL — 4-thread scaling ${scaling}x below floor 2.0x (cores=${cores})" >&2
-            exit 1
-        }
-    else
-        echo "    staged-pipeline scaling gate inert (cores=${cores} < 4)"
-    fi
 
     echo "==> standing-query smoke bench (quick)"
     cargo run --release -q -p setstream-bench --bin subs_bench -- \

@@ -13,7 +13,9 @@
 use bytes::Bytes;
 use setstream_apps::core::SketchFamily;
 use setstream_apps::distributed::{Coordinator, Site};
-use setstream_apps::engine::{QualityConfig, QualityMonitor, StreamEngine};
+use setstream_apps::engine::{
+    QualityConfig, QualityMonitor, StreamEngine, SubscriptionId, SubscriptionOptions,
+};
 use setstream_apps::obs::AlarmKind;
 use setstream_apps::stream::{StreamId, Update};
 
@@ -27,15 +29,27 @@ fn workload() -> Vec<Update> {
     updates
 }
 
-fn engine_over(copies: usize, second_level: u32, updates: &[Update]) -> StreamEngine {
+/// An engine over `updates` whose one subscription is `A | B`, with the
+/// epoch published. Engines number their subscriptions alike, so every
+/// engine built here returns the same id.
+fn engine_over(
+    copies: usize,
+    second_level: u32,
+    updates: &[Update],
+) -> (StreamEngine, SubscriptionId) {
     let family = SketchFamily::builder()
         .copies(copies)
         .second_level(second_level)
         .seed(11)
         .build();
     let mut engine = StreamEngine::new(family);
+    let expr = "A | B".parse().expect("parses");
+    let union = engine
+        .subscribe(expr, SubscriptionOptions::default())
+        .expect("subscribes");
     engine.process_batch(updates);
-    engine
+    engine.publish_epoch();
+    (engine, union)
 }
 
 fn alarm_counts(monitor: &QualityMonitor, kind: AlarmKind) -> (u64, u64) {
@@ -59,11 +73,11 @@ fn undersized_family_raises_error_budget_alarm_and_planned_family_clears_it() {
         ..QualityConfig::default()
     })
     .expect("valid config");
-    monitor.watch("union", "A | B").expect("parses");
     monitor.observe_batch(&updates);
 
     // r = 8 copies is far below any (ε, δ) plan for a 18k-element union.
-    let starved = engine_over(8, 4, &updates);
+    let (starved, union) = engine_over(8, 4, &updates);
+    monitor.watch("union", union);
     let reports = monitor.evaluate(&starved);
     let err = reports[0].relative_error.expect("shadow is populated");
     assert!(
@@ -73,7 +87,7 @@ fn undersized_family_raises_error_budget_alarm_and_planned_family_clears_it() {
 
     // A properly sized family recovers: the same monitor, the same
     // shadow truth, an in-budget estimate.
-    let healthy = engine_over(1024, 64, &updates);
+    let (healthy, _) = engine_over(1024, 64, &updates);
     let reports = monitor.evaluate(&healthy);
     let err = reports[0].relative_error.expect("shadow is populated");
     assert!(
