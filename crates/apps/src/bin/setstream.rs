@@ -31,39 +31,15 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
+/// Runs one command. An unknown or missing command prints the usage and
+/// exits 2; any other failure prints its one `error:` line and exits 1.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-const USAGE: &str = "usage:
-  setstream estimate \"<expr>\" --trace <file> [--copies N] [--second-level S] [--seed N]
-  setstream exact    \"<expr>\" --trace <file>
-  setstream generate --streams N --union U --expr \"<expr>\" --ratio R [--seed N]
-  setstream plan     --epsilon E --delta D [--ratio R]
-  setstream simplify \"<expr>\"
-  setstream cells    \"<expr>\" --streams N
-  setstream subscribe \"SUBSCRIBE <expr> TOLERANCE <tol>\" ... --trace <file> [--epochs N] [--copies N] [--second-level S] [--seed N]
-  setstream stats    [--rounds N] [--sites N] [--events N] [--seed N] [--sample R]
-  setstream serve    [--port P] [--listen HOST:PORT] [--fault-dup P] [--fault-drop P] [--rounds N] [--interval-ms M] [--sites N] [--events N] [--seed N] [--sample R]
-  setstream site     --connect HOST:PORT [--id N] [--rounds N] [--events N] [--seed N] [--copies N] [--second-level S]
-  setstream scrape   --addr HOST:PORT [--path /metrics]
-  setstream top      --addr HOST:PORT [--interval SECS] [--iterations N]
-  setstream lineage  --addr HOST:PORT [--stream N] [--epoch N]";
-
-fn run(args: &[String]) -> Result<(), String> {
-    let mut it = args.iter();
-    let command = it.next().ok_or("missing command")?;
-    let rest: Vec<&String> = it.collect();
-    match command.as_str() {
+    let Some((command, rest)) = args.split_first() else {
+        return usage_error("missing command");
+    };
+    let rest: Vec<&String> = rest.iter().collect();
+    let result = match command.as_str() {
         "estimate" => cmd_estimate(&rest),
         "exact" => cmd_exact(&rest),
         "generate" => cmd_generate(&rest),
@@ -81,9 +57,36 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => return usage_error(&format!("unknown command {other:?}")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(1)
+        }
     }
 }
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}\n\n{USAGE}");
+    ExitCode::from(2)
+}
+
+const USAGE: &str = "usage:
+  setstream estimate \"<expr>\" --trace <file> [--copies N] [--second-level S] [--seed N]
+  setstream exact    \"<expr>\" --trace <file>
+  setstream generate --streams N --union U --expr \"<expr>\" --ratio R [--seed N]
+  setstream plan     --epsilon E --delta D [--ratio R]
+  setstream simplify \"<expr>\"
+  setstream cells    \"<expr>\" --streams N
+  setstream subscribe \"SUBSCRIBE <expr> TOLERANCE <tol>\" ... --trace <file> [--epochs N] [--copies N] [--second-level S] [--seed N]
+  setstream stats    [--rounds N] [--sites N] [--events N] [--seed N] [--sample R]
+  setstream serve    [--port P] [--listen HOST:PORT] [--fault-dup P] [--fault-drop P] [--rounds N] [--interval-ms M] [--sites N] [--events N] [--seed N] [--sample R]
+  setstream site     --connect HOST:PORT [--id N] [--rounds N] [--events N] [--seed N] [--copies N] [--second-level S]
+  setstream scrape   --addr HOST:PORT [--path /metrics]
+  setstream top      --addr HOST:PORT [--interval SECS] [--iterations N]
+  setstream lineage  --addr HOST:PORT [--stream N] [--epoch N]";
 
 /// Split positional arguments from `--flag value` pairs.
 fn parse_flags<'a>(rest: &[&'a String]) -> Result<(Vec<&'a str>, BTreeMap<&'a str, &'a str>), String> {

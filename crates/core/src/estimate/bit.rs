@@ -7,19 +7,16 @@
 //! the deletion capability for an 64× larger `r` at the same memory
 //! budget (`ablation_memory` quantifies the win).
 //!
-//! The algorithms are identical to the counter versions — occupancy and
-//! singleton signatures read the same cells — so for insert-only input a
-//! bit estimate equals the counter estimate built with the same coins
-//! (tested below).
-//!
-//! analyze: allow(indexing) — estimator kernel: per-copy/per-level indices are bounded by `witness::validate_vectors`' dimension check
+//! The estimator is the counter one: the union count and the witness scan
+//! read each bit sketch's [`crate::sketch::Occupancy`] view, which for
+//! insert-only input equals the summary of the counter sketch built with
+//! the same coins — so the estimates are equal too (tested below).
 
-use super::{union_est, witness, Estimate, EstimatorOptions, WitnessMode};
+use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchFamily;
 use crate::sketch::BitSketch;
 use serde::{Deserialize, Serialize};
-use setstream_expr::SetExpr;
 use setstream_stream::{Element, StreamId};
 
 /// An `r`-copy bit-sketch synopsis of one insert-only stream.
@@ -63,15 +60,21 @@ impl BitSketchVector {
 
     /// Bitwise-OR merge with another site's synopsis of the same stream.
     pub fn merge_from(&mut self, other: &BitSketchVector) -> Result<(), EstimateError> {
-        if self.family != other.family {
-            return Err(EstimateError::Incompatible(
-                "bit sketch vectors from different families".into(),
-            ));
-        }
+        self.check_compatible(other)?;
         for (a, b) in self.sketches.iter_mut().zip(&other.sketches) {
             a.merge_from(b)?;
         }
         Ok(())
+    }
+
+    fn check_compatible(&self, other: &BitSketchVector) -> Result<(), EstimateError> {
+        if self.family == other.family {
+            Ok(())
+        } else {
+            Err(EstimateError::Incompatible(
+                "bit sketch vectors from different families".into(),
+            ))
+        }
     }
 
     /// Total storage of the packed cell grids, in bytes.
@@ -80,154 +83,21 @@ impl BitSketchVector {
     }
 }
 
-fn validate(vectors: &[&BitSketchVector]) -> Result<usize, EstimateError> {
-    let (first, rest) = vectors
-        .split_first()
-        .ok_or_else(|| EstimateError::Incompatible("no bit sketch vectors supplied".into()))?;
-    for v in rest {
-        if v.family != first.family {
-            return Err(EstimateError::Incompatible(
-                "bit sketch vectors from different families".into(),
-            ));
-        }
-    }
-    Ok(first.copies())
-}
-
-/// Set-union estimate over bit synopses (Figure 5 / pooled, per
-/// `opts.union_mode`).
-fn bit_union(
-    vectors: &[&BitSketchVector],
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    opts.validate();
-    let r = validate(vectors)?;
-    let levels = vectors[0].family.config().levels;
-    let mut counts = vec![0usize; levels as usize];
-    for i in 0..r {
-        for (level, slot) in counts.iter_mut().enumerate() {
-            if vectors
-                .iter()
-                .any(|v| !v.sketches[i].is_level_empty(level as u32))
-            {
-                *slot += 1;
-            }
-        }
-    }
-    let (value, level_used) = match opts.union_mode {
-        super::UnionMode::PaperLevel => union_est::paper_level_estimate(&counts, r, opts.epsilon),
-        super::UnionMode::Pooled => (union_est::pooled_estimate(&counts, r), 0),
-    };
-    Ok(Estimate {
-        value,
-        method: super::EstimateMethod::BitSketch,
-        union_estimate: value,
-        valid_observations: r,
-        witness_hits: counts.get(level_used).copied().unwrap_or(0),
-        copies: r,
-    })
-}
-
-/// Is the union of bucket `level` over all sketches a singleton? (Bit
-/// variant of `singleton_union_bucket_many`.)
-fn bit_singleton_union_many(sketches: &[&BitSketch], level: u32) -> bool {
-    let Some(first) = sketches.first() else {
-        return false;
-    };
-    if sketches.iter().all(|s| s.is_level_empty(level)) {
-        return false;
-    }
-    for j in 0..first.config().second_level {
-        let zero = sketches.iter().any(|s| s.cell(level, j, 0));
-        let one = sketches.iter().any(|s| s.cell(level, j, 1));
-        if zero && one {
-            return false;
-        }
-    }
-    true
-}
-
-/// General set-expression estimate over bit synopses (§4's algorithm on
-/// the compact representation).
-fn bit_expression(
-    expr: &SetExpr,
-    streams: &[(StreamId, &BitSketchVector)],
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    opts.validate();
-    let mut participating: Vec<(StreamId, &BitSketchVector)> = Vec::new();
-    for id in expr.streams() {
-        let v = streams
-            .iter()
-            .find(|&&(sid, _)| sid == id)
-            .map(|&(_, v)| v)
-            .ok_or(EstimateError::MissingStream(id.0))?;
-        participating.push((id, v));
-    }
-    let vectors: Vec<&BitSketchVector> = participating.iter().map(|&(_, v)| v).collect();
-    let copies = validate(&vectors)?;
-    let u_hat = bit_union(&vectors, opts)?.value;
-    if u_hat == 0.0 {
-        return Ok(Estimate {
-            value: 0.0,
-            method: super::EstimateMethod::TrivialEmpty,
-            union_estimate: 0.0,
-            valid_observations: 0,
-            witness_hits: 0,
-            copies,
-        });
-    }
-
-    let levels = vectors[0].family.config().levels;
-    let range: std::ops::Range<u32> = match opts.witness_mode {
-        WitnessMode::SingleBucket => {
-            let idx = witness::witness_index(u_hat, levels, opts);
-            idx..idx + 1
-        }
-        WitnessMode::AllLevels => 0..levels,
-    };
-    let ids: Vec<StreamId> = participating.iter().map(|&(id, _)| id).collect();
-    let mut valid = 0usize;
-    let mut hits = 0usize;
-    let mut copy_sketches: Vec<&BitSketch> = Vec::with_capacity(vectors.len());
-    for i in 0..copies {
-        copy_sketches.clear();
-        copy_sketches.extend(vectors.iter().map(|v| &v.sketches[i]));
-        for level in range.clone() {
-            if bit_singleton_union_many(&copy_sketches, level) {
-                valid += 1;
-                let witness_hit = expr.eval_bool(&|sid| {
-                    ids.iter()
-                        .position(|&id| id == sid)
-                        .is_some_and(|k| !copy_sketches[k].is_level_empty(level))
-                });
-                if witness_hit {
-                    hits += 1;
-                }
-            }
-        }
-    }
-    if valid == 0 {
-        return Err(EstimateError::NoValidObservations);
-    }
-    Ok(Estimate {
-        value: hits as f64 / valid as f64 * u_hat,
-        method: super::EstimateMethod::BitSketch,
-        union_estimate: u_hat,
-        valid_observations: valid,
-        witness_hits: hits,
-        copies,
-    })
-}
-
-/// `|A ∩ B|` over bit synopses.
+/// `|A ∩ B|` over bit synopses: the witness estimator on `A ∩ B`, with
+/// the union estimate at `ε/3` like [`super::intersection`].
 pub fn bit_intersection(
     a: &BitSketchVector,
     b: &BitSketchVector,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    let expr = SetExpr::stream(0).intersect(SetExpr::stream(1));
-    bit_expression(&expr, &[(StreamId(0), a), (StreamId(1), b)], opts)
+    opts.validate();
+    a.check_compatible(b)?;
+    let levels = a.family.config().levels;
+    let u_hat =
+        union_est::union_of(&[a.sketches(), b.sketches()], levels, &union_est::inner_options(opts))
+            .value;
+    let streams = [(StreamId(0), a.sketches()), (StreamId(1), b.sketches())];
+    witness::estimate(&super::a_and_b(), &streams, levels, u_hat, opts)
 }
 
 #[cfg(test)]
@@ -259,17 +129,15 @@ mod tests {
     fn bit_estimates_equal_counter_estimates_insert_only() {
         let f = family(128);
         let (ba, bb, ca, cb) = pair(&f);
-        let opts = EstimatorOptions::default();
-
-        let bu = bit_union(&[&ba, &bb], &opts).unwrap();
-        let cu = super::super::union(&[&ca, &cb], &opts).unwrap();
-        assert_eq!(bu.value, cu.value, "union");
-
-        let bi = bit_intersection(&ba, &bb, &opts).unwrap();
-        let ci = super::super::intersection(&ca, &cb, &opts).unwrap();
-        assert_eq!(bi.value, ci.value, "intersection");
-        assert_eq!(bi.valid_observations, ci.valid_observations);
-        assert_eq!(bi.witness_hits, ci.witness_hits);
+        for opts in [EstimatorOptions::default(), EstimatorOptions::paper()] {
+            let bi = bit_intersection(&ba, &bb, &opts).unwrap();
+            let ci = super::super::intersection(&ca, &cb, &opts).unwrap();
+            assert_eq!(bi.value.to_bits(), ci.value.to_bits(), "{opts:?}");
+            assert_eq!(bi.union_estimate.to_bits(), ci.union_estimate.to_bits(), "{opts:?}");
+            assert_eq!(bi.valid_observations, ci.valid_observations, "{opts:?}");
+            assert_eq!(bi.witness_hits, ci.witness_hits, "{opts:?}");
+            assert_eq!(bi.copies, ci.copies, "{opts:?}");
+        }
     }
 
     #[test]
@@ -296,8 +164,8 @@ mod tests {
         a.merge_from(&b).unwrap();
         let opts = EstimatorOptions::default();
         assert_eq!(
-            bit_union(&[&a], &opts).unwrap().value,
-            bit_union(&[&both], &opts).unwrap().value
+            bit_intersection(&a, &a, &opts).unwrap(),
+            bit_intersection(&both, &both, &opts).unwrap()
         );
     }
 
@@ -307,27 +175,16 @@ mod tests {
         let mut other = family(16);
         other = SketchFamily::new(*other.config(), 16, 12345);
         let b = BitSketchVector::new(other);
-        assert!(bit_union(&[&a, &b], &EstimatorOptions::default()).is_err());
+        assert!(bit_intersection(&a, &b, &EstimatorOptions::default()).is_err());
         let mut a2 = a.clone();
         assert!(a2.merge_from(&b).is_err());
-    }
-
-    #[test]
-    fn missing_stream_reported() {
-        let f = family(16);
-        let a = BitSketchVector::new(f);
-        let expr: SetExpr = "A & B".parse().unwrap();
-        assert!(matches!(
-            bit_expression(&expr, &[(StreamId(0), &a)], &EstimatorOptions::default()),
-            Err(EstimateError::MissingStream(1))
-        ));
     }
 
     #[test]
     fn empty_bit_union_is_zero() {
         let f = family(16);
         let a = BitSketchVector::new(f);
-        let e = bit_union(&[&a], &EstimatorOptions::default()).unwrap();
+        let e = bit_intersection(&a, &a, &EstimatorOptions::default()).unwrap();
         assert_eq!(e.value, 0.0);
     }
 

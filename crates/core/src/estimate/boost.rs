@@ -87,9 +87,7 @@ pub fn intersection_boosted(
     groups: usize,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    median_of_groups(a, b, groups, opts, |x, y, o| {
-        super::intersection::intersection(x, y, o)
-    })
+    median_of_groups(a, b, groups, opts, super::intersection)
 }
 
 /// Median-of-groups boosted difference estimate.
@@ -99,9 +97,7 @@ pub fn difference_boosted(
     groups: usize,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    median_of_groups(a, b, groups, opts, |x, y, o| {
-        super::difference::difference(x, y, o)
-    })
+    median_of_groups(a, b, groups, opts, super::difference)
 }
 
 #[cfg(test)]

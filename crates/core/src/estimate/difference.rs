@@ -1,65 +1,15 @@
-//! The set-difference estimator (`SetDifferenceEstimator` /
-//! `AtomicDiffEstimator`, Figure 6).
+//! Tests of the set-difference estimator (`SetDifferenceEstimator` /
+//! `AtomicDiffEstimator`, Figure 6), which [`super::difference`] runs as
+//! the §4 estimator on `A − B`.
 //!
 //! Witness condition (§3.4): the probed bucket is a non-empty singleton for
 //! `A` and empty for `B`, given that it is a singleton for `A ∪ B`; the
 //! conditional probability of this event is exactly `|A − B| / |A ∪ B|`.
 
-use super::{union_est, witness, Estimate, EstimatorOptions};
-use crate::error::EstimateError;
-use crate::family::SketchVector;
-use crate::sketch::singleton_levels;
-
-/// Estimate `|A − B|`, deriving the union estimate `û` internally (with a
-/// tightened `ε/3`, as the analysis requires).
-pub fn difference(
-    a: &SketchVector,
-    b: &SketchVector,
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    opts.validate();
-    let union_opts = EstimatorOptions {
-        epsilon: opts.epsilon / 3.0,
-        ..*opts
-    };
-    let u_hat = union_est::union(&[a, b], &union_opts)?.value;
-    difference_with_union(a, b, u_hat, opts)
-}
-
-/// Estimate `|A − B|` scaling by a caller-supplied `û`.
-pub fn difference_with_union(
-    a: &SketchVector,
-    b: &SketchVector,
-    u_hat: f64,
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    opts.validate();
-    let vectors = [a, b];
-    let copies = witness::validate_vectors(&vectors)?;
-    if u_hat == 0.0 {
-        // Empty union ⇒ empty difference; no witness needed.
-        return Ok(Estimate {
-            value: 0.0,
-            method: super::EstimateMethod::TrivialEmpty,
-            union_estimate: 0.0,
-            valid_observations: 0,
-            witness_hits: 0,
-            copies,
-        });
-    }
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
-        // Witness of A − B: singleton in A, empty in B (Fig. 6 step 5).
-        // analyze: allow(indexing) — binary estimator: `collect` passes one sketch per input vector
-        singleton_levels(sketches[0]) & !sketches[1].occupied_levels()
-    });
-    witness::finish(counts, u_hat, copies)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::estimate::WitnessMode;
-    use crate::family::SketchFamily;
+    use crate::estimate::{difference, difference_with_union, EstimatorOptions, WitnessMode};
+    use crate::family::{SketchFamily, SketchVector};
 
     fn family(r: usize) -> SketchFamily {
         SketchFamily::builder().copies(r).second_level(16).seed(5).build()

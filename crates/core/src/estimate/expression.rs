@@ -11,7 +11,6 @@
 use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
-use crate::sketch::TwoLevelSketch;
 use setstream_expr::SetExpr;
 use setstream_stream::StreamId;
 
@@ -29,11 +28,7 @@ pub fn expression(
     opts.validate();
     let participating = resolve(expr, streams)?;
     let vectors: Vec<&SketchVector> = participating.iter().map(|&(_, v)| v).collect();
-    let union_opts = EstimatorOptions {
-        epsilon: opts.epsilon / 3.0,
-        ..*opts
-    };
-    let u_hat = union_est::union(&vectors, &union_opts)?.value;
+    let u_hat = union_est::union(&vectors, &union_est::inner_options(opts))?.value;
     estimate_with(expr, &participating, u_hat, opts)
 }
 
@@ -75,35 +70,10 @@ fn estimate_with(
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
     let vectors: Vec<&SketchVector> = participating.iter().map(|&(_, v)| v).collect();
-    let copies = witness::validate_vectors(&vectors)?;
-    if u_hat == 0.0 {
-        return Ok(Estimate {
-            value: 0.0,
-            method: super::EstimateMethod::TrivialEmpty,
-            union_estimate: 0.0,
-            valid_observations: 0,
-            witness_hits: 0,
-            copies,
-        });
-    }
-    let ids: Vec<StreamId> = participating.iter().map(|&(id, _)| id).collect();
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
-        // B(E) over every level of the copy at once: stream Aᵢ "present"
-        // at a level iff its bucket there is non-empty; valid because the
-        // bucket is a union singleton, so non-emptiness pins the one
-        // element's membership in Aᵢ.
-        expr.eval_bits(&|sid| occupancy(&ids, sketches, sid))
-    });
-    witness::finish(counts, u_hat, copies)
-}
-
-/// Stream `sid`'s occupied levels in one copy: `sketches` is
-/// index-aligned with `ids`; a stream not among them is absent everywhere.
-fn occupancy(ids: &[StreamId], sketches: &[&TwoLevelSketch], sid: StreamId) -> u64 {
-    ids.iter()
-        .zip(sketches)
-        .find(|&(&id, _)| id == sid)
-        .map_or(0, |(_, sk)| sk.occupied_levels())
+    let levels = witness::validate_vectors(&vectors)?.config().levels;
+    let streams: Vec<(StreamId, &[_])> =
+        participating.iter().map(|&(id, v)| (id, v.sketches())).collect();
+    witness::estimate(expr, &streams, levels, u_hat, opts)
 }
 
 #[cfg(test)]

@@ -1,62 +1,15 @@
-//! The set-intersection estimator (`SetIntersectionEstimator`, §3.5).
+//! Tests of the set-intersection estimator (`SetIntersectionEstimator`,
+//! §3.5), which [`super::intersection`] runs as the §4 estimator on
+//! `A ∩ B`.
 //!
-//! Identical structure to the difference estimator; the witness condition
-//! becomes "the probed bucket is a singleton in *both* `A` and `B`" —
-//! given a union-singleton bucket, both singletons necessarily hold the
-//! same element, so it witnesses `A ∩ B`.
-
-use super::{union_est, witness, Estimate, EstimatorOptions};
-use crate::error::EstimateError;
-use crate::family::SketchVector;
-use crate::sketch::singleton_levels;
-
-/// Estimate `|A ∩ B|`, deriving the union estimate internally.
-pub fn intersection(
-    a: &SketchVector,
-    b: &SketchVector,
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    opts.validate();
-    let union_opts = EstimatorOptions {
-        epsilon: opts.epsilon / 3.0,
-        ..*opts
-    };
-    let u_hat = union_est::union(&[a, b], &union_opts)?.value;
-    intersection_with_union(a, b, u_hat, opts)
-}
-
-/// Estimate `|A ∩ B|` scaling by a caller-supplied `û`.
-pub fn intersection_with_union(
-    a: &SketchVector,
-    b: &SketchVector,
-    u_hat: f64,
-    opts: &EstimatorOptions,
-) -> Result<Estimate, EstimateError> {
-    opts.validate();
-    let vectors = [a, b];
-    let copies = witness::validate_vectors(&vectors)?;
-    if u_hat == 0.0 {
-        return Ok(Estimate {
-            value: 0.0,
-            method: super::EstimateMethod::TrivialEmpty,
-            union_estimate: 0.0,
-            valid_observations: 0,
-            witness_hits: 0,
-            copies,
-        });
-    }
-    let counts = witness::collect(&vectors, u_hat, opts, |sketches, _| {
-        // Witness of A ∩ B (§3.5): singleton in A and singleton in B.
-        // analyze: allow(indexing) — binary estimator: `collect` passes one sketch per input vector
-        singleton_levels(sketches[0]) & singleton_levels(sketches[1])
-    });
-    witness::finish(counts, u_hat, copies)
-}
+//! The witness condition is "the probed bucket is a singleton in *both*
+//! `A` and `B`" — given a union-singleton bucket, both singletons
+//! necessarily hold the same element, so it witnesses `A ∩ B`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::family::SketchFamily;
+    use crate::estimate::{intersection, EstimatorOptions};
+    use crate::family::{SketchFamily, SketchVector};
 
     fn family(r: usize) -> SketchFamily {
         SketchFamily::builder().copies(r).second_level(16).seed(15).build()

@@ -2,13 +2,18 @@
 //!
 //! * [`union`] — the specialized `SetUnionEstimator` of Figure 5 (plus a
 //!   variance-pooled refinement, see [`UnionMode`]);
-//! * [`difference`] / [`intersection`] — the witness-based estimators of
-//!   §3.4–3.5 (Figure 6);
-//! * [`expression`] — the general set-expression estimator of §4 via the
-//!   Boolean mapping `B(E)`.
+//! * [`expression`] — the witness estimator: the general set-expression
+//!   estimator of §4 via the Boolean mapping `B(E)`;
+//! * [`difference`] / [`intersection`] — §3.4–3.5's estimators (Figure 6),
+//!   which are [`expression`] on `A − B` and `A ∩ B`: on a bucket that is
+//!   a singleton for the union, `B(E)` is exactly their witness test;
+//! * [`bit_intersection`] — the same estimator over insert-only bit
+//!   synopses.
 //!
-//! All estimators are read-only over the synopses: the same maintained
-//! sketches answer any number of ad-hoc queries (Figure 1).
+//! One union count and one witness scan serve every estimator and both
+//! sketch kinds: they read each sketch's [`crate::sketch::Occupancy`]
+//! view. All estimators are read-only over the synopses: the same
+//! maintained sketches answer any number of ad-hoc queries (Figure 1).
 //!
 //! # Witness scanning modes
 //!
@@ -28,8 +33,10 @@
 
 mod bit;
 mod boost;
+#[cfg(test)]
 mod difference;
 mod expression;
+#[cfg(test)]
 mod intersection;
 mod union_est;
 mod witness;
@@ -40,7 +47,10 @@ pub use expression::{expression, expression_with_union};
 pub use union_est::union;
 
 use crate::error::EstimateError;
+use crate::family::SketchVector;
 use serde::{Deserialize, Serialize};
+use setstream_expr::SetExpr;
+use setstream_stream::StreamId;
 
 /// Which first-level buckets the witness estimators probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,8 +139,6 @@ pub enum EstimateMethod {
     Witness,
     /// Median-of-groups boosting over witness estimates.
     MedianBoost,
-    /// A bit-sketch baseline estimator.
-    BitSketch,
     /// Trivial short-circuit: the union estimate was zero, so the answer
     /// is exactly 0 with no witness semantics.
     TrivialEmpty,
@@ -143,7 +151,6 @@ impl EstimateMethod {
             EstimateMethod::Union => "union",
             EstimateMethod::Witness => "witness",
             EstimateMethod::MedianBoost => "median_boost",
-            EstimateMethod::BitSketch => "bit_sketch",
             EstimateMethod::TrivialEmpty => "trivial_empty",
         }
     }
@@ -264,44 +271,56 @@ impl Estimate {
     }
 }
 
-/// Witness-based estimate for `|A − B|` (§3.4).
+/// Witness-based estimate for `|A − B|` (§3.4): [`expression`] on
+/// `A − B`.
 ///
 /// `a` and `b` must come from the same [`crate::SketchFamily`].
 pub fn difference(
-    a: &crate::SketchVector,
-    b: &crate::SketchVector,
+    a: &SketchVector,
+    b: &SketchVector,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    difference::difference(a, b, opts)
+    expression(&a_minus_b(), &[(StreamId(0), a), (StreamId(1), b)], opts)
 }
 
 /// Witness-based estimate for `|A − B|` with a caller-supplied union
 /// estimate (e.g. reused across several queries).
 pub fn difference_with_union(
-    a: &crate::SketchVector,
-    b: &crate::SketchVector,
+    a: &SketchVector,
+    b: &SketchVector,
     u_hat: f64,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    difference::difference_with_union(a, b, u_hat, opts)
+    expression_with_union(&a_minus_b(), &[(StreamId(0), a), (StreamId(1), b)], u_hat, opts)
 }
 
-/// Witness-based estimate for `|A ∩ B|` (§3.5).
+/// Witness-based estimate for `|A ∩ B|` (§3.5): [`expression`] on
+/// `A ∩ B`.
 pub fn intersection(
-    a: &crate::SketchVector,
-    b: &crate::SketchVector,
+    a: &SketchVector,
+    b: &SketchVector,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    intersection::intersection(a, b, opts)
+    expression(&a_and_b(), &[(StreamId(0), a), (StreamId(1), b)], opts)
 }
 
 /// Witness-based estimate for `|A ∩ B|` with a caller-supplied union
 /// estimate.
 pub fn intersection_with_union(
-    a: &crate::SketchVector,
-    b: &crate::SketchVector,
+    a: &SketchVector,
+    b: &SketchVector,
     u_hat: f64,
     opts: &EstimatorOptions,
 ) -> Result<Estimate, EstimateError> {
-    intersection::intersection_with_union(a, b, u_hat, opts)
+    expression_with_union(&a_and_b(), &[(StreamId(0), a), (StreamId(1), b)], u_hat, opts)
+}
+
+/// `A − B` over streams 0 and 1.
+fn a_minus_b() -> SetExpr {
+    SetExpr::stream(0).diff(SetExpr::stream(1))
+}
+
+/// `A ∩ B` over streams 0 and 1.
+fn a_and_b() -> SetExpr {
+    SetExpr::stream(0).intersect(SetExpr::stream(1))
 }

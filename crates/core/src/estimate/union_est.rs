@@ -4,14 +4,15 @@
 //! The union estimator needs only first-level bucket *occupancy* — no
 //! second-level signatures — which is why the paper notes union could run
 //! on a plain extension of the FM structure. We read occupancy straight
-//! off the 2-level sketches' summaries: one OR of level masks per copy.
+//! off the sketches' [`Occupancy`] views: one OR of level masks per copy.
 //!
 //! analyze: allow(indexing) — estimator kernel: per-copy/per-level indices are bounded by `witness::validate_vectors`' dimension check
 
-use super::{Estimate, EstimatorOptions, UnionMode};
+use super::{witness, Estimate, EstimatorOptions, UnionMode};
 use crate::error::EstimateError;
 use crate::family::SketchVector;
 use crate::sketch::two_level::levels_of;
+use crate::sketch::Occupancy;
 
 /// Estimate `|A₁ ∪ … ∪ A_k|` from the streams' sketch vectors.
 ///
@@ -21,21 +22,26 @@ use crate::sketch::two_level::levels_of;
 /// estimator of §4 needs).
 pub fn union(vectors: &[&SketchVector], opts: &EstimatorOptions) -> Result<Estimate, EstimateError> {
     opts.validate();
-    let (first, rest) = vectors
-        .split_first()
-        .ok_or_else(|| EstimateError::Incompatible("no sketch vectors supplied".into()))?;
-    for v in rest {
-        first.check_compatible(v)?;
-    }
-    let r = first.copies();
-    let levels = first.family().config().levels;
+    let levels = witness::validate_vectors(vectors)?.config().levels;
+    let sketches: Vec<&[_]> = vectors.iter().map(|v| v.sketches()).collect();
+    Ok(union_of(&sketches, levels, opts))
+}
 
+/// The union estimate over the streams' sketch copies (`streams[k][i]` is
+/// copy `i` of stream `k`, all from one family with `levels` first-level
+/// buckets).
+pub(super) fn union_of<S: Occupancy>(
+    streams: &[&[S]],
+    levels: u32,
+    opts: &EstimatorOptions,
+) -> Estimate {
+    let r = streams.first().map_or(0, |s| s.len());
     // Per-level counts of copies whose union bucket is non-empty.
     let mut counts = vec![0usize; levels as usize];
     for i in 0..r {
-        let occupied = vectors
+        let occupied = streams
             .iter()
-            .fold(0u64, |m, v| m | v.sketches()[i].occupied_levels());
+            .fold(0u64, |m, s| m | s[i].occupied_levels());
         for level in levels_of(occupied) {
             counts[level as usize] += 1;
         }
@@ -46,19 +52,28 @@ pub fn union(vectors: &[&SketchVector], opts: &EstimatorOptions) -> Result<Estim
         UnionMode::Pooled => (pooled_estimate(&counts, r), 0),
     };
 
-    Ok(Estimate {
+    Estimate {
         value,
         method: super::EstimateMethod::Union,
         union_estimate: value,
         valid_observations: r,
         witness_hits: counts.get(level_used).copied().unwrap_or(0),
         copies: r,
-    })
+    }
+}
+
+/// The options for the union estimate inside a witness estimate: the
+/// analysis splits the error budget, so `û` runs at `ε/3`.
+pub(super) fn inner_options(opts: &EstimatorOptions) -> EstimatorOptions {
+    EstimatorOptions {
+        epsilon: opts.epsilon / 3.0,
+        ..*opts
+    }
 }
 
 /// Figure 5: find the first level where the non-empty count drops to
 /// `f = (1+ε)r/8`, then invert `p = 1 − (1 − 1/R)^u`.
-pub(super) fn paper_level_estimate(counts: &[usize], r: usize, epsilon: f64) -> (f64, usize) {
+fn paper_level_estimate(counts: &[usize], r: usize, epsilon: f64) -> (f64, usize) {
     let f = (1.0 + epsilon) * r as f64 / 8.0;
     let mut index = 0usize;
     while index + 1 < counts.len() && counts[index] as f64 > f {
@@ -69,7 +84,7 @@ pub(super) fn paper_level_estimate(counts: &[usize], r: usize, epsilon: f64) -> 
 
 /// Solve `count/r = 1 − (1 − 1/R)^u` for `u` at level `index`
 /// (`R = 2^{index+1}`), Lemma 3.2 justifying the direct substitution.
-pub(super) fn invert_occupancy(count: usize, r: usize, index: usize) -> f64 {
+fn invert_occupancy(count: usize, r: usize, index: usize) -> f64 {
     if count == 0 {
         return 0.0;
     }
@@ -86,7 +101,7 @@ pub(super) fn invert_occupancy(count: usize, r: usize, index: usize) -> f64 {
 /// method; weighting each level's estimate by `1/Var` combines every
 /// usable level instead of discarding all but one. Levels with `count ∈
 /// {0, r}` carry no invertible signal and are skipped.
-pub(super) fn pooled_estimate(counts: &[usize], r: usize) -> f64 {
+fn pooled_estimate(counts: &[usize], r: usize) -> f64 {
     let mut num = 0.0;
     let mut den = 0.0;
     for (j, &count) in counts.iter().enumerate() {

@@ -1,17 +1,22 @@
-//! Shared machinery for the witness-based estimators (§3.4, §3.5, §4).
+//! The witness estimator (§3.4, §3.5, §4), written once for every
+//! expression and both sketch kinds.
 //!
-//! All three follow the same recipe: for each sketch copy, find first-level
-//! buckets that are *singletons for the union* of the participating
-//! streams; each such bucket isolates one uniformly-random element of
-//! `∪Aᵢ`, and the fraction of those elements satisfying the witness
-//! condition estimates `|E| / |∪Aᵢ|`.
+//! For each sketch copy, find first-level buckets that are *singletons for
+//! the union* of the participating streams; each such bucket isolates one
+//! uniformly-random element of `∪Aᵢ`, and the fraction of those elements
+//! satisfying `B(E)` estimates `|E| / |∪Aᵢ|`. On a union-singleton bucket
+//! every stream's bucket is empty or holds that one element, so `B(E)`
+//! over bucket occupancy is Figure 6's difference test for `E = A − B` and
+//! §3.5's intersection test for `E = A ∩ B`.
 //!
 //! analyze: allow(indexing) — estimator kernel: callers pass non-empty, dimension-validated vector sets (see `validate_vectors`)
 
 use super::{Estimate, EstimatorOptions, WitnessMode};
 use crate::error::EstimateError;
-use crate::family::SketchVector;
-use crate::sketch::{singleton_union_levels, TwoLevelSketch};
+use crate::family::{SketchFamily, SketchVector};
+use crate::sketch::{singleton_union_levels, Occupancy};
+use setstream_expr::SetExpr;
+use setstream_stream::StreamId;
 
 /// Tally of witness observations across copies (and levels).
 #[derive(Debug, Default, Clone, Copy)]
@@ -30,24 +35,33 @@ pub(super) fn witness_index(u_hat: f64, levels: u32, opts: &EstimatorOptions) ->
     (index.max(0.0) as u32).min(levels - 1)
 }
 
-/// Scan buckets per `opts.witness_mode`, counting union-singletons and
-/// witness hits, one sketch copy at a time and every level at once.
+/// Estimate `|E|` as `(hits / valid) · û` over the participating streams'
+/// sketch copies (`streams[k].1[i]` is copy `i` of stream `k`, all from
+/// one family with `levels` first-level buckets).
 ///
-/// `witnesses(copy_sketches, valid)` returns the copy's witness levels as
-/// a mask; `valid` holds the copy's union-singleton levels in scope, and
-/// only witness levels among them count as hits. It is called only for
-/// copies with at least one valid level.
-pub(super) fn collect<F>(
-    vectors: &[&SketchVector],
+/// Buckets are scanned per `opts.witness_mode`, one copy at a time and
+/// every level at once: the copy's union-singleton levels are the valid
+/// observations, and those among them where `B(E)` holds over the
+/// streams' occupied levels are the hits. `û = 0` answers exactly 0.
+pub(super) fn estimate<S: Occupancy>(
+    expr: &SetExpr,
+    streams: &[(StreamId, &[S])],
+    levels: u32,
     u_hat: f64,
     opts: &EstimatorOptions,
-    mut witnesses: F,
-) -> WitnessCounts
-where
-    F: FnMut(&[&TwoLevelSketch], u64) -> u64,
-{
-    let r = vectors[0].copies();
-    let levels = vectors[0].family().config().levels;
+) -> Result<Estimate, EstimateError> {
+    let copies = streams.first().map_or(0, |(_, s)| s.len());
+    if u_hat == 0.0 {
+        // Empty union ⇒ empty expression; no witness needed.
+        return Ok(Estimate {
+            value: 0.0,
+            method: super::EstimateMethod::TrivialEmpty,
+            union_estimate: 0.0,
+            valid_observations: 0,
+            witness_hits: 0,
+            copies,
+        });
+    }
     let scope = match opts.witness_mode {
         WitnessMode::SingleBucket => 1u64 << witness_index(u_hat, levels, opts),
         WitnessMode::AllLevels => u64::MAX,
@@ -56,17 +70,26 @@ where
     let mut counts = WitnessCounts::default();
     // Reused per-copy scratch buffer of sketch refs (no allocation per
     // copy).
-    let mut copy_sketches: Vec<&TwoLevelSketch> = Vec::with_capacity(vectors.len());
-    for i in 0..r {
-        copy_sketches.clear();
-        copy_sketches.extend(vectors.iter().map(|v| &v.sketches()[i]));
-        let valid = singleton_union_levels(&copy_sketches, scope);
+    let mut copy: Vec<&S> = Vec::with_capacity(streams.len());
+    for i in 0..copies {
+        copy.clear();
+        copy.extend(streams.iter().map(|(_, s)| &s[i]));
+        let valid = singleton_union_levels(&copy, scope);
         if valid != 0 {
+            // B(E) over every level of the copy at once: stream Aᵢ
+            // "present" at a level iff its bucket there is non-empty.
+            let witnesses = expr.eval_bits(&|sid| {
+                streams
+                    .iter()
+                    .zip(&copy)
+                    .find(|((id, _), _)| *id == sid)
+                    .map_or(0, |(_, sk)| sk.occupied_levels())
+            });
             counts.valid += valid.count_ones() as usize;
-            counts.hits += (witnesses(&copy_sketches, valid) & valid).count_ones() as usize;
+            counts.hits += (witnesses & valid).count_ones() as usize;
         }
     }
-    counts
+    finish(counts, u_hat, copies)
 }
 
 /// Assemble the final estimate `|Ê| = (hits / valid) · û`.
@@ -89,15 +112,17 @@ pub(super) fn finish(
     })
 }
 
-/// Check that all vectors share a family and return the copy count.
-pub(super) fn validate_vectors(vectors: &[&SketchVector]) -> Result<usize, EstimateError> {
+/// Check that all vectors share a family and return it.
+pub(super) fn validate_vectors<'a>(
+    vectors: &[&'a SketchVector],
+) -> Result<&'a SketchFamily, EstimateError> {
     let (first, rest) = vectors
         .split_first()
         .ok_or_else(|| EstimateError::Incompatible("no sketch vectors supplied".into()))?;
     for v in rest {
         first.check_compatible(v)?;
     }
-    Ok(first.copies())
+    Ok(first.family())
 }
 
 #[cfg(test)]

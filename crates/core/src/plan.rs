@@ -161,6 +161,15 @@ mod tests {
     }
 
     #[test]
+    fn plans_over_the_cell_cap_fail_the_family_check() {
+        // ε = δ = 0.05 plans r = 53 964 copies at s = 27: 186 M cells.
+        assert!(Plan::for_union(0.05, 0.05).family(0).check().is_err());
+        // At ρ = 32 the witness theorem asks for about 556 k copies.
+        assert!(Plan::for_witness(0.2, 0.05, 32.0).family(0).check().is_err());
+        assert!(Plan::for_union(0.5, 0.1).family(0).check().is_ok());
+    }
+
+    #[test]
     #[should_panic(expected = "epsilon")]
     fn zero_epsilon_rejected() {
         let _ = Plan::for_union(0.0, 0.1);

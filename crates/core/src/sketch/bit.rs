@@ -3,8 +3,9 @@
 //! §5.1 of the paper sizes synopses assuming "simple bits (instead of
 //! counters) at each cell" for insert-only streams. This type is that
 //! variant: the same `levels × s × 2` cell grid with one bit per cell
-//! (64× smaller than `i64` counters). It supports the same property
-//! checks but **cannot process deletions** — attempting one returns
+//! (64× smaller than `i64` counters). Its [`Occupancy`] view reads the
+//! packed bits, so the property checks and estimators run on it
+//! unchanged, but it **cannot process deletions** — attempting one returns
 //! [`EstimateError::DeletionUnsupported`], which is precisely the failure
 //! mode that motivates counters.
 //!
@@ -13,7 +14,9 @@
 use crate::config::SketchConfig;
 use crate::error::EstimateError;
 use serde::{Deserialize, Serialize};
+use super::checks::Occupancy;
 use super::coins;
+use super::two_level::{sign_width, EVEN_BITS};
 use setstream_hash::{bucket_of, AnyHash, Hash64, PairwiseHashBank};
 use setstream_stream::Element;
 
@@ -21,9 +24,10 @@ use setstream_stream::Element;
 ///
 /// Built from the same `(config, seed)` coins as [`super::TwoLevelSketch`],
 /// so a bit sketch and a counter sketch with equal coins place every
-/// element in the same cells (tested in this module).
+/// element in the same cells (tested in this module). Decoding refuses a
+/// payload with an impossible shape or the wrong number of words.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "BitRepr", into = "BitRepr")]
+#[serde(try_from = "BitRepr", into = "BitRepr")]
 pub struct BitSketch {
     config: SketchConfig,
     seed: u64,
@@ -98,21 +102,6 @@ impl BitSketch {
         Ok(())
     }
 
-    /// Singleton check with bit semantics: the bucket is non-empty and no
-    /// second-level pair has both cells set. Same guarantees as
-    /// [`super::singleton_bucket`] *for insert-only streams*.
-    pub fn singleton_bucket(&self, level: u32) -> bool {
-        if self.is_level_empty(level) {
-            return false;
-        }
-        for j in 0..self.config.second_level {
-            if self.cell(level, j, 0) && self.cell(level, j, 1) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Bitwise-OR merge: the sketch of the concatenated streams.
     pub fn merge_from(&mut self, other: &BitSketch) -> Result<(), EstimateError> {
         if self.config != other.config || self.seed != other.seed {
@@ -146,12 +135,62 @@ struct BitRepr {
     words: Vec<u64>,
 }
 
-impl From<BitRepr> for BitSketch {
-    fn from(r: BitRepr) -> Self {
+/// The levels of `0..levels` for which `test` holds, as a mask.
+fn levels_where(levels: u32, test: impl Fn(u32) -> bool) -> u64 {
+    (0..levels).filter(|&l| test(l)).fold(0, |m, l| m | 1 << l)
+}
+
+/// Reads the packed grid: a level's `2s` bits start at bit `2s·level`,
+/// so its sign words are that window cut into 64-bit words.
+impl Occupancy for BitSketch {
+    fn occupied_levels(&self) -> u64 {
+        levels_where(self.config.levels, |l| !self.is_level_empty(l))
+    }
+
+    fn multi_levels(&self) -> u64 {
+        levels_where(self.config.levels, |l| {
+            (0..self.sign_width()).any(|w| {
+                let x = self.sign_word(l, w);
+                x & x >> 1 & EVEN_BITS != 0
+            })
+        })
+    }
+
+    fn sign_width(&self) -> usize {
+        sign_width(&self.config)
+    }
+
+    fn sign_word(&self, level: u32, w: usize) -> u64 {
+        let row = 2 * self.config.second_level as usize;
+        let Some(len) = row.checked_sub(64 * w).filter(|&len| len > 0) else {
+            return 0;
+        };
+        let start = bit_index(&self.config, level, 0, 0) + 64 * w;
+        let (word, shift) = (start / 64, start % 64);
+        let low = self.words.get(word).map_or(0, |&x| x >> shift);
+        let high = match shift {
+            0 => 0,
+            _ => self.words.get(word + 1).map_or(0, |&x| x << (64 - shift)),
+        };
+        (low | high) & (u64::MAX >> 64usize.saturating_sub(len))
+    }
+}
+
+impl TryFrom<BitRepr> for BitSketch {
+    type Error = EstimateError;
+
+    fn try_from(r: BitRepr) -> Result<Self, EstimateError> {
+        r.config.check().map_err(EstimateError::Corrupt)?;
         let mut s = BitSketch::new(r.config, r.seed);
-        assert_eq!(r.words.len(), s.words.len(), "corrupt bit-sketch payload");
+        if r.words.len() != s.words.len() {
+            return Err(EstimateError::Corrupt(format!(
+                "bit sketch holds {} words, its shape needs {}",
+                r.words.len(),
+                s.words.len()
+            )));
+        }
         s.words = r.words.into_boxed_slice();
-        s
+        Ok(s)
     }
 }
 
@@ -168,7 +207,8 @@ impl From<BitSketch> for BitRepr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::{singleton_bucket, TwoLevelSketch};
+    use crate::sketch::{singleton_bucket, singleton_levels, TwoLevelSketch};
+    use setstream_hash::HashFamily;
 
     fn config() -> SketchConfig {
         SketchConfig {
@@ -209,10 +249,44 @@ mod tests {
             counters.insert(e);
             for level in 0..16 {
                 assert_eq!(
-                    bits.singleton_bucket(level),
+                    singleton_bucket(&bits, level),
                     singleton_bucket(&counters, level),
                     "after {e}, level {level}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_view_matches_counter_summary() {
+        // Rows of 2s bits that end mid-word, fill words exactly, or
+        // straddle two or more.
+        for s in [1u32, 2, 16, 31, 32, 33, 64, 100] {
+            let config = SketchConfig {
+                levels: 16,
+                second_level: s,
+                first_family: HashFamily::KWise(8),
+            };
+            let mut bits = BitSketch::new(config, 17);
+            let mut counters = TwoLevelSketch::new(config, 17);
+            // A lone element on an empty level gives the view a singleton
+            // to show beside the crowded low levels.
+            let lone = (10_000u64..)
+                .find(|&e| counters.is_level_empty(counters.bucket_of(e)))
+                .expect("some level stays empty");
+            for e in (0..2_000u64).chain([lone]) {
+                bits.insert(e);
+                counters.insert(e);
+            }
+            assert_eq!(bits.occupied_levels(), counters.occupied_levels(), "s={s}");
+            assert_eq!(bits.multi_levels(), counters.multi_levels(), "s={s}");
+            assert_ne!(counters.multi_levels(), 0, "s={s}: some level must be a multi");
+            assert_ne!(singleton_levels(&counters), 0, "s={s}: some level must be a singleton");
+            assert_eq!(bits.sign_width(), counters.sign_words(0).len(), "s={s}");
+            for level in 0..config.levels {
+                let words: Vec<u64> =
+                    (0..bits.sign_width()).map(|w| bits.sign_word(level, w)).collect();
+                assert_eq!(words, counters.sign_words(level), "s={s}, level {level}");
             }
         }
     }

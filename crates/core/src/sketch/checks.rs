@@ -12,18 +12,42 @@
 //! frequency hashes to it — exactly the predicate the paper's pseudocode
 //! tests.
 //!
-//! The checks read the sketch's occupancy summary (see
-//! [`TwoLevelSketch`]) rather than its cells: a bucket is a singleton when
-//! its emptiness probe fires and no `gⱼ` has both cells positive, and two
-//! buckets hold the same singleton when their sign words agree. The
-//! `*_levels` forms answer a check for every level at once, as a mask.
+//! The checks read a sketch's [`Occupancy`] view rather than its cells: a
+//! bucket is a singleton when its emptiness probe fires and no `gⱼ` has
+//! both cells positive, and two buckets hold the same singleton when their
+//! sign words agree. The `*_levels` forms answer a check for every level
+//! at once, as a mask.
 
 use super::two_level::{levels_of, TwoLevelSketch, EVEN_BITS};
+
+/// The facts about a sketch's first-level buckets that the property
+/// checks and estimators read: which buckets are occupied, which hold two
+/// or more distinct elements, and which cells are positive.
+///
+/// [`TwoLevelSketch`] answers from its occupancy summary and
+/// [`super::BitSketch`] from its packed bits; on an insert-only stream the
+/// two answer identically for equal coins, so one union count and one
+/// witness scan serve both.
+pub trait Occupancy {
+    /// The levels whose emptiness probe fires, bit `ℓ` for level `ℓ`.
+    fn occupied_levels(&self) -> u64;
+
+    /// The levels where some `gⱼ` has both cells positive, so the bucket
+    /// holds at least two distinct elements.
+    fn multi_levels(&self) -> u64;
+
+    /// Sign words per level, `⌈s/32⌉`.
+    fn sign_width(&self) -> usize;
+
+    /// Word `w` of `level`'s sign words: bit `2j + b` is set iff cell
+    /// `(level, 32w + j, b)` is positive. Bits past the last cell read 0.
+    fn sign_word(&self, level: u32, w: usize) -> u64;
+}
 
 /// The levels whose bucket is a non-empty singleton:
 /// [`singleton_bucket`] for every level at once.
 #[inline]
-pub fn singleton_levels(x: &TwoLevelSketch) -> u64 {
+pub fn singleton_levels<S: Occupancy + ?Sized>(x: &S) -> u64 {
     x.occupied_levels() & !x.multi_levels()
 }
 
@@ -34,7 +58,7 @@ pub fn singleton_levels(x: &TwoLevelSketch) -> u64 {
 /// multi-element bucket with probability `≤ 2^{-s}` (all second-level
 /// functions agree on every pair of its elements); never errs on true
 /// singletons or empty buckets.
-pub fn singleton_bucket(x: &TwoLevelSketch, level: u32) -> bool {
+pub fn singleton_bucket<S: Occupancy + ?Sized>(x: &S, level: u32) -> bool {
     singleton_levels(x) >> level & 1 == 1
 }
 
@@ -83,10 +107,9 @@ pub fn singleton_union_bucket_many(sketches: &[&TwoLevelSketch], level: u32) -> 
 /// A level qualifies when some sketch's emptiness probe fires there and,
 /// with the sketches' sign words OR-ed together, no `gⱼ` has both cells
 /// positive. A sketch with a multi-element bucket already fails that test,
-/// so only levels outside every sketch's [`TwoLevelSketch::multi_levels`]
-/// have their sign words read.
-pub fn singleton_union_levels(sketches: &[&TwoLevelSketch], candidates: u64) -> u64 {
-    debug_assert!(sketches.iter().zip(sketches.iter().skip(1)).all(|(a, b)| a.compatible(b)));
+/// so only levels outside every sketch's [`Occupancy::multi_levels`] have
+/// their sign words read. The sketches must share coins.
+pub fn singleton_union_levels<S: Occupancy>(sketches: &[&S], candidates: u64) -> u64 {
     let (occupied, multi) = sketches.iter().fold((0u64, 0u64), |(o, m), s| {
         (o | s.occupied_levels(), m | s.multi_levels())
     });
@@ -103,13 +126,10 @@ pub fn singleton_union_levels(sketches: &[&TwoLevelSketch], candidates: u64) -> 
 
 /// With the sketches' sign words of `level` OR-ed together, does every
 /// second-level function have at most one positive cell?
-fn one_cell_per_function(sketches: &[&TwoLevelSketch], level: u32) -> bool {
-    let width = sketches.first().map_or(0, |s| s.sign_words(level).len());
+fn one_cell_per_function<S: Occupancy>(sketches: &[&S], level: u32) -> bool {
+    let width = sketches.first().map_or(0, |s| s.sign_width());
     (0..width).all(|w| {
-        let p = sketches
-            .iter()
-            .filter_map(|s| s.sign_words(level).get(w))
-            .fold(0, |p, &x| p | x);
+        let p = sketches.iter().fold(0, |p, s| p | s.sign_word(level, w));
         p & p >> 1 & EVEN_BITS == 0
     })
 }

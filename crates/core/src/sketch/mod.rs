@@ -10,7 +10,7 @@ pub(crate) mod two_level;
 pub use bit::BitSketch;
 pub use checks::{
     identical_singleton_bucket, singleton_bucket, singleton_levels, singleton_union_bucket,
-    singleton_union_bucket_many, singleton_union_levels,
+    singleton_union_bucket_many, singleton_union_levels, Occupancy,
 };
 pub use diagnostics::LevelHistogram;
 pub use two_level::TwoLevelSketch;

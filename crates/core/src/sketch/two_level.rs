@@ -8,6 +8,7 @@ use serde::de::{self, DeserializeSeed, SeqAccess, Visitor};
 use serde::ser::SerializeStruct;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
+use super::checks::Occupancy;
 use super::coins;
 use setstream_hash::{
     bucket_of, hash_many, positive_bits, prefetch, AnyHash, Hash64, PairwiseHashBank,
@@ -534,9 +535,31 @@ impl TwoLevelSketch {
     }
 }
 
+impl Occupancy for TwoLevelSketch {
+    #[inline]
+    fn occupied_levels(&self) -> u64 {
+        self.occupied
+    }
+
+    #[inline]
+    fn multi_levels(&self) -> u64 {
+        self.multi
+    }
+
+    #[inline]
+    fn sign_width(&self) -> usize {
+        sign_width(&self.config)
+    }
+
+    #[inline]
+    fn sign_word(&self, level: u32, w: usize) -> u64 {
+        self.sign_words(level).get(w).copied().unwrap_or(0)
+    }
+}
+
 /// Sign words per level: one bit per cell, `2·s` bits.
 #[inline]
-fn sign_width(config: &SketchConfig) -> usize {
+pub(crate) fn sign_width(config: &SketchConfig) -> usize {
     (config.second_level as usize).div_ceil(32)
 }
 

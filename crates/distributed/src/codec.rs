@@ -748,4 +748,29 @@ mod tests {
             bk2.sample().collect::<Vec<_>>()
         );
     }
+
+    #[test]
+    fn hostile_bit_sketch_payloads_are_refused() {
+        use setstream_core::{BitSketch, SketchConfig};
+
+        /// `BitSketch`'s wire form.
+        #[derive(Serialize)]
+        struct Repr {
+            config: SketchConfig,
+            seed: u64,
+            words: Vec<u64>,
+        }
+        let config = SketchConfig::default();
+        let good = to_bytes(&Repr { config, seed: 3, words: vec![0; 64] }).unwrap();
+        assert!(from_bytes::<BitSketch>(&good).is_ok());
+        // Three words where the shape needs 64.
+        let short = to_bytes(&Repr { config, seed: 3, words: vec![0; 3] }).unwrap();
+        let err = from_bytes::<BitSketch>(&short).unwrap_err();
+        assert!(matches!(&err, CodecError::Message(m) if m.contains("3 words")), "{err:?}");
+        // An impossible shape.
+        let flat = SketchConfig { levels: 0, ..config };
+        let zero = to_bytes(&Repr { config: flat, seed: 3, words: vec![] }).unwrap();
+        let err = from_bytes::<BitSketch>(&zero).unwrap_err();
+        assert!(matches!(&err, CodecError::Message(m) if m.contains("levels")), "{err:?}");
+    }
 }

@@ -1,7 +1,6 @@
 //! The engine proper: stream registry, ad-hoc estimation, and the
 //! standing-query (subscription) rounds.
 
-use crate::config::EngineConfig;
 use crate::metrics::EngineMetrics;
 use crate::subscribe::{
     ChangeCause, ChangeEvent, Subscription, SubscriptionError, SubscriptionHub, SubscriptionId,
@@ -115,7 +114,9 @@ fn estimate_expr_over(
 
 impl StreamEngine {
     /// Engine with the given synopsis family and default estimator
-    /// options.
+    /// options. For an (ε, δ) target, plan the family with
+    /// [`setstream_core::Plan`] and vet it with [`SketchFamily::check`]
+    /// first: the theorem plans can exceed the cell cap.
     pub fn new(family: SketchFamily) -> Self {
         StreamEngine {
             family,
@@ -128,12 +129,6 @@ impl StreamEngine {
             metrics: Arc::new(EngineMetrics::new()),
             trace: TraceHandle::noop(),
         }
-    }
-
-    /// Engine from a validated [`EngineConfig`] (see
-    /// [`EngineConfig::builder`]).
-    pub fn from_config(config: EngineConfig) -> Self {
-        StreamEngine::new(*config.family()).with_options(*config.options())
     }
 
     /// Override the estimator options.

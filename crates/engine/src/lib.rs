@@ -66,7 +66,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod config;
 pub mod durable;
 mod engine;
 mod metrics;
@@ -75,7 +74,6 @@ pub mod quality;
 mod snapshot;
 mod subscribe;
 
-pub use config::{ConfigError, EngineConfig, EngineConfigBuilder};
 pub use durable::{DurableError, DurableKind};
 pub use engine::{EngineError, EngineStats, StreamEngine};
 pub use metrics::EngineMetrics;

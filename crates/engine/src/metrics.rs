@@ -15,11 +15,10 @@ use setstream_core::{EstimateMethod, IngestStats};
 use setstream_obs::{Counter, Histogram, MetricSource, Sample};
 
 /// All estimator paths, in the order their counters are exported.
-const METHODS: [EstimateMethod; 5] = [
+const METHODS: [EstimateMethod; 4] = [
     EstimateMethod::Union,
     EstimateMethod::Witness,
     EstimateMethod::MedianBoost,
-    EstimateMethod::BitSketch,
     EstimateMethod::TrivialEmpty,
 ];
 
@@ -34,7 +33,7 @@ fn method_index(m: EstimateMethod) -> usize {
 /// DESIGN.md §7.
 #[derive(Debug)]
 pub struct EngineMetrics {
-    /// Update tuples ingested (scalar + batch + parallel paths).
+    /// Update tuples ingested (scalar + batch paths).
     pub ingest_updates: Counter,
     /// Of which deletions.
     pub ingest_deletions: Counter,
@@ -45,7 +44,7 @@ pub struct EngineMetrics {
     /// this describes the workload mix (see `IngestStats`).
     pub ingest_fastpath_updates: Counter,
     /// Estimates served, by estimator path (indexed like `METHODS`).
-    estimates_by_method: [Counter; 5],
+    estimates_by_method: [Counter; 4],
     /// Estimate attempts that returned an error.
     pub estimate_errors: Counter,
     /// Wall-clock latency of estimate calls, nanoseconds.

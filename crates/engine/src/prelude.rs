@@ -1,12 +1,11 @@
 //! The canonical import surface for engine users.
 //!
 //! One `use setstream_engine::prelude::*;` brings in the estimation API —
-//! the self-describing [`Estimate`] answer record and the validated
-//! [`EngineConfig`] builder — plus the supporting types an application
-//! touches: standing-query subscriptions and their notification rules,
-//! errors, metrics, and the observability primitives they plug into.
+//! the engine and the self-describing [`Estimate`] answer record — plus
+//! the supporting types an application touches: standing-query
+//! subscriptions and their notification rules, errors, metrics, and the
+//! observability primitives they plug into.
 
-pub use crate::config::{ConfigError, EngineConfig, EngineConfigBuilder};
 pub use crate::engine::{EngineError, EngineStats, StreamEngine};
 pub use crate::metrics::EngineMetrics;
 pub use crate::snapshot::EngineSnapshot;

@@ -16,7 +16,8 @@
 //! * [`exact`] — exact set-operator cardinalities over multisets;
 //! * [`gen`] — the §5.1 Venn-partition workload generator, Zipf/uniform
 //!   element samplers, deletion-churn injection and stream interleaving;
-//! * [`source`] — iterator adapters for feeding updates to consumers.
+//! * [`trace`] — a text line format for recording and replaying update
+//!   streams.
 //!
 //! # Example
 //!
@@ -36,7 +37,6 @@
 pub mod exact;
 pub mod gen;
 pub mod multiset;
-pub mod source;
 pub mod trace;
 pub mod update;
 

@@ -45,7 +45,7 @@ cargo run --release -q -p setstream-analyze
 # Waiver ratchet: the count of `// analyze: allow(...)` escape hatches may
 # only go down. Fix the finding instead of waiving it; when you retire
 # waivers, lower the budget to match.
-WAIVER_BUDGET=29
+WAIVER_BUDGET=26
 waivers=$(cargo run --release -q -p setstream-analyze -- --waivers)
 echo "    analyze waivers: ${waivers} (budget ${WAIVER_BUDGET})"
 if [[ "${waivers}" -gt "${WAIVER_BUDGET}" ]]; then
@@ -58,7 +58,7 @@ fi
 # down. When a change removes lines, lower that crate's budget to match; a
 # change that must grow a crate raises its budget on purpose. Every crate
 # needs an entry.
-LOC_BUDGET="analyze=2295 apps=1097 baselines=331 bench=1342 core=1871 distributed=3579 engine=1693 expr=555 hash=1115 obs=1636 stream=760"
+LOC_BUDGET="analyze=2295 apps=1098 baselines=331 bench=1342 core=1728 distributed=3579 engine=1528 expr=555 hash=1115 obs=1636 stream=695"
 loc=$(cargo run --release -q -p setstream-analyze -- --loc)
 echo "$loc" | awk -v budget="$LOC_BUDGET" '
     BEGIN { n = split(budget, pairs, " "); for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); max[kv[1]] = kv[2] } }

@@ -87,19 +87,39 @@ fn generate_then_exact_pipeline() {
     std::fs::remove_file(path).ok();
 }
 
+/// Exit code and stderr of a run.
+fn setstream_status(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_setstream"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     let (_, err, ok) = setstream(&["estimate", "A &&& B", "--trace", "/nonexistent"]);
     assert!(!ok);
     assert!(err.contains("error"));
 
-    let (_, err, ok) = setstream(&["frobnicate"]);
-    assert!(!ok);
+    // Usage errors print the usage and exit 2.
+    let (code, err) = setstream_status(&["frobnicate"]);
+    assert_eq!(code, Some(2));
     assert!(err.contains("unknown command"));
+    assert!(err.contains("usage:"), "{err}");
+    let (code, err) = setstream_status(&[]);
+    assert_eq!(code, Some(2));
+    assert!(err.contains("missing command") && err.contains("usage:"), "{err}");
 
-    let (_, err, ok) = setstream(&["exact", "A", "--trace", "/definitely/not/here"]);
-    assert!(!ok);
+    // A failing command prints its one error line and exits 1.
+    let (code, err) = setstream_status(&["exact", "A", "--trace", "/definitely/not/here"]);
+    assert_eq!(code, Some(1));
     assert!(err.contains("cannot open"));
+    assert!(!err.contains("usage:"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    let (code, err) = setstream_status(&["scrape", "--addr", "127.0.0.1:1"]);
+    assert_eq!(code, Some(1));
+    assert!(err.starts_with("error:") && !err.contains("usage:"), "{err}");
 }
 
 #[test]
