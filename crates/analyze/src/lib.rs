@@ -114,6 +114,7 @@ impl Config {
             feature_dispatch_fns: vec!["backend".to_string(), "is_runnable".to_string()],
             hot_roots: [
                 ("crates/hash/src/simd.rs", "sliced_apply"),
+                ("crates/hash/src/simd.rs", "register_level_lanes"),
                 ("crates/hash/src/simd.rs", "affine_one"),
                 ("crates/hash/src/simd.rs", "horner_many"),
                 ("crates/hash/src/simd.rs", "load"),

@@ -1,8 +1,10 @@
 //! Ingestion-throughput benchmark with machine-readable output.
 //!
 //! Measures the two maintenance paths — scalar (element-major
-//! `SketchVector::update`) and batched (copy-major `update_batch`) — and
-//! the metrics overhead of the engine's ingest path, and writes the
+//! `SketchVector::update`) and batched (copy-major `update_batch`) — the
+//! cost per update and copy of short stream batches against full chunks
+//! (`stream_batch` rows), and the metrics overhead of the engine's ingest
+//! path, and writes the
 //! results to `BENCH_ingest.json` so later changes have a perf trajectory
 //! to compare against. The quality and tracing overheads go to
 //! `BENCH_obs.json`.
@@ -121,16 +123,23 @@ fn quantile(xs: &[f64], q: f64) -> f64 {
     sorted[(q * (sorted.len() - 1) as f64).round() as usize]
 }
 
-/// Time side `a` against side `b` over `n` updates as `pairs` interleaved
-/// pairs, each closure returning the seconds one rep took. The sides
-/// alternate rep by rep and swap which runs first every pair, so host
-/// drift lands on both alike, and each ratio `b / a` compares two
+/// Time side `a` against side `b` over `n` operations (each `per`: an
+/// update, or an update applied to one sketch copy) as `pairs`
+/// interleaved pairs, each closure returning the seconds one rep took.
+/// The sides alternate rep by rep and swap which runs first every pair,
+/// so host drift lands on both alike, and each ratio `b / a` compares two
 /// neighbouring reps. Prints the result under `label` and returns the
 /// ratios' quartiles `[q1, median, q3]` (the gate reads the median) with
 /// the JSON fields of the result row: the sides named `na` and `nb`, the
 /// ratio `nr`.
-fn paired(label: &str, [na, nb, nr]: [&str; 3], pairs: usize, n: usize,
-    mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> ([f64; 3], String) {
+fn paired(
+    label: &str,
+    [na, nb, nr]: [&str; 3],
+    pairs: usize,
+    (n, per): (usize, &str),
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> ([f64; 3], String) {
     let mut t = [Vec::new(), Vec::new()];
     for i in 0..pairs {
         for side in [i % 2, 1 - i % 2] {
@@ -140,12 +149,40 @@ fn paired(label: &str, [na, nb, nr]: [&str; 3], pairs: usize, n: usize,
     let ratios: Vec<f64> = t[1].iter().zip(&t[0]).map(|(y, x)| y / x).collect();
     let [a_ns, b_ns] = t.map(|t| quantile(&t, 0.5) * 1e9 / n as f64);
     let [q1, median, q3] = [0.25, 0.5, 0.75].map(|q| quantile(&ratios, q));
-    println!("  {label}: {na} {a_ns:.1} ns/update   {nb} {b_ns:.1} ns/update   ratio {median:.3}x [{q1:.3}, {q3:.3}]");
+    println!("  {label}: {na} {a_ns:.1} ns/{per}   {nb} {b_ns:.1} ns/{per}   ratio {median:.3}x [{q1:.3}, {q3:.3}]");
     let fields = format!(
-        "\"pairs\":{pairs},\"{na}_ns_per_update\":{a_ns:.1},\"{nb}_ns_per_update\":{b_ns:.1},\
+        "\"pairs\":{pairs},\"{na}_ns_per_{per}\":{a_ns:.1},\"{nb}_ns_per_{per}\":{b_ns:.1},\
          \"{nr}\":{median:.3},\"{nr}_q1\":{q1:.3},\"{nr}_q3\":{q3:.3}"
     );
     ([q1, median, q3], fields)
+}
+
+/// Streams a `stream_batch` engine batch spreads over, and the updates
+/// per stream of the full-chunk row the others are timed against.
+const STREAMS: usize = 8;
+const FULL_GROUP: usize = 4096;
+
+/// `n` updates round-robin over [`STREAMS`] streams, with elements of 32
+/// bits and deltas in `-3..=7` (four two's complement planes, like
+/// setbench's churn).
+fn stream_workload(n: usize) -> Vec<Update> {
+    (0..n as u64)
+        .map(|i| {
+            let h = setstream_hash::splitmix64(i);
+            Update {
+                stream: StreamId((i % STREAMS as u64) as u32),
+                element: h & 0xffff_ffff,
+                delta: (h >> 40) as i64 % 11 - 3,
+            }
+        })
+        .collect()
+}
+
+/// Feed `updates` to `engine` in batches of `group` updates per stream.
+fn ingest_in_batches(engine: &mut StreamEngine, updates: &[Update], group: usize) {
+    for batch in updates.chunks(STREAMS * group) {
+        engine.process_batch(batch);
+    }
 }
 
 /// Seconds one engine ingest of `updates` takes, plus whatever `after`
@@ -193,7 +230,7 @@ fn main() {
                 &format!("[{}] r={r}", shape.name()),
                 ["batch", "scalar", "speedup"],
                 pairs,
-                n_scalar,
+                (n_scalar, "update"),
                 || {
                     secs(|| {
                         let mut v = family(r).new_vector();
@@ -238,7 +275,7 @@ fn main() {
         &format!("metrics overhead r={r_obs}"),
         ["raw", "engine", "overhead"],
         pairs,
-        updates.len(),
+        (updates.len(), "update"),
         || secs(|| {
             let mut v = family(r_obs).new_vector();
             v.update_batch(&updates);
@@ -251,6 +288,40 @@ fn main() {
         ",\n    {{\"mode\":\"metrics_overhead\",\"r\":{r_obs},\"s\":{PAPER_S},\"updates\":{n_obs},{fields}}}"
     );
 
+    // Short stream batches: one engine batch spread over 8 streams at
+    // query_mix's shape (r = 256, s = 32, deltas -3..7). The engine
+    // slices each stream's group on its own, so a short group pays a
+    // chunk's fixed per-copy work for few updates. Each row is timed
+    // against the 4 096-update row as interleaved pairs over the same
+    // number of updates, on engines warmed by one untimed rep.
+    let r_stream = 256usize;
+    let n_stream = STREAMS * FULL_GROUP * if args.quick { 1 } else { 2 };
+    let stream_updates = stream_workload(n_stream);
+    let mut full = StreamEngine::new(family(r_stream));
+    ingest_in_batches(&mut full, &stream_updates, FULL_GROUP);
+    let mut stream_ratio_64 = 0.0;
+    for group in [16usize, 64, 512] {
+        let mut short = StreamEngine::new(family(r_stream));
+        ingest_in_batches(&mut short, &stream_updates, group);
+        let ([_, ratio, _], fields) = paired(
+            &format!("stream batch {group} vs {FULL_GROUP} per stream, r={r_stream}"),
+            ["full", "short", "ratio"],
+            pairs,
+            (n_stream * r_stream, "update_copy"),
+            || secs(|| ingest_in_batches(&mut full, &stream_updates, FULL_GROUP)),
+            || secs(|| ingest_in_batches(&mut short, &stream_updates, group)),
+        );
+        if group == 64 {
+            stream_ratio_64 = ratio;
+        }
+        let _ = write!(
+            rows,
+            ",\n    {{\"mode\":\"stream_batch\",\"updates_per_stream\":{group},\
+             \"full_updates_per_stream\":{FULL_GROUP},\"streams\":{STREAMS},\"r\":{r_stream},\
+             \"s\":{PAPER_S},\"updates\":{n_stream},{fields}}}"
+        );
+    }
+
     let json = format!(
         "{{\n  \"bench\": \"ingest\",\n  \"quick\": {},\n  \"host\": {},\n  \
          \"speedup_batch_r512\": {speedup_r512:.3},\n  \
@@ -258,6 +329,7 @@ fn main() {
          \"speedup_batch_mixed50_r512\": {speedup_mixed50_r512:.3},\n  \
          \"metrics_overhead\": {metrics_overhead:.3},\n  \
          \"metrics_overhead_quartiles\": [{metrics_q1:.3}, {metrics_q3:.3}],\n  \
+         \"stream_batch_ratio_64\": {stream_ratio_64:.3},\n  \
          \"results\": [\n    {rows}\n  ]\n}}\n",
         args.quick,
         setstream_bench::host::host_json()
@@ -277,7 +349,7 @@ fn main() {
             &format!("quality overhead rate={rate}"),
             ["engine", "engine_plus_monitor", "overhead"],
             pairs,
-            updates.len(),
+            (updates.len(), "update"),
             || engine_secs(r_obs, &updates, || ()),
             || engine_secs(r_obs, &updates, || monitor.observe_batch(&updates)),
         );
@@ -319,7 +391,7 @@ fn main() {
         &format!("tracing overhead r={r_cycle} epoch={EPOCH_LEN}"),
         ["noop", "traced", "overhead"],
         pairs,
-        updates.len(),
+        (updates.len(), "update"),
         || cycle_secs(&TraceHandle::noop()),
         || cycle_secs(&recording),
     );

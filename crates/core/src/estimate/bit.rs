@@ -16,11 +16,12 @@ use super::{union_est, witness, Estimate, EstimatorOptions};
 use crate::error::EstimateError;
 use crate::family::SketchFamily;
 use crate::sketch::BitSketch;
-use serde::{Deserialize, Serialize};
 use setstream_stream::{Element, StreamId};
 
-/// An `r`-copy bit-sketch synopsis of one insert-only stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// An `r`-copy bit-sketch synopsis of one insert-only stream. It has no
+/// wire form: nothing ships one, and a decoder would have to check that
+/// its sketches match its family.
+#[derive(Debug, Clone)]
 pub struct BitSketchVector {
     family: SketchFamily,
     sketches: Vec<BitSketch>,

@@ -23,10 +23,12 @@ use std::fmt;
 ///
 /// `fast_path_updates` counts updates that arrived in uniform-delta
 /// chunks (all deltas of a [`CHUNK`]-update chunk equal — the insert-only
-/// shape). The bit-sliced kernel has no separate path for them: a chunk
-/// costs one popcount round per bit of its deltas' narrowest two's
-/// complement, equal or not. So the count now describes the workload,
-/// not a code path; it is kept because the engine's
+/// shape). No kernel path keys on them. A chunk's cost per copy follows
+/// how its updates fall on levels: a populous level is bit-sliced, at
+/// one popcount round per function and bit of the deltas' narrowest
+/// two's complement, equal or not, and a sparse one costs a few
+/// instructions per update and function. So the count describes the
+/// workload, not a code path; it is kept because the engine's
 /// `setstream_engine_ingest_fastpath_updates_total` counter and the
 /// benchmarks' `fastpath_ratio` read it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -253,10 +255,13 @@ impl SketchVector {
     /// Each window of [`WINDOW`] updates is bit-sliced once, one
     /// [`SlicedChunk`] per [`CHUNK`] updates, and every copy reads the
     /// same sliced chunks, so the per-copy work is the first-level hash
-    /// and the bank's bit-sliced kernel. Within a window the loop is
-    /// **copy-major**: each copy consumes the whole window before the
-    /// next copy is touched, so one copy's rows and hash coefficients
-    /// stay cache-resident across it, where an element-major walk over
+    /// (into one scratch buffer all copies share) and the bank's chunk
+    /// kernel, whose work on each level follows the level's population:
+    /// a short batch pays for its updates, not for a whole chunk. Within
+    /// a window the loop is **copy-major**: each copy consumes the whole
+    /// window before the next copy is touched, so one copy's rows and
+    /// hash coefficients stay cache-resident across it, where an
+    /// element-major walk over
     /// all `r` copies per update would cycle a ~16 MiB working set at
     /// `r = 512`. Counter increments commute, so the result is
     /// bit-for-bit identical to per-update [`Self::update`] calls; the
@@ -265,6 +270,7 @@ impl SketchVector {
     /// Returns [`IngestStats`] for instrumentation: how many updates were
     /// applied and how many arrived in uniform-delta chunks.
     pub fn update_batch(&mut self, updates: &[Update]) -> IngestStats {
+        let mut hashes = [0u64; CHUNK];
         for window in updates.chunks(WINDOW) {
             let chunks: Vec<SlicedChunk> = window
                 .chunks(CHUNK)
@@ -275,7 +281,7 @@ impl SketchVector {
                 })
                 .collect();
             for sk in &mut self.sketches {
-                sk.apply_chunks(&chunks);
+                sk.apply_chunks(&chunks, &mut hashes);
             }
         }
         IngestStats::for_batch(updates)

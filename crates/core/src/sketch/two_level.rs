@@ -270,11 +270,13 @@ impl TwoLevelSketch {
     /// Same cell arithmetic as [`Self::update`], restructured for
     /// throughput: each chunk of [`CHUNK`] updates is bit-sliced into a
     /// [`SlicedChunk`] on the stack and applied by the bank's chunk kernel
-    /// ([`PairwiseHashBank::apply_chunk`]), and the summary of every
-    /// touched row is refreshed once at the end. Because cell increments commute, the counters are bit-for-bit
-    /// identical to applying the updates one at a time, in any order.
-    /// Batches under 32 updates go one at a time: slicing them costs more
-    /// than it saves for a single copy.
+    /// ([`PairwiseHashBank::apply_chunk`]), whose work per level follows
+    /// how many of the chunk's updates the level holds, and the summary
+    /// of every touched row is refreshed once at the end. Because cell
+    /// increments commute, the counters are bit-for-bit identical to
+    /// applying the updates one at a time, in any order. Batches under 32
+    /// updates go one at a time: slicing them costs more than it saves
+    /// for a single copy.
     ///
     /// The whole path is allocation-free.
     pub fn update_batch(&mut self, updates: &[Update]) {
@@ -285,40 +287,43 @@ impl TwoLevelSketch {
             return;
         }
         let mut chunk = SlicedChunk::EMPTY;
+        let mut hashes = [0u64; CHUNK];
         let mut touched = 0u64;
         for part in updates.chunks(CHUNK) {
             chunk.load(part.iter().map(|u| (u.element, u.delta)));
-            touched |= self.apply_chunk(&chunk);
+            touched |= self.apply_chunk(&chunk, &mut hashes);
         }
         self.refresh_rows(touched);
     }
 
     /// Apply already-sliced chunks — the form
     /// [`crate::SketchVector::update_batch`] shares across every copy —
-    /// then refresh the summary of each touched row once. Bit-for-bit
-    /// identical to [`Self::update_batch`] over the same updates.
-    pub(crate) fn apply_chunks(&mut self, chunks: &[SlicedChunk]) {
+    /// then refresh the summary of each touched row once. `hashes` is
+    /// scratch for the chunks' first-level hashes, which the caller
+    /// allocates once for all its copies. Bit-for-bit identical to
+    /// [`Self::update_batch`] over the same updates.
+    pub(crate) fn apply_chunks(&mut self, chunks: &[SlicedChunk], hashes: &mut [u64; CHUNK]) {
         let mut touched = 0u64;
         for chunk in chunks {
-            touched |= self.apply_chunk(chunk);
+            touched |= self.apply_chunk(chunk, hashes);
         }
         self.refresh_rows(touched);
     }
 
     /// One chunk against this copy: the first-level hashes of its
-    /// elements evaluated together ([`hash_many`], exposing
-    /// instruction-level parallelism across the latency-bound Horner
-    /// chains), then the bank's bit-sliced kernel
-    /// ([`PairwiseHashBank::apply_chunk`]) writes every row the chunk
-    /// lands on. The chunk's net delta is folded into `total` once.
-    /// Returns the levels it wrote, whose summary the caller refreshes
-    /// once the whole batch is in.
-    fn apply_chunk(&mut self, chunk: &SlicedChunk) -> u64 {
-        let mut hashes = [0u64; CHUNK];
+    /// elements evaluated together into the first `chunk.len()` words of
+    /// `hashes` ([`hash_many`], exposing instruction-level parallelism
+    /// across the latency-bound Horner chains), then the bank's chunk
+    /// kernel ([`PairwiseHashBank::apply_chunk`]) writes every row the
+    /// chunk lands on; it reads no hash past the chunk's end, so the
+    /// scratch is never cleared. The chunk's net delta is folded into
+    /// `total` once. Returns the levels it wrote, whose summary the
+    /// caller refreshes once the whole batch is in.
+    fn apply_chunk(&mut self, chunk: &SlicedChunk, hashes: &mut [u64; CHUNK]) -> u64 {
         hash_many(&self.first, chunk.elems(), &mut hashes[..chunk.len()]);
         let touched =
             self.second
-                .apply_chunk(chunk, &hashes, self.config.levels, &mut self.counters);
+                .apply_chunk(chunk, hashes, self.config.levels, &mut self.counters);
         self.total = self.total.wrapping_add(chunk.delta_sum());
         touched
     }

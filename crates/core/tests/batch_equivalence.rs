@@ -289,6 +289,64 @@ proptest! {
     }
 }
 
+/// Every chunk length on both sides of the kernel's routing thresholds
+/// (a level's population against the crossover, level 0 against the
+/// short-chunk bound, one more chunk past 512), for bank widths below
+/// the 16-function block, at it, ragged past it and at the paper's 32,
+/// with full-range deltas and all three element widths: both batch
+/// writers must leave the cells, totals and summaries of per-update
+/// `process`.
+#[test]
+fn every_chunk_length_and_bank_width_matches_per_update_process() {
+    const LENGTHS: [usize; 18] = [
+        1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 511, 512, 513,
+    ];
+    let deltas = [0, 1, -1, i64::MIN, i64::MAX, -3, 7, 2];
+    for s in [1u32, 8, 16, 17, 32, 33] {
+        for levels in [4u32, 64] {
+            let config = SketchConfig {
+                levels,
+                second_level: s,
+                first_family: HashFamily::KWise(8),
+            };
+            let family = SketchFamily::new(config, 2, u64::from(s) << 8 | u64::from(levels));
+            for n in LENGTHS {
+                let mut state = n as u64;
+                let pairs: Vec<(u64, i64)> = (0..n)
+                    .map(|i| {
+                        state = splitmix64(state);
+                        let element = [state & 7, state & 0x1_ffff, state][i % 3];
+                        let delta = match deltas[i % deltas.len()] {
+                            2 => splitmix64(state) as i64,
+                            d => d,
+                        };
+                        (element, delta)
+                    })
+                    .collect();
+                let updates = updates_from(&pairs);
+                let mut scalar = family.new_vector();
+                for u in &updates {
+                    scalar.process(u);
+                }
+                let mut batched = family.new_vector();
+                batched.update_batch(&updates);
+                let mut single = TwoLevelSketch::new(config, family.copy_seed(0));
+                single.update_batch(&updates);
+                let want = &scalar.sketches()[0];
+                let what = format!("s={s} levels={levels} n={n}");
+                assert_eq!(single.counters(), want.counters(), "{what}");
+                assert_eq!(single.total_count(), want.total_count(), "{what}");
+                assert_eq!(summary(&single), summary(want), "{what}");
+                for (a, b) in scalar.sketches().iter().zip(batched.sketches()) {
+                    assert_eq!(a.counters(), b.counters(), "{what}");
+                    assert_eq!(a.total_count(), b.total_count(), "{what}");
+                    assert_eq!(summary(a), summary(b), "{what}");
+                }
+            }
+        }
+    }
+}
+
 /// FNV-1a over every copy's cells and total.
 fn digest(v: &setstream_core::SketchVector) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -11,10 +11,11 @@
 //!   only, so one form serves every sketch copy.
 //! * [`PairwiseHashBank`] holds the `s` second-level functions of one
 //!   sketch copy as flat coefficient arrays and applies a sliced chunk to
-//!   the copy's counter rows ([`PairwiseHashBank::apply_chunk`]): a
-//!   function's parity over all 512 updates is one 512-bit mask, XORed
-//!   together from one table row per nibble of `aⱼ`, and a level's odd
-//!   mass is a few AND + POPCNT steps over it.
+//!   the copy's counter rows ([`PairwiseHashBank::apply_chunk`]): on a
+//!   populous level, a function's parity over all 512 updates is one
+//!   512-bit mask, XORed together from one table row per nibble of `aⱼ`,
+//!   and the level's odd mass is a few AND + POPCNT steps over it; a
+//!   sparse level sums its few updates' masses in registers instead.
 //! * [`hash_many`] evaluates a first-level hash over a slice of elements.
 //!   A single Carter–Wegman evaluation is a latency-bound Horner chain;
 //!   hashing a batch exposes independent chains the CPU can overlap.
@@ -116,11 +117,14 @@ impl PairwiseHashBank {
     /// `chunk.len()` are ignored). Returns the set of levels written
     /// (bit `ℓ` for level `ℓ`).
     ///
-    /// Levels holding many of the chunk's updates take the bit-sliced
-    /// path: per function, the odd set `Wⱼ` from the chunk's tables, and
-    /// per level `ℓ` the odd mass `δ(Wⱼ ∩ Lℓ)` from the delta planes; the
-    /// mass goes to cell `(j, 1 ⊕ bⱼ)` and the level's total minus it to
-    /// `(j, bⱼ)`. The few updates on deeper levels go through
+    /// Each level's path follows how many of the chunk's updates it
+    /// holds. Populous levels are bit-sliced: per function, the odd set
+    /// `Wⱼ` from the chunk's tables, and per level `ℓ` the odd mass
+    /// `δ(Wⱼ ∩ Lℓ)` from the delta planes. Sparse levels (every level of
+    /// a short chunk, the thin ones of a full chunk) sum each function's
+    /// odd mass update by update in registers. Either way the mass goes
+    /// to cell `(j, 1 ⊕ bⱼ)` and the level's total minus it to `(j, bⱼ)`,
+    /// once per level. The few updates on deeper levels go through
     /// [`Self::accumulate`]'s function-lane kernel. Cell adds commute and
     /// wrap, so the rows end bit-identical to applying the updates one
     /// at a time.

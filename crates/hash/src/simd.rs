@@ -6,14 +6,19 @@
 //! (see [`crate::PairwiseHashBank`]), so a bit costs one AND and one
 //! POPCNT: independent 64-bit lanes that vectorize as written.
 //!
-//! * The bit-sliced chunk kernel (`sliced_apply`) applies up to 512
-//!   updates to one sketch copy. A 512-bit **chunk mask** (one bit per
+//! * The chunk kernel (`sliced_apply`) applies up to 512 updates to one
+//!   sketch copy, each level by how many of the chunk's updates it
+//!   holds. On a populous level a 512-bit **chunk mask** (one bit per
 //!   update, eight words: one zmm register, two ymm) is the vector: a
 //!   function's odd set is one XOR per nibble of `aⱼ` over rows of the
-//!   chunk's [`SlicedChunk`] tables, and a level's odd mass is one AND and
-//!   one POPCNT per delta plane. Levels with few of the chunk's updates,
-//!   and single updates, switch to **function lanes**: one element
-//!   against every function at once (`affine_one`).
+//!   chunk's [`SlicedChunk`] tables, and the level's odd mass is one AND
+//!   and one POPCNT per delta plane. That costs the same for 16 updates
+//!   as for 256, so sparse levels (all of a short chunk's, the thin ones
+//!   of a full chunk) switch to **function lanes**: each update against
+//!   every function at once, its bits selecting `δ` into odd masses held
+//!   in registers, and the row written once (`register_level_lanes`).
+//!   The few updates on deep levels, and single updates, go one at a
+//!   time through the same lanes straight into their row (`affine_one`).
 //! * The first-level polynomial hashes over GF(2⁶¹−1) (`horner_many`)
 //!   split each 64-bit operand into 32-bit halves, so every partial
 //!   product of a Horner step is a `vpmuludq`-shaped 32×32→64 multiply,
@@ -525,24 +530,45 @@ fn odd_set(chunk: &SlicedChunk, a: u64) -> ChunkMask {
     odd
 }
 
-/// Levels `0..DENSE` of a chunk take the bit-sliced path; they hold 31/32
-/// of the updates. A bit-sliced level costs `s` popcount rounds however
-/// few updates it holds, so the deeper levels, about 16 updates of a full
-/// chunk, go one at a time through the function lanes. (On the bench
-/// host, at `s = 32`, 4 and 6 dense levels each cost 5–20% more per
-/// update than 5.)
+/// Levels `0..DENSE` of a chunk are split off by the hashes' low
+/// bit-planes; they hold 31/32 of the updates. The deeper levels, about
+/// 16 updates of a full chunk, go one at a time through the function
+/// lanes ([`affine_one_lanes`]). (On the bench host, at `s = 32`, 4 and 6
+/// sliced levels each cost 5–20% more per update than 5, and splitting
+/// off levels 5–7 too, for the register kernel, cost full chunks 12%.)
 const DENSE: usize = 5;
+
+/// A split level holding at least `CROSSOVER` of the chunk's updates is
+/// bit-sliced, and a thinner one goes through the register kernel
+/// ([`register_level_lanes`]). A sliced level costs `s` popcount rounds
+/// per delta plane however few updates it holds; the register kernel
+/// costs about two instructions per update and function. The sliced
+/// levels are a counted range from level 0 up to the first level below
+/// the crossover: populations halve from one level to the next, so a full
+/// chunk keeps levels 0–3 sliced and slices level 4 (about 16 updates)
+/// only when it is not thin. (Measured on the bench host's AVX-512 tier
+/// at `s = 32`: crossovers of 0 and 8 cost the kernel 5–9% more on full
+/// chunks than 16, and 24 cost the whole ingest path 13%.)
+const CROSSOVER: u32 = 16;
+
+/// A chunk whose level 0 holds fewer than `SHORT` updates slices no
+/// level, which also skips the odd sets, one 512-bit XOR per element
+/// nibble and function, which cost more than the register kernel would
+/// on a level 0 that thin. Such chunks hold under about 128 updates.
+/// (Sized on a scratch sweep at `s = 32`; not re-swept since.)
+const SHORT: u32 = 4 * CROSSOVER;
 
 /// Functions whose odd masses are committed together: the commit loop
 /// then runs over a block of cell pairs, which vectorizes.
 const BLOCK: usize = 16;
 
 /// Bit `b` of every update's first-level hash, for `b < DENSE`: the
-/// planes that split the chunk into its dense levels.
+/// planes that split the chunk into its dense levels. Only the first
+/// `words` words of each plane are formed; the rest stay zero.
 #[inline(always)]
-fn low_planes(hashes: &[u64; CHUNK]) -> [ChunkMask; DENSE] {
+fn low_planes(hashes: &[u64; CHUNK], words: usize) -> [ChunkMask; DENSE] {
     let mut planes = [[0u64; CHUNK / 64]; DENSE];
-    for (w, block) in hashes.chunks_exact(64).enumerate() {
+    for (w, block) in hashes.chunks_exact(64).enumerate().take(words) {
         for (i, &h) in block.iter().enumerate() {
             for (b, plane) in planes.iter_mut().enumerate() {
                 plane[w] |= (h >> b & 1) << i;
@@ -552,18 +578,92 @@ fn low_planes(hashes: &[u64; CHUNK]) -> [ChunkMask; DENSE] {
     planes
 }
 
-/// The bit-sliced chunk kernel behind
-/// [`crate::PairwiseHashBank::apply_chunk`]: apply `chunk` to the
-/// level-major rows (`2s` cells per level) of one sketch copy, update `i`
-/// landing on level `bucket_of(hashes[i], levels)`, and return the set
-/// of levels written.
+/// Add a level's odd masses to its cells for a block of functions: the
+/// mass of function `j` lands in cell `(j, 1 ⊕ bⱼ)`, and the level's
+/// `total` minus it in `(j, bⱼ)`. `cells` holds the block's cell pairs.
+#[inline(always)]
+fn commit(cells: &mut [i64], masses: &[i64], b: &[u64], total: i64) {
+    for ((pair, &mass), &bj) in cells.chunks_exact_mut(2).zip(masses).zip(b) {
+        let rest = total.wrapping_sub(mass);
+        let (zero, one) = if bj == 0 { (rest, mass) } else { (mass, rest) };
+        pair[0] = pair[0].wrapping_add(zero);
+        pair[1] = pair[1].wrapping_add(one);
+    }
+}
+
+/// The register kernel for a sparse level: the updates of `set`, all on
+/// the level whose `2s` cells are `row`, against every function, lanes
+/// across the functions. Per block of `LANES` functions, each update's
+/// bits `parity(aⱼ & x)` select its `δ` into `LANES` odd masses held in
+/// registers ([`register_masses`]), and the block's cells are then
+/// written once ([`commit`]). A ragged last block runs padded with
+/// `aⱼ = 0` lanes, whose bits are 0 and whose masses are never
+/// committed, so every `s` stays vectorized, `s < LANES` included.
+#[inline(always)]
+fn register_level_lanes<const LANES: usize>(
+    a: &[u64],
+    b: &[u64],
+    chunk: &SlicedChunk,
+    set: &ChunkMask,
+    row: &mut [i64],
+) {
+    let mut total = 0i64;
+    for_each(set, |i| total = total.wrapping_add(chunk.deltas[i]));
+    let mut blocks = a.chunks_exact(LANES);
+    let mut cells = row.chunks_exact_mut(2 * LANES);
+    for ((aj, bj), pairs) in (&mut blocks).zip(b.chunks_exact(LANES)).zip(&mut cells) {
+        let masses = register_masses::<LANES>(&std::array::from_fn(|l| aj[l]), chunk, set);
+        commit(pairs, &masses, bj, total);
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let lanes = std::array::from_fn(|l| tail.get(l).copied().unwrap_or(0));
+        let masses = register_masses::<LANES>(&lanes, chunk, set);
+        let bj = &b[a.len() - tail.len()..];
+        commit(cells.into_remainder(), &masses, bj, total);
+    }
+}
+
+/// The odd masses `δ(Wⱼ ∩ set)` of one block of functions `lanes`: per
+/// update, one AND + POPCNT per function and a masked add of `δ`.
+#[inline(always)]
+fn register_masses<const LANES: usize>(
+    lanes: &[u64; LANES],
+    chunk: &SlicedChunk,
+    set: &ChunkMask,
+) -> [i64; LANES] {
+    let mut masses = [0i64; LANES];
+    for_each(set, |i| {
+        let (x, d) = (chunk.elems[i], chunk.deltas[i]);
+        for (mass, &aj) in masses.iter_mut().zip(lanes) {
+            *mass = mass.wrapping_add(d & (parity(aj, x) as i64).wrapping_neg());
+        }
+    });
+    masses
+}
+
+/// The chunk kernel behind [`crate::PairwiseHashBank::apply_chunk`]:
+/// apply `chunk` to the level-major rows (`2s` cells per level) of one
+/// sketch copy, update `i` landing on level `bucket_of(hashes[i],
+/// levels)`, and return the set of levels written. Each level's path
+/// follows how many of the chunk's updates it holds.
 ///
 /// The level of a hash is the position of its lowest set bit (capped at
-/// `levels - 1`), so the dense levels fall out of the hashes' low
+/// `levels - 1`), so levels `0..DENSE` fall out of the hashes' low
 /// bit-planes: level `ℓ` is the updates whose bit `ℓ` is the first one
-/// set. Per function `j`, the odd set `Wⱼ` ([`odd_set`]) gives level
-/// `ℓ`'s odd mass `δ(Wⱼ ∩ Lₗ)` ([`plane_mass`]), which lands in cell
-/// `(j, 1 ⊕ bⱼ)` while the level's total minus it lands in `(j, bⱼ)`.
+/// set. Only the chunk's live hash words are read. Those levels split two
+/// ways:
+///
+/// * **Populous levels**, a counted range from level 0 (see
+///   [`CROSSOVER`] and [`SHORT`]), are bit-sliced ([`sliced_levels`]).
+///   They cost `s` popcount rounds per level and delta plane however many
+///   updates a level holds, plus the odd sets once per chunk.
+/// * **Sparse levels** go through the register kernel
+///   ([`register_level_lanes`]), a few instructions per update and block
+///   of functions. No odd set is formed when no level is sliced.
+///
+/// Both commit the same `(j, 1 ⊕ bⱼ)` / `(j, bⱼ)` split ([`commit`]).
+/// The deeper levels go one update at a time through the function lanes.
 #[inline(always)]
 fn sliced_apply_lanes<const LANES: usize>(
     a: &[u64],
@@ -577,7 +677,7 @@ fn sliced_apply_lanes<const LANES: usize>(
     let top = levels.clamp(1, 64) as usize - 1;
     // Split off the dense levels below `top` by their planes; if `top`
     // itself is below DENSE, the updates left over form level `top`.
-    let low = low_planes(hashes);
+    let low = low_planes(hashes, chunk.len().div_ceil(64));
     let mut rest = first_n(chunk.len());
     let mut sets = [[0u64; CHUNK / 64]; DENSE];
     let dense = (top + 1).min(DENSE);
@@ -590,32 +690,29 @@ fn sliced_apply_lanes<const LANES: usize>(
             rest = and_not(&rest, &low[level]);
         }
     }
-    let (planes, signed) = (chunk.planes(), chunk.signed());
-    let mut touched = 0u64;
-    let mut totals = [0i64; DENSE];
-    for level in 0..dense {
-        touched |= u64::from(sets[level].iter().any(|&w| w != 0)) << level;
-        totals[level] = plane_mass(&sets[level], planes, signed);
+    let pops = sets.map(|set| set.iter().map(|w| w.count_ones()).sum::<u32>());
+    let sliced = if pops[0] < SHORT {
+        0
+    } else {
+        pops.iter().take_while(|&&p| p >= CROSSOVER).count()
+    };
+    // The sliced range as a constant: each count gets a level loop with
+    // a known trip count (a runtime count cost full chunks 4–9%).
+    match sliced {
+        0 => {}
+        1 => sliced_levels::<1>(a, b, chunk, &sets, rows),
+        2 => sliced_levels::<2>(a, b, chunk, &sets, rows),
+        3 => sliced_levels::<3>(a, b, chunk, &sets, rows),
+        4 => sliced_levels::<4>(a, b, chunk, &sets, rows),
+        _ => sliced_levels::<DENSE>(a, b, chunk, &sets, rows),
     }
-    let mut masses = [[0i64; BLOCK]; DENSE];
-    for (block, (ab, bb)) in a.chunks(BLOCK).zip(b.chunks(BLOCK)).enumerate() {
-        for (jj, &aj) in ab.iter().enumerate() {
-            let odd = odd_set(chunk, aj);
-            for level in 0..dense {
-                masses[level][jj] = plane_mass(&and(&odd, &sets[level]), planes, signed);
-            }
-        }
-        let start = 2 * BLOCK * block;
-        for level in (0..dense).filter(|&l| touched >> l & 1 == 1) {
-            let total = totals[level];
-            let cells = &mut rows[level * width + start..][..2 * ab.len()];
-            for ((pair, &mass), &bj) in cells.chunks_exact_mut(2).zip(&masses[level]).zip(bb) {
-                let rest = total.wrapping_sub(mass);
-                let (zero, one) = if bj == 0 { (rest, mass) } else { (mass, rest) };
-                pair[0] = pair[0].wrapping_add(zero);
-                pair[1] = pair[1].wrapping_add(one);
-            }
-        }
+    let mut touched = 0u64;
+    for (level, &pop) in pops.iter().enumerate() {
+        touched |= u64::from(pop > 0) << level;
+    }
+    for level in (sliced..dense).filter(|&l| pops[l] > 0) {
+        let row = &mut rows[level * width..(level + 1) * width];
+        register_level_lanes::<LANES>(a, b, chunk, &sets[level], row);
     }
     for_each(&rest, |i| {
         let level = bucket_of(hashes[i], levels) as usize;
@@ -624,6 +721,39 @@ fn sliced_apply_lanes<const LANES: usize>(
         affine_one_lanes::<LANES>(a, b, chunk.elems[i], chunk.deltas[i], row);
     });
     touched
+}
+
+/// The bit-sliced levels `0..K` of a chunk, whose update sets are
+/// `sets[..K]`: per function `j`, the odd set `Wⱼ` ([`odd_set`]) gives
+/// level `ℓ`'s odd mass `δ(Wⱼ ∩ Lₗ)` ([`plane_mass`]), committed per
+/// block of [`BLOCK`] functions with the level's total.
+#[inline(always)]
+fn sliced_levels<const K: usize>(
+    a: &[u64],
+    b: &[u64],
+    chunk: &SlicedChunk,
+    sets: &[ChunkMask; DENSE],
+    rows: &mut [i64],
+) {
+    let width = 2 * a.len();
+    let (planes, signed) = (chunk.planes(), chunk.signed());
+    let mut totals = [0i64; K];
+    for (total, set) in totals.iter_mut().zip(sets) {
+        *total = plane_mass(set, planes, signed);
+    }
+    let mut masses = [[0i64; BLOCK]; K];
+    for (block, (ab, bb)) in a.chunks(BLOCK).zip(b.chunks(BLOCK)).enumerate() {
+        for (jj, &aj) in ab.iter().enumerate() {
+            let odd = odd_set(chunk, aj);
+            for level in 0..K {
+                masses[level][jj] = plane_mass(&and(&odd, &sets[level]), planes, signed);
+            }
+        }
+        for level in 0..K {
+            let cells = &mut rows[level * width + 2 * BLOCK * block..][..2 * ab.len()];
+            commit(cells, &masses[level], bb, totals[level]);
+        }
+    }
 }
 
 /// Call `f` with every update in `set`, ascending.

@@ -1,8 +1,8 @@
 //! SIMD ≡ reference equivalence, property-tested through the public API.
 //!
-//! The lane kernels behind [`PairwiseHashBank::apply_chunk`] (the
-//! bit-sliced chunk kernel), [`PairwiseHashBank::accumulate`] (the
-//! function-lane kernel), [`setstream_hash::positive_bits`] and the
+//! The lane kernels behind [`PairwiseHashBank::apply_chunk`] (the chunk
+//! kernel, with its bit-sliced levels and its register kernel for sparse
+//! ones), [`PairwiseHashBank::accumulate`] (the function-lane kernel), [`setstream_hash::positive_bits`] and the
 //! `hash_slice` overrides must be **bit-identical** to per-element
 //! references computed without them (`accumulate_row` below, which
 //! derives every second-level bit one element bit at a time / `c > 0` /
@@ -149,6 +149,52 @@ fn apply_chunk_matches_per_element_rows() {
                 for levels in [1u32, 4, 16, 64] {
                     check_chunk(&bank, &pairs, &hashes_for(n as u64, n), levels);
                 }
+            }
+        }
+    }
+}
+
+/// Hashes whose levels make a full chunk's levels 3 and 4 thin (8
+/// updates each of 512) while levels 0–2 stay populous, with a few deep
+/// ones: the chunk kernel slices the populous levels and sends the thin
+/// ones through its register kernel.
+fn thin_level_hashes(seed: u64) -> [u64; CHUNK] {
+    let mut out = [0u64; CHUNK];
+    let mut state = seed;
+    for (i, h) in out.iter_mut().enumerate() {
+        state = setstream_hash::splitmix64(state);
+        let level = match i % 64 {
+            0..=39 => 0,
+            40..=55 => 1,
+            56..=60 => 2,
+            61 => 3,
+            62 => 4,
+            _ => 9,
+        };
+        *h = (state | 1) << level;
+    }
+    out
+}
+
+#[test]
+fn register_levels_match_the_row_reference_on_every_tier() {
+    // Short chunks route every level through the register kernel, and a
+    // full chunk its thin levels; the deltas include the i64 extremes.
+    // Bank widths straddle the 4- and 16-function lane blocks.
+    for s in [1usize, 3, 4, 8, 15, 16, 17, 32, 33] {
+        let bank = PairwiseHashBank::from_seed(31 ^ s as u64, s);
+        for n in [1usize, 2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 512] {
+            let mut state = (s * 1000 + n) as u64;
+            let pairs: Vec<(u64, i64)> = (0..n)
+                .map(|i| {
+                    state = setstream_hash::splitmix64(state);
+                    let delta = [i64::MIN, i64::MAX, -1, 1, state as i64][i % 5];
+                    (state >> (i % 3 * 24), delta)
+                })
+                .collect();
+            for levels in [1u32, 3, 64] {
+                check_chunk(&bank, &pairs, &hashes_for(state, n), levels);
+                check_chunk(&bank, &pairs, &thin_level_hashes(state), levels);
             }
         }
     }
